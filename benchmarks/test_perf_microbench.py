@@ -19,7 +19,8 @@ from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.testbed import Testbed, WorkloadSpec
 from repro.telemetry import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, Telemetry
 from repro.workload.interactive import lindley_waits
-from tests.conftest import make_server
+from repro.workload.job import Job
+from tests.conftest import make_server, make_servers
 
 
 def test_perf_engine_schedule_run(benchmark):
@@ -37,9 +38,9 @@ def test_perf_engine_schedule_run(benchmark):
 
 def test_perf_tracker_candidates(benchmark):
     """One vectorized placement query over a 400-server fleet."""
-    tracker = ResourceTracker([make_server(i) for i in range(400)])
+    tracker = ResourceTracker(make_servers(400))
     for i in range(0, 400, 3):
-        tracker.on_place(i, 14.0, 30.0)
+        tracker.server_at(i).add_task(Job(i, 100.0, cores=14.0, memory_gb=30.0))
 
     result = benchmark(tracker.candidates, 4.0, 8.0)
     assert len(result) > 0

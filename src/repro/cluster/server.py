@@ -185,35 +185,38 @@ class Server:
         )
 
     def add_task(self, job: "Job") -> None:
-        """Attach a placed job's resource demand to this server."""
+        """Attach a placed job's demand (a per-job hot path: one slot read,
+        column updates in place, can_fit's arithmetic and 1e-9 slack)."""
         if job.job_id in self.tasks:
             raise ValueError(f"job {job.job_id} already running on server {self.server_id}")
-        if not self.can_fit(job.cores, job.memory_gb):
+        state, i = self._state, self._index
+        used_cores = state.used_cores.item(i) + job.cores
+        used_memory_gb = state.used_memory_gb.item(i) + job.memory_gb
+        if not (used_cores <= self.cores + 1e-9 and used_memory_gb <= self.memory_gb + 1e-9):
             raise ValueError(
                 f"job {job.job_id} does not fit on server {self.server_id}: "
                 f"needs {job.cores}c/{job.memory_gb}g, "
                 f"free {self.free_cores:.1f}c/{self.free_memory_gb:.1f}g"
             )
         self.tasks[job.job_id] = job
-        self.used_cores += job.cores
-        self.used_memory_gb += job.memory_gb
-        self.jobs_started += 1
-        self._invalidate_power()
+        state.used_cores[i] = used_cores
+        state.used_memory_gb[i] = used_memory_gb
+        state.jobs_started[i] += 1
+        state.power_valid[i] = False
 
     def remove_task(self, job: "Job") -> None:
         """Release a finished (or killed) job's resources."""
         if job.job_id not in self.tasks:
             raise KeyError(f"job {job.job_id} not running on server {self.server_id}")
         del self.tasks[job.job_id]
-        self.used_cores -= job.cores
-        self.used_memory_gb -= job.memory_gb
+        state, i = self._state, self._index
+        used_cores = state.used_cores.item(i) - job.cores
+        used_memory_gb = state.used_memory_gb.item(i) - job.memory_gb
         # Guard against float drift accumulating into tiny negatives.
-        if self.used_cores < 1e-9:
-            self.used_cores = 0.0
-        if self.used_memory_gb < 1e-9:
-            self.used_memory_gb = 0.0
-        self.jobs_completed += 1
-        self._invalidate_power()
+        state.used_cores[i] = 0.0 if used_cores < 1e-9 else used_cores
+        state.used_memory_gb[i] = 0.0 if used_memory_gb < 1e-9 else used_memory_gb
+        state.jobs_completed[i] += 1
+        state.power_valid[i] = False
 
     # ------------------------------------------------------------------
     # Power

@@ -15,7 +15,7 @@ Frame layout
 One UTF-8 JSON header line, then the raw pickle payload::
 
     {"kind": "experiment", "magic": "repro-snapshot", "meta": {...},
-     "payload_bytes": N, "payload_sha256": "...", "version": 1}\\n
+     "payload_bytes": N, "payload_sha256": "...", "version": 2}\\n
     <N bytes of pickle>
 
 The header is readable without unpickling anything (``read_header``),
@@ -62,8 +62,9 @@ from repro.durability.atomic import atomic_write_bytes
 #: Frame magic; also the snapshot files' conventional ``.snap`` stem.
 SNAPSHOT_MAGIC = "repro-snapshot"
 
-#: Current frame layout version. Bump on any incompatible change.
-SNAPSHOT_VERSION = 1
+#: Current frame layout version. Bump on any incompatible change (2: the
+#: tracker's mirror arrays and the profiles' numpy windows are gone).
+SNAPSHOT_VERSION = 2
 
 #: Pickle protocol pinned for stable output within a Python version
 #: (``HIGHEST_PROTOCOL`` may move under our feet on an interpreter bump).

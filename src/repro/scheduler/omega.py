@@ -1,7 +1,8 @@
 """Two-level Omega-like scheduler with the freeze/unfreeze API.
 
-The low level (this class plus :class:`ResourceTracker`) owns resource
-state, executes placements, schedules job-completion events on the
+The low level (this class plus :class:`ResourceTracker`, which reads
+placement state straight from the servers' shared ``ClusterState``)
+executes placements, schedules job-completion events on the
 simulation engine, and keeps completions correct when DVFS capping changes
 a server's execution speed. The upper level is a set of per-product
 :class:`Framework` objects, each with its own FIFO queue (with bounded
@@ -138,25 +139,25 @@ class OmegaScheduler(SchedulerInterface):
             return
         framework.queue.append(job)
 
-    def freeze(self, server_id: int) -> None:
-        if server_id not in self.tracker.index_of:
+    def _server(self, server_id: int) -> Server:
+        index = self.tracker.index_of.get(server_id)
+        if index is None:
             raise KeyError(f"unknown server id {server_id}")
+        return self.tracker.servers[index]
+
+    def freeze(self, server_id: int) -> None:
+        server = self._server(server_id)
         if server_id in self._frozen_ids:
             return  # idempotent: reconciliation may re-assert a freeze
-        index = self.tracker.index_of[server_id]
-        self.tracker.server_at(index).freeze()
-        self.tracker.set_frozen(server_id, True)
+        server.freeze()
         self._frozen_ids.add(server_id)
         self._notify_control("freeze", server_id)
 
     def unfreeze(self, server_id: int) -> None:
-        if server_id not in self.tracker.index_of:
-            raise KeyError(f"unknown server id {server_id}")
+        server = self._server(server_id)
         if server_id not in self._frozen_ids:
             return  # idempotent: a retried unfreeze must not re-drain
-        index = self.tracker.index_of[server_id]
-        self.tracker.server_at(index).unfreeze()
-        self.tracker.set_frozen(server_id, False)
+        server.unfreeze()
         self._frozen_ids.discard(server_id)
         self._notify_control("unfreeze", server_id)
         self._drain_queues()
@@ -174,22 +175,13 @@ class OmegaScheduler(SchedulerInterface):
         semantics); pinned services are lost until an operator re-pins
         them. Returns the number of tasks killed.
         """
-        if server_id not in self.tracker.index_of:
-            raise KeyError(f"unknown server id {server_id}")
-        index = self.tracker.index_of[server_id]
-        server = self.tracker.server_at(index)
+        server = self._server(server_id)
         if server.failed:
             return 0
         killed = list(server.tasks.values())
         for job in killed:
-            if job.completion_handle is not None:
-                job.completion_handle.cancel()
-                job.completion_handle = None
-            server.remove_task(job)
-            self.tracker.on_release(index, job.cores, job.memory_gb)
-            job.kill()
+            self._evict(job, server)
         server.fail()
-        self.tracker.set_failed(server_id, True)
         self._notify_control("fail", server_id)
         self.stats.failures += 1
         self.stats.jobs_killed += len(killed)
@@ -222,10 +214,7 @@ class OmegaScheduler(SchedulerInterface):
         (infinite work) are never shed. Returns the number of tasks
         dropped.
         """
-        if server_id not in self.tracker.index_of:
-            raise KeyError(f"unknown server id {server_id}")
-        index = self.tracker.index_of[server_id]
-        server = self.tracker.server_at(index)
+        server = self._server(server_id)
         victims = sorted(
             (
                 t
@@ -238,13 +227,7 @@ class OmegaScheduler(SchedulerInterface):
             victims = victims[:max_tasks]
         now = self.engine.now
         for job in victims:
-            if job.completion_handle is not None:
-                job.completion_handle.cancel()
-                job.completion_handle = None
-            job.advance(now, server.frequency)
-            server.remove_task(job)
-            self.tracker.on_release(index, job.cores, job.memory_gb)
-            job.kill()
+            self._evict(job, server, now)
         if victims:
             self.stats.jobs_shed += len(victims)
             self._notify_control("shed", server_id)
@@ -252,14 +235,10 @@ class OmegaScheduler(SchedulerInterface):
 
     def repair_server(self, server_id: int) -> None:
         """Bring a failed server back into the schedulable pool."""
-        if server_id not in self.tracker.index_of:
-            raise KeyError(f"unknown server id {server_id}")
-        index = self.tracker.index_of[server_id]
-        server = self.tracker.server_at(index)
+        server = self._server(server_id)
         if not server.failed:
             return
         server.repair()
-        self.tracker.set_failed(server_id, False)
         self._notify_control("repair", server_id)
         self._drain_queues()
 
@@ -272,19 +251,11 @@ class OmegaScheduler(SchedulerInterface):
         Raises ``RuntimeError`` if the server still runs tasks; a
         consolidation controller must only select idle machines.
         """
-        if server_id not in self.tracker.index_of:
-            raise KeyError(f"unknown server id {server_id}")
-        index = self.tracker.index_of[server_id]
-        self.tracker.server_at(index).power_off()
-        self.tracker.set_offline(server_id, True)
+        self._server(server_id).power_off()
 
     def power_on_server(self, server_id: int) -> None:
         """Return a powered-off server to the pool and drain the queue."""
-        if server_id not in self.tracker.index_of:
-            raise KeyError(f"unknown server id {server_id}")
-        index = self.tracker.index_of[server_id]
-        self.tracker.server_at(index).power_on()
-        self.tracker.set_offline(server_id, False)
+        self._server(server_id).power_on()
         self._drain_queues()
 
     # ------------------------------------------------------------------
@@ -319,13 +290,7 @@ class OmegaScheduler(SchedulerInterface):
         server = self.tracker.server_at(best_index)
         now = self.engine.now
         for victim in best_victims:
-            if victim.completion_handle is not None:
-                victim.completion_handle.cancel()
-                victim.completion_handle = None
-            victim.advance(now, server.frequency)
-            server.remove_task(victim)
-            self.tracker.on_release(best_index, victim.cores, victim.memory_gb)
-            victim.kill()
+            self._evict(victim, server, now)
             self.stats.jobs_preempted += 1
         self.stats.preemptions += 1
         # Claim the freed capacity for the urgent job before the victims'
@@ -372,6 +337,18 @@ class OmegaScheduler(SchedulerInterface):
             return victims
         return None
 
+    def _evict(self, job: Job, server: Server, now: Optional[float] = None) -> None:
+        """Stop a running job for good: cancel its completion, release its
+        resources and mark it killed, first crediting its progress up to
+        ``now`` unless the machine died under it (``now`` is None)."""
+        if job.completion_handle is not None:
+            job.completion_handle.cancel()
+            job.completion_handle = None
+        if now is not None:
+            job.advance(now, server.frequency)
+        server.remove_task(job)
+        job.kill()
+
     def _notify_control(self, action: str, server_id: int) -> None:
         for listener in self.control_listeners:
             listener(action, server_id)
@@ -391,7 +368,6 @@ class OmegaScheduler(SchedulerInterface):
         server = self.tracker.server_at(index)
         now = self.engine.now
         server.add_task(job)
-        self.tracker.on_place(index, job.cores, job.memory_gb)
         job.begin(server, now)
         job.completion_handle = self.engine.schedule(
             job.eta(now, server.frequency),
@@ -411,12 +387,8 @@ class OmegaScheduler(SchedulerInterface):
         scheduled and throughput listeners are not notified (services are
         not part of batch throughput).
         """
-        if server_id not in self.tracker.index_of:
-            raise KeyError(f"unknown server id {server_id}")
-        index = self.tracker.index_of[server_id]
-        server = self.tracker.server_at(index)
+        server = self._server(server_id)
         server.add_task(job)
-        self.tracker.on_place(index, job.cores, job.memory_gb)
         job.begin(server, self.engine.now)
 
     def _complete_job(self, job: Job) -> None:
@@ -436,8 +408,6 @@ class OmegaScheduler(SchedulerInterface):
             return
         job.complete(now)
         server.remove_task(job)
-        index = self.tracker.index_of[server.server_id]
-        self.tracker.on_release(index, job.cores, job.memory_gb)
         self.stats.completed += 1
         for listener in self.completion_listeners:
             listener(job, server)

@@ -1,28 +1,34 @@
 """Low-level resource tracking with vectorized candidate search.
 
-The tracker mirrors per-server free resources and freeze flags into numpy
-arrays so a placement query ("which unfrozen servers fit 2 cores / 4 GB in
-row 3?") is a single vectorized filter. This is the part of the paper's
-low-level scheduler that "tracks the status of resources [and] bundles
-them into abstract resource containers".
+A placement query ("which unfrozen servers fit 2 cores / 4 GB in row
+3?") is a single vectorized filter over the
+:class:`~repro.cluster.state.ClusterState` columns the servers already
+live in; no second copy of server state is kept. This is the part of the
+paper's low-level scheduler that "tracks the status of resources [and]
+bundles them into abstract resource containers".
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.server import Server
+from repro.cluster.state import shared_state_of
 
 
 class ResourceTracker:
-    """Numpy-mirrored view of server resources for fast placement queries.
+    """Placement queries over the servers' shared ``ClusterState`` columns.
 
-    The :class:`~repro.cluster.server.Server` objects remain the source of
-    truth; every mutation goes through this tracker so the mirror never
-    drifts (an invariant the test suite checks property-style).
+    Every server must be registered with one store, as all production
+    builders arrange; the tracker keeps only its servers' slots (a slice
+    when contiguous, as ``build_row`` lays them out).
     """
+
+    #: the store columns a placement query reads, in ``_columns`` order
+    _COLUMNS = ("used_cores", "used_memory_gb", "frozen", "failed", "powered_off",
+                "cores", "memory_gb")
 
     def __init__(self, servers: Sequence[Server]) -> None:
         if not servers:
@@ -33,19 +39,39 @@ class ResourceTracker:
         }
         if len(self.index_of) != len(self.servers):
             raise ValueError("duplicate server ids in tracker")
-        n = len(self.servers)
-        self._free_cores = np.array([s.free_cores for s in self.servers], dtype=float)
-        self._free_memory = np.array(
-            [s.free_memory_gb for s in self.servers], dtype=float
+        state, slots = shared_state_of(self.servers)
+        if state is None:
+            raise ValueError("a scheduler's servers must share one ClusterState")
+        self.state = state
+        first = int(slots[0])
+        contiguous = np.array_equal(slots, np.arange(first, first + len(slots)))
+        self._slots: Union[slice, np.ndarray] = (
+            slice(first, first + len(slots)) if contiguous else slots
         )
-        self._frozen = np.array([s.frozen for s in self.servers], dtype=bool)
-        self._failed = np.array([s.failed for s in self.servers], dtype=bool)
-        self._offline = np.array([s.powered_off for s in self.servers], dtype=bool)
+        self._views: Optional[Tuple[np.ndarray, ...]] = None
         self._row_ids = np.array([s.row_id for s in self.servers], dtype=np.int64)
         self._row_mask_cache: Dict[frozenset, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.servers)
+
+    def __getstate__(self) -> dict:
+        # Views would pickle as copies: a restored tracker rebuilds them.
+        state = self.__dict__.copy()
+        state["_views"] = None
+        return state
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        """This tracker's slots of ``_COLUMNS``: cached views for a slice,
+        rebuilt when the store grows (reallocating its columns); a fresh
+        gather for scattered slots."""
+        views = self._views
+        if views is not None and views[0].base is self.state.used_cores:
+            return views
+        columns = tuple(getattr(self.state, name)[self._slots] for name in self._COLUMNS)
+        if isinstance(self._slots, slice):
+            self._views = columns
+        return columns
 
     # ------------------------------------------------------------------
     # Queries
@@ -56,17 +82,24 @@ class ResourceTracker:
         memory_gb: float,
         allowed_rows: Optional[frozenset] = None,
     ) -> np.ndarray:
-        """Indices of unfrozen servers that fit the demand."""
-        mask = (
-            (self._free_cores >= cores - 1e-9)
-            & (self._free_memory >= memory_gb - 1e-9)
-            & ~self._frozen
-            & ~self._failed
-            & ~self._offline
-        )
+        """Indices of unfrozen, live servers that fit the demand.
+
+        A server fits when ``used <= capacity - (demand - 1e-9)``, the
+        slack of ``Server.can_fit``; one scalar capacity serves a store
+        whose servers share a SKU.
+        """
+        (used_cores, used_memory_gb, frozen, failed, powered_off,
+         cores_cap, memory_cap) = self._columns()
+        if self.state.uniform_capacity is not None:
+            cores_cap, memory_cap = self.state.uniform_capacity
+        mask = used_cores <= cores_cap - (cores - 1e-9)
+        mask &= used_memory_gb <= memory_cap - (memory_gb - 1e-9)
+        blocked = frozen | failed
+        blocked |= powered_off
+        np.greater(mask, blocked, out=mask)  # fits and not blocked
         if allowed_rows is not None:
             mask &= self._row_mask(allowed_rows)
-        return np.nonzero(mask)[0]
+        return mask.nonzero()[0]
 
     def _row_mask(self, allowed_rows: frozenset) -> np.ndarray:
         cached = self._row_mask_cache.get(allowed_rows)
@@ -75,66 +108,13 @@ class ResourceTracker:
             self._row_mask_cache[allowed_rows] = cached
         return cached
 
-    def free_cores_at(self, index: int) -> float:
-        return float(self._free_cores[index])
-
     def free_cores_array(self, indices: np.ndarray) -> np.ndarray:
-        """Free-core counts for the given server indices (read-only view)."""
-        return self._free_cores[indices]
-
-    def free_memory_at(self, index: int) -> float:
-        return float(self._free_memory[index])
+        """Free-core counts for the given server indices."""
+        used_cores, _, _, _, _, cores, _ = self._columns()
+        return cores[indices] - used_cores[indices]
 
     def server_at(self, index: int) -> Server:
         return self.servers[index]
-
-    @property
-    def frozen_count(self) -> int:
-        return int(self._frozen.sum())
-
-    # ------------------------------------------------------------------
-    # Mutations (keep mirror and Server objects in lock-step)
-    # ------------------------------------------------------------------
-    def on_place(self, index: int, cores: float, memory_gb: float) -> None:
-        self._free_cores[index] -= cores
-        self._free_memory[index] -= memory_gb
-
-    def on_release(self, index: int, cores: float, memory_gb: float) -> None:
-        self._free_cores[index] += cores
-        self._free_memory[index] += memory_gb
-
-    def set_frozen(self, server_id: int, frozen: bool) -> None:
-        self._frozen[self.index_of[server_id]] = frozen
-
-    def set_failed(self, server_id: int, failed: bool) -> None:
-        self._failed[self.index_of[server_id]] = failed
-
-    def set_offline(self, server_id: int, offline: bool) -> None:
-        self._offline[self.index_of[server_id]] = offline
-
-    def resync(self) -> None:
-        """Rebuild the mirror from the Server objects (defensive repair)."""
-        for i, server in enumerate(self.servers):
-            self._free_cores[i] = server.free_cores
-            self._free_memory[i] = server.free_memory_gb
-            self._frozen[i] = server.frozen
-            self._failed[i] = server.failed
-            self._offline[i] = server.powered_off
-
-    def mirror_matches_servers(self) -> bool:
-        """True when the mirror agrees with the Server source of truth."""
-        for i, server in enumerate(self.servers):
-            if abs(self._free_cores[i] - server.free_cores) > 1e-6:
-                return False
-            if abs(self._free_memory[i] - server.free_memory_gb) > 1e-6:
-                return False
-            if bool(self._frozen[i]) != server.frozen:
-                return False
-            if bool(self._failed[i]) != server.failed:
-                return False
-            if bool(self._offline[i]) != server.powered_off:
-                return False
-        return True
 
 
 __all__ = ["ResourceTracker"]

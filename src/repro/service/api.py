@@ -102,6 +102,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     """Routes one request to the app; owns serialization and errors."""
 
     protocol_version = "HTTP/1.1"
+    # Headers and body are separate writes: with Nagle on, the body waits
+    # for the client's delayed ACK (~40 ms) on every keep-alive reply.
+    disable_nagle_algorithm = True
     server: ServiceHTTPServer
 
     @property

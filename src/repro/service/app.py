@@ -202,16 +202,22 @@ class ServiceApp:
         snapshots) is read on the sim thread; the supervisor's
         service-plane registry (recoveries, checkpoints, WAL appends,
         SSE drops) is lock-free to read and always available -- so
-        ``/metrics`` stays partially up even while recovering.
+        ``/metrics`` stays partially up even while recovering, and with
+        telemetry off (no harness registry) serves the service plane
+        alone.
         """
         from repro.telemetry import render_prometheus
+
+        def render_harness() -> str:
+            registry = self.harness.telemetry.registry
+            return "" if registry is None else render_prometheus(registry)
 
         supervisor = self.supervisor
         harness_text: Optional[str] = None
         if supervisor.ready():
             try:
                 harness_text = supervisor.driver.read(
-                    lambda: render_prometheus(self.harness.telemetry.registry),
+                    render_harness,
                     label="metrics",
                     timeout=supervisor.config.read_timeout,
                 )

@@ -6,7 +6,7 @@ as a Poisson process over the fleet (exponential per-server lifetimes)
 and repairs each machine after an exponential repair time, exercising:
 
 - the scheduler's kill-and-resubmit path,
-- the resource tracker's failed mask,
+- placement's read of the store's failed column,
 - the controller's stateless tolerance of servers that vanish from the
   power snapshot (a failed server reads 0 W).
 """

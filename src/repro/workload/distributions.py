@@ -6,11 +6,21 @@ finish within 2 minutes, and the CDF reaches ~1.0 at 50 minutes. A
 clipped lognormal with ``sigma = 1.6`` and median ~3.5 minutes matches
 those anchors (clipped mean 9.0 min, P(<=2 min) = 0.36); the calibration
 is locked in by tests.
+
+Draw-order contract: every trajectory is pinned by the order in which a
+batch generator consumes its rng. Per candidate arrival it draws one
+exponential (the thinning gap), then one uniform (acceptance); per
+accepted job, one uniform (cores, ``ResourceDemandDistribution.sample``)
+then one lognormal (duration, ``JobDurationDistribution.sample_one``).
+Both scalar samplers use the bit stream exactly as
+``rng.choice(choices, p=weights)`` and
+``np.clip(rng.lognormal(mu, sigma, size=1) * 60, lo, hi)`` did.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -50,7 +60,9 @@ class JobDurationDistribution:
         return np.clip(seconds, self.min_seconds, self.max_seconds)
 
     def sample_one(self, rng: np.random.Generator) -> float:
-        return float(self.sample(rng, 1)[0])
+        """Draw one duration: the same value and rng use as ``sample(rng, 1)``."""
+        seconds = rng.lognormal(self.log_mu_minutes, self.log_sigma) * 60.0
+        return min(max(seconds, self.min_seconds), self.max_seconds)
 
     def cdf(self, seconds: float) -> float:
         """Analytic CDF of the (clipped) distribution."""
@@ -101,17 +113,25 @@ class ResourceDemandDistribution:
     def __post_init__(self) -> None:
         if len(self.core_choices) != len(self.core_weights):
             raise ValueError("core_choices and core_weights must have equal length")
+        if any(w < 0 for w in self.core_weights):
+            raise ValueError(f"core_weights must be non-negative, got {self.core_weights}")
         total = sum(self.core_weights)
         if not math.isclose(total, 1.0, rel_tol=1e-9):
             raise ValueError(f"core_weights must sum to 1.0, got {total}")
+        # The CDF exactly as ``Generator.choice`` builds it on every call.
+        cdf = np.asarray(self.core_weights, dtype=float).cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf.tolist())
+        object.__setattr__(self, "_choices", tuple(float(c) for c in self.core_choices))
 
     @property
     def mean_cores(self) -> float:
         return sum(c * w for c, w in zip(self.core_choices, self.core_weights))
 
     def sample(self, rng: np.random.Generator) -> Tuple[float, float]:
-        """Draw one ``(cores, memory_gb)`` demand."""
-        cores = float(rng.choice(self.core_choices, p=self.core_weights))
+        """Draw one ``(cores, memory_gb)`` demand, exactly as
+        ``rng.choice(core_choices, p=core_weights)`` would."""
+        cores = self._choices[bisect_right(self._cdf, rng.random())]
         return cores, cores * self.memory_per_core_gb
 
 

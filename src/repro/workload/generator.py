@@ -126,11 +126,11 @@ class ModulatedRateProfile(RateProfile):
         self.ceil = ceil
         rng = np.random.default_rng(seed)
         n_steps = int(math.ceil(horizon_seconds / step_seconds)) + 2
-        multipliers = np.empty(n_steps)
+        multipliers: List[float] = []
         x = 1.0
-        for k in range(n_steps):
+        for _ in range(n_steps):
             x = 1.0 + rho * (x - 1.0) + sigma * rng.standard_normal()
-            multipliers[k] = min(ceil, max(floor, x))
+            multipliers.append(float(min(ceil, max(floor, x))))
         self._multipliers = multipliers
 
     def rate(self, t: float) -> float:
@@ -182,22 +182,23 @@ class BurstyRateProfile(RateProfile):
                 if t >= horizon_seconds:
                     break
                 windows.append((t, t + rng.exponential(mean_burst_seconds)))
-        self._starts = np.array([w[0] for w in windows])
-        self._ends = np.array([w[1] for w in windows])
+        self._windows = [(float(start), float(end)) for start, end in windows]
 
     def rate(self, t: float) -> float:
         base_rate = self.base.rate(t)
-        if len(self._starts) and bool(np.any((self._starts <= t) & (t < self._ends))):
-            return base_rate * self.burst_factor
+        # A handful of windows per day: a plain scan beats array compares.
+        for start, end in self._windows:
+            if start <= t < end:
+                return base_rate * self.burst_factor
         return base_rate
 
     @property
     def max_rate(self) -> float:
-        return self.base.max_rate * (self.burst_factor if len(self._starts) else 1.0)
+        return self.base.max_rate * (self.burst_factor if self._windows else 1.0)
 
     def burst_windows(self) -> List[tuple]:
         """The generated ``(start, end)`` burst windows (for inspection)."""
-        return list(zip(self._starts.tolist(), self._ends.tolist()))
+        return list(self._windows)
 
 
 class ScaledRateProfile(RateProfile):
@@ -310,13 +311,16 @@ class BatchWorkloadGenerator:
         self.tenant = tenant
         self._next_job_id = job_id_offset
         self._until: Optional[float] = None
+        self._max_rate = 0.0
         self.jobs_generated = 0
         #: optional observers called with each generated Job
         self.listeners: List[Callable[[Job], None]] = []
 
     def start(self, until: float) -> None:
         """Begin generating arrivals until simulated time ``until``."""
-        if self.rate_profile.max_rate <= 0:
+        # Profiles are pure functions of time: read the bound once.
+        self._max_rate = self.rate_profile.max_rate
+        if self._max_rate <= 0:
             return
         self._until = until
         self._schedule_next_candidate()
@@ -324,7 +328,7 @@ class BatchWorkloadGenerator:
     # ------------------------------------------------------------------
     def _schedule_next_candidate(self) -> None:
         """Thinning step: candidate arrivals come at the max rate."""
-        gap = self.rng.exponential(1.0 / self.rate_profile.max_rate)
+        gap = self.rng.exponential(1.0 / self._max_rate)
         t = self.engine.now + gap
         if self._until is not None and t >= self._until:
             return
@@ -332,7 +336,7 @@ class BatchWorkloadGenerator:
 
     def _candidate_arrival(self) -> None:
         now = self.engine.now
-        accept_probability = self.rate_profile.rate(now) / self.rate_profile.max_rate
+        accept_probability = self.rate_profile.rate(now) / self._max_rate
         if self.rng.random() < accept_probability:
             self._emit_job(now)
         self._schedule_next_candidate()

@@ -7,12 +7,12 @@ from repro.scheduler.policies import BestFitPolicy, LeastLoadedPolicy
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import make_server, make_servers
 
 
 def cluster(n=8, seed=0):
     engine = Engine()
-    servers = [make_server(i) for i in range(n)]
+    servers = make_servers(n)
     scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(seed))
     return engine, servers, scheduler
 
@@ -48,7 +48,7 @@ class TestFrameworkRouting:
 class TestRowIsolation:
     def test_affine_jobs_never_leak_across_rows(self):
         engine = Engine()
-        servers = [make_server(i) for i in range(8)]
+        servers = make_servers(8)
         for i, server in enumerate(servers):
             server.row_id = i % 2
         scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(1))

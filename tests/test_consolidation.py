@@ -9,12 +9,12 @@ from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import assert_tracker_invariant, make_servers
 
 
 def rig(n=10, seed=0):
     engine = Engine()
-    servers = [make_server(i) for i in range(n)]
+    servers = make_servers(n)
     scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(seed))
     group = ServerGroup("row", servers)
     monitor = PowerMonitor(engine, noise_sigma=0.0)
@@ -49,7 +49,7 @@ class TestPowerState:
         scheduler.power_on_server(0)
         assert scheduler.queued_jobs == 0
         assert job.is_running
-        assert scheduler.tracker.mirror_matches_servers()
+        assert_tracker_invariant(scheduler.tracker)
 
 
 class TestController:

@@ -12,7 +12,7 @@ from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import make_servers
 
 
 class Harness:
@@ -20,7 +20,7 @@ class Harness:
 
     def __init__(self, n=10, budget_scale=1.0):
         self.engine = Engine()
-        self.servers = [make_server(i) for i in range(n)]
+        self.servers = make_servers(n)
         self.scheduler = OmegaScheduler(
             self.engine, self.servers, rng=np.random.default_rng(3)
         )

@@ -71,10 +71,66 @@ class TestResourceDemand:
         with pytest.raises(ValueError):
             ResourceDemandDistribution(core_choices=(1.0, 2.0), core_weights=(1.0,))
 
+    def test_negative_weights_rejected_at_build(self):
+        # numpy's choice() used to reject these on every draw.
+        with pytest.raises(ValueError, match="non-negative"):
+            ResourceDemandDistribution(core_weights=(1.2, -0.2, 0.0))
+
     def test_empirical_mean_matches(self, rng):
         demand = ResourceDemandDistribution()
         samples = [demand.sample(rng)[0] for _ in range(20_000)]
         assert np.mean(samples) == pytest.approx(demand.mean_cores, rel=0.05)
+
+
+DRAWS = 100_000
+
+
+def assert_same_stream(reference, fast, seed=2024):
+    """``fast`` yields the values ``reference`` does, leaving the rng where it does."""
+    expected_rng = np.random.default_rng(seed)
+    actual_rng = np.random.default_rng(seed)
+    expected = [reference(expected_rng) for _ in range(DRAWS)]
+    actual = [fast(actual_rng) for _ in range(DRAWS)]
+    assert actual == expected
+    assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+class TestDrawExact:
+    """The scalar samplers consume the bit stream exactly as numpy's calls did."""
+
+    @pytest.mark.parametrize(
+        "choices, weights",
+        [
+            ((1.0, 2.0, 4.0), (0.50, 0.35, 0.15)),
+            ((1.0, 2.0, 4.0), (0.1, 0.2, 0.7)),
+            ((0.5, 1.0, 2.0, 8.0), (0.3, 0.0, 0.45, 0.25)),
+        ],
+    )
+    def test_demand_matches_rng_choice(self, choices, weights):
+        demand = ResourceDemandDistribution(core_choices=choices, core_weights=weights)
+
+        def reference(rng):
+            cores = float(rng.choice(choices, p=weights))
+            return cores, cores * demand.memory_per_core_gb
+
+        assert_same_stream(reference, demand.sample)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            JobDurationDistribution(),
+            # Both clips active: short median, wide spread, tight bounds.
+            JobDurationDistribution(
+                log_mu_minutes=0.0, log_sigma=2.5, max_seconds=600.0, min_seconds=30.0
+            ),
+        ],
+    )
+    def test_duration_matches_clipped_lognormal(self, dist):
+        def reference(rng):
+            seconds = rng.lognormal(dist.log_mu_minutes, dist.log_sigma, size=1) * 60
+            return float(np.clip(seconds, dist.min_seconds, dist.max_seconds)[0])
+
+        assert_same_stream(reference, dist.sample_one)
 
 
 class TestRateCalibration:

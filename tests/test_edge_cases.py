@@ -12,12 +12,12 @@ from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import assert_tracker_invariant, make_server, make_servers
 
 
 def cluster(n=10, seed=0):
     engine = Engine()
-    servers = [make_server(i) for i in range(n)]
+    servers = make_servers(n)
     scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(seed))
     return engine, servers, scheduler
 
@@ -59,7 +59,7 @@ class TestFreezeQueueInterplay:
         scheduler.unfreeze(host.server_id)
         engine.run(until=300.0)
         assert job.is_finished
-        assert scheduler.tracker.mirror_matches_servers()
+        assert_tracker_invariant(scheduler.tracker)
 
 
 class TestControllerGranularity:
@@ -67,7 +67,7 @@ class TestControllerGranularity:
         """floor(u * n) == 0 on a tiny row: the controller commands zero
         servers and must not thrash."""
         engine = Engine()
-        servers = [make_server(i) for i in range(3)]
+        servers = make_servers(3)
         scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(1))
         group = ServerGroup("row", servers)
         group.power_budget_watts = group.power_watts() / 0.99  # just over threshold
@@ -118,7 +118,7 @@ class TestEngineReuse:
         """At a shared timestamp the monitor samples before the controller
         reads -- the controller must see the fresh value."""
         engine = Engine()
-        servers = [make_server(i) for i in range(4)]
+        servers = make_servers(4)
         scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(2))
         group = ServerGroup("row", servers)
         group.power_budget_watts = group.power_watts() / 1.02

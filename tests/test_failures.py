@@ -13,13 +13,13 @@ from repro.sim.engine import Engine
 from repro.sim.failures import ServerFailureInjector
 from repro.workload.generator import BatchWorkloadGenerator, ConstantRateProfile
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import assert_tracker_invariant, make_servers
 
 
 @pytest.fixture
 def setup():
     engine = Engine()
-    servers = [make_server(i) for i in range(4)]
+    servers = make_servers(4)
     scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(0))
     return engine, servers, scheduler
 
@@ -109,7 +109,7 @@ class TestFailServer:
         scheduler.fail_server(0)
         scheduler.fail_server(1)
         scheduler.repair_server(0)
-        assert scheduler.tracker.mirror_matches_servers()
+        assert_tracker_invariant(scheduler.tracker)
 
 
 class TestInjector:
@@ -135,7 +135,7 @@ class TestInjector:
     def test_controller_survives_failures(self):
         """End to end: Ampere keeps controlling while machines churn."""
         engine = Engine()
-        servers = [make_server(i) for i in range(40)]
+        servers = make_servers(40)
         scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(2))
         group = ServerGroup("row", servers)
         group.power_budget_watts *= 0.75
@@ -163,4 +163,4 @@ class TestInjector:
         assert injector.stats.failures > 0
         assert controller.state_of("row").ticks > 100
         assert scheduler.stats.completed > 100
-        assert scheduler.tracker.mirror_matches_servers()
+        assert_tracker_invariant(scheduler.tracker)

@@ -34,7 +34,7 @@ from repro.sim.engine import Engine
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.testbed import WorkloadSpec
 from repro.workload.generator import ConstantRateProfile, SurgeRateProfile
-from tests.conftest import make_server
+from tests.conftest import make_server, make_servers
 
 
 class Harness:
@@ -42,7 +42,7 @@ class Harness:
 
     def __init__(self, n=10, budget_scale=1.0, scheduler_wrap=None):
         self.engine = Engine()
-        self.servers = [make_server(i) for i in range(n)]
+        self.servers = make_servers(n)
         self.inner_scheduler = OmegaScheduler(
             self.engine, self.servers, rng=np.random.default_rng(3)
         )
@@ -205,7 +205,7 @@ class TestFaultScenario:
 class TestFlakyScheduler:
     def _fleet(self, failure_rate, seed=0):
         engine = Engine()
-        servers = [make_server(i) for i in range(4)]
+        servers = make_servers(4)
         inner = OmegaScheduler(engine, servers, rng=np.random.default_rng(3))
         return inner, FlakyScheduler(
             inner, rng=np.random.default_rng(seed), failure_rate=failure_rate

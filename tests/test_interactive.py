@@ -12,13 +12,13 @@ from repro.workload.interactive import (
     RedisBenchmark,
     lindley_waits,
 )
-from tests.conftest import make_server
+from tests.conftest import make_servers
 
 
 @pytest.fixture
 def setup():
     engine = Engine()
-    servers = [make_server(i) for i in range(4)]
+    servers = make_servers(4)
     scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(0))
     return engine, servers, scheduler
 
@@ -110,7 +110,7 @@ class TestInteractiveService:
 class TestRedisBenchmark:
     def make_service(self):
         engine = Engine()
-        servers = [make_server(0)]
+        servers = make_servers(1)
         scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(0))
         service = InteractiveService(servers[0], engine, scheduler)
         return engine, servers[0], service

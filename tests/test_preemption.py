@@ -6,12 +6,12 @@ import pytest
 from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import assert_tracker_invariant, make_servers
 
 
 def make_cluster(n=2, preemption=True):
     engine = Engine()
-    servers = [make_server(i) for i in range(n)]
+    servers = make_servers(n)
     scheduler = OmegaScheduler(
         engine, servers, rng=np.random.default_rng(0),
         enable_preemption=preemption,
@@ -130,4 +130,4 @@ class TestPreemption:
         engine, servers, scheduler = make_cluster()
         fill_cluster(scheduler, 2)
         scheduler.submit(Job(1, 60.0, cores=8, memory_gb=4, priority=5))
-        assert scheduler.tracker.mirror_matches_servers()
+        assert_tracker_invariant(scheduler.tracker)

@@ -28,7 +28,7 @@ from repro.scheduler.omega import OmegaScheduler
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.testbed import WorkloadSpec
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import make_servers
 
 
 class ClusterHarness:
@@ -36,7 +36,7 @@ class ClusterHarness:
 
     def __init__(self, n=4, jobs_per_server=1, cores_per_job=None, work=1e6):
         self.engine = Engine()
-        self.servers = [make_server(i) for i in range(n)]
+        self.servers = make_servers(n)
         self.scheduler = OmegaScheduler(
             self.engine, self.servers, rng=np.random.default_rng(3)
         )

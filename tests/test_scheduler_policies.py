@@ -9,12 +9,19 @@ from repro.scheduler.policies import (
     RandomAvailablePolicy,
 )
 from repro.scheduler.resources import ResourceTracker
-from tests.conftest import make_server
+from repro.workload.job import Job
+from tests.conftest import make_servers
 
 
 @pytest.fixture
 def tracker():
-    return ResourceTracker([make_server(i) for i in range(8)])
+    return ResourceTracker(make_servers(8))
+
+
+def occupy(tracker, index, cores, memory_gb):
+    """Run a job of the given demand on the tracker's ``index``-th server."""
+    server = tracker.server_at(index)
+    server.add_task(Job(len(server.tasks), 100.0, cores=cores, memory_gb=memory_gb))
 
 
 class TestRandomAvailable:
@@ -37,13 +44,13 @@ class TestRandomAvailable:
 
 class TestLeastLoaded:
     def test_picks_most_free(self, tracker, rng):
-        tracker.on_place(0, 8.0, 8.0)
-        tracker.on_place(1, 4.0, 4.0)
+        occupy(tracker, 0, 8.0, 8.0)
+        occupy(tracker, 1, 4.0, 4.0)
         candidates = np.array([0, 1, 2])
         assert LeastLoadedPolicy().select(tracker, candidates, rng) == 2
 
     def test_ties_broken_among_best(self, tracker, rng):
-        tracker.on_place(0, 8.0, 8.0)
+        occupy(tracker, 0, 8.0, 8.0)
         candidates = np.array([0, 1, 2])
         chosen = {LeastLoadedPolicy().select(tracker, candidates, rng) for _ in range(60)}
         assert chosen <= {1, 2}
@@ -52,7 +59,7 @@ class TestLeastLoaded:
 
 class TestBestFit:
     def test_picks_least_free_that_fits(self, tracker, rng):
-        tracker.on_place(0, 8.0, 8.0)
-        tracker.on_place(1, 12.0, 4.0)
+        occupy(tracker, 0, 8.0, 8.0)
+        occupy(tracker, 1, 12.0, 4.0)
         candidates = np.array([0, 1, 2])
         assert BestFitPolicy().select(tracker, candidates, rng) == 1

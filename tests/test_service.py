@@ -15,6 +15,7 @@ Four layers of guarantees:
   (both engine backends via ``--engine-backend``).
 """
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -296,6 +297,43 @@ class TestAPIContract:
             assert saw_driver
         finally:
             stream.close()
+
+
+class TestHTTPPlumbing:
+    def test_metrics_served_with_telemetry_off(self):
+        handle = build_service(
+            ControlledExperiment(small_config(telemetry_enabled=False, auditor=None)),
+            mode="manual",
+        )
+        handle.start()
+        try:
+            with urllib.request.urlopen(handle.url + "/metrics") as resp:
+                assert resp.status == 200
+                text = resp.read().decode()
+        finally:
+            handle.stop()
+        # The service plane's families, and no simulation families.
+        assert "# TYPE repro_service_recoveries_total counter" in text
+        assert "# TYPE repro_service_wal_records_total counter" in text
+        assert "repro_engine_events_total" not in text
+
+    def test_handler_disables_nagle(self):
+        from repro.service.api import ServiceRequestHandler
+
+        assert ServiceRequestHandler.disable_nagle_algorithm is True
+
+    def test_keep_alive_connection_serves_two_gets(self, service):
+        host, port = service.address
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            for path in ("/api/status", "/metrics"):
+                connection.request("GET", path)
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+                assert not response.will_close
+        finally:
+            connection.close()
 
 
 # ---------------------------------------------------------------------------
