@@ -158,9 +158,6 @@ class ClusterState:
         self._uniform_freq_exp: Optional[float] = None
         self._mixed_util_exp = False
         self._mixed_freq_exp = False
-        #: ``(cores, memory_gb)`` shared by every server (placement then
-        #: compares against one scalar), ``None`` once SKUs are mixed.
-        self.uniform_capacity: Optional[Tuple[float, float]] = None
 
     # ------------------------------------------------------------------
     # Registration
@@ -204,10 +201,6 @@ class ClusterState:
         self.freq_exp[i] = power_params.frequency_power_exponent
         self.frequency[i] = 1.0
         self._note_exponent(power_params)
-        if i == 0:
-            self.uniform_capacity = (float(cores), float(memory_gb))
-        elif self.uniform_capacity != (cores, memory_gb):
-            self.uniform_capacity = None
         self.n += 1
         return i
 

@@ -10,7 +10,7 @@ bundles them into abstract resource containers".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,9 +21,8 @@ from repro.cluster.state import shared_state_of
 class ResourceTracker:
     """Placement queries over the servers' shared ``ClusterState`` columns.
 
-    Every server must be registered with one store, as all production
-    builders arrange; the tracker keeps only its servers' slots (a slice
-    when contiguous, as ``build_row`` lays them out).
+    The servers must occupy contiguous slots of one store, as
+    ``build_row`` lays them out; the tracker keeps only that slice.
     """
 
     #: the store columns a placement query reads, in ``_columns`` order
@@ -44,10 +43,9 @@ class ResourceTracker:
             raise ValueError("a scheduler's servers must share one ClusterState")
         self.state = state
         first = int(slots[0])
-        contiguous = np.array_equal(slots, np.arange(first, first + len(slots)))
-        self._slots: Union[slice, np.ndarray] = (
-            slice(first, first + len(slots)) if contiguous else slots
-        )
+        if not np.array_equal(slots, np.arange(first, first + len(slots))):
+            raise ValueError("a scheduler's servers must occupy contiguous store slots")
+        self._slots = slice(first, first + len(slots))
         self._views: Optional[Tuple[np.ndarray, ...]] = None
         self._row_ids = np.array([s.row_id for s in self.servers], dtype=np.int64)
         self._row_mask_cache: Dict[frozenset, np.ndarray] = {}
@@ -62,16 +60,13 @@ class ResourceTracker:
         return state
 
     def _columns(self) -> Tuple[np.ndarray, ...]:
-        """This tracker's slots of ``_COLUMNS``: cached views for a slice,
-        rebuilt when the store grows (reallocating its columns); a fresh
-        gather for scattered slots."""
+        """Views of this tracker's slice of ``_COLUMNS``, rebuilt when the
+        store grows (reallocating its columns)."""
         views = self._views
-        if views is not None and views[0].base is self.state.used_cores:
-            return views
-        columns = tuple(getattr(self.state, name)[self._slots] for name in self._COLUMNS)
-        if isinstance(self._slots, slice):
-            self._views = columns
-        return columns
+        if views is None or views[0].base is not self.state.used_cores:
+            views = tuple(getattr(self.state, name)[self._slots] for name in self._COLUMNS)
+            self._views = views
+        return views
 
     # ------------------------------------------------------------------
     # Queries
@@ -85,13 +80,10 @@ class ResourceTracker:
         """Indices of unfrozen, live servers that fit the demand.
 
         A server fits when ``used <= capacity - (demand - 1e-9)``, the
-        slack of ``Server.can_fit``; one scalar capacity serves a store
-        whose servers share a SKU.
+        slack of ``Server.can_fit``.
         """
         (used_cores, used_memory_gb, frozen, failed, powered_off,
          cores_cap, memory_cap) = self._columns()
-        if self.state.uniform_capacity is not None:
-            cores_cap, memory_cap = self.state.uniform_capacity
         mask = used_cores <= cores_cap - (cores - 1e-9)
         mask &= used_memory_gb <= memory_cap - (memory_gb - 1e-9)
         blocked = frozen | failed

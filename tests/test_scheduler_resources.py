@@ -120,15 +120,12 @@ class TestOneStore:
         assert tracker.candidates(1.0, 1.0).tolist() == [0]
         assert_tracker_invariant(tracker)
 
-    def test_non_contiguous_slots(self):
-        state = ClusterState(capacity=4)
-        servers = [Server(i, state=state) for i in range(4)]
-        tracker = ResourceTracker([servers[3], servers[1]])
-        occupy(tracker, 0, 16.0, 8.0)
-        assert tracker.candidates(1.0, 1.0).tolist() == [1]
-        np.testing.assert_array_equal(
-            tracker.free_cores_array(np.array([0, 1])), [0.0, 16.0]
-        )
+    def test_non_contiguous_slots_rejected(self):
+        servers = make_servers(4)
+        with pytest.raises(ValueError, match="contiguous"):
+            ResourceTracker([servers[3], servers[1]])
+        with pytest.raises(ValueError, match="contiguous"):
+            ResourceTracker([servers[0], servers[2]])
 
     def test_mixed_capacities_compare_per_server(self):
         state = ClusterState(capacity=3)
@@ -137,7 +134,6 @@ class TestOneStore:
             Server(1, cores=32, memory_gb=128.0, state=state),
             Server(2, cores=16, memory_gb=8.0, state=state),
         ]
-        assert state.uniform_capacity is None
         tracker = ResourceTracker(servers)
         assert tracker.candidates(12.0, 10.0).tolist() == [1]
         assert tracker.candidates(8.0, 8.0).tolist() == [0, 1, 2]
@@ -147,15 +143,6 @@ class TestOneStore:
         np.testing.assert_array_equal(
             tracker.free_cores_array(np.array([0, 1, 2])), [8.0, 8.0, 16.0]
         )
-
-    def test_uniform_capacity_tracks_registrations(self):
-        state = ClusterState(capacity=2)
-        Server(0, cores=16, memory_gb=64.0, state=state)
-        assert state.uniform_capacity == (16.0, 64.0)
-        Server(1, cores=16, memory_gb=32.0, state=state)
-        assert state.uniform_capacity is None
-        Server(2, cores=16, memory_gb=64.0, state=state)
-        assert state.uniform_capacity is None
 
     def test_pickled_tracker_reads_restored_store(self):
         tracker = make_tracker(2)
