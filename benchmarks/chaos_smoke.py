@@ -16,8 +16,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/chaos_smoke.py --scenario chaos
     PYTHONPATH=src python benchmarks/chaos_smoke.py --scenario fleet-blackout
-    PYTHONPATH=src python benchmarks/chaos_smoke.py --scenario chaos \
-        --engine-backend vectorized
+    PYTHONPATH=src python benchmarks/chaos_smoke.py --scenario chaos --audit
 
 Exit status: 0 on success, 1 on nondeterminism, 2 on crash.
 """
@@ -80,7 +79,6 @@ def run_fleet_once(scenario_name: str, args: argparse.Namespace) -> str:
         faults=builtin_scenarios()[scenario_name],
         safety=SafetyConfig(),
         telemetry_enabled=True,
-        engine_backend=args.engine_backend,
         auditor=_auditor_config(args),
     )
     result = FleetExperiment(config).run()
@@ -104,7 +102,6 @@ def run_once(scenario_name: str, args: argparse.Namespace) -> str:
         faults=builtin_scenarios()[scenario_name],
         safety=SafetyConfig(),
         telemetry_enabled=True,
-        engine_backend=args.engine_backend,
         auditor=_auditor_config(args),
         tenancy=tenancy,
     )
@@ -124,12 +121,6 @@ def main(argv=None) -> int:
     parser.add_argument("--hours", type=float, default=2.0)
     parser.add_argument("--ratio", type=float, default=0.25)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--engine-backend",
-        choices=("object", "vectorized"),
-        default=None,
-        help="hot-loop engine backend (default: process/environment default)",
-    )
     parser.add_argument(
         "--audit",
         action="store_true",

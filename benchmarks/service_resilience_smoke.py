@@ -29,8 +29,6 @@ and would (correctly) differ between runs.
 Usage::
 
     PYTHONPATH=src python benchmarks/service_resilience_smoke.py
-    PYTHONPATH=src python benchmarks/service_resilience_smoke.py \\
-        --engine-backend vectorized
 
 Exit status: 0 on success, 1 on any failure.
 """
@@ -74,7 +72,7 @@ def post_json(base, path, body=None, timeout=600):
         return json.loads(resp.read())
 
 
-def launch(state_dir, env, resume=False):
+def launch(state_dir, resume=False):
     """Start one serve subprocess; return (process, base_url)."""
     cmd = [
         sys.executable, "-m", "repro.cli", "serve",
@@ -86,7 +84,7 @@ def launch(state_dir, env, resume=False):
     if resume:
         cmd.append("--resume")
     proc = subprocess.Popen(
-        cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True,
     )
     base = None
@@ -133,15 +131,7 @@ def graceful_stop(proc):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--engine-backend", choices=("object", "vectorized"), default=None
-    )
-    args = parser.parse_args(argv)
-
-    env = dict(os.environ)
-    if args.engine_backend:
-        env["REPRO_ENGINE_BACKEND"] = args.engine_backend
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
 
     workdir = tempfile.mkdtemp(prefix="service-resilience-")
     snap_a = os.path.join(workdir, "final-a.snap")
@@ -150,7 +140,7 @@ def main(argv=None) -> int:
     try:
         # ---- run A: uninterrupted reference -------------------------------
         print("run A (uninterrupted reference):")
-        proc, base = launch(os.path.join(workdir, "state-a"), env)
+        proc, base = launch(os.path.join(workdir, "state-a"))
         drive(base, STEP_TARGETS)
         post_json(base, "/api/snapshot", {"path": snap_a})
         graceful_stop(proc)
@@ -159,7 +149,7 @@ def main(argv=None) -> int:
         # ---- run B: SIGKILL mid-run, then resume --------------------------
         print("run B (victim, SIGKILL at t=%.0fs):" % KILL_AFTER)
         state_b = os.path.join(workdir, "state-b")
-        proc, base = launch(state_b, env)
+        proc, base = launch(state_b)
         drive(base, [t for t in STEP_TARGETS if t <= KILL_AFTER])
         # Give the watchdog a beat to adopt the newest offered checkpoint
         # (adoption is asynchronous; resume works from any adopted one).
@@ -169,7 +159,7 @@ def main(argv=None) -> int:
         proc = None
         print("  killed; resuming from", state_b)
 
-        proc, base = launch(state_b, env, resume=True)
+        proc, base = launch(state_b, resume=True)
         status = get_json(base, "/api/status")
         print(
             "  resumed at t=%.0fs (wal last_seq=%d)"
@@ -195,7 +185,7 @@ def main(argv=None) -> int:
 
         verify = subprocess.run(
             [sys.executable, "-m", "repro.cli", "verify-snapshot", snap_b],
-            env=env, capture_output=True, text=True,
+            capture_output=True, text=True,
         )
         sys.stdout.write(verify.stdout)
         assert verify.returncode == 0, (

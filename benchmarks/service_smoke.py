@@ -11,7 +11,6 @@ real sockets, no test fixtures.
 Usage::
 
     PYTHONPATH=src python benchmarks/service_smoke.py
-    PYTHONPATH=src python benchmarks/service_smoke.py --engine-backend vectorized
 
 Exit status: 0 on success, 1 on any endpoint/shutdown failure.
 """
@@ -164,16 +163,9 @@ def check_audit(base, ctx):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--engine-backend", choices=("object", "vectorized"), default=None
-    )
     parser.add_argument("--servers", type=int, default=40)
     parser.add_argument("--hours", type=float, default=1.0)
     args = parser.parse_args(argv)
-
-    env = dict(os.environ)
-    if args.engine_backend:
-        env["REPRO_ENGINE_BACKEND"] = args.engine_backend
 
     workdir = tempfile.mkdtemp(prefix="service-smoke-")
     final_snap = os.path.join(workdir, "final.snap")
@@ -185,7 +177,6 @@ def main(argv=None) -> int:
             "--safety", "--audit", "--step-mode", "--port", "0",
             "--final-snapshot", final_snap,
         ],
-        env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -216,7 +207,6 @@ def main(argv=None) -> int:
 
         verify = subprocess.run(
             [sys.executable, "-m", "repro.cli", "verify-snapshot", final_snap],
-            env=env,
             capture_output=True,
             text=True,
         )

@@ -52,7 +52,7 @@ def test_perf_monitor_sample(benchmark):
     from repro.monitor.power_monitor import PowerMonitor
 
     engine = Engine()
-    servers = [make_server(i) for i in range(400)]
+    servers = make_servers(400)
     monitor = PowerMonitor(engine, noise_sigma=0.01)
     monitor.register_group(ServerGroup("g", servers))
 

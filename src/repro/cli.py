@@ -47,7 +47,6 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.analysis.report import format_percent, render_table
-from repro.cluster.state import BACKEND_ENV_VAR, BACKENDS, set_default_backend
 from repro.durability.atomic import atomic_write_text
 from repro.sim.audit import ALL_CHECKS as AUDIT_CHECKS
 from repro.faults.scenario import builtin_scenarios
@@ -125,14 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LEVEL",
         help="enable stdlib logging for the repro package "
         f"({', '.join(LOG_LEVELS)}; default: logging stays silent)",
-    )
-    parser.add_argument(
-        "--engine-backend",
-        choices=BACKENDS,
-        default=None,
-        help="hot-loop engine backend for every builder in this process "
-        "(trajectories are byte-identical across backends; default: the "
-        "REPRO_ENGINE_BACKEND environment variable, else 'object')",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1333,11 +1324,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.log_level is not None:
         configure_logging(args.log_level)
-    if args.engine_backend is not None:
-        # Via the environment (not just the process default) so campaign
-        # worker processes inherit the choice too.
-        os.environ[BACKEND_ENV_VAR] = args.engine_backend
-        set_default_backend(args.engine_backend)
     return COMMANDS[args.command](args)
 
 

@@ -23,22 +23,13 @@ from repro.cluster.datacenter import (
 )
 from repro.cluster.capping import CappingEngine, CappingStats
 from repro.cluster.breaker import BreakerCurve, BreakerStats, RowBreaker
-from repro.cluster.state import (
-    BACKENDS,
-    ClusterState,
-    resolve_backend,
-    set_default_backend,
-    shared_state_of,
-)
+from repro.cluster.state import ClusterState, shared_state_of
 
 __all__ = [
-    "BACKENDS",
     "BreakerCurve",
     "BreakerStats",
     "RowBreaker",
     "ClusterState",
-    "resolve_backend",
-    "set_default_backend",
     "shared_state_of",
     "PowerModelParams",
     "server_power_watts",

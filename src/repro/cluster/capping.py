@@ -131,24 +131,17 @@ class CappingEngine:
         # failure path resets frequency, but guard here regardless).
         # This guard holds under batched mutations too: ClusterState's
         # mask-fail primitive resets frequency and the shared power cache
-        # exactly like Server.fail(), so neither backend can leak capped
-        # time on a dark machine.
-        if self.group.vectorized:
-            state, idx = self.group.state, self.group.state_indices
-            capped_live = state.capped_mask(idx) & state.live_mask(idx)
-            per = self.stats.per_server_capped_seconds
-            # Accumulate per slot, in group order: the running totals must
-            # add up in the same sequence as the object path's loop.
-            for pos in np.flatnonzero(capped_live):
-                server = self.group.servers[pos]
-                self.stats.capped_server_seconds += self.interval
-                per[server.server_id] = per.get(server.server_id, 0.0) + self.interval
-            return
-        for server in self.group.servers:
-            if server.is_capped and not (server.failed or server.powered_off):
-                self.stats.capped_server_seconds += self.interval
-                per = self.stats.per_server_capped_seconds
-                per[server.server_id] = per.get(server.server_id, 0.0) + self.interval
+        # exactly like Server.fail(), so no capped time leaks on a dark
+        # machine.
+        state, idx = self.group.state, self.group.state_indices
+        capped_live = state.capped_mask(idx) & state.live_mask(idx)
+        per = self.stats.per_server_capped_seconds
+        # Accumulate per slot, in group order: the running totals add up
+        # in the same sequence as a per-server loop would.
+        for pos in np.flatnonzero(capped_live):
+            server = self.group.servers[pos]
+            self.stats.capped_server_seconds += self.interval
+            per[server.server_id] = per.get(server.server_id, 0.0) + self.interval
 
     def _cap_until_under(self, power: float, budget: float) -> None:
         if self.strategy == "hottest-first":
@@ -157,25 +150,18 @@ class CappingEngine:
             self._cap_spread(power, budget)
 
     def _live_hottest_first(self) -> List[Server]:
-        """Live servers, hottest first, identical order on both backends.
+        """Live servers, hottest first, ties in group order.
 
-        ``sorted(..., reverse=True)`` is stable, and so is
-        ``argsort(-powers, kind="stable")``; filtering dark servers
-        commutes with a stable sort, so the two constructions yield the
-        same sequence (powers are bit-identical across backends).
+        ``argsort(-powers, kind="stable")`` orders exactly like a stable
+        ``sorted(..., key=power_watts, reverse=True)``, and filtering dark
+        servers commutes with a stable sort.
         """
-        if self.group.vectorized:
-            state, idx = self.group.state, self.group.state_indices
-            powers = state.server_powers(idx)
-            live = state.live_mask(idx)
-            order = np.argsort(-powers, kind="stable")
-            servers = self.group.servers
-            return [servers[pos] for pos in order if live[pos]]
-        return sorted(
-            (s for s in self.group.servers if not (s.failed or s.powered_off)),
-            key=lambda s: s.power_watts(),
-            reverse=True,
-        )
+        state, idx = self.group.state, self.group.state_indices
+        powers = state.server_powers(idx)
+        live = state.live_mask(idx)
+        order = np.argsort(-powers, kind="stable")
+        servers = self.group.servers
+        return [servers[pos] for pos in order if live[pos]]
 
     def _cap_hottest_first(self, power: float, budget: float) -> None:
         """Step down the hottest servers until projected power <= budget."""
@@ -228,26 +214,22 @@ class CappingEngine:
         """
         floor = DVFS_FREQUENCIES[-1]
         actions = 0
-        if self.group.vectorized:
-            # Vectorized victim *selection*; the actual frequency step
-            # stays per-object because listeners (the scheduler's
-            # completion bookkeeping) must observe every transition.
-            state, idx = self.group.state, self.group.state_indices
-            victims = state.live_mask(idx) & (state.frequency[idx] > floor)
-            for pos in np.flatnonzero(victims):
-                self.group.servers[pos].set_frequency(floor)
-                actions += 1
-        else:
-            for server in self.group.servers:
-                if server.failed or server.powered_off:
-                    continue
-                if server.frequency > floor:
-                    server.set_frequency(floor)
-                    actions += 1
+        # The frequency step stays per-object because listeners (the
+        # scheduler's completion bookkeeping) must observe every transition.
+        for server in self._slam_victims():
+            server.set_frequency(floor)
+            actions += 1
         if actions:
             self.stats.slam_actions += 1
             self.stats.cap_actions += actions
         return actions
+
+    def _slam_victims(self) -> List[Server]:
+        """Live servers above the DVFS floor, in group order."""
+        state, idx = self.group.state, self.group.state_indices
+        victims = state.live_mask(idx) & (state.frequency[idx] > DVFS_FREQUENCIES[-1])
+        servers = self.group.servers
+        return [servers[pos] for pos in np.flatnonzero(victims)]
 
     def restore_step(self) -> None:
         """One headroom-guarded restore pass (for callers that do not run
@@ -256,33 +238,27 @@ class CappingEngine:
             self.group.power_watts(), self.group.power_budget_watts
         )
 
+    def _restore_order(self) -> List[Server]:
+        """Live capped servers, least-capped first, ties in group order.
+
+        Restoring the closest-to-full-speed servers first lets them exit
+        the capped state quickly, minimizing SLA exposure. Dark servers
+        are skipped: "restoring" one is free in power terms (delta 0) and
+        would silently discard its DVFS state.
+        """
+        state, idx = self.group.state, self.group.state_indices
+        eligible = state.capped_mask(idx) & state.live_mask(idx)
+        order = np.argsort(-state.frequency[idx], kind="stable")
+        servers = self.group.servers
+        return [servers[pos] for pos in order if eligible[pos]]
+
     def _restore_while_safe(self, power: float, budget: float) -> None:
         """Step capped servers back up while staying under the headroom."""
         ceiling = self.restore_headroom * budget
         if power >= ceiling:
             return
-        # Restore the least-capped (closest to full speed) first so servers
-        # exit the capped state quickly, minimizing SLA exposure.
-        # Dark servers are skipped: "restoring" one is free in power terms
-        # (delta 0) and would silently discard its DVFS state.
-        if self.group.vectorized:
-            state, idx = self.group.state, self.group.state_indices
-            eligible = state.capped_mask(idx) & state.live_mask(idx)
-            order = np.argsort(-state.frequency[idx], kind="stable")
-            servers = self.group.servers
-            capped = [servers[pos] for pos in order if eligible[pos]]
-        else:
-            capped = sorted(
-                (
-                    s
-                    for s in self.group.servers
-                    if s.is_capped and not (s.failed or s.powered_off)
-                ),
-                key=lambda s: s.frequency,
-                reverse=True,
-            )
         projected = power
-        for server in capped:
+        for server in self._restore_order():
             old_frequency = server.frequency
             higher = next_higher_frequency(old_frequency)
             before = server.power_watts()

@@ -82,7 +82,6 @@ def build_row(
     first_server_id: int = 0,
     breaker_trip_ratio: float = 1.10,
     state: Optional[ClusterState] = None,
-    engine_backend: Optional[str] = None,
 ) -> Row:
     """Build one homogeneous row; server ids start at ``first_server_id``.
 
@@ -93,7 +92,7 @@ def build_row(
     if racks <= 0 or servers_per_rack <= 0:
         raise ValueError("racks and servers_per_rack must be positive")
     if state is None:
-        state = ClusterState(capacity=racks * servers_per_rack, backend=engine_backend)
+        state = ClusterState(capacity=racks * servers_per_rack)
     built_racks = []
     server_id = first_server_id
     for rack_index in range(racks):
@@ -120,7 +119,6 @@ def build_heterogeneous_row(
     first_server_id: int = 0,
     breaker_trip_ratio: float = 1.10,
     state: Optional[ClusterState] = None,
-    engine_backend: Optional[str] = None,
 ) -> Row:
     """Build a row mixing several server SKUs.
 
@@ -132,7 +130,7 @@ def build_heterogeneous_row(
         raise ValueError(f"servers_per_rack must be positive, got {servers_per_rack}")
     if state is None:
         total = sum(max(count, 0) for count, _ in sku_counts)
-        state = ClusterState(capacity=max(total, 1), backend=engine_backend)
+        state = ClusterState(capacity=max(total, 1))
     servers: List[Server] = []
     server_id = first_server_id
     for count, spec in sku_counts:
@@ -162,7 +160,6 @@ def build_datacenter(
     power_params: PowerModelParams = PowerModelParams(),
     cores: int = 16,
     memory_gb: float = 64.0,
-    engine_backend: Optional[str] = None,
 ) -> DataCenter:
     """Build a homogeneous multi-row data center with contiguous server ids.
 
@@ -171,9 +168,7 @@ def build_datacenter(
     """
     if rows <= 0:
         raise ValueError(f"rows must be positive, got {rows}")
-    state = ClusterState(
-        capacity=rows * racks_per_row * servers_per_rack, backend=engine_backend
-    )
+    state = ClusterState(capacity=rows * racks_per_row * servers_per_rack)
     built_rows = []
     next_id = 0
     for row_id in range(rows):

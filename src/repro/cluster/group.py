@@ -49,24 +49,9 @@ class ServerGroup:
                 f"power_budget_watts must be positive, got {power_budget_watts}"
             )
         self.power_budget_watts = float(power_budget_watts)
-        # When every member registered with one ClusterState, the group
-        # is an array slice of it and the hot loops can vectorize.
-        self._state, self._indices = shared_state_of(self.servers)
-
-    @property
-    def state(self):
-        """The shared :class:`ClusterState`, or ``None`` for mixed groups."""
-        return self._state
-
-    @property
-    def state_indices(self) -> Optional[np.ndarray]:
-        """Member slot indices into :attr:`state` (group order)."""
-        return self._indices
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether the hot loops run on the array backend for this group."""
-        return self._state is not None and self._state.backend == "vectorized"
+        # Every member lives in one ClusterState, so the group is a set
+        # of slots in it and the hot loops are array expressions.
+        self.state, self.state_indices = shared_state_of(self.servers)
 
     def __len__(self) -> int:
         return len(self.servers)
@@ -80,23 +65,14 @@ class ServerGroup:
     def power_watts(self) -> float:
         """Instantaneous true aggregate power of all member servers.
 
-        Both backends produce bit-identical totals: the vectorized path
-        aggregates with sequential-``cumsum`` semantics to match the
-        object path's left-to-right ``sum``.
+        Aggregated with sequential-``cumsum`` semantics, bit-identical to
+        a left-to-right ``sum`` of the members' ``power_watts()``.
         """
-        if self.vectorized:
-            return self._state.total_power(self._indices)
-        return sum(s.power_watts() for s in self.servers)
+        return self.state.total_power(self.state_indices)
 
     def server_powers(self) -> np.ndarray:
         """Per-server true power in member order (monitor hot path)."""
-        if self.vectorized:
-            return self._state.server_powers(self._indices)
-        return np.fromiter(
-            (s.power_watts() for s in self.servers),
-            dtype=np.float64,
-            count=len(self.servers),
-        )
+        return self.state.server_powers(self.state_indices)
 
     def rated_watts(self) -> float:
         """Sum of member rated power (the conservative provisioning base)."""
@@ -134,9 +110,7 @@ class ServerGroup:
 
     def freezing_ratio(self) -> float:
         """Fraction of member servers currently frozen (the paper's u_t)."""
-        if self.vectorized:
-            return self._state.frozen_count(self._indices) / len(self.servers)
-        return len(self.frozen_servers()) / len(self.servers)
+        return self.state.frozen_count(self.state_indices) / len(self.servers)
 
     def capped_servers(self) -> List[Server]:
         return [s for s in self.servers if s.is_capped]

@@ -11,9 +11,9 @@ Since the vectorized-engine refactor a ``Server`` is a *thin view*: all
 dynamic state (utilization, frequency, flags, the power cache) lives in a
 :class:`~repro.cluster.state.ClusterState` slot, and the attributes below
 are properties over that slot. Builders pass a shared store so whole rows
-become contiguous array slices; a standalone ``Server()`` (tests, ad-hoc
-fixtures) silently gets a private single-slot store and behaves exactly as
-before.
+become contiguous array slices; a standalone ``Server()`` gets a private
+single-slot store. Groups, schedulers and IPMI fleets need members that
+share one store.
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ class Server:
         no running jobs left to re-time, and listeners must not observe a
         phantom "uncap" on a dark machine). Without this, a server that
         failed while capped kept ``is_capped`` and leaked capped-time
-        accounting for as long as it stayed dark. The vectorized
+        accounting for as long as it stayed dark. The batched
         equivalent is :meth:`ClusterState.fail_servers`, which applies the
         same flag+frequency+cache transition as a mask.
         """

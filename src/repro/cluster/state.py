@@ -8,22 +8,18 @@ happens. :class:`ClusterState` keeps every server's dynamic state
 power) in dense NumPy columns; :class:`~repro.cluster.server.Server`,
 :class:`~repro.cluster.row.Row` and the other ``ServerGroup`` layers are
 thin views over slots in one shared store, so the established object API
-is unchanged at its seams while the three hot loops -- power
-aggregation, the monitor sweep, and IPMI sampling -- collapse into array
-expressions.
+is unchanged at its seams while the hot loops -- power aggregation, the
+monitor sweep, IPMI sampling and capping's victim orders -- are array
+expressions over the columns.
 
-Backend contract
-----------------
-Both engine backends read and write the *same* store; the switch only
-selects how the hot loops traverse it:
-
-- ``object``: the historical per-server Python loops (the reference
-  path, bit-identical to the pre-vectorization releases).
-- ``vectorized``: NumPy expressions over the same columns.
-
-The two backends are required to produce **byte-identical trajectories**
-(see ``tests/test_backend_equivalence.py``). Three numerical contracts
-make that possible:
+One path, three numerical contracts, pinned by oracles
+------------------------------------------------------
+There is one production path: the array expressions. The per-server
+Python loops they replaced live on in ``tests/oracles.py`` as reference
+oracles, and ``tests/test_backend_equivalence.py`` checks production
+against them loop by loop, plus every pinned run against a recorded
+sha256 digest (``tests/golden/trajectory_digests.json``). Three numerical
+contracts keep the array path bit-identical to the scalar model:
 
 1. *Elementwise power* replicates the scalar op order of
    :func:`~repro.cluster.power.server_power_watts` exactly. ``x ** e``
@@ -38,53 +34,23 @@ make that possible:
 3. *RNG batching*: ``Generator.random(n)`` / ``standard_normal(n)``
    consume the underlying bit stream exactly like ``n`` scalar draws,
    so batched noise is draw-order-compatible by construction.
+
+Every group, tracker and IPMI fleet reads one store: servers registered
+with different stores are rejected (:func:`shared_state_of`).
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.power import PowerModelParams
 
-#: Recognized engine backends.
-BACKENDS = ("object", "vectorized")
-
-#: Environment variable consulted when no explicit backend is given.
-#: An env var (not a module global) so parallel campaign workers inherit
-#: the choice regardless of the multiprocessing start method.
-BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
-
-#: Process-wide default installed by harnesses (e.g. the pytest
-#: ``--engine-backend`` option). ``None`` defers to the environment.
-DEFAULT_BACKEND: Optional[str] = None
-
 #: Exponents for which NumPy's vectorized ``**`` is bit-identical to
 #: CPython's scalar ``**`` (verified: both are correctly rounded there).
 _NUMPY_EXACT_EXPONENTS = (0.0, 1.0, 2.0)
-
-
-def resolve_backend(value: Optional[str] = None) -> str:
-    """Resolve an engine backend: explicit > default > env > ``object``."""
-    resolved = value or DEFAULT_BACKEND or os.environ.get(BACKEND_ENV_VAR) or "object"
-    if resolved not in BACKENDS:
-        raise ValueError(
-            f"engine backend must be one of {BACKENDS}, got {resolved!r}"
-        )
-    return resolved
-
-
-def set_default_backend(value: Optional[str]) -> Optional[str]:
-    """Install the process-wide default backend; returns the previous one."""
-    global DEFAULT_BACKEND
-    if value is not None and value not in BACKENDS:
-        raise ValueError(f"engine backend must be one of {BACKENDS}, got {value!r}")
-    previous = DEFAULT_BACKEND
-    DEFAULT_BACKEND = value
-    return previous
 
 
 def _exact_pow(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -118,10 +84,9 @@ class ClusterState:
     ``failed``, ``powered_off``, ``jobs_started``, ``jobs_completed``.
 
     Derived cache: ``power_cache`` (watts) valid where ``power_valid``.
-    Both backends share this cache, so a vectorized mask mutation (e.g.
-    :meth:`fail_servers`) invalidates exactly what a per-object mutation
-    would -- the capped-time accounting seam of PR 4 cannot reopen
-    through batching.
+    A mask mutation (e.g. :meth:`fail_servers`) invalidates exactly what
+    a per-object mutation would, so the capped-time accounting cannot
+    drift through batching.
     """
 
     _FLOAT_COLUMNS = (
@@ -141,10 +106,9 @@ class ClusterState:
     _BOOL_COLUMNS = ("frozen", "failed", "powered_off", "power_valid")
     _INT_COLUMNS = ("server_ids", "jobs_started", "jobs_completed", "tenant_ids")
 
-    def __init__(self, capacity: int = 8, backend: Optional[str] = None) -> None:
+    def __init__(self, capacity: int = 8) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        self.backend = resolve_backend(backend)
         self.n = 0
         for name in self._FLOAT_COLUMNS:
             setattr(self, name, np.zeros(capacity, dtype=np.float64))
@@ -270,8 +234,8 @@ class ClusterState:
     def total_power(self, indices: np.ndarray) -> float:
         """Aggregate power with Python-``sum`` bit semantics.
 
-        ``cumsum`` adds strictly left to right, matching the object
-        backend's ``sum(s.power_watts() for s in servers)`` bit-for-bit;
+        ``cumsum`` adds strictly left to right, matching the scalar
+        ``sum(s.power_watts() for s in servers)`` bit-for-bit;
         ``np.sum``'s pairwise tree would differ in the last ulp.
         """
         powers = self.server_powers(indices)
@@ -302,10 +266,10 @@ class ClusterState:
 
         Mirrors the scalar path exactly: the machine goes dark *and*
         loses its DVFS state (it will POST at full frequency), so a
-        capped server that fails mid-tick stops accruing capped time in
-        either backend. Listeners are not notified -- there are no
-        running jobs left to re-time on a dark machine, and the caller
-        (scheduler/injector) owns the kill-and-resubmit bookkeeping.
+        capped server that fails mid-tick stops accruing capped time.
+        Listeners are not notified -- there are no running jobs left to
+        re-time on a dark machine, and the caller (scheduler/injector)
+        owns the kill-and-resubmit bookkeeping.
         """
         self.failed[indices] = True
         self.frequency[indices] = 1.0
@@ -363,38 +327,24 @@ class ClusterState:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ClusterState(n={self.n}, capacity={self.capacity}, "
-            f"backend={self.backend!r}, {self.nbytes / 1024:.0f} KiB)"
+            f"{self.nbytes / 1024:.0f} KiB)"
         )
 
 
-def shared_state_of(
-    servers: Sequence,
-) -> Tuple[Optional[ClusterState], Optional[np.ndarray]]:
-    """The store and slot indices shared by ``servers``, if they share one.
+def shared_state_of(servers: Sequence) -> Tuple[ClusterState, np.ndarray]:
+    """The one store behind ``servers`` and their slot indices.
 
-    Groups assembled from servers of different stores (ad-hoc test
-    fixtures) get ``(None, None)`` and fall back to the object path
-    regardless of the configured backend.
+    Every production builder registers a group's servers with one store;
+    servers from different stores are rejected rather than served by a
+    slower per-object path. ``servers`` must not be empty.
     """
-    if not servers:
-        return None, None
-    first = servers[0]
-    state = getattr(first, "_state", None)
-    if state is None:
-        return None, None
-    indices: List[int] = []
+    state = servers[0]._state
+    indices = []
     for server in servers:
-        if getattr(server, "_state", None) is not state:
-            return None, None
+        if server._state is not state:
+            raise ValueError("servers must share one ClusterState")
         indices.append(server._index)
     return state, np.asarray(indices, dtype=np.intp)
 
 
-__all__ = [
-    "BACKENDS",
-    "BACKEND_ENV_VAR",
-    "ClusterState",
-    "resolve_backend",
-    "set_default_backend",
-    "shared_state_of",
-]
+__all__ = ["ClusterState", "shared_state_of"]

@@ -15,14 +15,14 @@ Frame layout
 One UTF-8 JSON header line, then the raw pickle payload::
 
     {"kind": "experiment", "magic": "repro-snapshot", "meta": {...},
-     "payload_bytes": N, "payload_sha256": "...", "version": 2}\\n
+     "payload_bytes": N, "payload_sha256": "...", "version": 3}\\n
     <N bytes of pickle>
 
 The header is readable without unpickling anything (``read_header``),
 carries a SHA-256 of the payload so torn or corrupted files fail loudly
 instead of restoring garbage, and is versioned so a future layout change
 refuses old files explicitly. ``meta`` holds deterministic descriptive
-fields only (sim time, backend, seed) -- never wall-clock timestamps, so
+fields only (sim time, seed) -- never wall-clock timestamps, so
 snapshotting the same state twice yields the same bytes.
 
 Canonical encoding
@@ -63,8 +63,9 @@ from repro.durability.atomic import atomic_write_bytes
 SNAPSHOT_MAGIC = "repro-snapshot"
 
 #: Current frame layout version. Bump on any incompatible change (2: the
-#: tracker's mirror arrays and the profiles' numpy windows are gone).
-SNAPSHOT_VERSION = 2
+#: tracker's mirror arrays and the profiles' numpy windows are gone; 3:
+#: ``ClusterState`` and the header meta no longer carry an engine backend).
+SNAPSHOT_VERSION = 3
 
 #: Pickle protocol pinned for stable output within a Python version
 #: (``HIGHEST_PROTOCOL`` may move under our feet on an interpreter bump).

@@ -9,98 +9,27 @@ reading through a failed poll) is actually exercised.
 
 RNG draw-order contract
 -----------------------
-A fleet sweep consumes the shared generator in a *fixed, batchable*
+A fleet sweep consumes the shared generator in a *fixed, batched*
 order: first one uniform per endpoint (timeout lottery, drawn only when
 the fleet's ``failure_rate`` is positive), then one standard normal per
 endpoint (sensor noise, drawn only when ``noise_sigma`` is positive) --
 each batch covering every endpoint in fleet order, including the ones
-that time out. Both backends follow this contract (the object path
-pre-draws the batches and hands each endpoint its values), so
-``poll_all`` and ``poll_all_array`` consume identical bit streams and
-produce bit-identical readings. A *standalone* ``BmcEndpoint.read_power``
-call (no fleet) draws lazily, as a lone BMC conversation would.
+that time out. The sweep is one array expression over those batches and
+is bit-identical to a per-endpoint loop that reads each BMC with its
+slice of the draws (the scalar oracle in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
 import numpy as np
 
-from repro.cluster.server import Server
 from repro.cluster.state import shared_state_of
 from repro.telemetry import Telemetry
 
 logger = logging.getLogger(__name__)
-
-
-class BmcEndpoint:
-    """The management controller of one server.
-
-    Parameters
-    ----------
-    server:
-        The managed server (source of true power).
-    rng:
-        Random source for noise and timeouts.
-    noise_sigma:
-        Relative standard deviation of sensor noise.
-    failure_rate:
-        Probability that a poll times out (returns ``None``).
-    quantize_watts:
-        Reading resolution; IPMI power sensors report whole watts.
-    """
-
-    def __init__(
-        self,
-        server: Server,
-        rng: np.random.Generator,
-        noise_sigma: float = 0.01,
-        failure_rate: float = 0.001,
-        quantize_watts: float = 1.0,
-    ) -> None:
-        if noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
-        if not 0.0 <= failure_rate < 1.0:
-            raise ValueError(f"failure_rate must be in [0, 1), got {failure_rate}")
-        if quantize_watts <= 0:
-            raise ValueError(f"quantize_watts must be positive, got {quantize_watts}")
-        self.server = server
-        self.rng = rng
-        self.noise_sigma = noise_sigma
-        self.failure_rate = failure_rate
-        self.quantize_watts = quantize_watts
-        self.polls = 0
-        self.timeouts = 0
-        # Pre-drawn randomness queued by a fleet sweep (see the module
-        # draw-order contract); consumed (and cleared) by the next read.
-        self._queued_u: Optional[float] = None
-        self._queued_z: Optional[float] = None
-
-    def queue_draws(self, u: Optional[float], z: Optional[float]) -> None:
-        """Hand this endpoint its slice of a fleet sweep's batched draws."""
-        self._queued_u = u
-        self._queued_z = z
-
-    def read_power(self) -> Optional[float]:
-        """One poll: quantized noisy watts, or ``None`` on timeout."""
-        u, z = self._queued_u, self._queued_z
-        self._queued_u = self._queued_z = None
-        self.polls += 1
-        if self.failure_rate > 0:
-            if u is None:
-                u = self.rng.random()
-            if u < self.failure_rate:
-                self.timeouts += 1
-                return None
-        reading = self.server.power_watts()
-        if self.noise_sigma > 0:
-            if z is None:
-                z = self.rng.standard_normal()
-            reading *= 1.0 + self.noise_sigma * z
-        quantized = round(reading / self.quantize_watts) * self.quantize_watts
-        return max(0.0, quantized)
 
 
 class IpmiFleet:
@@ -120,13 +49,18 @@ class IpmiFleet:
     listed in :attr:`stale_ids`.
 
     Sweep state (last-known values, timeout streaks, staleness) lives in
-    fleet-order arrays shared by both backends; when the servers share a
-    :class:`~repro.cluster.state.ClusterState` on the vectorized backend,
-    :meth:`poll_all_array` runs the whole sweep as array expressions and
-    is bit-identical to :meth:`poll_all` (same draws, same arithmetic).
-    The array path reads the *fleet-level* noise/failure parameters;
-    per-endpoint overrides (a test poking one BMC) are an object-path
-    feature.
+    fleet-order arrays, and the servers must share one
+    :class:`~repro.cluster.state.ClusterState`: :meth:`poll_all` runs the
+    whole sweep as array expressions over its columns.
+
+    Parameters
+    ----------
+    noise_sigma:
+        Relative standard deviation of sensor noise.
+    failure_rate:
+        Probability that a poll times out.
+    quantize_watts:
+        Reading resolution; IPMI power sensors report whole watts.
     """
 
     def __init__(
@@ -144,18 +78,14 @@ class IpmiFleet:
             raise ValueError(
                 f"max_fallback_polls must be non-negative, got {max_fallback_polls}"
             )
+        if noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+        if not 0.0 <= failure_rate < 1.0:
+            raise ValueError(f"failure_rate must be in [0, 1), got {failure_rate}")
+        if quantize_watts <= 0:
+            raise ValueError(f"quantize_watts must be positive, got {quantize_watts}")
         self._servers = list(servers)
-        self.endpoints: Dict[int, BmcEndpoint] = {
-            s.server_id: BmcEndpoint(
-                s,
-                rng,
-                noise_sigma=noise_sigma,
-                failure_rate=failure_rate,
-                quantize_watts=quantize_watts,
-            )
-            for s in self._servers
-        }
-        if not self.endpoints:
+        if not self._servers:
             raise ValueError("IpmiFleet needs at least one server")
         self.rng = rng
         self.noise_sigma = noise_sigma
@@ -166,7 +96,6 @@ class IpmiFleet:
         self._server_ids = np.array(
             [s.server_id for s in self._servers], dtype=np.int64
         )
-        self._pos = {s.server_id: i for i, s in enumerate(self._servers)}
         self._last_known = np.array(
             [s.power_params.idle_watts for s in self._servers], dtype=np.float64
         )
@@ -197,11 +126,6 @@ class IpmiFleet:
             labels,
         )
 
-    @property
-    def vectorized(self) -> bool:
-        """Whether sweeps run on the array backend for this fleet."""
-        return self._state is not None and self._state.backend == "vectorized"
-
     def _draw_batches(self):
         """One sweep's randomness, in contract order: uniforms then normals."""
         n = len(self._servers)
@@ -209,52 +133,12 @@ class IpmiFleet:
         zs = self.rng.standard_normal(n) if self.noise_sigma > 0 else None
         return us, zs
 
-    def poll_all(self) -> Dict[int, float]:
-        """Object-backend sweep: per-endpoint reads on pre-drawn batches."""
-        us, zs = self._draw_batches()
-        readings: Dict[int, float] = {}
-        self._polls += len(self.endpoints)
-        self._polls_counter.inc(len(self.endpoints))
-        for pos, (server_id, endpoint) in enumerate(self.endpoints.items()):
-            endpoint.queue_draws(
-                float(us[pos]) if us is not None else None,
-                float(zs[pos]) if zs is not None else None,
-            )
-            value = endpoint.read_power()
-            if value is None:
-                self._timeouts += 1
-                self._timeouts_counter.inc()
-                self._timeout_streak[pos] += 1
-                if self._timeout_streak[pos] > self.max_fallback_polls:
-                    if not self._stale[pos]:
-                        logger.warning(
-                            "BMC %d exceeded %d consecutive timeouts; "
-                            "endpoint is stale",
-                            server_id,
-                            self.max_fallback_polls,
-                        )
-                    self._stale[pos] = True
-                    self.stale_reads += 1
-                    self._stale_reads_counter.inc()
-                    value = float("nan")
-                else:
-                    self.fallbacks_used += 1
-                    self._fallbacks_counter.inc()
-                    value = float(self._last_known[pos])
-            else:
-                self._timeout_streak[pos] = 0
-                self._stale[pos] = False
-                self._last_known[pos] = value
-            readings[server_id] = value
-        return readings
+    def poll_all(self) -> np.ndarray:
+        """One sweep: readings in fleet order, NaN where stale.
 
-    def poll_all_array(self) -> np.ndarray:
-        """Vectorized sweep: readings in fleet order, NaN where stale.
-
-        Bit-identical to :meth:`poll_all` under the draw-order contract:
-        identical batched draws, identical scalar arithmetic per element
-        (``np.rint`` is round-half-even like Python's ``round``), and the
-        same bounded last-known-value carry.
+        Timed-out polls carry the last known reading within the fallback
+        budget. Per element the arithmetic is the scalar BMC read's
+        (``np.rint`` is round-half-even like Python's ``round``).
         """
         us, zs = self._draw_batches()
         n = len(self._servers)
@@ -322,4 +206,4 @@ class IpmiFleet:
         return self._timeouts
 
 
-__all__ = ["BmcEndpoint", "IpmiFleet"]
+__all__ = ["IpmiFleet"]

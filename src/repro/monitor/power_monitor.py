@@ -303,15 +303,7 @@ class PowerMonitor:
                 instruments = self._group_instruments[group.name]
                 fleet = self._fleets.get(group.name)
                 if fleet is not None:
-                    if fleet.vectorized:
-                        # Array sweep, bit-identical to the dict path
-                        # under the fleet draw-order contract.
-                        readings = fleet.poll_all_array()
-                    else:
-                        polled = fleet.poll_all()
-                        readings = np.array(
-                            [polled[s.server_id] for s in group.servers], dtype=float
-                        )
+                    readings = fleet.poll_all()
                     instruments["stale_endpoints"].set(fleet.stale_count)
                     stale = int(np.count_nonzero(~np.isfinite(readings)))
                     if stale:
@@ -331,9 +323,6 @@ class PowerMonitor:
                             )
                             continue
                 else:
-                    # Per-server true power: an array expression on the
-                    # vectorized backend, a per-object loop otherwise --
-                    # bit-identical either way (see ClusterState).
                     true_powers = group.server_powers()
                     if self.noise_sigma > 0:
                         noise = 1.0 + self.noise_sigma * self.rng.standard_normal(
@@ -443,23 +432,17 @@ class PowerMonitor:
         if group_name not in self._groups:
             raise KeyError(f"unknown group {group_name!r}")
         group = self._groups[group_name]
-        readings: Dict[int, float] = {}
         if self.noise_sigma > 0:
             noise = 1.0 + self.noise_sigma * self.rng.standard_normal(
                 len(group.servers)
             )
         else:
             noise = np.ones(len(group.servers))
-        if group.vectorized:
-            values = group.server_powers() * noise * self.sensor_bias
-            for server, value in zip(group.servers, values):
-                readings[server.server_id] = float(value)
-        else:
-            for server, factor in zip(group.servers, noise):
-                readings[server.server_id] = (
-                    server.power_watts() * factor * self.sensor_bias
-                )
-        return readings
+        values = group.server_powers() * noise * self.sensor_bias
+        return {
+            server.server_id: value
+            for server, value in zip(group.servers, values.tolist())
+        }
 
     def violation_count(self, group_name: str) -> int:
         if group_name not in self.violations:

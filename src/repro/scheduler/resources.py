@@ -39,8 +39,6 @@ class ResourceTracker:
         if len(self.index_of) != len(self.servers):
             raise ValueError("duplicate server ids in tracker")
         state, slots = shared_state_of(self.servers)
-        if state is None:
-            raise ValueError("a scheduler's servers must share one ClusterState")
         self.state = state
         first = int(slots[0])
         if not np.array_equal(slots, np.arange(first, first + len(slots))):

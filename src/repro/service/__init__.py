@@ -29,7 +29,7 @@ Layers, bottom up:
 
 Manual-step mode issues exactly the batch ``advance()`` sequence, so a
 service-driven run is byte-identical to ``run()`` -- pinned in
-tests/test_service.py on both engine backends -- and a crash-recovered
+tests/test_service.py -- and a crash-recovered
 run is byte-identical to an uninterrupted one (tests/
 test_service_resilience.py).
 """

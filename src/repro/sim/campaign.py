@@ -85,11 +85,6 @@ class CampaignRunConfig:
     #: cells split servers into a hot row at the cell's workload and a
     #: cold row at ``workload.scaled(fleet_skew)``)
     fleet_skew: float = 0.25
-    #: hot-loop engine backend for every cell ("object"/"vectorized"/
-    #: None = process default). Workers resolve None against the
-    #: REPRO_ENGINE_BACKEND environment variable, which child processes
-    #: inherit, so serial and parallel campaigns agree on the backend.
-    engine_backend: Optional[str] = None
     #: multi-tenant mix applied identically to every cell (None =
     #: untenanted; rows then leave the tenancy columns blank)
     tenancy: Optional[TenancyConfig] = None
@@ -222,7 +217,6 @@ def run_cell(cell: CampaignCell, config: CampaignRunConfig) -> CampaignRow:
         faults=config.faults,
         safety=config.safety,
         telemetry_enabled=config.telemetry,
-        engine_backend=config.engine_backend,
         tenancy=config.tenancy,
     )
     outcome = ControlledExperiment(experiment_config).run()
@@ -286,7 +280,6 @@ def _run_fleet_cell(cell: CampaignCell, config: CampaignRunConfig) -> CampaignRo
         safety=config.safety,
         faults=config.faults,
         telemetry_enabled=config.telemetry,
-        engine_backend=config.engine_backend,
         tenancy=config.tenancy,
     )
     result = FleetExperiment(fleet_config).run()
@@ -417,7 +410,6 @@ class Campaign:
         telemetry: bool = False,
         fleet: Optional[FleetConfig] = None,
         fleet_skew: float = 0.25,
-        engine_backend: Optional[str] = None,
         tenancy: Optional[TenancyConfig] = None,
     ) -> None:
         if not ratios:
@@ -445,7 +437,6 @@ class Campaign:
             telemetry=telemetry,
             fleet=fleet,
             fleet_skew=fleet_skew,
-            engine_backend=engine_backend,
             tenancy=tenancy,
         )
 

@@ -88,11 +88,6 @@ class ExperimentConfig:
     #: collect metrics and spans for this run (off by default; the
     #: disabled path is a shared no-op and never perturbs trajectories)
     telemetry_enabled: bool = False
-    #: hot-loop engine backend: "object", "vectorized", or None to defer
-    #: to the process default / REPRO_ENGINE_BACKEND environment variable.
-    #: Both backends produce byte-identical trajectories (see
-    #: tests/test_backend_equivalence.py); the switch only changes speed.
-    engine_backend: Optional[str] = None
     #: online state-invariant auditor (None = off). The auditor observes
     #: only -- enabling it at any sampling rate leaves trajectories
     #: byte-identical (see tests/test_auditor.py).
@@ -223,7 +218,6 @@ class ControlledExperiment:
             monitor_noise_sigma=config.monitor_noise_sigma,
             placement_policy=config.placement_policy,
             telemetry=self.telemetry,
-            engine_backend=config.engine_backend,
         )
         self.experiment_group, self.control_group = self.testbed.split_by_parity()
         self.experiment_group.set_over_provision_ratio(config.over_provision_ratio)
@@ -495,7 +489,6 @@ class ControlledExperiment:
         # state always frames to the same bytes.
         return {
             "sim_now": self.testbed.engine.now,
-            "backend": self.testbed.engine_backend,
             "n_servers": self.config.n_servers,
             "seed": self.config.seed,
             "started": self._started,
@@ -507,9 +500,9 @@ class ControlledExperiment:
         Captures everything: cluster-state columns, RNG streams, the
         event heap, controller/supervisor state and telemetry. Restoring
         and running to the horizon is byte-identical to never having
-        stopped (proven in tests/test_durability.py, both backends,
-        under chaos). Must be called between :meth:`advance` calls, not
-        from inside an event callback.
+        stopped (proven in tests/test_durability.py, under chaos). Must
+        be called between :meth:`advance` calls, not from inside an event
+        callback.
         """
         if self.testbed.engine._running:
             raise RuntimeError(

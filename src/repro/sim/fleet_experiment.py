@@ -117,9 +117,6 @@ class FleetExperimentConfig:
     #: False runs the same fleet with no coordinator at all -- the
     #: reference the `static` policy must be bit-identical to
     coordinator_enabled: bool = True
-    #: hot-loop engine backend ("object"/"vectorized"/None = process
-    #: default); trajectories are byte-identical across backends
-    engine_backend: Optional[str] = None
     #: online state-invariant auditor (None = off); fleet runs audit the
     #: budget ledger in addition to the single-row checks
     auditor: Optional[AuditorConfig] = None
@@ -235,10 +232,7 @@ class FleetExperiment:
         # vectorize across the whole fleet in a single slice.
         from repro.cluster.state import ClusterState
 
-        self.state = ClusterState(
-            capacity=sum(spec.n_servers for spec in config.rows),
-            backend=config.engine_backend,
-        )
+        self.state = ClusterState(capacity=sum(spec.n_servers for spec in config.rows))
         self.rows: List[Row] = []
         first_id = 0
         for index, spec in enumerate(config.rows):
@@ -505,7 +499,6 @@ class FleetExperiment:
     def _snapshot_meta(self) -> dict:
         return {
             "sim_now": self.engine.now,
-            "backend": self.state.backend,
             "n_rows": len(self.rows),
             "seed": self.config.seed,
             "started": self._started,

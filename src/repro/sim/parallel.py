@@ -37,7 +37,6 @@ import logging
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.campaign import (
@@ -46,7 +45,6 @@ from repro.sim.campaign import (
     CampaignRunConfig,
     run_cell,
 )
-from repro.cluster.state import resolve_backend
 
 logger = logging.getLogger(__name__)
 
@@ -154,12 +152,6 @@ def run_cells_parallel(
     )
     if workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-
-    # Pin the engine backend *now*, in the parent: workers and any
-    # retry/re-dispatch attempts then agree on it even if the
-    # environment changes mid-campaign, and rows match what a serial
-    # run in this process would produce.
-    config = replace(config, engine_backend=resolve_backend(config.engine_backend))
 
     rows: Dict[int, CampaignRow] = {}
     attempts: Dict[int, int] = {}

@@ -245,7 +245,6 @@ class Testbed:
         placement_policy: Optional[PlacementPolicy] = None,
         store_per_server_power: bool = False,
         telemetry: Optional[Telemetry] = None,
-        engine_backend: Optional[str] = None,
     ) -> None:
         if n_servers % self.SERVERS_PER_RACK != 0:
             raise ValueError(
@@ -261,11 +260,9 @@ class Testbed:
             power_params=power_params,
             cores=cores,
             memory_gb=memory_gb,
-            engine_backend=engine_backend,
         )
         #: the columnar store behind the row (all servers share it)
         self.state = self.row.state
-        self.engine_backend = self.state.backend
         self.cores = cores
         root = np.random.SeedSequence(seed)
         sched_seed, monitor_seed, workload_seed, modulation_seed = root.spawn(4)

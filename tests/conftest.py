@@ -1,6 +1,5 @@
 """Shared fixtures for the test suite."""
 
-import os
 from typing import List
 
 import numpy as np
@@ -8,33 +7,8 @@ import pytest
 
 from repro.cluster.power import PowerModelParams
 from repro.cluster.server import Server
-from repro.cluster.state import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    ClusterState,
-    set_default_backend,
-)
+from repro.cluster.state import ClusterState
 from repro.sim.engine import Engine
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--engine-backend",
-        choices=BACKENDS,
-        default=None,
-        help="replay the whole suite against one engine backend "
-        "(trajectories are byte-identical across backends, so every "
-        "test must pass unchanged under either)",
-    )
-
-
-def pytest_configure(config):
-    backend = config.getoption("--engine-backend")
-    if backend is not None:
-        # Install via the environment as well as the process default so
-        # campaign worker processes spawned by parallel tests inherit it.
-        os.environ[BACKEND_ENV_VAR] = backend
-        set_default_backend(backend)
 
 
 @pytest.fixture
@@ -54,9 +28,9 @@ def make_server(server_id: int = 0, cores: int = 16, **kwargs) -> Server:
 def make_servers(n: int, cores: int = 16, **kwargs) -> List[Server]:
     """``n`` servers with ids ``0..n-1``, registered in one shared store.
 
-    A scheduler's servers must share one ClusterState (placement reads its
-    columns), as every production builder arranges; ad-hoc fixtures that
-    feed a scheduler build their servers here.
+    Groups, schedulers and IPMI fleets need servers that share one
+    ClusterState (their hot loops read its columns), as every production
+    builder arranges; ad-hoc fixtures build their servers here.
     """
     state = ClusterState(capacity=n)
     return [Server(i, cores=cores, state=state, **kwargs) for i in range(n)]

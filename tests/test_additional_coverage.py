@@ -7,7 +7,7 @@ from repro.scheduler.policies import BestFitPolicy, LeastLoadedPolicy
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
 from repro.workload.job import Job
-from tests.conftest import make_server, make_servers
+from tests.conftest import make_servers
 
 
 def cluster(n=8, seed=0):
@@ -112,7 +112,7 @@ class TestCoolingMarginSweep:
         energies = {}
         for margin in (0.05, 0.40):
             engine = Engine()
-            servers = [make_server(i) for i in range(20)]
+            servers = make_servers(20)
             group = ServerGroup("row", servers)
             monitor = PowerMonitor(engine, noise_sigma=0.0)
             monitor.register_group(group)

@@ -64,7 +64,7 @@ def test_corrupt_power_cache_detected():
     slots = np.arange(state.n, dtype=np.intp)
     live = slots[state.live_mask(slots)]
     assert live.size, "expected live servers mid-run"
-    # Seed a coherent cache entry (whether or not the backend happens to
+    # Seed a coherent cache entry (whether or not the run happens to
     # have one valid right now), then corrupt it.
     target = live[:1]
     state.power_cache[target] = state.server_powers(target)

@@ -1,20 +1,34 @@
-"""Differential harness: object vs vectorized engine backends.
+"""One engine path, checked two ways: pinned digests and scalar oracles.
 
-The vectorized engine core (`repro.cluster.state`) promises *byte
-identity*, not approximate agreement: every serialized trajectory,
-metrics snapshot and campaign row must come out bit-for-bit the same on
-both backends, at every scale, under every hazard. These tests run the
-pinned surfaces of the repo -- the seeded golden experiment, chaos
-scenarios (demand surge, crash storm), the fleet A/B, and campaigns
-both serial and parallel -- once per backend and compare the full
-serialized documents.
+The engine runs one production path: array expressions over the
+columnar :class:`~repro.cluster.state.ClusterState`. Two kinds of test
+hold it to the per-server model it replaced.
 
-The only permitted difference is the ``engine_backend`` *label* in the
-serialized config (it records which backend ran); the comparison
-normalizes that one key and nothing else.
+- **Pinned trajectories.** The seeded experiment, two chaos scenarios,
+  the fleet A/B, campaign rows (serial and parallel) and an IPMI sweep
+  must reproduce, byte for byte, the canonical documents recorded when
+  the per-server loops still ran in production. Each document's sha256
+  lives in ``tests/golden/trajectory_digests.json``.
+- **Loop-level oracles.** Each hot loop is checked against its scalar
+  oracle in ``tests/oracles.py``: the group power sum and
+  ``server_powers``, the IPMI poll, capping's three orderings (ties
+  included) and the per-server readings.
+
+The three numerical contracts each have a test here that fails if the
+contract breaks: exact-exponent pow (exotic SKU exponents, where NumPy's
+SIMD pow differs from CPython's), ``cumsum()[-1]`` aggregation (a row
+whose pairwise ``np.sum`` differs from the sequential sum), and RNG
+batching (oracles draw one scalar at a time and must leave the
+generator in the same state).
+
+If a change is *intentional*, regenerate the digests:
+
+    python -c "import tests.test_backend_equivalence as t; t.regenerate()"
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +38,13 @@ from repro.analysis.serialize import (
     fleet_result_to_dict,
     result_to_dict,
 )
-from repro.cluster.datacenter import build_row
+from repro.cluster.capping import CappingEngine
+from repro.cluster.datacenter import ServerSpec, build_heterogeneous_row, build_row
+from repro.cluster.power import DVFS_FREQUENCIES, PowerModelParams
 from repro.core.safety import SafetyConfig
 from repro.faults.scenario import builtin_scenarios
 from repro.fleet.config import FleetConfig
+from repro.monitor.ipmi import IpmiFleet
 from repro.monitor.power_monitor import PowerMonitor
 from repro.sim.campaign import Campaign
 from repro.sim.engine import Engine
@@ -38,18 +55,24 @@ from repro.sim.fleet_experiment import (
     FleetRowSpec,
 )
 from repro.sim.testbed import WorkloadSpec
+from tests import oracles
 
-BACKENDS = ("object", "vectorized")
-
-
-def canonical(document: dict) -> str:
-    """Serialized form used for byte comparison, backend label masked."""
-    if "config" in document and isinstance(document["config"], dict):
-        document["config"].pop("engine_backend", None)
-    return json.dumps(document, sort_keys=True)
+DIGESTS_PATH = Path(__file__).parent / "golden" / "trajectory_digests.json"
 
 
-def run_experiment(backend: str, **overrides) -> str:
+def digest(document: dict) -> str:
+    """sha256 of the canonical (key-sorted) JSON form of a document."""
+    return hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
+
+
+def pinned(name: str) -> str:
+    return json.loads(DIGESTS_PATH.read_text())[name]
+
+
+# ---------------------------------------------------------------------------
+# The pinned runs
+# ---------------------------------------------------------------------------
+def seeded_experiment() -> dict:
     config = ExperimentConfig(
         n_servers=80,
         duration_hours=1.0,
@@ -58,143 +81,282 @@ def run_experiment(backend: str, **overrides) -> str:
         capping_enabled=True,
         workload=WorkloadSpec(target_utilization=0.33, modulation_sigma=0.05),
         seed=42,
-        engine_backend=backend,
-        **overrides,
     )
-    result = ControlledExperiment(config).run()
-    return canonical(result_to_dict(result, include_series=True))
+    return result_to_dict(ControlledExperiment(config).run(), include_series=True)
+
+
+def chaos_experiment(scenario: str) -> dict:
+    """Hazard paths (mass failures, demand surges) under the safety
+    ladder, with telemetry on so the metrics snapshot is pinned too."""
+    config = ExperimentConfig(
+        n_servers=40,
+        duration_hours=1.5,
+        warmup_hours=1.0,  # builtin scenario times assume 1 h
+        over_provision_ratio=0.25,
+        workload=WorkloadSpec.typical(),
+        capping_enabled=True,
+        seed=7,
+        faults=builtin_scenarios()[scenario],
+        safety=SafetyConfig(),
+        telemetry_enabled=True,
+    )
+    return result_to_dict(ControlledExperiment(config).run(), include_series=True)
+
+
+def fleet_ab() -> dict:
+    """Hot and cold rows under one facility budget with a coordinator."""
+    config = FleetExperimentConfig(
+        rows=(
+            FleetRowSpec(n_servers=40, workload=WorkloadSpec(target_utilization=0.35)),
+            FleetRowSpec(n_servers=40, workload=WorkloadSpec(target_utilization=0.08)),
+        ),
+        duration_hours=1.0,
+        warmup_hours=0.25,
+        fleet=FleetConfig(policy="demand-following"),
+        seed=11,
+    )
+    return fleet_result_to_dict(FleetExperiment(config).run())
+
+
+def campaign_rows(parallel: bool) -> dict:
+    campaign = Campaign(
+        ratios=(0.25,),
+        workloads={"typical": WorkloadSpec.typical()},
+        seeds=(3, 5),
+        n_servers=80,
+        duration_hours=0.2,
+        warmup_hours=0.05,
+    )
+    result = campaign.run_parallel(max_workers=2) if parallel else campaign.run()
+    return {"rows": campaign_rows_to_dicts(result.rows)}
+
+
+def ipmi_sweep() -> dict:
+    """Forty monitor sweeps through a lossy IPMI fleet: timeouts,
+    fallback carry, staleness and quantization."""
+    row = build_row(0, racks=2, servers_per_rack=10)
+    monitor = PowerMonitor(
+        Engine(),
+        noise_sigma=0.01,
+        rng=np.random.default_rng(7),
+        ipmi_failure_rate=0.2,
+        store_per_server=True,
+    )
+    monitor.register_group(row)
+    for _ in range(40):
+        monitor.sample_once()
+    _, values = monitor.power_series(row.name)
+    fleet = monitor._fleets[row.name]
+    return {
+        "row": values.tolist(),
+        "servers": {
+            str(sid): monitor.db.query(f"power/server/{sid}")[1].tolist()
+            for sid in (0, 5, 19)
+        },
+        "polls": fleet.total_polls,
+        "timeouts": fleet.total_timeouts,
+        "fallbacks": fleet.fallbacks_used,
+        "stale_reads": fleet.stale_reads,
+        "stale_ids": sorted(fleet.stale_ids),
+    }
+
+
+def regenerate() -> None:  # pragma: no cover - maintenance helper
+    documents = {
+        "seeded-experiment": seeded_experiment(),
+        "chaos-surge": chaos_experiment("surge"),
+        "chaos-crash-storm": chaos_experiment("crash-storm"),
+        "fleet-ab": fleet_ab(),
+        "campaign-rows": campaign_rows(parallel=False),
+        "ipmi-sweep": ipmi_sweep(),
+    }
+    digests = {name: digest(doc) for name, doc in documents.items()}
+    DIGESTS_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
 
 
 class TestExperimentTrajectories:
     def test_seeded_experiment_byte_identical(self):
-        assert run_experiment("object") == run_experiment("vectorized")
+        assert digest(seeded_experiment()) == pinned("seeded-experiment")
 
     @pytest.mark.parametrize("scenario", ["surge", "crash-storm"])
     def test_chaos_scenarios_byte_identical(self, scenario):
-        """Hazard paths (mass failures, demand surges) under the safety
-        ladder, with telemetry on so the metrics snapshot is compared."""
-
-        def run(backend: str) -> str:
-            config = ExperimentConfig(
-                n_servers=40,
-                duration_hours=1.5,
-                warmup_hours=1.0,  # builtin scenario times assume 1 h
-                over_provision_ratio=0.25,
-                workload=WorkloadSpec.typical(),
-                capping_enabled=True,
-                seed=7,
-                faults=builtin_scenarios()[scenario],
-                safety=SafetyConfig(),
-                telemetry_enabled=True,
-                engine_backend=backend,
-            )
-            result = ControlledExperiment(config).run()
-            return canonical(result_to_dict(result, include_series=True))
-
-        assert run("object") == run("vectorized")
+        assert digest(chaos_experiment(scenario)) == pinned(f"chaos-{scenario}")
 
 
 class TestFleetTrajectories:
     def test_fleet_ab_byte_identical(self):
-        """Multi-row fleet with coordinator: the A/B of hot vs cold rows
-        under one facility budget, shared columnar store across rows."""
-
-        def run(backend: str) -> str:
-            config = FleetExperimentConfig(
-                rows=(
-                    FleetRowSpec(
-                        n_servers=40,
-                        workload=WorkloadSpec(target_utilization=0.35),
-                    ),
-                    FleetRowSpec(
-                        n_servers=40,
-                        workload=WorkloadSpec(target_utilization=0.08),
-                    ),
-                ),
-                duration_hours=1.0,
-                warmup_hours=0.25,
-                fleet=FleetConfig(policy="demand-following"),
-                seed=11,
-                engine_backend=backend,
-            )
-            result = FleetExperiment(config).run()
-            return canonical(fleet_result_to_dict(result))
-
-        assert run("object") == run("vectorized")
+        assert digest(fleet_ab()) == pinned("fleet-ab")
 
 
 class TestCampaignRows:
-    @pytest.fixture(scope="class")
-    def campaign_rows(self):
-        """Campaign CSV rows per (backend, mode) -- serial and parallel."""
+    def test_campaign_serial_matches_pinned_digest(self):
+        assert digest(campaign_rows(parallel=False)) == pinned("campaign-rows")
 
-        def rows(backend: str, parallel: bool) -> str:
-            campaign = Campaign(
-                ratios=(0.25,),
-                workloads={"typical": WorkloadSpec.typical()},
-                seeds=(3, 5),
-                n_servers=80,
-                duration_hours=0.2,
-                warmup_hours=0.05,
-                engine_backend=backend,
-            )
-            result = (
-                campaign.run_parallel(max_workers=2) if parallel else campaign.run()
-            )
-            return json.dumps(campaign_rows_to_dicts(result.rows), sort_keys=True)
-
-        return {
-            (backend, mode): rows(backend, mode == "parallel")
-            for backend in BACKENDS
-            for mode in ("serial", "parallel")
-        }
-
-    def test_campaign_serial_byte_identical_across_backends(self, campaign_rows):
-        assert campaign_rows[("object", "serial")] == campaign_rows[
-            ("vectorized", "serial")
-        ]
-
-    def test_campaign_parallel_matches_serial_per_backend(self, campaign_rows):
-        """The parallel runner must agree with the serial reference on
-        each backend (workers resolve the backend from the pickled
-        run config, not process-local globals)."""
-        for backend in BACKENDS:
-            assert campaign_rows[(backend, "serial")] == campaign_rows[
-                (backend, "parallel")
-            ]
+    def test_campaign_parallel_matches_pinned_digest(self):
+        assert digest(campaign_rows(parallel=True)) == pinned("campaign-rows")
 
 
 class TestIpmiSweeps:
     def test_ipmi_sweep_byte_identical(self):
-        """The batched IPMI sweep (timeouts, fallback carry, staleness,
-        quantization) matches the per-endpoint path bit-for-bit."""
+        assert digest(ipmi_sweep()) == pinned("ipmi-sweep")
 
-        def run(backend: str):
-            row = build_row(0, racks=2, servers_per_rack=10, engine_backend=backend)
-            monitor = PowerMonitor(
-                Engine(),
-                noise_sigma=0.01,
-                rng=np.random.default_rng(7),
-                ipmi_failure_rate=0.2,
-                store_per_server=True,
-            )
-            monitor.register_group(row)
-            for _ in range(40):
-                monitor.sample_once()
-            _, values = monitor.power_series(row.name)
-            per_server = [
-                monitor.db.query(f"power/server/{sid}")[1].tobytes()
-                for sid in (0, 5, 19)
-            ]
-            fleet = monitor._fleets[row.name]
-            return (
-                values.tobytes(),
-                per_server,
-                fleet.total_polls,
-                fleet.total_timeouts,
-                fleet.fallbacks_used,
-                fleet.stale_reads,
-                sorted(fleet.stale_ids),
-            )
 
-        assert run("object") == run("vectorized")
+# ---------------------------------------------------------------------------
+# Loop-level: production vs the scalar oracles
+# ---------------------------------------------------------------------------
+def randomize_load(group, rng, frequencies=True) -> None:
+    """Fractional core use (so utilizations are not on a small grid) and,
+    optionally, a random DVFS level per server."""
+    for server in group.servers:
+        server.used_cores = float(rng.uniform(0.0, server.cores))
+        if frequencies:
+            server.frequency = float(rng.choice(DVFS_FREQUENCIES))
+    group.state.invalidate_power(group.state_indices)
+
+
+def loaded_row(seed: int = 1, racks: int = 10):
+    """A row with random loads, every DVFS level, and two dark servers."""
+    row = build_row(0, racks=racks, servers_per_rack=40)
+    randomize_load(row, np.random.default_rng(seed))
+    row.servers[3].fail()
+    row.servers[17].power_off()
+    return row
+
+
+class TestGroupPower:
+    def test_power_sum_is_the_sequential_sum(self):
+        """``cumsum()[-1]`` contract, on a row where it matters."""
+        row = loaded_row()
+        expected = oracles.group_power_watts(row)
+        assert row.power_watts() == expected
+        # Pairwise summation lands on a different float for this row, so
+        # a switch to ``np.sum`` cannot pass unnoticed.
+        assert float(np.sum(row.server_powers())) != expected
+
+    def test_server_powers_match_scalar_model(self):
+        row = loaded_row()
+        assert row.server_powers().tobytes() == oracles.group_server_powers(row).tobytes()
+
+    def test_exotic_exponents_match_scalar_pow(self):
+        """Exact-exponent pow contract: non-{0,1,2} exponents must match
+        CPython's scalar ``**``, which NumPy's SIMD pow does not."""
+        exotic = PowerModelParams(
+            rated_watts=350.0, utilization_exponent=1.3, frequency_power_exponent=2.1
+        )
+        row = build_heterogeneous_row(
+            0,
+            [(160, ServerSpec(power_params=exotic)), (40, ServerSpec())],
+            servers_per_rack=40,
+        )
+        randomize_load(row, np.random.default_rng(11))
+        assert row.server_powers().tobytes() == oracles.group_server_powers(row).tobytes()
+        assert row.power_watts() == oracles.group_power_watts(row)
+        util = np.array([s.utilization for s in row.servers[:160]])
+        assert (util**1.3 != np.array([u**1.3 for u in util.tolist()])).any()
+
+
+def ids(servers):
+    return [s.server_id for s in servers]
+
+
+class TestCappingOrders:
+    @pytest.fixture
+    def tied_row(self):
+        """Pairs of servers with equal load and frequency: every order
+        below has ties that a stable sort must keep in group order."""
+        row = build_row(0, racks=1, servers_per_rack=24)
+        for i, server in enumerate(row.servers):
+            server.used_cores = float((i // 2) % 5 * 3)
+            server.frequency = DVFS_FREQUENCIES[(i // 4) % len(DVFS_FREQUENCIES)]
+        row.servers[6].fail()
+        row.servers[13].power_off()
+        return row
+
+    def test_hottest_first_matches_stable_sort(self, tied_row):
+        capper = CappingEngine(tied_row, Engine())
+        order = capper._live_hottest_first()
+        assert ids(order) == ids(oracles.hottest_first(tied_row))
+        powers = [s.power_watts() for s in order]
+        assert len(set(powers)) < len(powers)  # ties were exercised
+
+    def test_restore_order_matches_stable_sort(self, tied_row):
+        capper = CappingEngine(tied_row, Engine())
+        order = capper._restore_order()
+        assert ids(order) == ids(oracles.restore_order(tied_row))
+        frequencies = [s.frequency for s in order]
+        assert len(set(frequencies)) < len(frequencies)
+
+    def test_slam_victims_match_loop(self, tied_row):
+        capper = CappingEngine(tied_row, Engine())
+        expected = ids(oracles.slam_victims(tied_row))
+        assert ids(capper._slam_victims()) == expected
+        assert capper.slam() == len(expected)
+
+    def test_capped_time_books_match_loop(self, tied_row):
+        capper = CappingEngine(tied_row, Engine(), interval=2.0)
+        reference = oracles.OracleCappingEngine(tied_row, Engine(), interval=2.0)
+        capper._account_capped_time()
+        reference._account_capped_time()
+        assert capper.stats == reference.stats
+        assert list(capper.stats.per_server_capped_seconds) == oracles.capped_time_order(
+            tied_row
+        )
+
+
+class TestIpmiPoll:
+    def test_poll_matches_dict_oracle(self):
+        """Array sweep vs per-endpoint reads on scalar draws (RNG
+        batching contract), through loads, timeouts and staleness."""
+        kwargs = dict(noise_sigma=0.02, failure_rate=0.3, max_fallback_polls=2)
+        row, twin = loaded_row(racks=1), loaded_row(racks=1)
+        fleet = IpmiFleet(row.servers, np.random.default_rng(3), **kwargs)
+        oracle = oracles.IpmiFleetOracle(twin.servers, np.random.default_rng(3), **kwargs)
+        for sweep in range(30):
+            randomize_load(row, np.random.default_rng(sweep), frequencies=False)
+            randomize_load(twin, np.random.default_rng(sweep), frequencies=False)
+            readings = fleet.poll_all()
+            polled = oracle.poll_all()
+            expected = np.array([polled[s.server_id] for s in row.servers])
+            assert readings.tobytes() == expected.tobytes()
+            assert fleet.stale_ids == oracle.stale_ids
+        assert (fleet.total_polls, fleet.total_timeouts) == (
+            oracle.total_polls,
+            oracle.total_timeouts,
+        )
+        assert (fleet.fallbacks_used, fleet.stale_reads) == (
+            oracle.fallbacks_used,
+            oracle.stale_reads,
+        )
+        assert oracle.stale_reads > 0
+        assert fleet.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
+class TestPerServerReadings:
+    @staticmethod
+    def monitor_for(row, **kwargs):
+        monitor = PowerMonitor(Engine(), rng=np.random.default_rng(21), **kwargs)
+        monitor.register_group(row)
+        return monitor
+
+    def test_snapshot_readings_match_loop(self):
+        row = loaded_row()
+        monitor = self.monitor_for(row, noise_sigma=0.02)
+        twin = self.monitor_for(loaded_row(), noise_sigma=0.02)
+        monitor.set_sensor_bias(1.07)
+        twin.set_sensor_bias(1.07)
+        for _ in range(3):
+            assert monitor.snapshot_server_powers(row.name) == (
+                oracles.snapshot_server_powers(twin, row)
+            )
+        assert monitor.rng.bit_generator.state == twin.rng.bit_generator.state
+
+    def test_sweep_readings_match_scalar_draws(self):
+        row = loaded_row(racks=1)
+        monitor = self.monitor_for(row, noise_sigma=0.02, store_per_server=True)
+        rng = np.random.default_rng(21)
+        monitor.sample_once()
+        for server in row.servers:
+            expected = server.power_watts() * (1.0 + 0.02 * rng.standard_normal())
+            (reading,) = monitor.db.query(f"power/server/{server.server_id}")[1]
+            assert reading == expected
+        assert monitor.rng.bit_generator.state == rng.bit_generator.state

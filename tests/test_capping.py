@@ -8,16 +8,15 @@ from repro.cluster.group import ServerGroup
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import make_servers
+from tests.oracles import OracleCappingEngine
 
 
 def loaded_group(n=4, cores_used=16):
     """A group of fully loaded servers."""
-    servers = []
-    for i in range(n):
-        server = make_server(i)
+    servers = make_servers(n)
+    for i, server in enumerate(servers):
         server.add_task(Job(i, 1e6, cores=cores_used, memory_gb=1.0))
-        servers.append(server)
     return ServerGroup("g", servers)
 
 
@@ -221,23 +220,26 @@ class TestCappingUnderFailures:
 
 
 class TestMidTickFailureAcrossBackends:
-    """Regression for the capped-time seam under the vectorized store.
+    """Regression for the capped-time seam under the columnar store.
 
     A capped server that dies *between* two capping control ticks (the
     crash event lands mid-interval, scheduled on the simulation engine)
     must stop accruing capped-server-seconds, come back at full
-    frequency, and produce bit-identical capping books on the object and
-    vectorized backends.
+    frequency, and produce capping books bit-identical to the scalar
+    oracle's. The two backends compared are the production engine
+    (``vectorized``: orders and books from the store's columns) and
+    :class:`~tests.oracles.OracleCappingEngine` (``object``: the
+    per-server loops over ``Server`` objects that it replaced).
     """
 
     @staticmethod
-    def run_scenario(backend):
+    def run_scenario(capper_class=CappingEngine):
         engine = Engine()
-        row = build_row(0, racks=1, servers_per_rack=8, engine_backend=backend)
+        row = build_row(0, racks=1, servers_per_rack=8)
         for i, server in enumerate(row.servers):
             server.add_task(Job(i, 1e6, cores=14, memory_gb=1.0))
         row.power_budget_watts = row.power_watts() * 0.85
-        capper = CappingEngine(row, engine, interval=1.0)
+        capper = capper_class(row, engine, interval=1.0)
         capper.start(until=10.0, first_at=1.0)
 
         trace = {}
@@ -255,9 +257,13 @@ class TestMidTickFailureAcrossBackends:
         engine.run(until=10.0)
         return row, capper, trace
 
-    @pytest.mark.parametrize("backend", ["object", "vectorized"])
-    def test_mid_tick_failure_stops_capped_time(self, backend):
-        row, capper, trace = self.run_scenario(backend)
+    @pytest.mark.parametrize(
+        "capper_class",
+        [OracleCappingEngine, CappingEngine],
+        ids=["object", "vectorized"],
+    )
+    def test_mid_tick_failure_stops_capped_time(self, capper_class):
+        row, capper, trace = self.run_scenario(capper_class)
         victim = trace["victim"]
         # The crash cleared DVFS state immediately (POST at full speed).
         assert victim.failed
@@ -275,8 +281,8 @@ class TestMidTickFailureAcrossBackends:
         assert victim.power_watts() == 0.0
 
     def test_books_byte_identical_across_backends(self):
-        obj_row, obj_capper, obj_trace = self.run_scenario("object")
-        vec_row, vec_capper, vec_trace = self.run_scenario("vectorized")
+        obj_row, obj_capper, obj_trace = self.run_scenario(OracleCappingEngine)
+        vec_row, vec_capper, vec_trace = self.run_scenario()
         assert obj_capper.stats == vec_capper.stats
         assert obj_trace["at_crash"] == vec_trace["at_crash"]
         assert obj_row.power_watts() == vec_row.power_watts()

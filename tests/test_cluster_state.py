@@ -7,48 +7,7 @@ from repro.cluster.datacenter import ServerSpec, build_heterogeneous_row, build_
 from repro.cluster.group import ServerGroup
 from repro.cluster.power import PowerModelParams, server_power_watts
 from repro.cluster.server import Server
-from repro.cluster.state import (
-    BACKEND_ENV_VAR,
-    ClusterState,
-    resolve_backend,
-    set_default_backend,
-    shared_state_of,
-)
-
-
-class TestBackendResolution:
-    def test_default_is_object(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        previous = set_default_backend(None)
-        try:
-            assert resolve_backend() == "object"
-            assert resolve_backend("vectorized") == "vectorized"
-        finally:
-            set_default_backend(previous)
-
-    def test_environment_variable_respected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
-        previous = set_default_backend(None)
-        try:
-            assert resolve_backend() == "vectorized"
-            # Explicit value still wins over the environment.
-            assert resolve_backend("object") == "object"
-        finally:
-            set_default_backend(previous)
-
-    def test_process_default_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
-        previous = set_default_backend("object")
-        try:
-            assert resolve_backend() == "object"
-        finally:
-            set_default_backend(previous)
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterState(backend="gpu")
-        with pytest.raises(ValueError):
-            set_default_backend("gpu")
+from repro.cluster.state import ClusterState, shared_state_of
 
 
 class TestRegistrationAndGrowth:
@@ -80,7 +39,7 @@ class TestRegistrationAndGrowth:
 
 class TestVectorizedMath:
     def test_powers_match_scalar_model_default_exponents(self):
-        state = ClusterState(capacity=8, backend="vectorized")
+        state = ClusterState(capacity=8)
         params = PowerModelParams()
         servers = [Server(i, power_params=params, state=state) for i in range(8)]
         for i, server in enumerate(servers):
@@ -101,7 +60,7 @@ class TestVectorizedMath:
         params = PowerModelParams(
             utilization_exponent=1.3, frequency_power_exponent=2.1
         )
-        state = ClusterState(capacity=8, backend="vectorized")
+        state = ClusterState(capacity=8)
         servers = [Server(i, power_params=params, state=state) for i in range(8)]
         for i, server in enumerate(servers):
             server.used_cores = float(2 * i)
@@ -129,9 +88,7 @@ class TestVectorizedMath:
                 ),
             ),
         ]
-        row = build_heterogeneous_row(
-            0, specs, servers_per_rack=4, engine_backend="vectorized"
-        )
+        row = build_heterogeneous_row(0, specs, servers_per_rack=4)
         expected = np.array(
             [
                 server_power_watts(s.power_params, s.utilization, s.frequency)
@@ -145,7 +102,7 @@ class TestVectorizedMath:
         )
 
     def test_total_power_matches_sequential_sum(self):
-        row = build_row(0, racks=3, servers_per_rack=10, engine_backend="vectorized")
+        row = build_row(0, racks=3, servers_per_rack=10)
         rng = np.random.default_rng(3)
         for server in row.servers:
             server.used_cores = float(rng.integers(0, server.cores))
@@ -156,7 +113,7 @@ class TestVectorizedMath:
         assert state.total_power(np.array([], dtype=np.intp)) == 0.0
 
     def test_dark_servers_draw_zero(self):
-        row = build_row(0, racks=1, servers_per_rack=8, engine_backend="vectorized")
+        row = build_row(0, racks=1, servers_per_rack=8)
         row.servers[2].fail()
         row.servers[5].power_off()
         powers = row.server_powers()
@@ -167,9 +124,9 @@ class TestVectorizedMath:
 
 class TestSharedCache:
     def test_mask_fail_invalidates_object_path_cache(self):
-        """The capped-time seam: after a *batched* fail, object-path
+        """The capped-time seam: after a *batched* fail, per-server
         readers must not serve the old cached wattage."""
-        row = build_row(0, racks=1, servers_per_rack=4, engine_backend="vectorized")
+        row = build_row(0, racks=1, servers_per_rack=4)
         victim = row.servers[1]
         victim.set_frequency(0.6)
         before = victim.power_watts()  # primes the shared cache
@@ -190,21 +147,19 @@ class TestSharedCache:
 
 
 class TestSharedStateDetection:
-    def test_group_of_mixed_states_falls_back_to_object(self):
+    def test_group_of_mixed_states_is_rejected(self):
+        """No per-object fallback: a group must be slots of one store."""
         standalone = [Server(i) for i in range(3)]
-        group = ServerGroup("mixed", standalone)
-        assert group.state is None
-        assert not group.vectorized
-        # The object path still works.
-        assert group.power_watts() == sum(s.power_watts() for s in standalone)
+        with pytest.raises(ValueError, match="share one ClusterState"):
+            ServerGroup("mixed", standalone)
 
     def test_shared_state_of_rejects_mixed(self):
         row = build_row(0, racks=1, servers_per_rack=4)
         state, indices = shared_state_of(row.servers)
         assert state is row.state
         assert list(indices) == [0, 1, 2, 3]
-        state2, _ = shared_state_of(row.servers + [Server(99)])
-        assert state2 is None
+        with pytest.raises(ValueError, match="share one ClusterState"):
+            shared_state_of(row.servers + [Server(99)])
 
     def test_standalone_server_gets_private_slot(self):
         server = Server(7)

@@ -7,7 +7,7 @@ from repro.cluster.group import ServerGroup
 from repro.cluster.rack import Rack
 from repro.cluster.row import Row
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import make_server, make_servers
 
 
 class TestServerGroup:
@@ -16,13 +16,13 @@ class TestServerGroup:
             ServerGroup("empty", [])
 
     def test_default_budget_is_rated_sum(self):
-        servers = [make_server(i) for i in range(4)]
+        servers = make_servers(4)
         group = ServerGroup("g", servers)
         assert group.power_budget_watts == pytest.approx(4 * 250.0)
         assert group.over_provision_ratio == pytest.approx(0.0)
 
     def test_power_sums_members(self):
-        servers = [make_server(i) for i in range(3)]
+        servers = make_servers(3)
         group = ServerGroup("g", servers)
         expected = sum(s.power_watts() for s in servers)
         assert group.power_watts() == pytest.approx(expected)
@@ -34,7 +34,7 @@ class TestServerGroup:
         )
 
     def test_over_provision_scaling_eq16(self):
-        group = ServerGroup("g", [make_server(i) for i in range(8)])
+        group = ServerGroup("g", make_servers(8))
         group.set_over_provision_ratio(0.25)
         assert group.power_budget_watts == pytest.approx(8 * 250.0 / 1.25)
         assert group.over_provision_ratio == pytest.approx(0.25)
@@ -45,7 +45,7 @@ class TestServerGroup:
             group.set_over_provision_ratio(-0.1)
 
     def test_freezing_ratio(self):
-        servers = [make_server(i) for i in range(4)]
+        servers = make_servers(4)
         group = ServerGroup("g", servers)
         assert group.freezing_ratio() == 0.0
         servers[0].freeze()
@@ -64,7 +64,7 @@ class TestServerGroup:
 
 class TestRack:
     def test_rack_assigns_rack_id(self):
-        servers = [make_server(i) for i in range(4)]
+        servers = make_servers(4)
         rack = Rack(7, servers)
         assert all(s.rack_id == 7 for s in servers)
 

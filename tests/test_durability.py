@@ -2,8 +2,9 @@
 
 The headline contract: a simulation snapshotted at time T and restored
 in a fresh process finishes with a result **byte-identical** to the
-uninterrupted run -- on either engine backend, with chaos injected, for
-both the single-row and fleet harnesses. Below it, the snapshot frame
+uninterrupted run -- on the production array loops and on the scalar
+oracle loops, with chaos injected, for both the single-row and fleet
+harnesses. Below it, the snapshot frame
 (magic/version/checksum) rejects every corrupted input with a
 structured error, and the atomic write helper never leaves torn files
 or stray temporaries. Campaign checkpoint directories get the same
@@ -18,6 +19,7 @@ import pytest
 from repro.analysis.serialize import result_to_dict
 from repro.core.safety import SafetyConfig
 from repro.durability import (
+    SNAPSHOT_VERSION,
     SnapshotError,
     atomic_write_bytes,
     atomic_write_text,
@@ -38,8 +40,7 @@ from repro.sim.fleet_experiment import (
     FleetRowSpec,
 )
 from repro.sim.testbed import WorkloadSpec
-
-BACKENDS = ("object", "vectorized")
+from tests import oracles
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -80,7 +81,7 @@ def tiny_fleet_config(**overrides) -> FleetExperimentConfig:
 
 def result_json_without_config(result) -> str:
     """Canonical result document minus the config (which differs when
-    only the auditor/backend knobs change, not the trajectory)."""
+    only the auditor knobs change, not the trajectory)."""
     doc = result_to_dict(result)
     doc.pop("config")
     return json.dumps(doc, sort_keys=True)
@@ -122,6 +123,21 @@ def test_frame_rejects_future_version():
         decode_snapshot(
             json.dumps(doc, sort_keys=True).encode() + b"\n" + rest, "experiment"
         )
+
+
+def test_frame_rejects_version_2_snapshot():
+    """Version 2 frames carried an engine backend in ``ClusterState`` and
+    the header meta; this build refuses them with the version error."""
+    experiment = ControlledExperiment(tiny_config())
+    experiment.start()
+    header, _, payload = experiment.snapshot().partition(b"\n")
+    doc = json.loads(header)
+    assert doc["version"] == SNAPSHOT_VERSION == 3
+    doc["version"] = 2
+    doc["meta"]["backend"] = "object"
+    old_frame = json.dumps(doc, sort_keys=True).encode() + b"\n" + payload
+    with pytest.raises(SnapshotError, match="unsupported snapshot version 2"):
+        ControlledExperiment.restore(old_frame)
 
 
 def test_frame_rejects_kind_mismatch():
@@ -204,9 +220,22 @@ def test_atomic_write_cleans_temp_on_failure(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.fixture(params=["object", "vectorized"])
+def backend(request, monkeypatch):
+    """The hot loops a resume test runs on.
+
+    ``vectorized`` is production: array expressions over the store's
+    columns. ``object`` swaps in the per-server loops of
+    ``tests/oracles.py``, which read nothing but ``Server`` objects, so
+    the resume contract is also held on a path with no derived arrays.
+    """
+    if request.param == "object":
+        oracles.use_oracle_loops(monkeypatch)
+    return request.param
+
+
 def test_experiment_snapshot_resume_is_byte_identical(backend, tmp_path):
-    config = tiny_config(safety=SafetyConfig(), engine_backend=backend)
+    config = tiny_config(safety=SafetyConfig())
     uninterrupted = ControlledExperiment(config).run()
 
     experiment = ControlledExperiment(config)
@@ -221,14 +250,12 @@ def test_experiment_snapshot_resume_is_byte_identical(backend, tmp_path):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_chaos_snapshot_resume_is_byte_identical(backend):
     config = tiny_config(
         duration_hours=1.5,
         warmup_hours=1.0,  # builtin scenario times assume the 1 h warm-up
         faults=builtin_scenarios()["data-chaos"],
         safety=SafetyConfig(),
-        engine_backend=backend,
     )
     uninterrupted = ControlledExperiment(config).run()
 
@@ -241,11 +268,10 @@ def test_chaos_snapshot_resume_is_byte_identical(backend):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_fleet_snapshot_resume_is_byte_identical(backend, tmp_path):
     from repro.analysis.serialize import fleet_result_to_dict
 
-    config = tiny_fleet_config(engine_backend=backend)
+    config = tiny_fleet_config()
     uninterrupted = FleetExperiment(config).run()
 
     experiment = FleetExperiment(config)
@@ -270,6 +296,7 @@ def test_snapshot_header_describes_the_run(tmp_path):
     assert header["meta"]["sim_now"] == 900.0
     assert header["meta"]["n_servers"] == 40
     assert header["meta"]["seed"] == 7
+    assert "backend" not in header["meta"]
 
 
 def test_restore_rejects_wrong_kind(tmp_path):

@@ -12,7 +12,7 @@ from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
 from repro.workload.job import Job
-from tests.conftest import assert_tracker_invariant, make_server, make_servers
+from tests.conftest import assert_tracker_invariant, make_servers
 
 
 def cluster(n=10, seed=0):
@@ -88,7 +88,7 @@ class TestControllerGranularity:
 class TestOverlappingGroups:
     def test_two_groups_over_same_servers_are_consistent(self):
         engine = Engine()
-        servers = [make_server(i) for i in range(8)]
+        servers = make_servers(8)
         whole = ServerGroup("whole", servers)
         half = ServerGroup("half", servers[:4])
         monitor = PowerMonitor(engine, noise_sigma=0.0)

@@ -376,9 +376,27 @@ class TestMonitorOutage:
         assert harness.monitor.violation_count("row") == 1
 
 
+def go_dark(fleet, positions):
+    """Make the BMCs at fleet ``positions`` time out on every poll.
+
+    Their timeout uniforms are forced to 0.0, below any positive failure
+    rate; every other draw is the fleet's own. ``del fleet._draw_batches``
+    brings them back.
+    """
+    fleet.failure_rate = max(fleet.failure_rate, 1e-12)
+    draw = fleet._draw_batches
+
+    def rigged():
+        us, zs = draw()
+        us[positions] = 0.0
+        return us, zs
+
+    fleet._draw_batches = rigged
+
+
 class TestIpmiStalenessBound:
     def _fleet(self, n=3, max_fallback_polls=2):
-        servers = [make_server(i) for i in range(n)]
+        servers = make_servers(n)
         return servers, IpmiFleet(
             servers,
             rng=np.random.default_rng(0),
@@ -389,7 +407,7 @@ class TestIpmiStalenessBound:
 
     def test_carry_through_is_bounded(self):
         servers, fleet = self._fleet(max_fallback_polls=2)
-        fleet.endpoints[0].read_power = lambda: None  # BMC 0 goes dark
+        go_dark(fleet, [0])  # BMC 0 goes dark
         first = fleet.poll_all()
         second = fleet.poll_all()
         # Within the bound: the last known value is replayed.
@@ -404,25 +422,22 @@ class TestIpmiStalenessBound:
 
     def test_successful_poll_clears_staleness(self):
         _, fleet = self._fleet(max_fallback_polls=0)
-        endpoint = fleet.endpoints[0]
-        endpoint.read_power = lambda: None
+        go_dark(fleet, [0])
         assert np.isnan(fleet.poll_all()[0])
         assert fleet.stale_ids == {0}
-        del endpoint.read_power  # the BMC answers again
+        del fleet._draw_batches  # the BMC answers again
         healed = fleet.poll_all()
         assert np.isfinite(healed[0])
         assert fleet.stale_ids == set()
 
     def test_monitor_drops_group_sample_when_all_bmcs_stale(self):
         engine = Engine()
-        servers = [make_server(i) for i in range(3)]
-        group = ServerGroup("row", servers)
+        group = ServerGroup("row", make_servers(3))
         monitor = PowerMonitor(engine, noise_sigma=0.01, ipmi_failure_rate=0.01)
         monitor.register_group(group)
         fleet = monitor._fleets["row"]
         fleet.max_fallback_polls = 0
-        for endpoint in fleet.endpoints.values():
-            endpoint.read_power = lambda: None
+        go_dark(fleet, slice(None))
         monitor.sample_once()
         assert monitor.samples_suppressed == 1
         assert monitor.stale_readings == 3
@@ -431,13 +446,13 @@ class TestIpmiStalenessBound:
 
     def test_partial_staleness_keeps_series_honest(self):
         engine = Engine()
-        servers = [make_server(i) for i in range(3)]
+        servers = make_servers(3)
         group = ServerGroup("row", servers)
         monitor = PowerMonitor(engine, noise_sigma=0.01, ipmi_failure_rate=0.01)
         monitor.register_group(group)
         fleet = monitor._fleets["row"]
         fleet.max_fallback_polls = 0
-        fleet.endpoints[0].read_power = lambda: None  # one dark BMC
+        go_dark(fleet, [0])  # one dark BMC
         monitor.sample_once()
         # The group total is the nansum of the two live readings.
         assert monitor.stale_readings == 1

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from repro.cluster.group import ServerGroup
-from repro.monitor.ipmi import BmcEndpoint, IpmiFleet
+from repro.monitor.ipmi import IpmiFleet
 from repro.monitor.power_monitor import PowerMonitor
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import make_server, make_servers
+from tests.oracles import BmcEndpoint
 
 
 class TestBmcEndpoint:
+    """The scalar single-BMC read the fleet sweep is checked against."""
+
     def test_reading_tracks_true_power(self, rng):
         server = make_server()
         endpoint = BmcEndpoint(server, rng, noise_sigma=0.0, failure_rate=0.0)
@@ -50,16 +53,14 @@ class TestBmcEndpoint:
 
 class TestIpmiFleet:
     def test_poll_all_complete_despite_timeouts(self, rng):
-        servers = [make_server(i) for i in range(20)]
+        servers = make_servers(20)
         fleet = IpmiFleet(servers, rng, failure_rate=0.3)
         for _ in range(10):
             readings = fleet.poll_all()
-            assert set(readings) == {s.server_id for s in servers}
+            assert len(readings) == len(servers)
             # Every reading is a real wattage, except NaN where the BMC
             # blew its bounded fallback budget.
-            assert all(
-                v >= 0 or np.isnan(v) for v in readings.values()
-            )
+            assert all(v >= 0 or np.isnan(v) for v in readings)
         assert fleet.total_timeouts > 0
         # Every timeout is covered: by the last known value while within
         # the fallback budget, as an explicit stale NaN beyond it.
@@ -67,23 +68,34 @@ class TestIpmiFleet:
         assert fleet.fallbacks_used > 0
 
     def test_fallback_uses_last_known(self, rng):
-        server = make_server()
-        fleet = IpmiFleet([server], np.random.default_rng(0),
+        fleet = IpmiFleet([make_server()], np.random.default_rng(0),
                           noise_sigma=0.0, failure_rate=0.0)
         first = fleet.poll_all()[0]
         # Force timeouts from now on.
-        fleet.endpoints[0].failure_rate = 0.9999999
+        fleet.failure_rate = 0.9999999
         assert fleet.poll_all()[0] == first
 
     def test_empty_fleet_rejected(self, rng):
         with pytest.raises(ValueError):
             IpmiFleet([], rng)
 
+    def test_servers_in_different_stores_rejected(self, rng):
+        """No per-endpoint fallback path: the sweep reads one store."""
+        with pytest.raises(ValueError, match="share one ClusterState"):
+            IpmiFleet([make_server(i) for i in range(3)], rng)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"noise_sigma": -1.0}, {"failure_rate": 1.0}, {"quantize_watts": 0.0}],
+    )
+    def test_validation(self, rng, kwargs):
+        with pytest.raises(ValueError):
+            IpmiFleet(make_servers(2), rng, **kwargs)
+
 
 class TestMonitorIntegration:
     def test_monitor_with_ipmi_backend(self, engine, rng):
-        servers = [make_server(i) for i in range(10)]
-        group = ServerGroup("g", servers)
+        group = ServerGroup("g", make_servers(10))
         monitor = PowerMonitor(
             engine, noise_sigma=0.01, rng=rng, ipmi_failure_rate=0.05
         )

@@ -83,19 +83,16 @@ def _straggler_runner(cell: CampaignCell, config: CampaignRunConfig) -> Campaign
     return run_cell(cell, config)
 
 
-def _backend_pinned_fail_once_runner(
+def _config_recording_fail_once_runner(
     cell: CampaignCell, config: CampaignRunConfig
 ) -> CampaignRow:
-    """Transient failure plus the re-dispatch determinism contract: by the
-    time a worker sees the config, the engine backend must be pinned to a
-    concrete value (never None), so a retry on a worker with a different
-    environment cannot resolve to a different backend."""
-    assert config.engine_backend in ("object", "vectorized"), (
-        f"backend not pinned at the worker boundary: {config.engine_backend!r}"
-    )
-    marker = Path(os.environ[FAIL_DIR_ENV]) / f"seen-{cell.seed}-{cell.over_provision_ratio}"
-    if not marker.exists():
-        marker.touch()
+    """Transient failure that keeps what every dispatch received: each
+    attempt pickles its config to disk before the first one raises."""
+    fail_dir = Path(os.environ[FAIL_DIR_ENV])
+    prefix = f"config-{cell.seed}-{cell.over_provision_ratio}"
+    attempt = len(list(fail_dir.glob(f"{prefix}-*")))
+    (fail_dir / f"{prefix}-{attempt}").write_bytes(pickle.dumps(config))
+    if attempt == 0:
         raise OSError("transient failure")
     return run_cell(cell, config)
 
@@ -255,20 +252,27 @@ class TestHardening:
         assert [r.as_record() for r in rows] == [r.as_record() for r in reference]
 
     def test_retry_redispatch_keeps_backend_pinned(self, tmp_path, monkeypatch):
-        """Regression: a retried cell must run under the same (resolved)
-        engine backend as its first dispatch and as the serial reference
-        -- the parent pins the backend into the shipped config."""
+        """Regression: a retried cell must run on exactly what its first
+        dispatch and the serial reference ran on. With one engine left,
+        nothing about the run is resolved on the worker: every attempt
+        receives the parent's config unchanged, and the retried row
+        equals the serial one."""
         monkeypatch.setenv(FAIL_DIR_ENV, str(tmp_path))
         campaign = tiny_campaign(seeds=(3,))
-        assert campaign.run_config.engine_backend is None  # parent resolves it
         rows = run_cells_parallel(
             campaign.cells,
             campaign.run_config,
             max_workers=2,
-            cell_runner=_backend_pinned_fail_once_runner,
+            cell_runner=_config_recording_fail_once_runner,
             retries=1,
         )
         assert all(r.ok for r in rows), [r.error for r in rows]
+        for cell in campaign.cells:
+            prefix = f"config-{cell.seed}-{cell.over_provision_ratio}"
+            received = sorted(tmp_path.glob(f"{prefix}-*"))
+            assert [p.name for p in received] == [f"{prefix}-0", f"{prefix}-1"]
+            for path in received:
+                assert pickle.loads(path.read_bytes()) == campaign.run_config
         reference = [run_cell(cell, campaign.run_config) for cell in campaign.cells]
         assert [r.as_record() for r in rows] == [r.as_record() for r in reference]
 

@@ -5,11 +5,11 @@ import pytest
 from repro.cluster.group import ServerGroup
 from repro.monitor.power_monitor import PowerMonitor
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import make_servers
 
 
 def make_group(name="g", n=4):
-    return ServerGroup(name, [make_server(i) for i in range(n)])
+    return ServerGroup(name, make_servers(n))
 
 
 class TestSampling:

@@ -11,8 +11,7 @@ Four layers of guarantees:
   steps forward returns only well-formed documents, and a full
   invariant audit afterwards is clean (the single-writer queue works).
 - **Byte-identity** -- a manual-step service run driven to the horizon
-  through the HTTP API returns exactly the batch golden result document
-  (both engine backends via ``--engine-backend``).
+  through the HTTP API returns exactly the batch golden result document.
 """
 
 import http.client
@@ -458,7 +457,7 @@ class TestConcurrentReads:
 
 
 # ---------------------------------------------------------------------------
-# Byte-identity: step-mode service run == batch golden (both backends)
+# Byte-identity: step-mode service run == batch golden
 # ---------------------------------------------------------------------------
 
 
@@ -466,8 +465,7 @@ class TestByteIdentity:
     def test_step_mode_service_run_matches_batch_golden(self):
         """Drive the pinned golden config to T purely through the HTTP
         API (uneven steps + finish) and compare the result document
-        byte-for-byte against the batch golden fixture. Runs under
-        whichever engine backend the suite was launched with."""
+        byte-for-byte against the batch golden fixture."""
         from tests.test_golden import golden_config
 
         handle = build_service(

@@ -9,7 +9,7 @@ contract:
 - **Crash recovery** -- a driver killed by an injected advance failure
   is rebuilt by the watchdog from the last verified checkpoint plus WAL
   replay, and the recovered trajectory is *byte-identical* to an
-  uninterrupted run (both engine backends via ``--engine-backend``).
+  uninterrupted run.
 - **Degraded mode** -- while broken, observes serve last-known views
   with ``"degraded": true``, acts are refused with 503 + Retry-After,
   and ``/readyz`` flips not-ready; ``/healthz`` stays 200 throughout.

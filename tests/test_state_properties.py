@@ -1,4 +1,4 @@
-"""Property-based tests (hypothesis) on the vectorized state store.
+"""Property-based tests (hypothesis) on the columnar state store.
 
 The contract under test: for *arbitrary* interleavings of control
 actions (freeze/unfreeze, DVFS cap/thaw, fail/repair, power-off/on,
@@ -6,7 +6,7 @@ task placement/removal) on a randomly shaped fleet, the array store and
 a twin per-object fleet remain in bit-identical states -- same powers,
 same aggregates, same flags -- and the store never violates its own
 invariants (no NaN leaks, dark servers draw 0 W and hold no DVFS cap,
-power conservation between backends).
+power conservation against the per-server model).
 """
 
 import numpy as np
@@ -45,9 +45,9 @@ action_lists = st.lists(actions, min_size=0, max_size=60)
 
 
 def build_twin_fleets(n):
-    """The same fleet twice: shared vectorized store vs per-object stores."""
+    """The same fleet twice: one shared store vs per-server private stores."""
     params = PowerModelParams()
-    shared = ClusterState(capacity=n, backend="vectorized")
+    shared = ClusterState(capacity=n)
     vec = [Server(i, power_params=params, state=shared) for i in range(n)]
     obj = [Server(i, power_params=params) for i in range(n)]
     return shared, vec, obj
@@ -106,7 +106,7 @@ def test_interleavings_leave_twin_fleets_identical(n, ops):
     vec_powers = shared.server_powers(idx)
     obj_powers = np.array([s.power_watts() for s in obj])
     # Bit-identical per-server power and aggregate (power conservation
-    # between backends).
+    # against the per-server model).
     assert vec_powers.tobytes() == obj_powers.tobytes()
     assert shared.total_power(idx) == sum(s.power_watts() for s in obj)
     # Per-field identity through the view API.
