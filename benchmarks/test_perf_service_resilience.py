@@ -20,7 +20,7 @@ How the overhead is isolated: both configurations execute the *bit-for-
 bit identical* physics path (same engine calls, same slice count), so a
 raw wall-clock diff between two sub-second runs on a shared CI box
 measures scheduler luck, not supervision. Instead every run times its
-own ``harness.advance`` calls through an identical shim and charges the
+own ``advance`` calls through an identical proxy and charges the
 configuration with everything *outside* them -- command dispatch, WAL
 appends, snapshot offers, heartbeat stamping, event publishes. The
 resilience cost is the supervised machinery share minus the baseline
@@ -51,8 +51,8 @@ import time
 from pathlib import Path
 
 from repro.durability.atomic import atomic_write_text
+from repro.service import harness_for
 from repro.service.driver import RealTimeDriver
-from repro.service.harness import harness_for
 from repro.service.supervisor import DriverSupervisor, SupervisorConfig
 from repro.service.wal import apply_act
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
@@ -83,35 +83,40 @@ def _experiment() -> ControlledExperiment:
     )
 
 
-def _time_advances(harness) -> dict:
-    """Shim ``harness.advance`` to accumulate pure-simulation time.
+class _TimedRun:
+    """Forwards to a staged run and times its ``advance`` calls.
 
-    Both configurations get the same shim, so its (tiny) per-call cost
-    cancels out of the machinery delta.
+    Both configurations drive the run through the same proxy, so its
+    (tiny) per-call cost cancels out of the machinery delta. A proxy
+    rather than a patched bound method: the run is pickled into every
+    checkpoint, and a closure stored on it would not pickle.
     """
-    acc = {"seconds": 0.0, "calls": 0}
-    inner = harness.advance
 
-    def advance(dt):
+    def __init__(self, run) -> None:
+        self._run = run
+        self.seconds = 0.0
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._run, name)
+
+    def advance(self, until=None):
         started = time.perf_counter()
-        result = inner(dt)
-        acc["seconds"] += time.perf_counter() - started
-        acc["calls"] += 1
+        result = self._run.advance(until)
+        self.seconds += time.perf_counter() - started
+        self.calls += 1
         return result
-
-    harness.advance = advance
-    return acc
 
 
 def _drive(driver: RealTimeDriver, log_act=None) -> None:
     """Step to the horizon with a few operator acts along the way."""
-    horizon = driver.harness.end_seconds
+    horizon = driver.run.end_seconds
     ops = ("freeze", "unfreeze", "freeze")
     for sim_time, op in zip(ACT_TIMES, ops):
         driver.step(until=sim_time)
 
         def act(op=op):
-            doc = apply_act(driver.harness, op, {"group": "experiment"})
+            doc = apply_act(driver.run, op, {"group": "experiment"})
             if log_act is not None:
                 log_act(op, {"group": "experiment"})
             return doc
@@ -121,20 +126,21 @@ def _drive(driver: RealTimeDriver, log_act=None) -> None:
 
 
 def _baseline_once() -> dict:
-    driver = RealTimeDriver(harness_for(_experiment()), mode="manual")
-    advances = _time_advances(driver.harness)
+    advances = _TimedRun(harness_for(_experiment()))
+    driver = RealTimeDriver(advances, mode="manual")
     driver.start()
     started = time.perf_counter()
     _drive(driver)
     total = time.perf_counter() - started
     driver.shutdown()
-    return {"total": total, "advance": advances["seconds"],
-            "calls": advances["calls"]}
+    return {"total": total, "advance": advances.seconds,
+            "calls": advances.calls}
 
 
 def _supervised_once(state_dir: Path) -> dict:
+    advances = _TimedRun(harness_for(_experiment()))
     supervisor = DriverSupervisor(
-        harness_for(_experiment()),
+        advances,
         mode="manual",
         config=SupervisorConfig(
             state_dir=str(state_dir),
@@ -142,7 +148,6 @@ def _supervised_once(state_dir: Path) -> dict:
             verify_snapshots=False,
         ),
     )
-    advances = _time_advances(supervisor.harness)
     supervisor.start()
     started = time.perf_counter()
     _drive(supervisor.driver, log_act=supervisor.log_act)
@@ -150,8 +155,8 @@ def _supervised_once(state_dir: Path) -> dict:
     assert supervisor.wal.last_seq == len(ACT_TIMES)
     assert supervisor.recoveries == 0  # healthy run, no watchdog trips
     supervisor.stop()
-    return {"total": total, "advance": advances["seconds"],
-            "calls": advances["calls"]}
+    return {"total": total, "advance": advances.seconds,
+            "calls": advances.calls}
 
 
 def test_perf_service_resilience_overhead_under_5_percent(tmp_path):

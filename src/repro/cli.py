@@ -74,29 +74,115 @@ SCENARIOS = builtin_scenarios()
 MIXES = builtin_mixes()
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument(
-        "--servers", type=int, default=400, help="fleet size (multiple of 40)"
-    )
+def _add_run_options(
+    parser: argparse.ArgumentParser,
+    *,
+    hours: float,
+    seed: int = 0,
+    servers: bool = True,
+    warmup_hours: Optional[float] = None,
+    ro: bool = False,
+    workload: Optional[str] = None,
+    faults: bool = False,
+    safety: bool = False,
+    capping: bool = False,
+    tenants: bool = False,
+) -> None:
+    """The run-shaping options shared by the subcommands.
+
+    ``hours``, ``seed``, ``warmup_hours`` and ``workload`` are the
+    subcommand's defaults (``None`` leaves the option out); the flags
+    add ``--servers``, ``--ro``, ``--faults``, ``--safety``,
+    ``--capping`` and the tenancy options. :func:`_run_fields` turns the parsed values into
+    config fields.
+    """
+    parser.add_argument("--seed", type=int, default=seed, help="master RNG seed")
+    if servers:
+        parser.add_argument(
+            "--servers", type=int, default=400, help="fleet size (multiple of 40)"
+        )
+    parser.add_argument("--hours", type=float, default=hours)
+    if warmup_hours is not None:
+        parser.add_argument(
+            "--warmup-hours",
+            type=float,
+            default=warmup_hours,
+            help="warm-up before monitoring/control begin",
+        )
+    if ro:
+        parser.add_argument(
+            "--ro", type=float, default=0.25, help="over-provision ratio"
+        )
+    if workload is not None:
+        parser.add_argument(
+            "--workload", choices=sorted(WORKLOADS), default=workload
+        )
+    if faults:
+        parser.add_argument(
+            "--faults",
+            choices=sorted(SCENARIOS),
+            default=None,
+            help="inject a named fault scenario (repro.faults)",
+        )
+    if safety:
+        parser.add_argument(
+            "--safety",
+            action="store_true",
+            help="arm the breaker model and the emergency safety ladder "
+            "(repro.core.safety)",
+        )
+    if capping:
+        parser.add_argument(
+            "--capping", action="store_true", help="enable the DVFS capping safety net"
+        )
+    if tenants:
+        parser.add_argument(
+            "--tenants",
+            choices=sorted(MIXES),
+            default=None,
+            metavar="MIX",
+            help="tag the run with a builtin tenant mix "
+            f"({', '.join(sorted(MIXES))}; default: untenanted)",
+        )
+        parser.add_argument(
+            "--tenancy-policy",
+            choices=TENANCY_POLICIES,
+            default=None,
+            help="freeze-fairness policy for the tenant mix "
+            "(default: the mix's own, 'fair')",
+        )
 
 
-def _add_tenancy_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tenants",
-        choices=sorted(MIXES),
-        default=None,
-        metavar="MIX",
-        help="tag the run with a builtin tenant mix "
-        f"({', '.join(sorted(MIXES))}; default: untenanted)",
-    )
-    parser.add_argument(
-        "--tenancy-policy",
-        choices=TENANCY_POLICIES,
-        default=None,
-        help="freeze-fairness policy for the tenant mix "
-        "(default: the mix's own, 'fair')",
-    )
+def _run_fields(args: argparse.Namespace, *names: str) -> dict:
+    """Config fields set by the shared run options present on ``args``.
+
+    Field names are those of :class:`ExperimentConfig` (and, where they
+    exist there, of the fleet and campaign configs); ``names`` keeps
+    only those fields.
+    """
+    from repro.core.safety import SafetyConfig
+
+    present = vars(args)
+    fields = {"seed": args.seed, "duration_hours": args.hours}
+    if "servers" in present:
+        fields["n_servers"] = args.servers
+    if "warmup_hours" in present:
+        fields["warmup_hours"] = args.warmup_hours
+    if "ro" in present:
+        fields["over_provision_ratio"] = args.ro
+    if "workload" in present:
+        fields["workload"] = WORKLOADS[args.workload]()
+    if "faults" in present:
+        fields["faults"] = SCENARIOS[args.faults] if args.faults else None
+    if "safety" in present:
+        fields["safety"] = SafetyConfig() if args.safety else None
+    if "capping" in present:
+        fields["capping_enabled"] = args.capping
+    if "tenants" in present:
+        fields["tenancy"] = _tenancy_config(args)
+    if names:
+        fields = {name: fields[name] for name in names}
+    return fields
 
 
 def _tenancy_config(args: argparse.Namespace) -> Optional[TenancyConfig]:
@@ -132,36 +218,18 @@ def build_parser() -> argparse.ArgumentParser:
         aliases=["run"],
         help="run one controlled A/B experiment (Section 4.2)",
     )
-    _add_common(experiment)
-    experiment.add_argument("--hours", type=float, default=24.0)
-    experiment.add_argument("--ro", type=float, default=0.25, help="over-provision ratio")
-    experiment.add_argument(
-        "--workload", choices=sorted(WORKLOADS), default="heavy"
+    _add_run_options(
+        experiment, hours=24.0, ro=True, workload="heavy",
+        faults=True, safety=True, capping=True, tenants=True,
     )
     experiment.add_argument(
         "--no-ampere", action="store_true", help="disable the controller"
-    )
-    experiment.add_argument(
-        "--capping", action="store_true", help="enable the DVFS capping safety net"
     )
     experiment.add_argument(
         "--scale-experiment-only",
         action="store_true",
         help="Section 4.4 mode: control group keeps the rated budget",
     )
-    experiment.add_argument(
-        "--faults",
-        choices=sorted(SCENARIOS),
-        default=None,
-        help="inject a named control-plane fault scenario (repro.faults)",
-    )
-    experiment.add_argument(
-        "--safety",
-        action="store_true",
-        help="arm the breaker model and the emergency safety ladder "
-        "(repro.core.safety)",
-    )
-    _add_tenancy_args(experiment)
     experiment.add_argument(
         "--save-snapshot",
         type=str,
@@ -172,24 +240,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = sub.add_parser("sweep", help="G_TPW sweep over r_O (Table 3 / Section 4.4)")
-    _add_common(sweep)
-    sweep.add_argument("--hours", type=float, default=12.0)
+    _add_run_options(sweep, hours=12.0, workload="typical")
     sweep.add_argument(
         "--ratios", type=float, nargs="+", default=[0.13, 0.17, 0.21, 0.25]
     )
-    sweep.add_argument("--workload", choices=sorted(WORKLOADS), default="typical")
 
     calibrate = sub.add_parser(
         "calibrate", help="measure f(u) and fit k_r (Section 3.4 / Figure 5)"
     )
-    _add_common(calibrate)
-    calibrate.add_argument("--hours", type=float, default=12.0)
+    _add_run_options(calibrate, hours=12.0)
 
     interactive = sub.add_parser(
         "interactive", help="capping vs Ampere tail latency (Figure 11)"
     )
-    _add_common(interactive)
-    interactive.add_argument("--hours", type=float, default=2.0)
+    _add_run_options(interactive, hours=2.0)
 
     trace = sub.add_parser(
         "trace", help="multi-row power characterization (Section 2.2)"
@@ -201,9 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     advise = sub.add_parser(
         "advise", help="recommend r_O from a simulated power history (Section 4.4)"
     )
-    _add_common(advise)
-    advise.add_argument("--hours", type=float, default=12.0)
-    advise.add_argument("--workload", choices=sorted(WORKLOADS), default="typical")
+    _add_run_options(advise, hours=12.0, workload="typical")
     advise.add_argument(
         "--ratios", type=float, nargs="+", default=[0.13, 0.17, 0.21, 0.25]
     )
@@ -211,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = sub.add_parser(
         "campaign", help="run a grid of Section 4.4 cells (the Table 3 study)"
     )
-    _add_common(campaign)
-    campaign.add_argument("--hours", type=float, default=12.0)
+    _add_run_options(campaign, hours=12.0, faults=True, safety=True, tenants=True)
     campaign.add_argument(
         "--ratios", type=float, nargs="+", default=[0.13, 0.17, 0.21, 0.25]
     )
@@ -232,17 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shorthand for --workers <cpu count>",
     )
     campaign.add_argument(
-        "--faults",
-        choices=sorted(SCENARIOS),
-        default=None,
-        help="apply a named fault scenario to every cell (chaos sweeps)",
-    )
-    campaign.add_argument(
-        "--safety",
-        action="store_true",
-        help="arm the breaker model and emergency safety ladder in every cell",
-    )
-    campaign.add_argument(
         "--fleet-policy",
         choices=POLICY_NAMES,
         default=None,
@@ -258,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cold-row intensity as a fraction of the cell workload "
         "(fleet cells only)",
     )
-    _add_tenancy_args(campaign)
     campaign.add_argument(
         "--checkpoint-dir",
         type=str,
@@ -311,15 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-row facility A/B: static split vs dynamic "
         "budget reallocation (repro.fleet)",
     )
-    fleet.add_argument("--seed", type=int, default=7, help="master RNG seed")
+    _add_run_options(
+        fleet, hours=6.0, seed=7, servers=False, ro=True, tenants=True
+    )
     fleet.add_argument(
         "--servers-per-row",
         type=int,
         default=80,
         help="row size (multiple of 40); the fleet has one hot and one cold row",
     )
-    fleet.add_argument("--hours", type=float, default=6.0)
-    fleet.add_argument("--ro", type=float, default=0.25, help="over-provision ratio")
     fleet.add_argument(
         "--policies",
         nargs="+",
@@ -346,24 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the per-policy result documents to PATH",
     )
-    _add_tenancy_args(fleet)
 
     tenancy_ab = sub.add_parser(
         "tenancy-ab",
         help="seeded A/B of the blind vs fair freeze policies on one "
         "tenant mix (repro.tenancy)",
     )
-    _add_common(tenancy_ab)
-    tenancy_ab.add_argument("--hours", type=float, default=3.0)
-    tenancy_ab.add_argument(
-        "--warmup-hours", type=float, default=0.5,
-        help="warm-up before monitoring/control begin",
-    )
-    tenancy_ab.add_argument(
-        "--ro", type=float, default=0.25, help="over-provision ratio"
-    )
-    tenancy_ab.add_argument(
-        "--workload", choices=sorted(WORKLOADS), default="heavy"
+    _add_run_options(
+        tenancy_ab, hours=3.0, warmup_hours=0.5, ro=True, workload="heavy"
     )
     tenancy_ab.add_argument(
         "--tenants",
@@ -378,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a telemetry-enabled experiment and print its metrics "
         "(Prometheus text format)",
     )
-    _add_telemetry_run_args(metrics)
+    _add_run_options(metrics, hours=2.0, ro=True, workload="heavy", faults=True)
     metrics.add_argument(
         "--json",
         type=str,
@@ -399,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a telemetry-enabled experiment and summarize its "
         "control-loop span traces",
     )
-    _add_telemetry_run_args(spans)
+    _add_run_options(spans, hours=2.0, ro=True, workload="heavy", faults=True)
     spans.add_argument(
         "--name",
         type=str,
@@ -419,31 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one experiment as a live service: REST API, SSE event "
         "stream and HTML dashboard (repro.service)",
     )
-    _add_common(serve)
-    serve.add_argument("--hours", type=float, default=2.0)
-    serve.add_argument(
-        "--warmup-hours",
-        type=float,
-        default=0.5,
-        help="warm-up before monitoring/control begin",
-    )
-    serve.add_argument("--ro", type=float, default=0.25, help="over-provision ratio")
-    serve.add_argument(
-        "--workload", choices=sorted(WORKLOADS), default="heavy"
-    )
-    serve.add_argument(
-        "--faults",
-        choices=sorted(SCENARIOS),
-        default=None,
-        help="build-time fault scenario (more can be armed via the API)",
-    )
-    serve.add_argument(
-        "--safety",
-        action="store_true",
-        help="arm the breaker model and the emergency safety ladder",
-    )
-    serve.add_argument(
-        "--capping", action="store_true", help="enable the DVFS capping net"
+    _add_run_options(
+        serve, hours=2.0, warmup_hours=0.5, ro=True, workload="heavy",
+        faults=True, safety=True, capping=True, tenants=True,
     )
     serve.add_argument(
         "--audit",
@@ -468,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="demand-following",
         help="reallocation policy of the served fleet run",
     )
-    _add_tenancy_args(serve)
     serve.add_argument(
         "--golden",
         action="store_true",
@@ -541,20 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
         "replay); experiment-building flags are ignored",
     )
     return parser
-
-
-def _add_telemetry_run_args(parser: argparse.ArgumentParser) -> None:
-    """Shared arguments of the ``metrics`` and ``spans`` commands."""
-    _add_common(parser)
-    parser.add_argument("--hours", type=float, default=2.0)
-    parser.add_argument("--ro", type=float, default=0.25, help="over-provision ratio")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="heavy")
-    parser.add_argument(
-        "--faults",
-        choices=sorted(SCENARIOS),
-        default=None,
-        help="inject a named control-plane fault scenario",
-    )
 
 
 def _print_facility_line(result: ExperimentResult) -> None:
@@ -661,20 +663,10 @@ def _print_tenancy_report(stats) -> None:
 
 # ---------------------------------------------------------------------------
 def cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.core.safety import SafetyConfig
-
     config = ExperimentConfig(
-        n_servers=args.servers,
-        duration_hours=args.hours,
-        over_provision_ratio=args.ro,
-        workload=WORKLOADS[args.workload](),
+        **_run_fields(args),
         ampere_enabled=not args.no_ampere,
-        capping_enabled=args.capping,
         scale_control_budget=not args.scale_experiment_only,
-        seed=args.seed,
-        faults=SCENARIOS[args.faults] if args.faults else None,
-        safety=SafetyConfig() if args.safety else None,
-        tenancy=_tenancy_config(args),
     )
     experiment = ControlledExperiment(config)
     result = experiment.run()
@@ -699,12 +691,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for r_o in args.ratios:
         config = ExperimentConfig(
-            n_servers=args.servers,
-            duration_hours=args.hours,
+            **_run_fields(args),
             over_provision_ratio=r_o,
             scale_control_budget=False,
-            workload=WORKLOADS[args.workload](),
-            seed=args.seed,
         )
         result = ControlledExperiment(config).run()
         summary = result.experiment.summary
@@ -744,12 +733,7 @@ def cmd_interactive(args: argparse.Namespace) -> int:
         run_interactive_comparison,
     )
 
-    config = InteractiveExperimentConfig(
-        n_servers=args.servers,
-        duration_hours=args.hours,
-        warmup_hours=0.5,
-        seed=args.seed,
-    )
+    config = InteractiveExperimentConfig(**_run_fields(args), warmup_hours=0.5)
     results = run_interactive_comparison(config)
     rows = []
     for op in results["capping"].reports:
@@ -779,12 +763,7 @@ def cmd_advise(args: argparse.Namespace) -> int:
 
     history = ControlledExperiment(
         ExperimentConfig(
-            n_servers=args.servers,
-            duration_hours=args.hours,
-            over_provision_ratio=0.0,
-            ampere_enabled=False,
-            workload=WORKLOADS[args.workload](),
-            seed=args.seed,
+            **_run_fields(args), over_provision_ratio=0.0, ampere_enabled=False
         )
     ).run()
     advice = recommend_over_provision_ratio(
@@ -812,7 +791,6 @@ def cmd_advise(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.core.safety import SafetyConfig
     from repro.fleet.config import FleetConfig
     from repro.sim.campaign import Campaign, CampaignCell, CampaignRow
     from repro.sim.checkpoint import CheckpointError
@@ -825,13 +803,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     campaign = Campaign(
         ratios=tuple(args.ratios),
         seeds=tuple(args.seeds),
-        n_servers=args.servers,
-        duration_hours=args.hours,
-        faults=SCENARIOS[args.faults] if args.faults else None,
-        safety=SafetyConfig() if args.safety else None,
         fleet=fleet,
         fleet_skew=args.fleet_skew,
-        tenancy=_tenancy_config(args),
+        **_run_fields(
+            args, "n_servers", "duration_hours", "faults", "safety", "tenancy"
+        ),
     )
     workers: Optional[int] = args.workers
     if workers is not None and workers < 1:
@@ -946,33 +922,25 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.sim.fleet_experiment import (
-        FleetExperimentConfig,
-        FleetRowSpec,
-        run_fleet_ab,
+def _hot_cold_rows(n_servers: int, hot_util: float = 0.40, cold_util: float = 0.06):
+    """The two-row fleet of ``fleet`` and ``serve --fleet``: one bursty
+    hot row and one cold (donor) row."""
+    from repro.sim.fleet_experiment import FleetRowSpec
+
+    hot = WorkloadSpec(target_utilization=hot_util, bursts_per_day=4.0, burst_factor=1.3)
+    return (
+        FleetRowSpec(n_servers=n_servers, workload=hot),
+        FleetRowSpec(n_servers=n_servers, workload=WorkloadSpec(target_utilization=cold_util)),
     )
 
+
+def cmd_fleet(args: argparse.Namespace) -> int:
+    from repro.sim.fleet_experiment import FleetExperimentConfig, run_fleet_ab
+
     config = FleetExperimentConfig(
-        rows=(
-            FleetRowSpec(
-                n_servers=args.servers_per_row,
-                workload=WorkloadSpec(
-                    target_utilization=args.hot_util,
-                    bursts_per_day=4.0,
-                    burst_factor=1.3,
-                ),
-            ),
-            FleetRowSpec(
-                n_servers=args.servers_per_row,
-                workload=WorkloadSpec(target_utilization=args.cold_util),
-            ),
-        ),
-        duration_hours=args.hours,
+        rows=_hot_cold_rows(args.servers_per_row, args.hot_util, args.cold_util),
         warmup_hours=min(1.0, args.hours / 4.0),
-        over_provision_ratio=args.ro,
-        seed=args.seed,
-        tenancy=_tenancy_config(args),
+        **_run_fields(args),
     )
     results = run_fleet_ab(config, policies=tuple(args.policies))
     rows = []
@@ -1028,17 +996,11 @@ def cmd_tenancy_ab(args: argparse.Namespace) -> int:
     from repro.core.safety import SafetyConfig
 
     config = ExperimentConfig(
-        n_servers=args.servers,
-        duration_hours=args.hours,
-        warmup_hours=args.warmup_hours,
-        over_provision_ratio=args.ro,
-        workload=WORKLOADS[args.workload](),
+        **_run_fields(args),
         scale_control_budget=False,
-        seed=args.seed,
         # The breaker ladder is armed so "fairness did not cost safety"
         # is part of the printed comparison, matching the pinned test.
         safety=SafetyConfig(),
-        tenancy=MIXES[args.tenants],
     )
     results = run_tenancy_ab(config)
     for policy, result in results.items():
@@ -1064,15 +1026,7 @@ def cmd_tenancy_ab(args: argparse.Namespace) -> int:
 def _run_telemetry_experiment(args: argparse.Namespace) -> ControlledExperiment:
     """Build and run the telemetry-enabled experiment behind
     ``metrics``/``spans``. Returns the experiment (registry + tracer)."""
-    config = ExperimentConfig(
-        n_servers=args.servers,
-        duration_hours=args.hours,
-        over_provision_ratio=args.ro,
-        workload=WORKLOADS[args.workload](),
-        seed=args.seed,
-        faults=SCENARIOS[args.faults] if args.faults else None,
-        telemetry_enabled=True,
-    )
+    config = ExperimentConfig(**_run_fields(args), telemetry_enabled=True)
     experiment = ControlledExperiment(config)
     experiment.run()
     return experiment
@@ -1173,7 +1127,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from repro.core.safety import SafetyConfig
     from repro.service import SupervisorConfig, build_service
     from repro.sim.audit import AuditorConfig
 
@@ -1207,54 +1160,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         experiment = ControlledExperiment(config)
     elif args.fleet:
-        from repro.sim.fleet_experiment import (
-            FleetExperiment,
-            FleetExperimentConfig,
-            FleetRowSpec,
-        )
         from repro.fleet.config import FleetConfig
+        from repro.sim.fleet_experiment import FleetExperiment, FleetExperimentConfig
 
         fleet_config = FleetExperimentConfig(
-            rows=(
-                FleetRowSpec(
-                    n_servers=args.servers,
-                    workload=WorkloadSpec(
-                        target_utilization=0.40,
-                        bursts_per_day=4.0,
-                        burst_factor=1.3,
-                    ),
-                ),
-                FleetRowSpec(
-                    n_servers=args.servers,
-                    workload=WorkloadSpec(target_utilization=0.06),
-                ),
-            ),
-            duration_hours=args.hours,
-            warmup_hours=args.warmup_hours,
-            over_provision_ratio=args.ro,
+            rows=_hot_cold_rows(args.servers),
             fleet=FleetConfig(policy=args.fleet_policy),
-            seed=args.seed,
-            safety=SafetyConfig() if args.safety else None,
-            faults=SCENARIOS[args.faults] if args.faults else None,
             telemetry_enabled=not args.no_telemetry,
             auditor=AuditorConfig() if args.audit else None,
-            tenancy=_tenancy_config(args),
+            **_run_fields(
+                args, "seed", "duration_hours", "warmup_hours",
+                "over_provision_ratio", "faults", "safety", "tenancy",
+            ),
         )
         experiment = FleetExperiment(fleet_config)
     else:
         config = ExperimentConfig(
-            n_servers=args.servers,
-            duration_hours=args.hours,
-            warmup_hours=args.warmup_hours,
-            over_provision_ratio=args.ro,
-            workload=WORKLOADS[args.workload](),
-            capping_enabled=args.capping,
-            seed=args.seed,
-            faults=SCENARIOS[args.faults] if args.faults else None,
-            safety=SafetyConfig() if args.safety else None,
+            **_run_fields(args),
             telemetry_enabled=not args.no_telemetry,
             auditor=AuditorConfig() if args.audit else None,
-            tenancy=_tenancy_config(args),
         )
         experiment = ControlledExperiment(config)
 

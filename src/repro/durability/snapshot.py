@@ -15,7 +15,7 @@ Frame layout
 One UTF-8 JSON header line, then the raw pickle payload::
 
     {"kind": "experiment", "magic": "repro-snapshot", "meta": {...},
-     "payload_bytes": N, "payload_sha256": "...", "version": 3}\\n
+     "payload_bytes": N, "payload_sha256": "...", "version": 4}\\n
     <N bytes of pickle>
 
 The header is readable without unpickling anything (``read_header``),
@@ -28,19 +28,25 @@ snapshotting the same state twice yields the same bytes.
 Canonical encoding
 ------------------
 Payloads are produced by a *canonical* pickler that deduplicates equal
-``str``/``bytes`` atoms by value instead of by object identity. Plain
-pickle memoizes by ``id()``, so a graph in which two dicts share one
-interned ``'violations'`` string serializes differently from the same
-logical graph where those are two equal-but-distinct strings -- exactly
-what a snapshot/restore round trip produces (the unpickler materializes
-fresh, un-interned strings). Value-keyed deduplication of immutable
-atoms erases that history, so *equal logical state encodes to equal
-bytes even across restore boundaries* -- the property the self-healing
-service leans on to prove a crash-recovered run byte-identical to an
-uninterrupted one. Mutable containers keep identity-based memoization:
-their sharing structure is semantically meaningful (merging two equal
-dicts would alias future mutations) and is preserved exactly by a
-round trip anyway.
+``str``/``bytes`` atoms and numpy dtypes by value instead of by object
+identity. Plain pickle memoizes by ``id()``, so a graph in which two
+dicts share one interned ``'violations'`` string serializes differently
+from the same logical graph where those are two equal-but-distinct
+strings -- exactly what a snapshot/restore round trip produces (the
+unpickler materializes fresh, un-interned strings). Value-keyed
+deduplication of immutable atoms erases that history, so *equal logical
+state encodes to equal bytes even across restore boundaries* -- the
+property the self-healing service leans on to prove a crash-recovered
+run byte-identical to an uninterrupted one. Dtypes need it too: arrays
+built after a restore carry numpy's own dtype instance while the
+restored arrays carry the unpickled copy, so without it a run collected
+after a restore encodes one more dtype than the uninterrupted run. Sets
+are written with their members sorted: a set's iteration order follows
+its insertion and removal history, which a restore (rebuilding it
+fresh) does not keep. Mutable containers keep identity-based
+memoization: their sharing structure is semantically meaningful
+(merging two equal dicts would alias future mutations) and is preserved
+exactly by a round trip anyway.
 
 Security note: the payload is a pickle. Restoring executes arbitrary
 code embedded in the file, exactly like loading any pickle; only restore
@@ -57,6 +63,8 @@ import pickle
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.durability.atomic import atomic_write_bytes
 
 #: Frame magic; also the snapshot files' conventional ``.snap`` stem.
@@ -64,12 +72,19 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 
 #: Current frame layout version. Bump on any incompatible change (2: the
 #: tracker's mirror arrays and the profiles' numpy windows are gone; 3:
-#: ``ClusterState`` and the header meta no longer carry an engine backend).
-SNAPSHOT_VERSION = 3
+#: ``ClusterState`` and the header meta no longer carry an engine backend;
+#: 4: both run shapes are ``StagedRun``s -- per-group registries, the
+#: runtime-armed injectors on the run, ``n_groups`` in the header meta).
+SNAPSHOT_VERSION = 4
 
 #: Pickle protocol pinned for stable output within a Python version
 #: (``HIGHEST_PROTOCOL`` may move under our feet on an interpreter bump).
 _PICKLE_PROTOCOL = 5
+
+
+#: the metaclass of every numpy dtype class: an identity test on it is
+#: far cheaper than ``isinstance(obj, np.dtype)`` on every pickled object
+_DTYPE_META = type(np.dtype)
 
 
 class SnapshotError(RuntimeError):
@@ -77,23 +92,48 @@ class SnapshotError(RuntimeError):
 
 
 class _CanonicalPickler(pickle._Pickler):
-    """Pickler that dedups equal ``str``/``bytes`` by value, not identity.
+    """Pickler that dedups equal ``str``/``bytes``/dtypes by value and
+    writes set members in sorted order.
 
     Built on the pure-Python pickler so ``save`` can be intercepted: every
-    string/bytes object is swapped for the first equal instance seen, after
-    which the normal identity memo turns repeats into GET opcodes. Only
-    immutable atoms are canonicalized -- aliasing them is unobservable --
-    so the stream stays a standard pickle and loads with ``pickle.loads``.
+    string/bytes object and every metadata-free numpy dtype is swapped for
+    the first equal instance seen, after which the normal identity memo
+    turns repeats into GET opcodes. Only immutable values are
+    canonicalized -- aliasing them is unobservable -- so the stream stays
+    a standard pickle and loads with ``pickle.loads``.
     """
 
     def __init__(self, file, protocol):
         super().__init__(file, protocol)
         self._intern: Dict[Any, Any] = {}
+        # Separate from _intern: a dtype compares equal to its name string.
+        self._dtypes: Dict[np.dtype, np.dtype] = {}
 
     def save(self, obj, save_persistent_id=True):
-        if type(obj) in (str, bytes):
+        kind = type(obj)
+        if kind in (str, bytes):
             obj = self._intern.setdefault(obj, obj)
+        elif type(kind) is _DTYPE_META and obj.metadata is None:
+            obj = self._dtypes.setdefault(obj, obj)
         return super().save(obj, save_persistent_id)
+
+    def save_set(self, obj):
+        # The protocol-4+ layout of pickle._Pickler.save_set, with the
+        # members in sorted order (iteration order when unorderable).
+        self.write(pickle.EMPTY_SET)
+        self.memoize(obj)
+        try:
+            items = sorted(obj)
+        except TypeError:
+            items = list(obj)
+        for start in range(0, len(items), self._BATCHSIZE):
+            self.write(pickle.MARK)
+            for item in items[start : start + self._BATCHSIZE]:
+                self.save(item)
+            self.write(pickle.ADDITEMS)
+
+    dispatch = dict(pickle._Pickler.dispatch)
+    dispatch[set] = save_set
 
     def memoize(self, obj):
         # The pure-Python pickler writes PickleBuffer payloads through
@@ -118,6 +158,14 @@ def canonical_dumps(obj: Any) -> bytes:
     buffer = io.BytesIO()
     _CanonicalPickler(buffer, _PICKLE_PROTOCOL).dump(obj)
     return buffer.getvalue()
+
+
+# CPython keeps frames in 16 KiB chunks and frees a chunk when its first
+# frame returns, so the pickler's deep recursion can bounce across a chunk
+# edge, allocating and freeing a chunk per call: one 400-server encode took
+# 30-390 ms by caller stack depth alone. 16,000 reserved stack slots make
+# this frame open a fresh 256 KiB chunk with room for the whole recursion.
+canonical_dumps.__code__ = canonical_dumps.__code__.replace(co_stacksize=16_000)
 
 
 def encode_snapshot(

@@ -17,7 +17,7 @@ the fast control loops into a breaker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping
 
 #: relative slack for floating-point conservation checks
@@ -165,18 +165,12 @@ class BudgetLedger:
         self.frozen_since = float("nan")
 
     # ------------------------------------------------------------------
-    def apply(self, allocations: Mapping[str, float]) -> float:
-        """Adopt a complete assignment, or raise without changing anything.
-
-        Returns the total watts moved (half the L1 distance from the
-        previous assignment -- every watt gained by one row left
-        another).
-        """
+    def check(self, allocations: Mapping[str, float]) -> None:
+        """Raise :class:`LedgerError` unless ``allocations`` could be
+        applied now; changes nothing, not even the stats."""
         if self.frozen:
-            self.stats.rejected += 1
             raise LedgerError("ledger is frozen (coordinator blackout)")
         if set(allocations) != set(self._rows):
-            self.stats.rejected += 1
             raise LedgerError(
                 f"assignment names {sorted(allocations)} != ledger rows "
                 f"{self.row_names}"
@@ -187,24 +181,36 @@ class BudgetLedger:
             row = self._rows[name]
             watts = float(allocations[name])
             if watts < row.floor_watts - slack:
-                self.stats.rejected += 1
                 raise LedgerError(
                     f"{name!r}: {watts:.1f} W is below the safety floor "
                     f"{row.floor_watts:.1f} W"
                 )
             if watts > row.rating_watts + slack:
-                self.stats.rejected += 1
                 raise LedgerError(
                     f"{name!r}: {watts:.1f} W exceeds the feed rating "
                     f"{row.rating_watts:.1f} W"
                 )
             total += watts
         if total > self.facility_budget_watts + slack:
-            self.stats.rejected += 1
             raise LedgerError(
                 f"assignment sums to {total:.1f} W, above the facility "
                 f"budget {self.facility_budget_watts:.1f} W"
             )
+
+    def apply(self, allocations: Mapping[str, float]) -> float:
+        """Adopt a complete assignment, or raise without changing anything
+        but the ``rejected`` count.
+
+        Returns the total watts moved (half the L1 distance from the
+        previous assignment -- every watt gained by one row left
+        another).
+        """
+        try:
+            self.check(allocations)
+        except LedgerError:
+            self.stats.rejected += 1
+            raise
+        slack = self.facility_budget_watts * LEDGER_RTOL
         moved = 0.5 * sum(
             abs(float(allocations[name]) - self._rows[name].allocation_watts)
             for name in self.row_names

@@ -1,14 +1,17 @@
 """repro.service: the live control-plane service over a staged run.
 
-The batch harnesses answer "what happened"; this package answers "what
-is happening" -- it runs a :class:`~repro.sim.experiment.ControlledExperiment`
-or :class:`~repro.sim.fleet_experiment.FleetExperiment` as a long-lived
-process and exposes observe/act surfaces over HTTP, stdlib-only.
+The batch runs answer "what happened"; this package answers "what is
+happening" -- it runs a :class:`~repro.sim.staged.StagedRun` (a
+single-row :class:`~repro.sim.experiment.ControlledExperiment` or a
+multi-row :class:`~repro.sim.fleet_experiment.FleetExperiment`) as a
+long-lived process and exposes observe/act surfaces over HTTP,
+stdlib-only. The run is its own service surface -- groups, schedulers,
+controllers, breakers, ledger, eventlog and runtime fault arming are
+StagedRun methods -- so every module below takes the run directly and
+never branches on its shape.
 
 Layers, bottom up:
 
-- :mod:`repro.service.harness` -- one adapter shape over both staged
-  experiment kinds (groups, controllers, breakers, ledger, eventlog).
 - :mod:`repro.service.driver` -- the single-writer simulation thread
   with its bounded command queue; real, accelerated and manual-step
   pacing; heartbeat and auto-snapshot hooks.
@@ -49,13 +52,6 @@ from repro.service.driver import (
     EventBus,
     RealTimeDriver,
 )
-from repro.service.harness import (
-    ExperimentHarness,
-    FleetHarness,
-    HarnessError,
-    SingleRowHarness,
-    harness_for,
-)
 from repro.service.supervisor import (
     DriverSupervisor,
     SupervisorConfig,
@@ -63,8 +59,23 @@ from repro.service.supervisor import (
     load_resume_state,
 )
 from repro.service.wal import ActWal, apply_act
+from repro.sim.staged import StagedRun
 
 logger = logging.getLogger(__name__)
+
+
+def harness_for(run) -> StagedRun:
+    """The run itself, once checked to be a :class:`StagedRun`.
+
+    A run is its own service surface, so this is only the type check at
+    the service's entry; perfbench/worker.py imports it by this name.
+    """
+    if not isinstance(run, StagedRun):
+        raise TypeError(
+            f"no service surface on {type(run).__name__}; expected a StagedRun "
+            "(ControlledExperiment or FleetExperiment)"
+        )
+    return run
 
 
 class ServiceHandle:
@@ -85,15 +96,18 @@ class ServiceHandle:
         self.httpd = httpd
         self._http_thread: Optional[threading.Thread] = None
 
-    # The driver/harness pair is volatile across recoveries; route every
+    # The driver/run pair is volatile across recoveries; route every
     # access through the supervisor so callers never hold a stale one.
     @property
     def driver(self) -> RealTimeDriver:
         return self.supervisor.driver
 
     @property
-    def harness(self) -> ExperimentHarness:
-        return self.supervisor.harness
+    def run(self) -> StagedRun:
+        return self.supervisor.run
+
+    #: the name perfbench/worker.py reads the live run by
+    harness = run
 
     @property
     def address(self) -> "tuple[str, int]":
@@ -147,7 +161,7 @@ def build_service(
 ) -> ServiceHandle:
     """Wire a staged experiment into a ready-to-start supervised service.
 
-    ``resume=True`` ignores ``experiment`` and rebuilds the harness from
+    ``resume=True`` ignores ``experiment`` and rebuilds the run from
     the supervisor config's ``state_dir`` (newest verified checkpoint
     plus WAL replay). Supervision is always on; without a ``state_dir``
     the checkpoints and the WAL simply live in memory, which still
@@ -155,32 +169,23 @@ def build_service(
     process).
     """
     config = supervisor_config or SupervisorConfig()
+    wal = checkpoint = None
     if resume:
-        harness, wal, checkpoint, _ = load_resume_state(config)
-        supervisor = DriverSupervisor(
-            harness,
-            mode=mode,
-            speedup=speedup,
-            slice_seconds=slice_seconds,
-            config=config,
-            advance_hook=advance_hook,
-            wal=wal,
-            initial_checkpoint=checkpoint,
-        )
+        run, wal, checkpoint, _ = load_resume_state(config)
+    elif experiment is None:
+        raise SupervisorError("build_service needs an experiment (or resume=True)")
     else:
-        if experiment is None:
-            raise SupervisorError(
-                "build_service needs an experiment (or resume=True)"
-            )
-        harness = harness_for(experiment)
-        supervisor = DriverSupervisor(
-            harness,
-            mode=mode,
-            speedup=speedup,
-            slice_seconds=slice_seconds,
-            config=config,
-            advance_hook=advance_hook,
-        )
+        run = harness_for(experiment)
+    supervisor = DriverSupervisor(
+        run,
+        mode=mode,
+        speedup=speedup,
+        slice_seconds=slice_seconds,
+        config=config,
+        advance_hook=advance_hook,
+        wal=wal,
+        initial_checkpoint=checkpoint,
+    )
     app = ServiceApp(supervisor)
     httpd = make_server(app, host=host, port=port)
     return ServiceHandle(supervisor, app, httpd)
@@ -193,15 +198,11 @@ __all__ = [
     "DriverSupervisor",
     "DriverTimeout",
     "EventBus",
-    "ExperimentHarness",
-    "FleetHarness",
-    "HarnessError",
     "RealTimeDriver",
     "ServiceApp",
     "ServiceError",
     "ServiceHTTPServer",
     "ServiceHandle",
-    "SingleRowHarness",
     "SupervisorConfig",
     "SupervisorError",
     "apply_act",

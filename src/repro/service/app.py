@@ -68,14 +68,14 @@ class ServiceApp:
         self._view_cache: Dict[str, dict] = {}
         self._metrics_cache: Optional[str] = None
 
-    # The driver and harness are *volatile*: recovery replaces both.
+    # The driver and the run are *volatile*: recovery replaces both.
     @property
     def driver(self):
         return self.supervisor.driver
 
     @property
-    def harness(self):
-        return self.supervisor.harness
+    def run(self):
+        return self.supervisor.run
 
     @property
     def bus(self):
@@ -127,16 +127,16 @@ class ServiceApp:
 
     def config(self) -> dict:
         return self._observe(
-            "config", lambda: views.config_doc(self.harness)
+            "config", lambda: views.config_doc(self.run)
         )
 
     def state(self) -> dict:
-        return self._observe("state", lambda: views.state_doc(self.harness))
+        return self._observe("state", lambda: views.state_doc(self.run))
 
     def group(self, name: str) -> dict:
         doc = self._observe(
             f"group:{name}",
-            lambda: views.group_doc(self.harness, name),
+            lambda: views.group_doc(self.run, name),
             label="group",
         )
         if doc is None:
@@ -145,12 +145,12 @@ class ServiceApp:
 
     def controllers(self) -> dict:
         return self._observe(
-            "controllers", lambda: views.controllers_doc(self.harness)
+            "controllers", lambda: views.controllers_doc(self.run)
         )
 
     def ledger(self) -> dict:
         doc = self._observe(
-            "ledger", lambda: views.ledger_doc(self.harness)
+            "ledger", lambda: views.ledger_doc(self.run)
         )
         if doc is None:
             raise ServiceError(
@@ -160,7 +160,7 @@ class ServiceApp:
 
     def tenants(self) -> dict:
         doc = self._observe(
-            "tenants", lambda: views.tenants_doc(self.harness)
+            "tenants", lambda: views.tenants_doc(self.run)
         )
         if doc is None:
             raise ServiceError(404, "no tenancy: this run is untenanted")
@@ -169,25 +169,25 @@ class ServiceApp:
     def events(self, limit: int = 100, kind: Optional[str] = None) -> dict:
         return self._observe(
             f"events:{limit}:{kind}",
-            lambda: views.events_doc(self.harness, limit=limit, kind=kind),
+            lambda: views.events_doc(self.run, limit=limit, kind=kind),
             label="events",
         )
 
     def series(self, window_seconds: float = 3600.0) -> dict:
         return self._observe(
             f"series:{window_seconds}",
-            lambda: views.series_doc(self.harness, window_seconds),
+            lambda: views.series_doc(self.run, window_seconds),
             label="series",
         )
 
     def safety(self) -> dict:
-        return self._observe("safety", lambda: views.safety_doc(self.harness))
+        return self._observe("safety", lambda: views.safety_doc(self.run))
 
     def faults(self) -> dict:
-        return self._observe("faults", lambda: views.faults_doc(self.harness))
+        return self._observe("faults", lambda: views.faults_doc(self.run))
 
     def audit(self) -> dict:
-        return self._observe("audit", lambda: views.audit_doc(self.harness))
+        return self._observe("audit", lambda: views.audit_doc(self.run))
 
     def result(self) -> dict:
         doc = self.driver.result_doc
@@ -198,40 +198,40 @@ class ServiceApp:
     def metrics_text(self) -> str:
         """Both registries in Prometheus text format.
 
-        The harness registry (simulation metrics, pickled into
+        The run's registry (simulation metrics, pickled into
         snapshots) is read on the sim thread; the supervisor's
         service-plane registry (recoveries, checkpoints, WAL appends,
         SSE drops) is lock-free to read and always available -- so
         ``/metrics`` stays partially up even while recovering, and with
-        telemetry off (no harness registry) serves the service plane
+        telemetry off (no run registry) serves the service plane
         alone.
         """
         from repro.telemetry import render_prometheus
 
-        def render_harness() -> str:
-            registry = self.harness.telemetry.registry
+        def render_run() -> str:
+            registry = self.run.telemetry.registry
             return "" if registry is None else render_prometheus(registry)
 
         supervisor = self.supervisor
-        harness_text: Optional[str] = None
+        run_text: Optional[str] = None
         if supervisor.ready():
             try:
-                harness_text = supervisor.driver.read(
-                    render_harness,
+                run_text = supervisor.driver.read(
+                    render_run,
                     label="metrics",
                     timeout=supervisor.config.read_timeout,
                 )
                 with self._cache_lock:
-                    self._metrics_cache = harness_text
+                    self._metrics_cache = run_text
             except (DriverBusy, DriverTimeout, DriverError):
-                harness_text = None
-        if harness_text is None:
+                run_text = None
+        if run_text is None:
             with self._cache_lock:
-                harness_text = self._metrics_cache or ""
+                run_text = self._metrics_cache or ""
         service_text = render_prometheus(supervisor.registry)
-        if harness_text and not harness_text.endswith("\n"):
-            harness_text += "\n"
-        return harness_text + service_text
+        if run_text and not run_text.endswith("\n"):
+            run_text += "\n"
+        return run_text + service_text
 
     def scenarios(self) -> dict:
         registry = builtin_scenarios()
@@ -313,7 +313,7 @@ class ServiceApp:
         driver = supervisor.driver
 
         def closure():
-            doc = apply_act(supervisor.harness, op, payload)
+            doc = apply_act(supervisor.run, op, payload)
             # Durable before the 200: a crash after this line replays
             # the act; a crash before it never acknowledged anything.
             supervisor.log_act(op, payload)
@@ -354,7 +354,7 @@ class ServiceApp:
         """Arm a builtin scenario by name, or an inline scenario spec.
 
         Window times in the scenario are interpreted relative to *now*
-        (see :meth:`ExperimentHarness.arm_faults`).
+        (see :meth:`repro.sim.staged.StagedRun.arm_faults`).
         """
         payload: Dict[str, object] = {}
         if scenario is not None:

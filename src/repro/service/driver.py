@@ -56,7 +56,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.service.harness import ExperimentHarness
+from repro.sim.staged import StagedRun
 
 logger = logging.getLogger(__name__)
 
@@ -260,7 +260,7 @@ class RealTimeDriver:
 
     def __init__(
         self,
-        harness: ExperimentHarness,
+        run: StagedRun,
         mode: str = "manual",
         speedup: float = 1.0,
         slice_seconds: float = DEFAULT_SLICE_SECONDS,
@@ -288,7 +288,7 @@ class RealTimeDriver:
             )
         if mode == "realtime":
             speedup = 1.0
-        self.harness = harness
+        self.run = run
         self.mode = mode
         self.speedup = float(speedup)
         self.slice_seconds = float(slice_seconds)
@@ -377,7 +377,7 @@ class RealTimeDriver:
             def _final():
                 size = None
                 if snapshot_path is not None:
-                    size = self.harness.save_snapshot(snapshot_path)
+                    size = self.run.save_snapshot(snapshot_path)
                     logger.info(
                         "final snapshot written to %s (%d bytes)",
                         snapshot_path,
@@ -526,18 +526,18 @@ class RealTimeDriver:
         )
 
     def _advance_tick(self) -> None:
-        now = self.harness.engine.now
+        now = self.run.engine.now
         if self._anchor_wall is None:
             self._anchor_wall = self.clock()
             self._anchor_sim = now
         target = self._anchor_sim + (
             (self.clock() - self._anchor_wall) * self.speedup
         )
-        horizon = self.harness.end_seconds
+        horizon = self.run.end_seconds
         target = min(target, horizon)
         if target > now:
             self._advance_toward(target)
-        if self.harness.engine.now >= horizon and self._result is None:
+        if self.run.engine.now >= horizon and self._result is None:
             self._do_finish()
 
     def _advance_toward(self, target: float) -> None:
@@ -545,13 +545,13 @@ class RealTimeDriver:
         self._advancing = True
         try:
             while not self._stop.is_set():
-                now = self.harness.engine.now
+                now = self.run.engine.now
                 if now >= target:
                     break
                 boundary = min(now + self.slice_seconds, target)
                 if self.advance_hook is not None:
                     self.advance_hook(boundary)
-                self.harness.advance(boundary)
+                self.run.advance(boundary)
                 self.heartbeat = self.clock()
                 self._maybe_auto_snapshot()
                 self._publish_control_events()
@@ -561,7 +561,7 @@ class RealTimeDriver:
             logger.exception("simulation advance failed; driver halted")
             self.bus.publish(
                 {"type": "driver", "action": "fatal", "detail": self._fatal,
-                 "sim_now": self.harness.engine.now}
+                 "sim_now": self.run.engine.now}
             )
         finally:
             self._advancing = False
@@ -577,7 +577,7 @@ class RealTimeDriver:
         """
         if self.auto_snapshot_every is None or self.on_auto_snapshot is None:
             return
-        now = self.harness.engine.now
+        now = self.run.engine.now
         if self._next_auto_snapshot is None:
             self._next_auto_snapshot = now + self.auto_snapshot_every
             return
@@ -598,7 +598,7 @@ class RealTimeDriver:
             return
         self._last_snapshot_wall = self.clock()
         try:
-            frame = self.harness.snapshot_bytes()
+            frame = self.run.snapshot()
             self.on_auto_snapshot(frame, now)
         except Exception:
             logger.exception("auto-snapshot failed; run continues unharmed")
@@ -606,14 +606,14 @@ class RealTimeDriver:
 
     # -- command bodies (sim thread only) -------------------------------
     def _do_start(self) -> dict:
-        if not self.harness.started:
-            self.harness.start()
+        if not self.run.started:
+            self.run.start()
         if (
             self.auto_snapshot_every is not None
             and self._next_auto_snapshot is None
         ):
             self._next_auto_snapshot = (
-                self.harness.engine.now + self.auto_snapshot_every
+                self.run.engine.now + self.auto_snapshot_every
             )
             # The genesis checkpoint covers the first wall window.
             self._last_snapshot_wall = self.clock()
@@ -644,7 +644,7 @@ class RealTimeDriver:
             raise DriverError(f"driver halted: {self._fatal}")
         if self._result is not None:
             raise DriverError("experiment already finished")
-        now = self.harness.engine.now
+        now = self.run.engine.now
         if until is not None:
             target = float(until)
             if target <= now:
@@ -656,7 +656,7 @@ class RealTimeDriver:
             target = now + float(
                 seconds if seconds is not None else self.slice_seconds
             )
-        target = min(target, self.harness.end_seconds)
+        target = min(target, self.run.end_seconds)
         self._advance_toward(target)
         if self._fatal is not None:
             raise DriverError(f"driver halted: {self._fatal}")
@@ -670,30 +670,30 @@ class RealTimeDriver:
             raise DriverError(f"driver halted: {self._fatal}")
         if self._result is None:
             # Slice the remaining distance to the horizon instead of one
-            # monolithic advance inside harness.finish(): identical
+            # monolithic advance inside run.finish(): identical
             # trajectory (advance composes exactly), but heartbeats,
             # auto-snapshots, reads and SSE events keep flowing while a
             # long finish runs.
-            self._advance_toward(self.harness.end_seconds)
+            self._advance_toward(self.run.end_seconds)
             if self._fatal is not None:
                 raise DriverError(f"driver halted: {self._fatal}")
-            result = self.harness.finish()
+            result = self.run.finish()
             self._result = result
-            self._result_doc = self.harness.result_to_dict(result)
+            self._result_doc = result.to_dict()
             self._publish_control_events()
             self._publish_driver_event("finished")
         return self._status_doc()
 
     def _do_snapshot(self, path: str) -> dict:
-        size = self.harness.save_snapshot(path)
+        size = self.run.save_snapshot(path)
         self._publish_driver_event("snapshot", path=str(path), bytes=size)
         return {"path": str(path), "bytes": size,
-                "sim_now": self.harness.engine.now}
+                "sim_now": self.run.engine.now}
 
     # -- events ---------------------------------------------------------
     def _publish_control_events(self) -> None:
         """Bridge new engine eventlog entries onto the SSE bus."""
-        events = self.harness.event_log.events
+        events = self.run.event_log.events
         if self._published_events >= len(events):
             return
         for event in events[self._published_events:]:
@@ -712,20 +712,20 @@ class RealTimeDriver:
         doc = {
             "type": "driver",
             "action": action,
-            "sim_now": self.harness.engine.now,
+            "sim_now": self.run.engine.now,
         }
         doc.update(extra)
         self.bus.publish(doc)
 
     # -- status ---------------------------------------------------------
     def _status_doc(self) -> dict:
-        now = self.harness.engine.now
-        horizon = self.harness.end_seconds
+        now = self.run.engine.now
+        horizon = self.run.end_seconds
         return {
             "mode": self.mode,
             "speedup": self.speedup,
             "paused": self._paused,
-            "started": self.harness.started,
+            "started": self.run.started,
             "finished": self._result is not None,
             "fatal": self._fatal,
             "sim_now": now,

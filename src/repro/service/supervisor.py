@@ -6,7 +6,7 @@ owns everything that must *outlive* a driver -- the SSE event bus, the
 act write-ahead log, the service-plane metrics registry, and the most
 recent *verified* checkpoint -- and runs a watchdog thread that detects
 a dead, halted, hung, or audit-escalated simulation and rebuilds a
-fresh harness + :class:`~repro.service.driver.RealTimeDriver` from
+fresh run + :class:`~repro.service.driver.RealTimeDriver` from
 checkpoint + deterministic WAL replay.
 
 Recovery model
@@ -33,7 +33,7 @@ Recovery model
 
 The service-plane metrics (recoveries, checkpoints, WAL appends, SSE
 drops) live in a *separate* :class:`~repro.telemetry.MetricsRegistry`
-from the harness's own telemetry: the harness registry is pickled into
+from the run's own telemetry: the run's registry is pickled into
 every snapshot, and counting recoveries there would make the recovered
 run's bytes diverge from the uninterrupted run it must match.
 """
@@ -47,15 +47,15 @@ import time
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.durability import atomic_write_text, decode_header
+from repro.durability import atomic_write_text
 from repro.service.driver import (
     DEFAULT_QUEUE_CAPACITY,
     DEFAULT_SLICE_SECONDS,
     EventBus,
     RealTimeDriver,
 )
-from repro.service.harness import ExperimentHarness, harness_for
 from repro.service.wal import ActWal, replay
+from repro.sim.staged import StagedRun, restore_run
 from repro.telemetry import MetricsRegistry
 
 logger = logging.getLogger(__name__)
@@ -143,25 +143,12 @@ class _Checkpoint:
         }
 
 
-def restore_experiment(frame: bytes):
-    """Restore a staged experiment from frame bytes, by header kind."""
-    from repro.sim.experiment import ControlledExperiment
-    from repro.sim.fleet_experiment import FleetExperiment
-
-    kind = decode_header(frame).get("kind")
-    if kind == "experiment":
-        return ControlledExperiment.restore(frame)
-    if kind == "fleet":
-        return FleetExperiment.restore(frame)
-    raise SupervisorError(f"unknown snapshot kind {kind!r}")
-
-
 def load_resume_state(
     config: SupervisorConfig,
-) -> Tuple[ExperimentHarness, ActWal, _Checkpoint, int]:
-    """Rebuild a harness from a ``--state-dir``: checkpoint + WAL replay.
+) -> Tuple[StagedRun, ActWal, _Checkpoint, int]:
+    """Rebuild a run from a ``--state-dir``: checkpoint + WAL replay.
 
-    Returns ``(harness, wal, checkpoint, acts_replayed)``. Raises
+    Returns ``(run, wal, checkpoint, acts_replayed)``. Raises
     :class:`SupervisorError` when the directory holds nothing resumable.
     """
     state_dir = config.state_dir
@@ -187,8 +174,7 @@ def load_resume_state(
     newest = entries[-1]
     frame_path = state_dir / str(newest["file"])
     frame = frame_path.read_bytes()  # decode validates the checksum below
-    experiment = restore_experiment(frame)
-    harness = harness_for(experiment)
+    run = restore_run(frame)
     wal = ActWal(state_dir / WAL_NAME)
     checkpoint = _Checkpoint(
         frame,
@@ -197,14 +183,14 @@ def load_resume_state(
         frame_path,
         True,
     )
-    replayed = replay(harness, wal.records_after(checkpoint.wal_seq))
+    replayed = replay(run, wal.records_after(checkpoint.wal_seq))
     logger.info(
         "resumed from %s at t=%.1fs, replayed %d act(s) from the WAL",
         frame_path.name,
         checkpoint.sim_now,
         replayed,
     )
-    return harness, wal, checkpoint, replayed
+    return run, wal, checkpoint, replayed
 
 
 class DriverSupervisor:
@@ -212,7 +198,7 @@ class DriverSupervisor:
 
     def __init__(
         self,
-        harness: ExperimentHarness,
+        run: StagedRun,
         mode: str = "manual",
         speedup: float = 1.0,
         slice_seconds: float = DEFAULT_SLICE_SECONDS,
@@ -258,10 +244,10 @@ class DriverSupervisor:
                 state_dir / WAL_NAME if state_dir is not None else None
             )
 
-        self.harness = harness
+        self.run = run
         self._checkpoint = initial_checkpoint
         self._snap_index = self._next_snapshot_index()
-        self.driver = self._build_driver(harness)
+        self.driver = self._build_driver(run)
 
         self._lock = threading.Lock()
         self._pending: Optional[Tuple[bytes, float, int]] = None
@@ -275,9 +261,9 @@ class DriverSupervisor:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def _build_driver(self, harness: ExperimentHarness) -> RealTimeDriver:
+    def _build_driver(self, run: StagedRun) -> RealTimeDriver:
         return RealTimeDriver(
-            harness,
+            run,
             mode=self.mode,
             speedup=self.speedup,
             slice_seconds=self.slice_seconds,
@@ -291,7 +277,7 @@ class DriverSupervisor:
         )
 
     def _register_escalation_hook(self) -> None:
-        auditor = self.harness.auditor
+        auditor = self.run.auditor
         if auditor is not None:
             auditor.add_escalation_hook(self._on_escalation)
 
@@ -368,7 +354,7 @@ class DriverSupervisor:
 
     def log_act(self, op: str, payload: dict) -> None:
         """Durably append one applied act (sim thread, post-apply)."""
-        self.wal.append(op, payload, self.harness.engine.now)
+        self.wal.append(op, payload, self.run.engine.now)
         self._wal_counter.inc()
 
     def summary(self) -> dict:
@@ -406,8 +392,8 @@ class DriverSupervisor:
     # ------------------------------------------------------------------
     def _capture(self) -> Tuple[bytes, float, int]:
         return (
-            self.harness.snapshot_bytes(),
-            self.harness.engine.now,
+            self.run.snapshot(),
+            self.run.engine.now,
             self.wal.last_seq,
         )
 
@@ -482,8 +468,7 @@ class DriverSupervisor:
         from repro.sim.audit import AuditorConfig
 
         try:
-            experiment = restore_experiment(frame)
-            auditor = experiment.build_auditor(
+            auditor = restore_run(frame).build_auditor(
                 AuditorConfig(sample_fraction=1.0, on_violation="record")
             )
             violations = auditor.audit(sample=False)
@@ -599,15 +584,12 @@ class DriverSupervisor:
         old._thread.join(timeout=2.0)  # best effort; a hung thread stays
 
         try:
-            experiment = restore_experiment(checkpoint.frame)
-            harness = harness_for(experiment)
-            replayed = replay(
-                harness, self.wal.records_after(checkpoint.wal_seq)
-            )
-            driver = self._build_driver(harness)
+            run = restore_run(checkpoint.frame)
+            replayed = replay(run, self.wal.records_after(checkpoint.wal_seq))
+            driver = self._build_driver(run)
             with self._lock:
                 self._escalation = None
-            self.harness = harness
+            self.run = run
             self.driver = driver
             driver.start()
             if self.mode != "manual":
@@ -650,5 +632,4 @@ __all__ = [
     "SupervisorConfig",
     "SupervisorError",
     "load_resume_state",
-    "restore_experiment",
 ]

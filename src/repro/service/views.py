@@ -1,6 +1,6 @@
 """Observe-side JSON documents built from live experiment state.
 
-Every function here takes an :class:`~repro.service.harness.ExperimentHarness`
+Every function here takes a :class:`~repro.sim.staged.StagedRun`
 and returns plain dicts/lists of JSON-native values. They are called
 *on the simulation thread* (via :meth:`RealTimeDriver.read`), so they
 may walk live object graphs freely -- but they must **copy** everything
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.service.harness import ExperimentHarness
+from repro.sim.staged import StagedRun
 
 
 def jsonsafe(value):
@@ -61,20 +61,20 @@ def jsonsafe(value):
 # ----------------------------------------------------------------------
 # Documents
 # ----------------------------------------------------------------------
-def config_doc(harness: ExperimentHarness) -> dict:
+def config_doc(run: StagedRun) -> dict:
     return jsonsafe(
         {
-            "kind": harness.kind,
-            "config": harness.config,
-            "end_seconds": harness.end_seconds,
+            "kind": run.SNAPSHOT_KIND,
+            "config": run.config,
+            "end_seconds": run.end_seconds,
         }
     )
 
 
-def _group_summary(harness: ExperimentHarness, name: str, group) -> dict:
+def _group_summary(run: StagedRun, name: str, group) -> dict:
     servers = group.servers
-    breaker = harness.breakers().get(name)
-    supervisor = harness.supervisors().get(name)
+    breaker = run.breakers().get(name)
+    supervisor = run.supervisors().get(name)
     doc = {
         "name": name,
         "n_servers": len(servers),
@@ -87,7 +87,7 @@ def _group_summary(harness: ExperimentHarness, name: str, group) -> dict:
         "capped": sum(1 for s in servers if s.is_capped),
         "failed": sum(1 for s in servers if s.failed),
         "powered_off": sum(1 for s in servers if s.powered_off),
-        "controlled": name in harness.controllers(),
+        "controlled": name in run.controllers(),
         "safety_state": supervisor.state.name if supervisor else None,
         "safety_level": int(supervisor.state) if supervisor else None,
         "breaker": (
@@ -101,20 +101,20 @@ def _group_summary(harness: ExperimentHarness, name: str, group) -> dict:
         ),
     }
     try:
-        doc["violations"] = harness.monitor.violation_count(name)
+        doc["violations"] = run.monitor.violation_count(name)
     except KeyError:
         doc["violations"] = None
     return doc
 
 
-def state_doc(harness: ExperimentHarness) -> dict:
+def state_doc(run: StagedRun) -> dict:
     """The facility overview: every group, one summary row each."""
-    monitor = harness.monitor
-    groups = harness.groups()
+    monitor = run.monitor
+    groups = run.groups()
     return jsonsafe(
         {
-            "kind": harness.kind,
-            "sim_now": harness.engine.now,
+            "kind": run.SNAPSHOT_KIND,
+            "sim_now": run.engine.now,
             "facility_budget_watts": monitor.facility_budget_watts,
             "facility_power_watts": sum(
                 g.power_watts() for g in groups.values()
@@ -122,20 +122,20 @@ def state_doc(harness: ExperimentHarness) -> dict:
             "in_outage": monitor.in_outage,
             "sensor_bias": monitor.sensor_bias,
             "groups": [
-                _group_summary(harness, name, group)
+                _group_summary(run, name, group)
                 for name, group in groups.items()
             ],
         }
     )
 
 
-def group_doc(harness: ExperimentHarness, name: str) -> Optional[dict]:
+def group_doc(run: StagedRun, name: str) -> Optional[dict]:
     """One group in depth: per-server masks plus controller state."""
-    groups = harness.groups()
+    groups = run.groups()
     if name not in groups:
         return None
     group = groups[name]
-    doc = _group_summary(harness, name, group)
+    doc = _group_summary(run, name, group)
     doc["servers"] = [
         {
             "id": s.server_id,
@@ -147,7 +147,7 @@ def group_doc(harness: ExperimentHarness, name: str) -> Optional[dict]:
         }
         for s in group.servers
     ]
-    controller = harness.controllers().get(name)
+    controller = run.controllers().get(name)
     if controller is not None:
         state = controller.state_of(name)
         doc["controller"] = {
@@ -165,10 +165,10 @@ def group_doc(harness: ExperimentHarness, name: str) -> Optional[dict]:
     return jsonsafe(doc)
 
 
-def controllers_doc(harness: ExperimentHarness) -> dict:
+def controllers_doc(run: StagedRun) -> dict:
     """Controller health counters per controlled group."""
     out = {}
-    for name, controller in harness.controllers().items():
+    for name, controller in run.controllers().items():
         state = controller.state_of(name)
         out[name] = {
             "crashed": controller.crashed,
@@ -180,9 +180,9 @@ def controllers_doc(harness: ExperimentHarness) -> dict:
     return jsonsafe({"controllers": out})
 
 
-def ledger_doc(harness: ExperimentHarness) -> Optional[dict]:
+def ledger_doc(run: StagedRun) -> Optional[dict]:
     """The facility budget ledger (fleet runs only)."""
-    ledger = harness.ledger
+    ledger = run.ledger
     if ledger is None:
         return None
     return jsonsafe(
@@ -203,9 +203,9 @@ def ledger_doc(harness: ExperimentHarness) -> Optional[dict]:
     )
 
 
-def tenants_doc(harness: ExperimentHarness) -> Optional[dict]:
+def tenants_doc(run: StagedRun) -> Optional[dict]:
     """Per-tenant fairness accounting (multi-tenant runs only)."""
-    accountant = harness.tenancy
+    accountant = run.accountant
     if accountant is None:
         return None
     stats = accountant.stats_snapshot()
@@ -220,16 +220,16 @@ def tenants_doc(harness: ExperimentHarness) -> Optional[dict]:
     )
 
 
-def events_doc(harness: ExperimentHarness, limit: int = 100,
+def events_doc(run: StagedRun, limit: int = 100,
                kind: Optional[str] = None) -> dict:
     """The tail of the control-plane eventlog, newest last."""
-    events = harness.event_log.events
+    events = run.event_log.events
     if kind is not None:
         events = [e for e in events if e.kind == kind]
     tail = events[-limit:] if limit > 0 else list(events)
     return jsonsafe(
         {
-            "total": len(harness.event_log.events),
+            "total": len(run.event_log.events),
             "returned": len(tail),
             "events": [
                 {
@@ -244,18 +244,18 @@ def events_doc(harness: ExperimentHarness, limit: int = 100,
     )
 
 
-def series_doc(harness: ExperimentHarness,
+def series_doc(run: StagedRun,
                window_seconds: float = 3600.0) -> dict:
     """Power-vs-budget traces for the dashboard's charts.
 
     Returns the trailing ``window_seconds`` of each group's monitor
     series plus the facility roll-up when one exists.
     """
-    monitor = harness.monitor
-    now = harness.engine.now
+    monitor = run.monitor
+    now = run.engine.now
     start = max(0.0, now - window_seconds)
     series = {}
-    for name, group in harness.groups().items():
+    for name, group in run.groups().items():
         try:
             times, watts = monitor.power_series(name, start, now)
         except KeyError:
@@ -280,11 +280,11 @@ def series_doc(harness: ExperimentHarness,
     )
 
 
-def safety_doc(harness: ExperimentHarness) -> dict:
+def safety_doc(run: StagedRun) -> dict:
     """Safety-ladder and breaker state for every protected group."""
     out = {}
-    breakers = harness.breakers()
-    for name, supervisor in harness.supervisors().items():
+    breakers = run.breakers()
+    for name, supervisor in run.supervisors().items():
         stats = supervisor.stats
         out[name] = {
             "state": supervisor.state.name,
@@ -309,7 +309,7 @@ def safety_doc(harness: ExperimentHarness) -> dict:
     return jsonsafe({"supervisors": out, "breakers": breaker_docs})
 
 
-def faults_doc(harness: ExperimentHarness) -> dict:
+def faults_doc(run: StagedRun) -> dict:
     """Build-time and runtime-armed fault injector statistics."""
 
     def injector_doc(injector) -> dict:
@@ -319,18 +319,18 @@ def faults_doc(harness: ExperimentHarness) -> dict:
             "stats": stats,
         }
 
-    build = harness.build_injector
+    build = run.injector
     return jsonsafe(
         {
             "build": injector_doc(build) if build is not None else None,
             "runtime": [
-                injector_doc(inj) for inj in harness.runtime_injectors
+                injector_doc(inj) for inj in run.runtime_injectors
             ],
         }
     )
 
 
-def audit_doc(harness: ExperimentHarness) -> dict:
+def audit_doc(run: StagedRun) -> dict:
     """Run a full (unsampled) invariant sweep right now and report it.
 
     Also includes the cumulative stats of the experiment's *online*
@@ -338,11 +338,11 @@ def audit_doc(harness: ExperimentHarness) -> dict:
     """
     from repro.sim.audit import AuditorConfig
 
-    auditor = harness.build_auditor(
+    auditor = run.build_auditor(
         AuditorConfig(sample_fraction=1.0, on_violation="record")
     )
     violations = auditor.audit(sample=False)
-    online = harness.auditor
+    online = run.auditor
     return jsonsafe(
         {
             "clean": not violations,

@@ -29,11 +29,11 @@ from __future__ import annotations
 import json
 import logging
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.durability import append_line_fsync
 from repro.faults.scenario import FaultScenario, builtin_scenarios
-from repro.service.harness import ExperimentHarness, HarnessError
+from repro.sim.staged import StagedRun
 
 logger = logging.getLogger(__name__)
 
@@ -173,35 +173,35 @@ class ActWal:
 # ----------------------------------------------------------------------
 # The one apply path (live requests and replay both land here)
 # ----------------------------------------------------------------------
-def apply_act(harness: ExperimentHarness, op: str, payload: dict) -> dict:
-    """Execute one act against the live harness; sim thread only.
+def apply_act(run: StagedRun, op: str, payload: dict) -> dict:
+    """Execute one act against the live run; sim thread only.
 
-    Deterministic given (harness state, op, payload): replaying the same
+    Deterministic given (run state, op, payload): replaying the same
     records against the same restored state reproduces the same
     mutations, which is what makes the WAL a recovery log rather than an
     audit trail.
     """
     if op == "freeze":
-        return _set_group_frozen(harness, payload, frozen=True)
+        return _set_group_frozen(run, payload, frozen=True)
     if op == "unfreeze":
-        return _set_group_frozen(harness, payload, frozen=False)
+        return _set_group_frozen(run, payload, frozen=False)
     if op == "reallocate":
-        return _reallocate(harness, payload)
+        return _reallocate(run, payload)
     if op == "arm-faults":
-        return _arm_faults(harness, payload)
+        return _arm_faults(run, payload)
     raise ActError(400, f"unknown act {op!r}")
 
 
 def _set_group_frozen(
-    harness: ExperimentHarness, payload: dict, frozen: bool
+    run: StagedRun, payload: dict, frozen: bool
 ) -> dict:
     name = payload.get("group")
     if not isinstance(name, str) or not name:
         raise ActError(400, "freeze/unfreeze needs a 'group' name")
-    groups = harness.groups()
+    groups = run.groups()
     if name not in groups:
         raise ActError(404, f"unknown group {name!r}")
-    scheduler = harness.scheduler_for(name)
+    scheduler = run.scheduler_for(name)
     changed = 0
     for server in groups[name].servers:
         if server.failed or server.powered_off:
@@ -216,11 +216,11 @@ def _set_group_frozen(
         "group": name,
         "action": "freeze" if frozen else "unfreeze",
         "servers_changed": changed,
-        "sim_now": harness.engine.now,
+        "sim_now": run.engine.now,
     }
 
 
-def _reallocate(harness: ExperimentHarness, payload: dict) -> dict:
+def _reallocate(run: StagedRun, payload: dict) -> dict:
     from repro.fleet.ledger import LedgerError
 
     allocations = payload.get("allocations")
@@ -235,7 +235,7 @@ def _reallocate(harness: ExperimentHarness, payload: dict) -> dict:
             400, f"allocations must map row names to watts: {exc}"
         ) from exc
 
-    ledger = harness.ledger
+    ledger = run.ledger
     if ledger is None:
         raise ActError(409, "no budget ledger: this is a single-row run")
     merged = ledger.allocations()
@@ -244,11 +244,15 @@ def _reallocate(harness: ExperimentHarness, payload: dict) -> dict:
         raise ActError(404, f"unknown rows: {unknown}")
     previous = dict(merged)
     merged.update(requested)
+    # check() first: a refused act is never logged, so it must leave no
+    # trace in run state (not even the ledger's rejected count), or a
+    # recovered run would differ from the uninterrupted one.
     try:
-        moved = ledger.apply(merged)
+        ledger.check(merged)
     except LedgerError as exc:
         raise ActError(422, f"ledger rejected: {exc}") from exc
-    controllers = harness.controllers()
+    moved = ledger.apply(merged)
+    controllers = run.controllers()
     changed = []
     for row_name, watts in merged.items():
         if watts == previous[row_name]:
@@ -257,9 +261,9 @@ def _reallocate(harness: ExperimentHarness, payload: dict) -> dict:
         if controller is not None:
             controller.update_budget(row_name, watts)
         else:
-            harness.groups()[row_name].power_budget_watts = watts
+            run.groups()[row_name].power_budget_watts = watts
         changed.append(f"{row_name}:{previous[row_name]:.0f}->{watts:.0f}")
-    harness.event_log.record(
+    run.event_log.record(
         "budget",
         OPERATOR_EVENT_ID,
         f"operator moved={moved:.0f}W " + " ".join(changed),
@@ -268,11 +272,11 @@ def _reallocate(harness: ExperimentHarness, payload: dict) -> dict:
         "moved_watts": moved,
         "changed": changed,
         "allocations": merged,
-        "sim_now": harness.engine.now,
+        "sim_now": run.engine.now,
     }
 
 
-def _arm_faults(harness: ExperimentHarness, payload: dict) -> dict:
+def _arm_faults(run: StagedRun, payload: dict) -> dict:
     scenario = payload.get("scenario")
     spec = payload.get("spec")
     if (scenario is None) == (spec is None):
@@ -292,26 +296,23 @@ def _arm_faults(harness: ExperimentHarness, payload: dict) -> dict:
             built = FaultScenario(**spec)
         except (TypeError, ValueError) as exc:
             raise ActError(400, f"invalid scenario spec: {exc}") from exc
-    try:
-        return harness.arm_faults(built)
-    except HarnessError as exc:
-        raise ActError(409, str(exc)) from exc
+    return run.arm_faults(built)
 
 
 class WalReplayError(RuntimeError):
     """Replay diverged: a logged act failed against the restored state."""
 
 
-def replay(harness: ExperimentHarness, records: List[WalRecord]) -> int:
+def replay(run: StagedRun, records: List[WalRecord]) -> int:
     """Re-apply ``records`` in order, advancing to each act's sim-time.
 
-    The harness must be restored to a state at or before the first
+    The run must be restored to a state at or before the first
     record's sim-time (the checkpoint the records were logged after).
     Returns the number of acts re-applied.
     """
     applied = 0
     for record in records:
-        now = harness.engine.now
+        now = run.engine.now
         if record.sim_time < now:
             raise WalReplayError(
                 f"WAL seq {record.seq} at t={record.sim_time:.1f}s is "
@@ -319,9 +320,9 @@ def replay(harness: ExperimentHarness, records: List[WalRecord]) -> int:
                 "and log disagree"
             )
         if record.sim_time > now:
-            harness.advance(record.sim_time)
+            run.advance(record.sim_time)
         try:
-            apply_act(harness, record.op, record.payload)
+            apply_act(run, record.op, record.payload)
         except ActError as exc:
             raise WalReplayError(
                 f"WAL seq {record.seq} ({record.op}) failed on replay: "

@@ -21,8 +21,7 @@ Two scaling modes match the paper's two uses of the harness:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -46,24 +45,22 @@ from repro.faults.injector import FaultInjector, FaultStats
 from repro.faults.scenario import FaultScenario
 from repro.scheduler.base import InstrumentedScheduler, SchedulerInterface
 from repro.scheduler.policies import PlacementPolicy
-from repro.sim.audit import AuditStats, AuditorConfig, StateAuditor
+from repro.sim.audit import AuditStats, AuditorConfig
 from repro.sim.eventlog import ControlEventLog
+from repro.sim.staged import RunWindow, StagedRun
 from repro.sim.testbed import Testbed, WorkloadSpec
-from repro.telemetry import MetricsRegistry, Telemetry
+from repro.telemetry import MetricsRegistry
 from repro.tenancy import (
     FairShareFreezePolicy,
-    TenancyAccountant,
     TenancyConfig,
     TenancyStats,
     assign_to_tenants,
 )
 from repro.workload.generator import ScaledRateProfile
 
-SECONDS_PER_HOUR = 3600.0
-
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(RunWindow):
     """Configuration of one controlled experiment run."""
 
     n_servers: int = 400
@@ -98,22 +95,7 @@ class ExperimentConfig:
     tenancy: Optional[TenancyConfig] = None
 
     def __post_init__(self) -> None:
-        if self.duration_hours <= 0:
-            raise ValueError(f"duration_hours must be positive, got {self.duration_hours}")
-        if self.warmup_hours < 0:
-            raise ValueError(f"warmup_hours must be non-negative, got {self.warmup_hours}")
-        if self.over_provision_ratio < 0:
-            raise ValueError(
-                f"over_provision_ratio must be non-negative, got {self.over_provision_ratio}"
-            )
-
-    @property
-    def warmup_seconds(self) -> float:
-        return self.warmup_hours * SECONDS_PER_HOUR
-
-    @property
-    def end_seconds(self) -> float:
-        return (self.warmup_hours + self.duration_hours) * SECONDS_PER_HOUR
+        self._check_window()
 
 
 @dataclass
@@ -199,19 +181,32 @@ class ExperimentResult:
             control=self.control.without_series(),
         )
 
+    def to_dict(self) -> dict:
+        """The result's JSON document without the per-sample series."""
+        from repro.analysis.serialize import result_to_dict
 
-class ControlledExperiment:
-    """Build, run and summarize one controlled experiment."""
+        return result_to_dict(self, include_series=False)
+
+
+class ControlledExperiment(StagedRun):
+    """Build, run and summarize one controlled experiment.
+
+    The lifecycle, the snapshot frame, the auditor and the service
+    surface are :class:`~repro.sim.staged.StagedRun`'s; this class builds
+    the parity-split testbed and arms and collects it.
+    """
+
+    SNAPSHOT_KIND = "experiment"
+    #: perfbench/tracer.py wraps ``ControlledExperiment.__dict__["snapshot"]``;
+    #: this alias keeps the name on the class without a second body
+    snapshot = StagedRun.snapshot
 
     def __init__(
         self,
         config: ExperimentConfig = ExperimentConfig(),
         demand_estimator: Optional[DemandEstimator] = None,
     ) -> None:
-        self.config = config
-        self.telemetry = (
-            Telemetry.create() if config.telemetry_enabled else Telemetry.disabled()
-        )
+        super().__init__(config)
         self.testbed = Testbed(
             n_servers=config.n_servers,
             seed=config.seed,
@@ -219,46 +214,40 @@ class ControlledExperiment:
             placement_policy=config.placement_policy,
             telemetry=self.telemetry,
         )
+        self.engine = self.testbed.engine
+        self.state = self.testbed.state
+        self.monitor = self.testbed.monitor
         self.experiment_group, self.control_group = self.testbed.split_by_parity()
         self.experiment_group.set_over_provision_ratio(config.over_provision_ratio)
         if config.scale_control_budget:
             self.control_group.set_over_provision_ratio(config.over_provision_ratio)
-        self.testbed.monitor.register_groups(
-            [self.experiment_group, self.control_group]
-        )
-        self.testbed.throughput.track(self.experiment_group)
-        self.testbed.throughput.track(self.control_group)
+        groups = (self.experiment_group, self.control_group)
+        self.monitor.register_groups(list(groups))
+        for group in groups:
+            self.testbed.throughput.track(group)
+            self._groups[group.name] = group
+            self._schedulers[group.name] = self.testbed.scheduler
 
-        # Multi-tenancy: tag servers with owning tenants (per group, so
-        # each group's tenant mix matches the configured shares exactly
-        # -- assigning across the parity split would alias the share
-        # interleave against even/odd ids) and attach the accountant.
-        # Pure bookkeeping: no RNG, no scheduled events.
-        self.tenant_of: Dict[int, str] = {}
-        self.accountant: Optional[TenancyAccountant] = None
+        # The audit trail: control actions (freeze/fail/shed/...) plus
+        # breaker trips, timestamped on the simulation clock. Listeners
+        # consume no randomness, so attaching it never perturbs runs.
+        self.event_log = ControlEventLog(self.engine, telemetry=self.telemetry)
+        self.event_log.attach_scheduler(self.testbed.scheduler)
+
+        # Multi-tenancy: tenants are assigned per group, so each group's
+        # tenant mix matches the configured shares exactly -- assigning
+        # across the parity split would alias the share interleave
+        # against even/odd ids.
         freeze_policy: Optional[FairShareFreezePolicy] = None
         if config.tenancy is not None:
-            ordinal = {
-                name: index + 1 for index, name in enumerate(config.tenancy.names)
-            }
-            for group in (self.experiment_group, self.control_group):
+            assignments = []
+            for group in groups:
                 servers = sorted(group.servers, key=lambda s: s.server_id)
                 assigned = assign_to_tenants(
                     [s.server_id for s in servers], config.tenancy
                 )
-                for server in servers:
-                    tenant = assigned[server.server_id]
-                    self.tenant_of[server.server_id] = tenant
-                    server.tenant_id = ordinal[tenant]
-            self.accountant = TenancyAccountant(
-                self.testbed.engine,
-                config.tenancy,
-                self.tenant_of,
-                telemetry=self.telemetry,
-            )
-            self.testbed.scheduler.control_listeners.append(
-                self.accountant.on_control_event
-            )
+                assignments += [(s, assigned[s.server_id]) for s in servers]
+            self._wire_tenancy(assignments)
             if config.tenancy.policy == "fair":
                 freeze_policy = FairShareFreezePolicy(
                     self.tenant_of,
@@ -270,14 +259,13 @@ class ControlledExperiment:
         # when a scenario is configured; everything else (workload
         # submission, completion events) uses the real scheduler, since
         # the injected faults model the *control* path.
-        self.injector: Optional[FaultInjector] = None
         controller_scheduler: SchedulerInterface = self.testbed.scheduler
         if config.faults is not None:
-            self.injector = FaultInjector(self.testbed.engine, config.faults)
+            self.injector = FaultInjector(self.engine, config.faults)
             controller_scheduler = self.injector.wrap_scheduler(
                 self.testbed.scheduler
             )
-            self.injector.attach_monitor(self.testbed.monitor)
+            self.injector.attach_monitor(self.monitor)
             # Data-plane hazards (server failures) act on the real
             # scheduler: hardware does not fail "in transit".
             self.injector.attach_cluster(self.testbed.scheduler)
@@ -291,9 +279,9 @@ class ControlledExperiment:
         self.controller: Optional[AmpereController] = None
         if config.ampere_enabled:
             self.controller = AmpereController(
-                self.testbed.engine,
+                self.engine,
                 controller_scheduler,
-                self.testbed.monitor,
+                self.monitor,
                 [self.experiment_group],
                 config=config.ampere,
                 freeze_model=FreezeEffectModel(config.k_r),
@@ -305,25 +293,16 @@ class ControlledExperiment:
                 telemetry=self.telemetry,
                 freeze_policy=freeze_policy,
             )
-        if self.injector is not None and self.controller is not None:
-            self.injector.attach_controller(self.controller)
+            self._controllers[self.experiment_group.name] = self.controller
+            if self.injector is not None:
+                self.injector.attach_controller(self.controller)
         self.capping: Optional[CappingEngine] = None
         if config.capping_enabled:
             self.capping = CappingEngine(
                 self.experiment_group,
-                self.testbed.engine,
+                self.engine,
                 interval=config.capping_interval_seconds,
             )
-
-        # The audit trail: control actions (freeze/fail/shed/...) plus
-        # breaker trips, timestamped on the simulation clock. Listeners
-        # consume no randomness, so attaching it never perturbs runs.
-        self.event_log = ControlEventLog(
-            self.testbed.engine, telemetry=self.telemetry
-        )
-        self.event_log.attach_scheduler(self.testbed.scheduler)
-        if self.accountant is not None:
-            self.event_log.attach_tenant_resolver(self.accountant.resolve)
 
         # Breaker physics + the emergency ladder protect the experiment
         # group only: it is the one whose scaled budget emulates the row
@@ -334,7 +313,7 @@ class ControlledExperiment:
         if config.safety is not None:
             self.breaker = RowBreaker(
                 self.experiment_group,
-                self.testbed.engine,
+                self.engine,
                 self.testbed.scheduler,
                 curve=config.safety.breaker,
                 interval=config.safety.breaker_interval_seconds,
@@ -342,17 +321,18 @@ class ControlledExperiment:
                 event_log=self.event_log,
                 telemetry=self.telemetry,
             )
+            self._breakers[self.experiment_group.name] = self.breaker
             if config.safety.supervisor_enabled:
                 # The supervisor needs a capping engine for its CRITICAL
                 # slam even when reactive capping is not running; an
                 # unstarted engine provides slam/restore surfaces only.
                 emergency_capping = self.capping or CappingEngine(
                     self.experiment_group,
-                    self.testbed.engine,
+                    self.engine,
                     interval=config.capping_interval_seconds,
                 )
                 self.safety = SafetySupervisor(
-                    self.testbed.engine,
+                    self.engine,
                     self.experiment_group,
                     self.testbed.scheduler,
                     emergency_capping,
@@ -361,34 +341,14 @@ class ControlledExperiment:
                     event_log=self.event_log,
                     telemetry=self.telemetry,
                 )
+                self._supervisors[self.experiment_group.name] = self.safety
         # The online auditor is built here (not lazily) so a durable
         # snapshot carries it like every other component.
-        self.auditor: Optional[StateAuditor] = None
         if config.auditor is not None:
             self.auditor = self.build_auditor(config.auditor)
-        self._started = False
-        self._ran = False
-        self._result: Optional[ExperimentResult] = None
 
-    # ------------------------------------------------------------------
-    # Staged execution: start() arms everything, advance() moves simulated
-    # time, finish() collects. run() composes the three; the split exists
-    # so a run can be snapshotted at any advance() boundary and resumed
-    # byte-identically (see repro.durability).
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Arm workload, monitoring, control and safety services.
-
-        Consumes no simulated time; call :meth:`advance` to move the
-        clock. Idempotence is refused -- services must not double-arm.
-        """
-        if self._started:
-            raise RuntimeError("experiment already started")
-        self._started = True
+    def _arm(self, end: float, warmup: float) -> None:
         config = self.config
-        end = config.end_seconds
-        warmup = config.warmup_seconds
-
         profile = self.testbed.build_rate_profile(config.workload, end)
         if self.injector is not None:
             # Demand surges wrap the profile (pure, RNG-free): without
@@ -427,7 +387,7 @@ class ControlledExperiment:
             generator.start(end)
         # Monitoring, control, safety and capping begin after warm-up so
         # the measurement window starts from steady state.
-        self.testbed.monitor.start(end, first_at=warmup)
+        self.monitor.start(end, first_at=warmup)
         if self.controller is not None:
             self.controller.start(end, first_at=warmup)
         if self.safety is not None:
@@ -441,137 +401,53 @@ class ControlledExperiment:
         if self.injector is not None:
             self.injector.arm(end)
 
-    def advance(self, until: Optional[float] = None) -> None:
-        """Run simulated time forward to ``until`` (default: the horizon).
-
-        Consecutive calls compose exactly (events *at* the boundary stay
-        pending), so ``advance(T); advance(end)`` is byte-identical to
-        ``advance(end)`` -- the property snapshots rely on.
-        """
-        if not self._started:
-            self.start()
-        end = self.config.end_seconds
-        target = end if until is None else min(float(until), end)
-        self.testbed.engine.run(until=target)
-
-    def finish(self) -> ExperimentResult:
-        """Run any remaining simulated time and collect the outcomes.
-
-        Idempotent: repeated calls return the same cached result without
-        re-collecting (no double-emitted report rows), so a graceful
-        shutdown can always call ``finish()`` regardless of whether the
-        run already completed. Works from any :meth:`advance` point.
-        """
-        if self._ran:
-            return self._result
-        self.advance()
-        self._ran = True
-        self._result = self._collect(
-            self.config.warmup_seconds, self.config.end_seconds
-        )
-        return self._result
-
-    def run(self) -> ExperimentResult:
-        """Execute the experiment and return measured outcomes."""
-        if self._ran or self._started:
-            raise RuntimeError("experiment already ran; build a new instance")
-        self.start()
-        return self.finish()
-
-    # ------------------------------------------------------------------
-    # Durable snapshots (see repro.durability for the frame format)
-    # ------------------------------------------------------------------
-    #: frame kind tag; restore() refuses frames of any other kind
-    SNAPSHOT_KIND = "experiment"
-
-    def _snapshot_meta(self) -> dict:
-        # Deterministic descriptors only -- no wall-clock -- so the same
-        # state always frames to the same bytes.
-        return {
-            "sim_now": self.testbed.engine.now,
-            "n_servers": self.config.n_servers,
-            "seed": self.config.seed,
-            "started": self._started,
-        }
-
-    def snapshot(self) -> bytes:
-        """Serialize the complete live run into a versioned frame.
-
-        Captures everything: cluster-state columns, RNG streams, the
-        event heap, controller/supervisor state and telemetry. Restoring
-        and running to the horizon is byte-identical to never having
-        stopped (proven in tests/test_durability.py, under chaos). Must
-        be called between :meth:`advance` calls, not from inside an event
-        callback.
-        """
-        if self.testbed.engine._running:
-            raise RuntimeError(
-                "cannot snapshot while the engine is running; snapshot "
-                "between advance() calls"
-            )
-        from repro.durability import encode_snapshot
-
-        return encode_snapshot(self, self.SNAPSHOT_KIND, self._snapshot_meta())
-
-    def save_snapshot(self, path: Union[str, Path]) -> int:
-        """Atomically write :meth:`snapshot` to ``path``; returns bytes."""
-        from repro.durability import atomic_write_bytes
-
-        frame = self.snapshot()
-        atomic_write_bytes(path, frame)
-        return len(frame)
-
-    @classmethod
-    def restore(cls, source: Union[bytes, str, Path]) -> "ControlledExperiment":
-        """Rebuild a live experiment from a snapshot (bytes or a path).
-
-        The result continues exactly where the original stood: call
-        :meth:`advance`/:meth:`finish` to complete the run.
-        """
-        from repro.durability import SnapshotError, decode_snapshot, read_snapshot
-
-        if isinstance(source, (bytes, bytearray)):
-            obj, _ = decode_snapshot(bytes(source), expected_kind=cls.SNAPSHOT_KIND)
-        else:
-            obj, _ = read_snapshot(source, expected_kind=cls.SNAPSHOT_KIND)
-        if not isinstance(obj, cls):
-            raise SnapshotError(
-                f"snapshot payload is {type(obj).__name__}, not {cls.__name__}"
-            )
-        return obj
-
-    # ------------------------------------------------------------------
-    def build_auditor(self, config: Optional[AuditorConfig] = None) -> StateAuditor:
-        """A :class:`StateAuditor` wired to this run's surfaces.
-
-        Used both for the in-run auditor (``config.auditor``) and by
-        ``repro verify-snapshot`` to audit a restored run on demand.
-        """
-        return StateAuditor(
-            self.testbed.engine,
-            state=self.testbed.state,
-            schedulers=[self.testbed.scheduler],
-            supervisors=[self.safety] if self.safety is not None else [],
-            config=config if config is not None else AuditorConfig(),
-            telemetry=self.telemetry,
-        )
-
-    # ------------------------------------------------------------------
     def _collect(self, warmup: float, end: float) -> ExperimentResult:
-        experiment = self._collect_group(self.experiment_group, warmup, end)
-        control = self._collect_group(self.control_group, warmup, end)
+        throughput_tracker = self.testbed.throughput
+
+        def outcome(group: ServerGroup) -> GroupOutcome:
+            times, norm = self.monitor.normalized_power_series(
+                group.name, start=warmup, end=end
+            )
+            throughput = throughput_tracker.window_total(group.name, warmup, end)
+            u_times = np.empty(0)
+            u_values = np.empty(0)
+            if self.controller is not None and group.name in self.controller.states:
+                state = self.controller.state_of(group.name)
+                u_times = np.asarray(state.u_times)
+                u_values = np.asarray(state.u_history)
+            summary = summarize_power_series(
+                group.name,
+                norm,
+                u_history=u_values,
+                throughput=throughput,
+                budget=1.0,
+            )
+            record = throughput_tracker.records[group.name]
+            return GroupOutcome(
+                summary=summary,
+                power_times=times,
+                normalized_power=norm,
+                throughput=throughput,
+                u_times=u_times,
+                u_values=u_values,
+                mean_wait_seconds=record.mean_wait(),
+                p99_wait_seconds=record.wait_percentile(99.0),
+            )
+
+        experiment = outcome(self.experiment_group)
+        control = outcome(self.control_group)
         r_t = throughput_ratio(experiment.throughput, control.throughput)
         g_tpw = gain_in_tpw(r_t, self.config.over_provision_ratio)
         facility: Optional[FacilitySummary] = None
         try:
-            _, facility_power = self.testbed.monitor.facility_power_series(
+            _, facility_power = self.monitor.facility_power_series(
                 start=warmup, end=end
             )
         except KeyError:
             facility_power = np.empty(0)
         if len(facility_power):
             facility = summarize_facility_series(
-                self.testbed.monitor.facility_budget_watts, facility_power
+                self.monitor.facility_budget_watts, facility_power
             )
         return ExperimentResult(
             config=self.config,
@@ -580,9 +456,6 @@ class ControlledExperiment:
             r_t=r_t,
             g_tpw=g_tpw,
             capping_stats=self.capping.stats if self.capping is not None else None,
-            fault_stats=(
-                self.injector.stats_snapshot() if self.injector is not None else None
-            ),
             breaker_stats=(
                 self.breaker.stats_snapshot() if self.breaker is not None else None
             ),
@@ -592,49 +465,15 @@ class ControlledExperiment:
             controller_health=(
                 self.controller.health if self.controller is not None else None
             ),
-            telemetry=self.telemetry.registry if self.telemetry.enabled else None,
             facility=facility,
-            audit_stats=(
-                self.auditor.stats_snapshot() if self.auditor is not None else None
-            ),
-            tenancy=(
-                self.accountant.stats_snapshot()
-                if self.accountant is not None
-                else None
-            ),
+            **self._shared_result_fields(),
         )
 
-    def _collect_group(
-        self, group: ServerGroup, warmup: float, end: float
-    ) -> GroupOutcome:
-        times, norm = self.testbed.monitor.normalized_power_series(
-            group.name, start=warmup, end=end
-        )
-        throughput = self.testbed.throughput.window_total(group.name, warmup, end)
-        u_times = np.empty(0)
-        u_values = np.empty(0)
-        if self.controller is not None and group.name in self.controller.states:
-            state = self.controller.state_of(group.name)
-            u_times = np.asarray(state.u_times)
-            u_values = np.asarray(state.u_history)
-        summary = summarize_power_series(
-            group.name,
-            norm,
-            u_history=u_values,
-            throughput=throughput,
-            budget=1.0,
-        )
-        record = self.testbed.throughput.records[group.name]
-        return GroupOutcome(
-            summary=summary,
-            power_times=times,
-            normalized_power=norm,
-            throughput=throughput,
-            u_times=u_times,
-            u_values=u_values,
-            mean_wait_seconds=record.mean_wait(),
-            p99_wait_seconds=record.wait_percentile(99.0),
-        )
+    def _attach_runtime_injector(self, injector: FaultInjector) -> None:
+        injector.attach_monitor(self.monitor)
+        if self.controller is not None:
+            injector.attach_controller(self.controller)
+        injector.attach_cluster(self.testbed.scheduler)
 
 
 def run_tenancy_ab(

@@ -31,8 +31,7 @@ to exactly one controller/scheduler).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,28 +58,22 @@ from repro.monitor.power_monitor import PowerMonitor
 from repro.monitor.tsdb import TimeSeriesDatabase
 from repro.scheduler.base import InstrumentedScheduler
 from repro.scheduler.omega import OmegaScheduler
-from repro.sim.audit import AuditStats, AuditorConfig, StateAuditor
+from repro.sim.audit import AuditStats, AuditorConfig
 from repro.sim.engine import Engine
 from repro.sim.eventlog import ControlEventLog
+from repro.sim.staged import RunWindow, StagedRun
 from repro.sim.testbed import (
     ThroughputTracker,
     WorkloadSpec,
     build_rate_profile,
 )
-from repro.telemetry import MetricsRegistry, Telemetry
-from repro.tenancy import (
-    TenancyAccountant,
-    TenancyConfig,
-    TenancyStats,
-    assign_to_tenants,
-)
+from repro.telemetry import MetricsRegistry
+from repro.tenancy import TenancyConfig, TenancyStats, assign_to_tenants
 from repro.workload.distributions import (
     JobDurationDistribution,
     ResourceDemandDistribution,
 )
 from repro.workload.generator import BatchWorkloadGenerator
-
-SECONDS_PER_HOUR = 3600.0
 
 
 @dataclass(frozen=True)
@@ -96,7 +89,7 @@ class FleetRowSpec:
 
 
 @dataclass(frozen=True)
-class FleetExperimentConfig:
+class FleetExperimentConfig(RunWindow):
     """Configuration of one multi-row fleet run."""
 
     rows: Tuple[FleetRowSpec, ...] = (FleetRowSpec(), FleetRowSpec())
@@ -130,33 +123,13 @@ class FleetExperimentConfig:
         if not self.rows:
             raise ValueError("fleet experiment needs at least one row")
         object.__setattr__(self, "rows", tuple(self.rows))
-        if self.duration_hours <= 0:
-            raise ValueError(
-                f"duration_hours must be positive, got {self.duration_hours}"
-            )
-        if self.warmup_hours < 0:
-            raise ValueError(
-                f"warmup_hours must be non-negative, got {self.warmup_hours}"
-            )
-        if self.over_provision_ratio < 0:
-            raise ValueError(
-                "over_provision_ratio must be non-negative, got "
-                f"{self.over_provision_ratio}"
-            )
+        self._check_window()
         for spec in self.rows:
             if spec.n_servers % self.servers_per_rack != 0:
                 raise ValueError(
                     f"row sizes must be multiples of {self.servers_per_rack}, "
                     f"got {spec.n_servers}"
                 )
-
-    @property
-    def warmup_seconds(self) -> float:
-        return self.warmup_hours * SECONDS_PER_HOUR
-
-    @property
-    def end_seconds(self) -> float:
-        return (self.warmup_hours + self.duration_hours) * SECONDS_PER_HOUR
 
 
 @dataclass
@@ -213,15 +186,29 @@ class FleetResult:
         """Alias for campaign symmetry (rows carry no bulky series)."""
         return self
 
+    def to_dict(self) -> dict:
+        """The result's JSON document."""
+        from repro.analysis.serialize import fleet_result_to_dict
 
-class FleetExperiment:
-    """Build, run and summarize one multi-row fleet experiment."""
+        return fleet_result_to_dict(self)
+
+
+class FleetExperiment(StagedRun):
+    """Build, run and summarize one multi-row fleet experiment.
+
+    The lifecycle, the snapshot frame, the auditor and the service
+    surface are :class:`~repro.sim.staged.StagedRun`'s; this class builds
+    the rows, their control planes and the budget plane, and arms and
+    collects them.
+    """
+
+    SNAPSHOT_KIND = "fleet"
+    #: perfbench/tracer.py wraps ``FleetExperiment.__dict__["snapshot"]``;
+    #: this alias keeps the name on the class without a second body
+    snapshot = StagedRun.snapshot
 
     def __init__(self, config: FleetExperimentConfig = FleetExperimentConfig()):
-        self.config = config
-        self.telemetry = (
-            Telemetry.create() if config.telemetry_enabled else Telemetry.disabled()
-        )
+        super().__init__(config)
         self.engine = Engine(telemetry=self.telemetry)
         root = np.random.SeedSequence(config.seed)
         children = root.spawn(1 + 3 * len(config.rows))
@@ -245,6 +232,7 @@ class FleetExperiment:
             )
             row.set_over_provision_ratio(config.over_provision_ratio)
             self.rows.append(row)
+            self._groups[row.name] = row
             first_id += spec.n_servers
         self.datacenter = DataCenter(self.rows)
 
@@ -263,27 +251,22 @@ class FleetExperiment:
         self.event_log = ControlEventLog(self.engine, telemetry=self.telemetry)
         self.throughput = ThroughputTracker(self.engine)
 
-        self.injector: Optional[FaultInjector] = None
         if config.faults is not None:
             self.injector = FaultInjector(self.engine, config.faults)
             self.injector.attach_monitor(self.monitor)
 
         # --- per-row control planes -----------------------------------
-        self.schedulers: List[OmegaScheduler] = []
-        self.controllers: Dict[str, AmpereController] = {}
-        self.breakers: Dict[str, RowBreaker] = {}
-        self.supervisors: Dict[str, SafetySupervisor] = {}
         self._workload_rngs: List[np.random.Generator] = []
         self._modulation_seeds: List[int] = []
         ledger_rows: List[RowBudget] = []
-        for index, (row, spec) in enumerate(zip(self.rows, config.rows)):
+        for index, row in enumerate(self.rows):
             sched_seed = children[1 + 3 * index]
             workload_seed = children[2 + 3 * index]
             modulation_seed = children[3 + 3 * index]
             scheduler = OmegaScheduler(
                 self.engine, row.servers, rng=np.random.default_rng(sched_seed)
             )
-            self.schedulers.append(scheduler)
+            self._schedulers[row.name] = scheduler
             self._workload_rngs.append(np.random.default_rng(workload_seed))
             self._modulation_seeds.append(
                 int(modulation_seed.generate_state(1)[0])
@@ -291,7 +274,7 @@ class FleetExperiment:
             self.throughput.track(row)
             scheduler.placement_listeners.append(self.throughput.on_placement)
             self.event_log.attach_scheduler(scheduler)
-            controller = AmpereController(
+            self._controllers[row.name] = AmpereController(
                 self.engine,
                 InstrumentedScheduler(scheduler, self.telemetry),
                 self.monitor,
@@ -303,7 +286,6 @@ class FleetExperiment:
                 ),
                 telemetry=self.telemetry,
             )
-            self.controllers[row.name] = controller
 
             rating = row.power_budget_watts * config.fleet.rating_headroom
             ledger_rows.append(
@@ -314,7 +296,7 @@ class FleetExperiment:
                 )
             )
             safety = config.safety
-            self.breakers[row.name] = RowBreaker(
+            self._breakers[row.name] = RowBreaker(
                 row,
                 self.engine,
                 scheduler,
@@ -332,13 +314,13 @@ class FleetExperiment:
                 rating_watts=rating,
             )
             if safety is not None and safety.supervisor_enabled:
-                self.supervisors[row.name] = SafetySupervisor(
+                self._supervisors[row.name] = SafetySupervisor(
                     self.engine,
                     row,
                     scheduler,
                     CappingEngine(row, self.engine),
                     config=safety,
-                    breaker=self.breakers[row.name],
+                    breaker=self._breakers[row.name],
                     event_log=self.event_log,
                     telemetry=self.telemetry,
                     rating_watts=rating,
@@ -347,33 +329,17 @@ class FleetExperiment:
         # --- multi-tenancy: rows -> tenants, tagged down to servers ----
         # Rows are assigned by position with the same share-weighted
         # interleave used for servers in the single-row harness; every
-        # server inherits its row's tenant. Pure bookkeeping (no RNG).
+        # server inherits its row's tenant.
         self.tenant_of_row: Dict[str, str] = {}
-        self.tenant_of: Dict[int, str] = {}
-        self.accountant: Optional[TenancyAccountant] = None
         if config.tenancy is not None:
-            ordinal = {
-                name: index + 1 for index, name in enumerate(config.tenancy.names)
-            }
             self.tenant_of_row = assign_to_tenants(
                 [row.name for row in self.rows], config.tenancy
             )
-            for row in self.rows:
-                tenant = self.tenant_of_row[row.name]
-                for server in row.servers:
-                    self.tenant_of[server.server_id] = tenant
-                    server.tenant_id = ordinal[tenant]
-            self.accountant = TenancyAccountant(
-                self.engine,
-                config.tenancy,
-                self.tenant_of,
-                telemetry=self.telemetry,
+            self._wire_tenancy(
+                (server, self.tenant_of_row[row.name])
+                for row in self.rows
+                for server in row.servers
             )
-            for scheduler in self.schedulers:
-                scheduler.control_listeners.append(
-                    self.accountant.on_control_event
-                )
-            self.event_log.attach_tenant_resolver(self.accountant.resolve)
 
         # --- the facility budget plane --------------------------------
         self.ledger = BudgetLedger(
@@ -385,7 +351,7 @@ class FleetExperiment:
                 self.engine,
                 self.monitor,
                 self.ledger,
-                self.controllers,
+                self._controllers,
                 config=config.fleet,
                 telemetry=self.telemetry,
                 event_log=self.event_log,
@@ -394,27 +360,12 @@ class FleetExperiment:
             )
             if self.injector is not None:
                 self.injector.attach_coordinator(self.coordinator)
-        self.auditor: Optional[StateAuditor] = None
         if config.auditor is not None:
             self.auditor = self.build_auditor(config.auditor)
-        self._started = False
-        self._ran = False
-        self._result: Optional[FleetResult] = None
 
-    # ------------------------------------------------------------------
-    # Staged execution (mirrors ControlledExperiment: start/advance/finish
-    # compose into run(), and any advance() boundary is snapshotable).
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Arm workload, monitoring, control and safety services."""
-        if self._started:
-            raise RuntimeError("experiment already started")
-        self._started = True
+    def _arm(self, end: float, warmup: float) -> None:
         config = self.config
-        end = config.end_seconds
-        warmup = config.warmup_seconds
         interval = config.ampere.control_interval
-
         for index, (row, spec) in enumerate(zip(self.rows, config.rows)):
             profile = build_rate_profile(
                 spec.n_servers,
@@ -432,7 +383,7 @@ class FleetExperiment:
                     )
             generator = BatchWorkloadGenerator(
                 self.engine,
-                self.schedulers[index],
+                self._schedulers[row.name],
                 profile,
                 rng=self._workload_rngs[index],
                 duration=JobDurationDistribution(),
@@ -442,11 +393,11 @@ class FleetExperiment:
             )
             generator.start(end)
         self.monitor.start(end, first_at=warmup)
-        for controller in self.controllers.values():
+        for controller in self._controllers.values():
             controller.start(end, first_at=warmup)
-        for breaker in self.breakers.values():
+        for breaker in self._breakers.values():
             breaker.start(end, first_at=warmup)
-        for supervisor in self.supervisors.values():
+        for supervisor in self._supervisors.values():
             supervisor.start(end, first_at=warmup)
         if self.auditor is not None:
             self.auditor.start(end, first_at=warmup)
@@ -461,97 +412,6 @@ class FleetExperiment:
         if self.injector is not None:
             self.injector.arm(end)
 
-    def advance(self, until: Optional[float] = None) -> None:
-        """Run simulated time forward to ``until`` (default: the horizon)."""
-        if not self._started:
-            self.start()
-        end = self.config.end_seconds
-        target = end if until is None else min(float(until), end)
-        self.engine.run(until=target)
-
-    def finish(self) -> FleetResult:
-        """Run any remaining simulated time and collect the outcomes.
-
-        Idempotent like :meth:`ControlledExperiment.finish`: repeated
-        calls return the cached result without re-collecting.
-        """
-        if self._ran:
-            return self._result
-        self.advance()
-        self._ran = True
-        self._result = self._collect(
-            self.config.warmup_seconds, self.config.end_seconds
-        )
-        return self._result
-
-    def run(self) -> FleetResult:
-        """Execute the fleet experiment and return measured outcomes."""
-        if self._ran or self._started:
-            raise RuntimeError("experiment already ran; build a new instance")
-        self.start()
-        return self.finish()
-
-    # ------------------------------------------------------------------
-    # Durable snapshots (see repro.durability for the frame format)
-    # ------------------------------------------------------------------
-    SNAPSHOT_KIND = "fleet"
-
-    def _snapshot_meta(self) -> dict:
-        return {
-            "sim_now": self.engine.now,
-            "n_rows": len(self.rows),
-            "seed": self.config.seed,
-            "started": self._started,
-        }
-
-    def snapshot(self) -> bytes:
-        """Serialize the complete live fleet run into a versioned frame."""
-        if self.engine._running:
-            raise RuntimeError(
-                "cannot snapshot while the engine is running; snapshot "
-                "between advance() calls"
-            )
-        from repro.durability import encode_snapshot
-
-        return encode_snapshot(self, self.SNAPSHOT_KIND, self._snapshot_meta())
-
-    def save_snapshot(self, path: Union[str, Path]) -> int:
-        """Atomically write :meth:`snapshot` to ``path``; returns bytes."""
-        from repro.durability import atomic_write_bytes
-
-        frame = self.snapshot()
-        atomic_write_bytes(path, frame)
-        return len(frame)
-
-    @classmethod
-    def restore(cls, source: Union[bytes, str, Path]) -> "FleetExperiment":
-        """Rebuild a live fleet experiment from a snapshot."""
-        from repro.durability import SnapshotError, decode_snapshot, read_snapshot
-
-        if isinstance(source, (bytes, bytearray)):
-            obj, _ = decode_snapshot(bytes(source), expected_kind=cls.SNAPSHOT_KIND)
-        else:
-            obj, _ = read_snapshot(source, expected_kind=cls.SNAPSHOT_KIND)
-        if not isinstance(obj, cls):
-            raise SnapshotError(
-                f"snapshot payload is {type(obj).__name__}, not {cls.__name__}"
-            )
-        return obj
-
-    # ------------------------------------------------------------------
-    def build_auditor(self, config: Optional[AuditorConfig] = None) -> StateAuditor:
-        """A :class:`StateAuditor` wired to every fleet surface."""
-        return StateAuditor(
-            self.engine,
-            state=self.state,
-            schedulers=list(self.schedulers),
-            ledger=self.ledger,
-            supervisors=[self.supervisors[name] for name in sorted(self.supervisors)],
-            config=config if config is not None else AuditorConfig(),
-            telemetry=self.telemetry,
-        )
-
-    # ------------------------------------------------------------------
     def _collect(self, warmup: float, end: float) -> FleetResult:
         config = self.config
         interval = config.ampere.control_interval
@@ -562,7 +422,7 @@ class FleetExperiment:
                 row.name, start=warmup, end=end
             )
             throughput = self.throughput.window_total(row.name, warmup, end)
-            state = self.controllers[row.name].state_of(row.name)
+            state = self._controllers[row.name].state_of(row.name)
             summary = summarize_power_series(
                 row.name,
                 norm,
@@ -571,17 +431,16 @@ class FleetExperiment:
                 budget=1.0,
             )
             record = self.throughput.records[row.name]
-            stats = self.breakers[row.name].stats_snapshot()
+            stats = self._breakers[row.name].stats_snapshot()
             breaker_stats[row.name] = stats
+            budget = self.ledger.row(row.name)
             outcomes.append(
                 FleetRowOutcome(
                     name=row.name,
                     summary=summary,
-                    static_budget_watts=self.ledger.row(row.name).static_watts,
-                    final_allocation_watts=self.ledger.row(
-                        row.name
-                    ).allocation_watts,
-                    rating_watts=self.ledger.row(row.name).rating_watts,
+                    static_budget_watts=budget.static_watts,
+                    final_allocation_watts=budget.allocation_watts,
+                    rating_watts=budget.rating_watts,
                     frozen_server_minutes=(
                         state.u_integral * spec.n_servers * interval / 60.0
                     ),
@@ -606,22 +465,14 @@ class FleetExperiment:
                 if self.coordinator is not None
                 else None
             ),
-            fault_stats=(
-                self.injector.stats_snapshot()
-                if self.injector is not None
-                else None
-            ),
             breaker_stats=breaker_stats,
-            telemetry=self.telemetry.registry if self.telemetry.enabled else None,
-            audit_stats=(
-                self.auditor.stats_snapshot() if self.auditor is not None else None
-            ),
-            tenancy=(
-                self.accountant.stats_snapshot()
-                if self.accountant is not None
-                else None
-            ),
+            **self._shared_result_fields(),
         )
+
+    def _attach_runtime_injector(self, injector: FaultInjector) -> None:
+        injector.attach_monitor(self.monitor)
+        if self.coordinator is not None:
+            injector.attach_coordinator(self.coordinator)
 
 
 def run_fleet_ab(

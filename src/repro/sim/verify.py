@@ -59,13 +59,14 @@ def verify_snapshot_file(
 ) -> VerifyReport:
     """Restore a durable snapshot and run a full invariant sweep.
 
-    Never raises for bad input: unreadable/corrupt/unknown-kind frames
-    come back with ``exit_code == EXIT_UNREADABLE`` and an ``error``
-    message, invariant violations with ``exit_code == EXIT_VIOLATIONS``.
+    The frame's kind picks the run class
+    (:func:`repro.sim.staged.restore_run`). Never raises for bad input:
+    unreadable/corrupt/unknown-kind frames come back with
+    ``exit_code == EXIT_UNREADABLE`` and an ``error`` message, invariant
+    violations with ``exit_code == EXIT_VIOLATIONS``.
     """
     from repro.durability import SnapshotError, read_header
-    from repro.sim.experiment import ControlledExperiment
-    from repro.sim.fleet_experiment import FleetExperiment
+    from repro.sim.staged import restore_run
 
     path = str(path)
     try:
@@ -78,17 +79,7 @@ def verify_snapshot_file(
         )
     kind = header.get("kind")
     try:
-        if kind == "experiment":
-            experiment = ControlledExperiment.restore(path)
-        elif kind == "fleet":
-            experiment = FleetExperiment.restore(path)
-        else:
-            return VerifyReport(
-                path=path,
-                exit_code=EXIT_UNREADABLE,
-                kind=kind,
-                error=f"unknown snapshot kind {kind!r}",
-            )
+        experiment = restore_run(path)
     except SnapshotError as exc:
         return VerifyReport(
             path=path,

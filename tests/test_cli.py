@@ -46,6 +46,81 @@ class TestParser:
         assert args.workers is None and args.parallel
 
 
+#: ``vars(namespace)`` of every subcommand parsed with no optional
+#: arguments: the shared run options must keep each subcommand's own
+#: defaults and add or drop no flag
+SUBCOMMAND_DEFAULTS = {
+    "experiment": {
+        "seed": 0, "servers": 400, "hours": 24.0, "ro": 0.25,
+        "workload": "heavy", "no_ampere": False, "capping": False,
+        "scale_experiment_only": False, "faults": None, "safety": False,
+        "tenants": None, "tenancy_policy": None, "save_snapshot": None,
+    },
+    "sweep": {
+        "seed": 0, "servers": 400, "hours": 12.0,
+        "ratios": [0.13, 0.17, 0.21, 0.25], "workload": "typical",
+    },
+    "calibrate": {"seed": 0, "servers": 400, "hours": 12.0},
+    "interactive": {"seed": 0, "servers": 400, "hours": 2.0},
+    "trace": {"seed": 9, "days": 1.0, "rows": 5},
+    "advise": {
+        "seed": 0, "servers": 400, "hours": 12.0, "workload": "typical",
+        "ratios": [0.13, 0.17, 0.21, 0.25],
+    },
+    "campaign": {
+        "seed": 0, "servers": 400, "hours": 12.0,
+        "ratios": [0.13, 0.17, 0.21, 0.25], "seeds": [13], "csv": None,
+        "workers": None, "parallel": False, "faults": None, "safety": False,
+        "fleet_policy": None, "fleet_skew": 0.25, "tenants": None,
+        "tenancy_policy": None, "checkpoint_dir": None, "resume": False,
+        "cell_timeout": None, "retries": 1,
+    },
+    "verify-snapshot": {"path": "x.snap", "checks": None},
+    "fleet": {
+        "seed": 7, "servers_per_row": 80, "hours": 6.0, "ro": 0.25,
+        "policies": ["static", "demand-following"], "hot_util": 0.4,
+        "cold_util": 0.06, "json": None, "tenants": None,
+        "tenancy_policy": None,
+    },
+    "tenancy-ab": {
+        "seed": 0, "servers": 400, "hours": 3.0, "warmup_hours": 0.5,
+        "ro": 0.25, "workload": "heavy", "tenants": "critical-batch",
+    },
+    "metrics": {
+        "seed": 0, "servers": 400, "hours": 2.0, "ro": 0.25,
+        "workload": "heavy", "faults": None, "json": None, "prom": None,
+    },
+    "spans": {
+        "seed": 0, "servers": 400, "hours": 2.0, "ro": 0.25,
+        "workload": "heavy", "faults": None, "name": None, "last": 0,
+    },
+    "serve": {
+        "seed": 0, "servers": 400, "hours": 2.0, "warmup_hours": 0.5,
+        "ro": 0.25, "workload": "heavy", "faults": None, "safety": False,
+        "capping": False, "audit": False, "no_telemetry": False,
+        "fleet": False, "fleet_policy": "demand-following", "tenants": None,
+        "tenancy_policy": None, "golden": False, "host": "127.0.0.1",
+        "port": 8321, "step_mode": False, "speedup": 60.0,
+        "final_snapshot": None, "state_dir": None,
+        "auto_snapshot_every": 10.0, "auto_snapshot_min_wall": 5.0,
+        "serve_resume": False,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_DEFAULTS) + ["run"])
+def test_subcommand_defaults_are_pinned(command):
+    """Every subcommand keeps its exact flag set and defaults."""
+    positional = ["x.snap"] if command == "verify-snapshot" else []
+    parsed = vars(build_parser().parse_args([command, *positional]))
+    expected = dict(
+        SUBCOMMAND_DEFAULTS["experiment" if command == "run" else command],
+        log_level=None,
+        command=command,
+    )
+    assert parsed == expected
+
+
 class TestExecution:
     def test_experiment_command_runs(self, capsys):
         code = main(

@@ -13,7 +13,9 @@ treatment at cell granularity.
 
 import json
 import os
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.analysis.serialize import result_to_dict
@@ -127,17 +129,24 @@ def test_frame_rejects_future_version():
 
 def test_frame_rejects_version_2_snapshot():
     """Version 2 frames carried an engine backend in ``ClusterState`` and
-    the header meta; this build refuses them with the version error."""
+    the header meta; version 3 frames pickled each run shape's own
+    attribute layout (fleet lists/dicts named ``schedulers``,
+    ``controllers``, ...) and kept runtime-armed injectors off the run.
+    This build refuses both with the version error."""
     experiment = ControlledExperiment(tiny_config())
     experiment.start()
     header, _, payload = experiment.snapshot().partition(b"\n")
     doc = json.loads(header)
-    assert doc["version"] == SNAPSHOT_VERSION == 3
-    doc["version"] = 2
-    doc["meta"]["backend"] = "object"
-    old_frame = json.dumps(doc, sort_keys=True).encode() + b"\n" + payload
-    with pytest.raises(SnapshotError, match="unsupported snapshot version 2"):
-        ControlledExperiment.restore(old_frame)
+    assert doc["version"] == SNAPSHOT_VERSION == 4
+    for version in (2, 3):
+        old = dict(doc, version=version, meta=dict(doc["meta"]))
+        if version == 2:
+            old["meta"]["backend"] = "object"
+        old_frame = json.dumps(old, sort_keys=True).encode() + b"\n" + payload
+        with pytest.raises(
+            SnapshotError, match=f"unsupported snapshot version {version}"
+        ):
+            ControlledExperiment.restore(old_frame)
 
 
 def test_frame_rejects_kind_mismatch():
@@ -157,6 +166,27 @@ def test_frame_rejects_truncation():
     data = encode_snapshot({"a": list(range(100))}, "experiment", {})
     with pytest.raises(SnapshotError):
         decode_snapshot(data[:-10], "experiment")
+
+
+def test_canonical_pickle_dedups_equal_dtypes_by_value():
+    # An array restored from a frame carries an unpickled dtype, one
+    # built afterwards numpy's own: the graph must encode the same.
+    restored = pickle.loads(pickle.dumps(np.zeros(3)))
+    assert restored.dtype is not np.dtype("f8")
+    fresh = encode_snapshot([np.zeros(3), np.ones(2)], "experiment", {})
+    mixed = encode_snapshot([restored, np.ones(2)], "experiment", {})
+    assert fresh == mixed
+
+
+def test_canonical_pickle_writes_set_members_sorted():
+    # Iteration order follows a set's history; a restored set is rebuilt
+    # fresh, so the encoding must not depend on it.
+    shrunk = set(range(64))
+    shrunk.difference_update(set(range(64)) - {1, 8})
+    assert list(shrunk) != list({8, 1})
+    assert encode_snapshot(shrunk, "experiment", {}) == encode_snapshot(
+        {8, 1}, "experiment", {}
+    )
 
 
 def test_canonical_pickle_dedups_equal_strings_by_value():

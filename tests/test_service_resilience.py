@@ -26,15 +26,11 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.serialize import result_to_dict
-from repro.service import SupervisorConfig, build_service
+from repro.service import SupervisorConfig, build_service, harness_for
 from repro.service.driver import DriverBusy, EventBus
-from repro.service.harness import harness_for
-from repro.service.supervisor import restore_experiment
 from repro.service.wal import (
     ActWal,
     WalError,
@@ -45,6 +41,7 @@ from repro.service.wal import (
 )
 from repro.sim.audit import AuditorConfig
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
+from repro.sim.staged import restore_run
 from repro.sim.testbed import WorkloadSpec
 from repro.telemetry import MetricsRegistry
 
@@ -118,7 +115,7 @@ class OneShotCrash:
 
 
 def full_audit_violations(frame: bytes):
-    experiment = restore_experiment(frame)
+    experiment = restore_run(frame)
     auditor = experiment.build_auditor(
         AuditorConfig(sample_fraction=1.0, on_violation="record")
     )
@@ -291,7 +288,7 @@ class TestCrashRecovery:
             status, _, _ = post(url, "/api/step", {"until": self.HORIZON})
             assert status == 200
             frame = service.driver.read(
-                lambda: service.harness.snapshot_bytes()
+                lambda: service.run.snapshot()
             )
         finally:
             service.stop()
@@ -323,13 +320,13 @@ class TestCrashRecovery:
             # Replay restored the genesis frame (t=0) and re-applied the
             # freeze at its logged sim-time, leaving the clock there.
             sim_now = service.driver.read(
-                lambda: service.harness.engine.now
+                lambda: service.run.engine.now
             )
             assert sim_now == pytest.approx(600.0)
             status, _, _ = post(url, "/api/step", {"until": self.HORIZON})
             assert status == 200
             frame = service.driver.read(
-                lambda: service.harness.snapshot_bytes()
+                lambda: service.run.snapshot()
             )
         finally:
             service.stop()
@@ -817,10 +814,10 @@ class TestStateDirAndResume:
         )
         resumed.start()
         try:
-            assert resumed.harness.engine.now == pytest.approx(600.0)
+            assert resumed.run.engine.now == pytest.approx(600.0)
             post(resumed.url, "/api/step", {"until": 1500.0})
             frame = resumed.driver.read(
-                lambda: resumed.harness.snapshot_bytes()
+                lambda: resumed.run.snapshot()
             )
         finally:
             resumed.stop()
