@@ -96,7 +96,12 @@ class Server:
 
     @frozen.setter
     def frozen(self, value: bool) -> None:
-        self._state.frozen[self._index] = value
+        # _queue_refit() inlined: a group freeze writes this flag per server
+        state, i = self._state, self._index
+        state.frozen[i] = value
+        fit = state.fit_index_of[i]
+        if fit is not None:
+            fit.pending.add(i)
 
     @property
     def failed(self) -> bool:
@@ -105,6 +110,7 @@ class Server:
     @failed.setter
     def failed(self, value: bool) -> None:
         self._state.failed[self._index] = value
+        self._queue_refit()
 
     @property
     def powered_off(self) -> bool:
@@ -113,6 +119,7 @@ class Server:
     @powered_off.setter
     def powered_off(self, value: bool) -> None:
         self._state.powered_off[self._index] = value
+        self._queue_refit()
 
     @property
     def frequency(self) -> float:
@@ -129,6 +136,7 @@ class Server:
     @used_cores.setter
     def used_cores(self, value: float) -> None:
         self._state.used_cores[self._index] = value
+        self._queue_refit()
 
     @property
     def used_memory_gb(self) -> float:
@@ -137,6 +145,7 @@ class Server:
     @used_memory_gb.setter
     def used_memory_gb(self, value: float) -> None:
         self._state.used_memory_gb[self._index] = value
+        self._queue_refit()
 
     @property
     def jobs_started(self) -> int:
@@ -166,6 +175,13 @@ class Server:
     def _invalidate_power(self) -> None:
         self._state.power_valid[self._index] = False
 
+    def _queue_refit(self) -> None:
+        """Queue this slot for the placement fit index covering it, which
+        re-reads it before its next query."""
+        fit = self._state.fit_index_of[self._index]
+        if fit is not None:
+            fit.pending.add(self._index)
+
     # ------------------------------------------------------------------
     # Resource accounting
     # ------------------------------------------------------------------
@@ -186,7 +202,8 @@ class Server:
 
     def add_task(self, job: "Job") -> None:
         """Attach a placed job's demand (a per-job hot path: one slot read,
-        column updates in place, can_fit's arithmetic and 1e-9 slack)."""
+        column updates in place, can_fit's arithmetic and 1e-9 slack, and
+        a refit of the placement fit index when one covers the slot)."""
         if job.job_id in self.tasks:
             raise ValueError(f"job {job.job_id} already running on server {self.server_id}")
         state, i = self._state, self._index
@@ -203,6 +220,9 @@ class Server:
         state.used_memory_gb[i] = used_memory_gb
         state.jobs_started[i] += 1
         state.power_valid[i] = False
+        fit = state.fit_index_of[i]
+        if fit is not None:
+            fit.refit(i, used_cores, used_memory_gb)
 
     def remove_task(self, job: "Job") -> None:
         """Release a finished (or killed) job's resources."""
@@ -213,10 +233,17 @@ class Server:
         used_cores = state.used_cores.item(i) - job.cores
         used_memory_gb = state.used_memory_gb.item(i) - job.memory_gb
         # Guard against float drift accumulating into tiny negatives.
-        state.used_cores[i] = 0.0 if used_cores < 1e-9 else used_cores
-        state.used_memory_gb[i] = 0.0 if used_memory_gb < 1e-9 else used_memory_gb
+        if used_cores < 1e-9:
+            used_cores = 0.0
+        if used_memory_gb < 1e-9:
+            used_memory_gb = 0.0
+        state.used_cores[i] = used_cores
+        state.used_memory_gb[i] = used_memory_gb
         state.jobs_completed[i] += 1
         state.power_valid[i] = False
+        fit = state.fit_index_of[i]
+        if fit is not None:
+            fit.refit(i, used_cores, used_memory_gb)
 
     # ------------------------------------------------------------------
     # Power

@@ -41,7 +41,7 @@ with different stores are rejected (:func:`shared_state_of`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +87,13 @@ class ClusterState:
     A mask mutation (e.g. :meth:`fail_servers`) invalidates exactly what
     a per-object mutation would, so the capped-time accounting cannot
     drift through batching.
+
+    ``fit_index_of`` maps each slot to the placement fit index that
+    covers it (see :mod:`repro.scheduler.resources`), or ``None``.
+    ``Server`` mutations keep that index exact; the mask mutations below
+    write the columns only, so a fit index over their slots drifts
+    (the auditor's ``index`` check reports it). The list is derived
+    state: it is not pickled and restores empty.
     """
 
     _FLOAT_COLUMNS = (
@@ -122,6 +129,16 @@ class ClusterState:
         self._uniform_freq_exp: Optional[float] = None
         self._mixed_util_exp = False
         self._mixed_freq_exp = False
+        self.fit_index_of: List[Optional[object]] = [None] * capacity
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["fit_index_of"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.fit_index_of = [None] * len(self.cores)
 
     # ------------------------------------------------------------------
     # Registration
@@ -137,6 +154,7 @@ class ClusterState:
             grown = np.zeros(new_capacity, dtype=old.dtype)
             grown[: self.n] = old[: self.n]
             setattr(self, name, grown)
+        self.fit_index_of.extend([None] * (new_capacity - len(self.fit_index_of)))
 
     def add_server(
         self,

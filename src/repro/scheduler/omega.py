@@ -357,10 +357,9 @@ class OmegaScheduler(SchedulerInterface):
     # Placement (low level)
     # ------------------------------------------------------------------
     def _try_place(self, job: Job, framework: Framework) -> bool:
-        candidates = self.tracker.candidates(job.cores, job.memory_gb, job.allowed_rows)
-        if len(candidates) == 0:
+        index = framework.policy.place(self.tracker, job, self.rng)
+        if index is None:
             return False
-        index = framework.policy.select(self.tracker, candidates, self.rng)
         self._place(job, index)
         return True
 

@@ -25,7 +25,8 @@ GET    /api/series               power/budget traces (``?window=seconds``)
 GET    /api/safety               safety ladders + breaker states
 GET    /api/faults               armed injectors and their fault counts
 GET    /api/audit                full invariant sweep of live state, now
-GET    /api/result               final result document (404 until finished)
+GET    /api/result               final result document (404 until finished,
+                                 409 when the horizon gave no result)
 GET    /api/scenarios            builtin fault scenario registry
 GET    /healthz                  liveness probe (200 while serving)
 GET    /readyz                   readiness probe (503 while degraded)

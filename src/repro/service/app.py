@@ -192,6 +192,8 @@ class ServiceApp:
     def result(self) -> dict:
         doc = self.driver.result_doc
         if doc is None:
+            if self.driver.finish_error is not None:
+                raise ServiceError(409, self.driver.finish_error)
             raise ServiceError(404, "experiment has not finished yet")
         return views.jsonsafe(doc)
 

@@ -318,6 +318,9 @@ class RealTimeDriver:
         self._result = None
         self._result_doc: Optional[dict] = None
         self._fatal: Optional[str] = None
+        #: why the run reached its horizon without a result (e.g. the
+        #: control group placed no job in the measured window)
+        self._finish_error: Optional[str] = None
         self._published_events = 0
         self._steps = 0
         self._commands_run = 0
@@ -348,6 +351,11 @@ class RealTimeDriver:
     @property
     def fatal(self) -> Optional[str]:
         return self._fatal
+
+    @property
+    def finish_error(self) -> Optional[str]:
+        """Why collecting the result failed at the horizon, or ``None``."""
+        return self._finish_error
 
     def heartbeat_age(self) -> float:
         """Wall seconds since the sim thread last signalled progress."""
@@ -523,6 +531,7 @@ class RealTimeDriver:
             and not self._paused
             and self._fatal is None
             and self._result is None
+            and self._finish_error is None
         )
 
     def _advance_tick(self) -> None:
@@ -538,7 +547,12 @@ class RealTimeDriver:
         if target > now:
             self._advance_toward(target)
         if self.run.engine.now >= horizon and self._result is None:
-            self._do_finish()
+            try:
+                self._do_finish()
+            except DriverError:
+                if self._finish_error is None:
+                    raise
+                # recorded: /api/finish and /api/result answer 409 with it
 
     def _advance_toward(self, target: float) -> None:
         """Advance in slices, serving reads at each boundary."""
@@ -668,6 +682,8 @@ class RealTimeDriver:
     def _do_finish(self) -> dict:
         if self._fatal is not None:
             raise DriverError(f"driver halted: {self._fatal}")
+        if self._finish_error is not None:
+            raise DriverError(self._finish_error)
         if self._result is None:
             # Slice the remaining distance to the horizon instead of one
             # monolithic advance inside run.finish(): identical
@@ -677,7 +693,14 @@ class RealTimeDriver:
             self._advance_toward(self.run.end_seconds)
             if self._fatal is not None:
                 raise DriverError(f"driver halted: {self._fatal}")
-            result = self.run.finish()
+            try:
+                result = self.run.finish()
+            except ValueError as exc:
+                # The horizon is reached and cannot be re-run: keep the
+                # cause so every later finish or result request names it.
+                self._finish_error = f"run finished without a result: {exc}"
+                self._publish_driver_event("finish_failed", detail=self._finish_error)
+                raise DriverError(self._finish_error) from exc
             self._result = result
             self._result_doc = result.to_dict()
             self._publish_control_events()
@@ -728,6 +751,7 @@ class RealTimeDriver:
             "started": self.run.started,
             "finished": self._result is not None,
             "fatal": self._fatal,
+            "finish_error": self._finish_error,
             "sim_now": now,
             "horizon": horizon,
             "progress": min(1.0, now / horizon) if horizon > 0 else 0.0,

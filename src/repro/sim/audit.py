@@ -21,6 +21,13 @@ live state claims from first principles:
     The scheduler's authoritative frozen set matches the store's
     ``frozen`` column; failed servers hold the post-``fail()`` contract
     (full frequency, zero cached power if cached).
+``index``
+    Each scheduler's placement fit index (when one is built) agrees with
+    the store: the fit level of every audited server equals a fresh
+    recompute from the columns, and a full audit also checks every
+    block, superblock and total count against fresh counts. A raw column
+    write that bypassed ``Server`` (``ClusterState.fail_servers``, say)
+    shows up here.
 ``ledger``
     Fleet budget conservation: allocations sum within the facility
     budget and each row sits in ``[floor, rating]``.
@@ -63,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 logger = logging.getLogger(__name__)
 
 #: Every check the auditor knows, in execution order.
-ALL_CHECKS = ("event_queue", "numeric", "power_cache", "masks", "ledger")
+ALL_CHECKS = ("event_queue", "numeric", "power_cache", "masks", "index", "ledger")
 
 #: What to do when a pass finds violations.
 ON_VIOLATION_MODES = ("raise", "record", "escalate")
@@ -274,6 +281,8 @@ class StateAuditor:
                 self._check_power_cache(indices, violations)
             elif check == "masks":
                 self._check_masks(indices, violations)
+            elif check == "index" and indices is not None:
+                self._check_index(indices, violations, full=not sample)
             elif check == "ledger":
                 self._check_ledger(violations)
         self.stats.passes += 1
@@ -435,6 +444,66 @@ class StateAuditor:
                     )
                 )
 
+    def _check_index(
+        self, indices: np.ndarray, out: List[InvariantViolation], full: bool
+    ) -> None:
+        # Reading the index applies its queued flag changes first: that
+        # touches derived state only, exactly as the next placement would.
+        for scheduler in self.schedulers:
+            tracker = scheduler.tracker
+            fit = tracker.fit_index
+            if fit is None or not fit.classes:
+                continue
+            state = tracker.state
+            first = fit.first
+            slots = indices[(indices >= first) & (indices < first + fit.n)]
+            fresh = _fresh_levels(state, slots, fit.classes)
+            held = np.array([fit.levels[i] for i in (slots - first).tolist()], dtype=np.int64)
+            bad = fresh != held
+            if bad.any():
+                drifted = slots[bad][:8]
+                out.append(
+                    self._violation(
+                        "index",
+                        f"fit level disagrees with the store on "
+                        f"{int(bad.sum())} server(s)",
+                        {
+                            "server_ids": state.server_ids[drifted].tolist(),
+                            "index_levels": held[bad][:8].tolist(),
+                            "fresh_levels": fresh[bad][:8].tolist(),
+                        },
+                    )
+                )
+            if full and slots.size == fit.n:
+                self._check_index_counts(fit, fresh, out)
+
+    def _check_index_counts(self, fit, fresh: np.ndarray, out: List[InvariantViolation]) -> None:
+        starts = np.asarray(fit.block_starts, dtype=np.intp)
+        super_starts = np.asarray([first for first, _ in fit.super_blocks], dtype=np.intp)
+        for j, demand in enumerate(fit.classes):
+            per_block = np.add.reduceat((fresh > j).astype(np.int64), starts)
+            per_super = np.add.reduceat(per_block, super_starts)
+            for label, held, expected in (
+                ("block", fit.block_counts[j], per_block),
+                ("superblock", fit.super_counts[j], per_super),
+                ("total", [fit.totals[j]], [int(per_block.sum())]),
+            ):
+                wrong = np.flatnonzero(np.asarray(held) != np.asarray(expected))
+                if wrong.size:
+                    out.append(
+                        self._violation(
+                            "index",
+                            f"{wrong.size} {label} count(s) of class {demand} "
+                            "disagree with a fresh scan",
+                            {
+                                "class": list(demand),
+                                "level": label,
+                                "positions": wrong[:8].tolist(),
+                            },
+                        )
+                    )
+                    return  # one count report per index is enough
+
     def _check_ledger(self, out: List[InvariantViolation]) -> None:
         ledger = self.ledger
         if ledger is None:
@@ -502,6 +571,23 @@ class StateAuditor:
 
     def stats_snapshot(self) -> AuditStats:
         return self.stats.snapshot()
+
+
+def _fresh_levels(state, slots: np.ndarray, classes) -> np.ndarray:
+    """Fit levels of ``slots`` recomputed from the store columns: how many
+    of the (nested) demand classes fit, 0 on a blocked server."""
+    used_cores = state.used_cores[slots]
+    used_memory = state.used_memory_gb[slots]
+    cores_cap = state.cores[slots]
+    memory_cap = state.memory_gb[slots]
+    levels = np.zeros(slots.size, dtype=np.int64)
+    for cores, memory_gb in classes:
+        levels += (used_cores <= cores_cap - (cores - 1e-9)) & (
+            used_memory <= memory_cap - (memory_gb - 1e-9)
+        )
+    blocked = state.frozen[slots] | state.failed[slots] | state.powered_off[slots]
+    levels[blocked] = 0
+    return levels
 
 
 __all__ = [

@@ -116,6 +116,55 @@ def test_failed_server_with_capped_frequency_detected():
     )
 
 
+def fitting_slot(experiment, parity=None) -> int:
+    """A store slot the placement index holds at a positive fit level."""
+    fit = experiment.testbed.scheduler.tracker.fit_index
+    assert fit is not None, "placements build the fit index"
+    for i, level in enumerate(fit.levels):
+        slot = fit.first + i
+        if level > 0 and (parity is None or slot % 2 == parity):
+            return slot
+    raise AssertionError("no server fits any demand class")
+
+
+def test_raw_column_write_is_index_drift():
+    experiment = advanced_experiment()
+    state = experiment.testbed.state
+    victim = fitting_slot(experiment)
+    # Batched fail() semantics without Server.fail(): the index keeps the
+    # server's old fit level.
+    state.fail_servers(np.array([victim], dtype=np.intp))
+    violations = recording_auditor(experiment).audit(sample=False)
+    index = [v for v in violations if v.check == "index"]
+    assert index and "fit level disagrees" in index[0].message
+    assert index[0].details["server_ids"] == [int(state.server_ids[victim])]
+    assert index[0].details["fresh_levels"] == [0]
+    assert any("count" in v.message for v in index)
+
+
+def test_sampled_index_check_sees_only_its_stratum():
+    experiment = advanced_experiment()
+    state = experiment.testbed.state
+    state.fail_servers(np.array([fitting_slot(experiment, parity=0)], dtype=np.intp))
+    auditor = recording_auditor(experiment, sample_fraction=0.5)
+    seen = [
+        [v.check for v in auditor.audit(sample=True) if v.check == "index"]
+        for _ in range(2)
+    ]
+    # The victim falls in the even stratum only; a sampled pass compares
+    # levels, never the O(N) block counts.
+    assert seen == [["index"], []]
+
+
+def test_index_check_skips_unbuilt_index():
+    experiment = ControlledExperiment(tiny_config())
+    experiment.start()
+    assert experiment.testbed.scheduler.tracker.fit_index is None
+    experiment.testbed.state.fail_servers(np.array([0], dtype=np.intp))
+    violations = recording_auditor(experiment).audit(sample=False)
+    assert "index" not in {v.check for v in violations}
+
+
 def test_event_queue_corruption_detected():
     experiment = advanced_experiment()
     engine = experiment.testbed.engine

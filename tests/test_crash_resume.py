@@ -74,21 +74,30 @@ def _run_python(code: str, log_path: Path) -> int:
     Output goes to a file, not a pipe: after the SIGKILL, orphaned pool
     workers still hold the child's stdout/stderr, and waiting for pipe
     EOF (as ``capture_output`` does) would block on them instead of on
-    the child we actually killed.
+    the child we actually killed. The child leads its own process group,
+    which is killed once the child is gone, so those orphaned workers do
+    not outlive the test.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + str(REPO_ROOT)
     with open(log_path, "wb") as log:
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "-c", code],
             env=env,
             cwd=REPO_ROOT,
             stdin=subprocess.DEVNULL,
             stdout=log,
             stderr=log,
-            timeout=600,
+            start_new_session=True,
         )
-    return proc.returncode
+        try:
+            return proc.wait(timeout=600)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # no process of the group is left
+            proc.wait()
 
 
 def _kill_child(checkpoint_dir, kill_after: int, parallel: bool) -> None:

@@ -17,6 +17,7 @@ Four layers of guarantees:
 import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -296,6 +297,59 @@ class TestAPIContract:
             assert saw_driver
         finally:
             stream.close()
+
+
+class TestFinishWithoutResult:
+    """A run can reach its horizon with no result to collect: here the
+    operator freezes the control group before warm-up ends, so control
+    places no job in the measured window and r_T is undefined. Finish and
+    result must then answer a definite 409 naming the cause, not leave
+    ``/api/result`` at 404 forever."""
+
+    CAUSE = "control throughput must be positive"
+
+    def test_manual_finish_and_result_answer_409(self):
+        from repro.service.app import ServiceError
+
+        handle = build_service(
+            ControlledExperiment(small_config(auditor=None)), mode="manual"
+        )
+        handle.start()
+        try:
+            app = handle.app
+            assert app.status()["sim_now"] < 0.1 * 3600.0  # still warming up
+            app.freeze_group("control")
+            for call in (app.finish, app.result, app.finish):
+                with pytest.raises(ServiceError) as caught:
+                    call()
+                assert caught.value.status == 409
+                assert self.CAUSE in caught.value.message
+            status = app.status()
+            assert status["finished"] is False
+            assert self.CAUSE in status["finish_error"]
+            assert get_status(handle.url, "/api/result") == 409
+        finally:
+            handle.stop()
+
+    def test_timed_mode_keeps_serving_after_a_failed_finish(self):
+        from repro.service import harness_for
+        from repro.service.wal import apply_act
+
+        experiment = ControlledExperiment(small_config(auditor=None))
+        apply_act(harness_for(experiment), "freeze", {"group": "control"})
+        handle = build_service(experiment, mode="accelerated", speedup=1e6)
+        handle.start()
+        try:
+            deadline = time.monotonic() + 60.0
+            status = handle.app.status()
+            while status["finish_error"] is None and time.monotonic() < deadline:
+                time.sleep(0.1)
+                status = handle.app.status()
+            assert self.CAUSE in status["finish_error"]
+            assert handle.driver.alive  # the sim thread survived
+            assert get_status(handle.url, "/api/result") == 409
+        finally:
+            handle.stop()
 
 
 class TestHTTPPlumbing:
