@@ -74,8 +74,11 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: tracker's mirror arrays and the profiles' numpy windows are gone; 3:
 #: ``ClusterState`` and the header meta no longer carry an engine backend;
 #: 4: both run shapes are ``StagedRun``s -- per-group registries, the
-#: runtime-armed injectors on the run, ``n_groups`` in the header meta).
-SNAPSHOT_VERSION = 4
+#: runtime-armed injectors on the run, ``n_groups`` in the header meta;
+#: 5: the shared config fields live on the ``RunWindow`` base, the
+#: removed config knobs are gone, and the run carries ``capping`` and
+#: ``throughput`` on the ``StagedRun`` layout).
+SNAPSHOT_VERSION = 5
 
 #: Pickle protocol pinned for stable output within a Python version
 #: (``HIGHEST_PROTOCOL`` may move under our feet on an interpreter bump).

@@ -5,7 +5,9 @@ faults), toggles the monitor's outage flag (blackouts) and crash/restarts
 the controller. Data-plane seams: it wraps the workload's rate profile
 (demand surges), schedules sensor-bias windows against the monitor, and
 drives the server crash/repair process (:mod:`repro.sim.failures`),
-including MTBF step-changes for crash storms. Everything lands as
+including MTBF step-changes for crash storms;
+:meth:`FaultInjector.unattached_seams` names events that would land
+nowhere, so a run can refuse them. Everything lands as
 :class:`~repro.sim.events.EventPriority.FAULT` events so a fault
 scheduled for minute *t* already shapes minute *t*'s observation and
 control action, and everything is deterministic for a fixed scenario
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +80,9 @@ class FaultInjector:
         self.cluster_scheduler: Optional["OmegaScheduler"] = None
         self.failures: Optional[ServerFailureInjector] = None
         self.coordinator: Optional["FleetCoordinator"] = None
+        #: tenants whose generators read profiles this injector wraps
+        #: (None until :meth:`attach_workload`)
+        self.workload_tenants: Optional[Tuple[str, ...]] = None
         self.blackouts_injected = 0
         self.coordinator_blackouts_injected = 0
         self.crashes_injected = 0
@@ -117,6 +122,32 @@ class FaultInjector:
         """Give the injector the real scheduler for data-plane hazards
         (server failures bypass the RPC fault layer by design)."""
         self.cluster_scheduler = scheduler
+
+    def attach_workload(self, tenants: Sequence[str] = ()) -> None:
+        """Declare that the run's generators (those of ``tenants`` in a
+        tenanted run) will read profiles wrapped by this injector. Build
+        time only: a running generator keeps its profile."""
+        self.workload_tenants = tuple(tenants)
+
+    def unattached_seams(self) -> List[str]:
+        """Scenario fields with events but no attached target, by name
+        (``server_failures`` stands for ``server_mtbf_hours`` and
+        ``crash_storms``)."""
+        scenario = self.scenario
+        # A tenant surge lands only on a generator of the tenant it names.
+        tenants = self.workload_tenants or ()
+        stray_tenant_surges = [w for w in scenario.tenant_surges if w[0] not in tenants]
+        seams = (
+            ("blackouts", scenario.blackouts, self.monitor),
+            ("sensor_bias", scenario.sensor_bias, self.monitor),
+            ("rpc", scenario.rpc_failure_rate > 0, self.flaky),
+            ("crash_times", scenario.crash_times, self.controller),
+            ("server_failures", scenario.wants_server_failures, self.cluster_scheduler),
+            ("surges", scenario.surges, self.workload_tenants),
+            ("tenant_surges", stray_tenant_surges, None),
+            ("coordinator_blackouts", scenario.coordinator_blackouts, self.coordinator),
+        )
+        return [name for name, events, target in seams if events and target is None]
 
     def wrap_rate_profile(self, profile: RateProfile) -> RateProfile:
         """Layer the scenario's demand surges over a workload profile.

@@ -440,19 +440,6 @@ class Campaign:
             tenancy=tenancy,
         )
 
-    # Backwards-compatible views of the per-cell configuration.
-    @property
-    def n_servers(self) -> int:
-        return self.run_config.n_servers
-
-    @property
-    def duration_hours(self) -> float:
-        return self.run_config.duration_hours
-
-    @property
-    def warmup_hours(self) -> float:
-        return self.run_config.warmup_hours
-
     def __len__(self) -> int:
         return len(self.cells)
 

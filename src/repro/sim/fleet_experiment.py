@@ -22,10 +22,13 @@ allowed to hand out). Breakers are always armed and pinned to the
 rating, so a coordinator bug that over-allocates a row shows up as a
 trip, not as a silently absorbed error.
 
-Fault support: monitor blackouts, demand surges and coordinator
-blackouts compose with the fleet harness. Controller-crash and
-scheduler-RPC hazards remain single-row-harness features (they attach
-to exactly one controller/scheduler).
+Fault support: monitor blackouts, sensor bias, demand surges and
+coordinator blackouts compose with the fleet harness. Controller
+crashes, flaky RPCs and server failures attach to exactly one controller
+or scheduler, so they stay single-row features: a fleet scenario with
+them (or with coordinator blackouts but no coordinator) raises
+``ValueError`` naming the seams, and ``arm_faults`` reports them as
+``ignored``.
 """
 
 from __future__ import annotations
@@ -39,36 +42,28 @@ from repro.analysis.metrics import (
     FacilitySummary,
     GroupRunSummary,
     summarize_facility_series,
-    summarize_power_series,
 )
-from repro.cluster.breaker import BreakerCurve, BreakerStats, RowBreaker
-from repro.cluster.capping import CappingEngine
+from repro.cluster.breaker import BreakerStats
 from repro.cluster.datacenter import DataCenter, build_row
 from repro.cluster.row import Row
-from repro.core.config import AmpereConfig
-from repro.core.controller import AmpereController
-from repro.core.demand import ConstantDemandEstimator
-from repro.core.freeze_model import DEFAULT_K_R, FreezeEffectModel
-from repro.core.safety import SafetyConfig, SafetySupervisor
 from repro.faults.injector import FaultInjector, FaultStats
-from repro.faults.scenario import FaultScenario
 from repro.fleet import BudgetLedger, FleetConfig, FleetCoordinator, RowBudget
 from repro.fleet.coordinator import CoordinatorStats
 from repro.monitor.power_monitor import PowerMonitor
 from repro.monitor.tsdb import TimeSeriesDatabase
-from repro.scheduler.base import InstrumentedScheduler
 from repro.scheduler.omega import OmegaScheduler
-from repro.sim.audit import AuditStats, AuditorConfig
+from repro.sim.audit import AuditStats
 from repro.sim.engine import Engine
 from repro.sim.eventlog import ControlEventLog
 from repro.sim.staged import RunWindow, StagedRun
 from repro.sim.testbed import (
+    SERVERS_PER_RACK,
     ThroughputTracker,
     WorkloadSpec,
     build_rate_profile,
 )
 from repro.telemetry import MetricsRegistry
-from repro.tenancy import TenancyConfig, TenancyStats, assign_to_tenants
+from repro.tenancy import TenancyStats, assign_to_tenants
 from repro.workload.distributions import (
     JobDurationDistribution,
     ResourceDemandDistribution,
@@ -90,44 +85,31 @@ class FleetRowSpec:
 
 @dataclass(frozen=True)
 class FleetExperimentConfig(RunWindow):
-    """Configuration of one multi-row fleet run."""
+    """Configuration of one multi-row fleet run.
+
+    Breakers are armed regardless of ``safety``; setting it adds the
+    supervisor and its curve/interval overrides. With ``tenancy`` set,
+    rows are assigned to tenants by position via the share-weighted
+    interleave, and the ``fair`` fleet policy water-fills tenant
+    entitlements before rows. The auditor checks the budget ledger in
+    addition to the single-row checks.
+    """
 
     rows: Tuple[FleetRowSpec, ...] = (FleetRowSpec(), FleetRowSpec())
-    duration_hours: float = 8.0
-    warmup_hours: float = 1.0
-    over_provision_ratio: float = 0.25
     fleet: FleetConfig = FleetConfig()
-    ampere: AmpereConfig = AmpereConfig()
-    k_r: float = DEFAULT_K_R
-    monitor_noise_sigma: float = 0.01
-    seed: int = 0
-    #: emergency-ladder config; breakers are armed regardless, this adds
-    #: the supervisor (and its curve/interval overrides) when set
-    safety: Optional[SafetyConfig] = None
-    faults: Optional[FaultScenario] = None
-    servers_per_rack: int = 40
-    telemetry_enabled: bool = False
     #: False runs the same fleet with no coordinator at all -- the
     #: reference the `static` policy must be bit-identical to
     coordinator_enabled: bool = True
-    #: online state-invariant auditor (None = off); fleet runs audit the
-    #: budget ledger in addition to the single-row checks
-    auditor: Optional[AuditorConfig] = None
-    #: multi-tenant mix (None = untenanted). Rows are assigned to
-    #: tenants by position via the share-weighted interleave; the
-    #: ``fair`` fleet policy then water-fills tenant entitlements
-    #: before rows.
-    tenancy: Optional[TenancyConfig] = None
 
     def __post_init__(self) -> None:
         if not self.rows:
             raise ValueError("fleet experiment needs at least one row")
         object.__setattr__(self, "rows", tuple(self.rows))
-        self._check_window()
+        super().__post_init__()
         for spec in self.rows:
-            if spec.n_servers % self.servers_per_rack != 0:
+            if spec.n_servers % SERVERS_PER_RACK != 0:
                 raise ValueError(
-                    f"row sizes must be multiples of {self.servers_per_rack}, "
+                    f"row sizes must be multiples of {SERVERS_PER_RACK}, "
                     f"got {spec.n_servers}"
                 )
 
@@ -196,9 +178,9 @@ class FleetResult:
 class FleetExperiment(StagedRun):
     """Build, run and summarize one multi-row fleet experiment.
 
-    The lifecycle, the snapshot frame, the auditor and the service
-    surface are :class:`~repro.sim.staged.StagedRun`'s; this class builds
-    the rows, their control planes and the budget plane, and arms and
+    The lifecycle, the control-plane builders, the snapshot frame and
+    the service surface are :class:`~repro.sim.staged.StagedRun`'s; this
+    class builds the rows, their workloads and the budget plane, and
     collects them.
     """
 
@@ -225,8 +207,8 @@ class FleetExperiment(StagedRun):
         for index, spec in enumerate(config.rows):
             row = build_row(
                 index,
-                racks=spec.n_servers // config.servers_per_rack,
-                servers_per_rack=config.servers_per_rack,
+                racks=spec.n_servers // SERVERS_PER_RACK,
+                servers_per_rack=SERVERS_PER_RACK,
                 first_server_id=first_id,
                 state=self.state,
             )
@@ -241,7 +223,6 @@ class FleetExperiment(StagedRun):
         self.monitor = PowerMonitor(
             self.engine,
             db=self.db,
-            noise_sigma=config.monitor_noise_sigma,
             rng=np.random.default_rng(monitor_seed),
             telemetry=self.telemetry,
         )
@@ -253,7 +234,6 @@ class FleetExperiment(StagedRun):
 
         if config.faults is not None:
             self.injector = FaultInjector(self.engine, config.faults)
-            self.injector.attach_monitor(self.monitor)
 
         # --- per-row control planes -----------------------------------
         self._workload_rngs: List[np.random.Generator] = []
@@ -274,18 +254,7 @@ class FleetExperiment(StagedRun):
             self.throughput.track(row)
             scheduler.placement_listeners.append(self.throughput.on_placement)
             self.event_log.attach_scheduler(scheduler)
-            self._controllers[row.name] = AmpereController(
-                self.engine,
-                InstrumentedScheduler(scheduler, self.telemetry),
-                self.monitor,
-                [row],
-                config=config.ampere,
-                freeze_model=FreezeEffectModel(config.k_r),
-                demand_estimator=ConstantDemandEstimator(
-                    config.ampere.default_e_t
-                ),
-                telemetry=self.telemetry,
-            )
+            self._build_controller(row, scheduler)
 
             rating = row.power_budget_watts * config.fleet.rating_headroom
             ledger_rows.append(
@@ -295,36 +264,8 @@ class FleetExperiment(StagedRun):
                     static_watts=row.power_budget_watts,
                 )
             )
-            safety = config.safety
-            self._breakers[row.name] = RowBreaker(
-                row,
-                self.engine,
-                scheduler,
-                curve=safety.breaker if safety is not None else BreakerCurve(),
-                interval=(
-                    safety.breaker_interval_seconds if safety is not None else 5.0
-                ),
-                reset_delay_seconds=(
-                    safety.breaker_reset_minutes * 60.0
-                    if safety is not None
-                    else 900.0
-                ),
-                event_log=self.event_log,
-                telemetry=self.telemetry,
-                rating_watts=rating,
-            )
-            if safety is not None and safety.supervisor_enabled:
-                self._supervisors[row.name] = SafetySupervisor(
-                    self.engine,
-                    row,
-                    scheduler,
-                    CappingEngine(row, self.engine),
-                    config=safety,
-                    breaker=self._breakers[row.name],
-                    event_log=self.event_log,
-                    telemetry=self.telemetry,
-                    rating_watts=rating,
-                )
+            self._build_breaker(row, scheduler, rating_watts=rating)
+            self._build_supervisor(row, scheduler, rating_watts=rating)
 
         # --- multi-tenancy: rows -> tenants, tagged down to servers ----
         # Rows are assigned by position with the same share-weighted
@@ -358,15 +299,15 @@ class FleetExperiment(StagedRun):
                 tenancy=config.tenancy,
                 tenant_of_row=self.tenant_of_row or None,
             )
-            if self.injector is not None:
-                self.injector.attach_coordinator(self.coordinator)
-        if config.auditor is not None:
-            self.auditor = self.build_auditor(config.auditor)
+        self._finish_build()
 
-    def _arm(self, end: float, warmup: float) -> None:
-        config = self.config
-        interval = config.ampere.control_interval
-        for index, (row, spec) in enumerate(zip(self.rows, config.rows)):
+    def _attach_injector(self, injector: FaultInjector) -> None:
+        injector.attach_monitor(self.monitor)
+        if self.coordinator is not None:
+            injector.attach_coordinator(self.coordinator)
+
+    def _start_workload(self, end: float) -> None:
+        for index, (row, spec) in enumerate(zip(self.rows, self.config.rows)):
             profile = build_rate_profile(
                 spec.n_servers,
                 row.servers[0].cores,
@@ -392,25 +333,17 @@ class FleetExperiment(StagedRun):
                 tenant=tenant,
             )
             generator.start(end)
-        self.monitor.start(end, first_at=warmup)
-        for controller in self._controllers.values():
-            controller.start(end, first_at=warmup)
-        for breaker in self._breakers.values():
-            breaker.start(end, first_at=warmup)
-        for supervisor in self._supervisors.values():
-            supervisor.start(end, first_at=warmup)
-        if self.auditor is not None:
-            self.auditor.start(end, first_at=warmup)
+
+    def _start_extras(self, end: float, warmup: float) -> None:
         if self.coordinator is not None:
             # First tick one full cadence after control begins, so the
             # demand window has data before the first reallocation.
+            interval = self.config.ampere.control_interval
             self.coordinator.start(
                 end,
                 interval,
-                first_at=warmup + config.fleet.cadence_intervals * interval,
+                first_at=warmup + self.config.fleet.cadence_intervals * interval,
             )
-        if self.injector is not None:
-            self.injector.arm(end)
 
     def _collect(self, warmup: float, end: float) -> FleetResult:
         config = self.config
@@ -418,35 +351,22 @@ class FleetExperiment(StagedRun):
         outcomes: List[FleetRowOutcome] = []
         breaker_stats: Dict[str, BreakerStats] = {}
         for row, spec in zip(self.rows, config.rows):
-            times, norm = self.monitor.normalized_power_series(
-                row.name, start=warmup, end=end
-            )
-            throughput = self.throughput.window_total(row.name, warmup, end)
-            state = self._controllers[row.name].state_of(row.name)
-            summary = summarize_power_series(
-                row.name,
-                norm,
-                u_history=np.asarray(state.u_history),
-                throughput=throughput,
-                budget=1.0,
-            )
-            record = self.throughput.records[row.name]
+            outcome = self._window_outcome(row.name, warmup, end)
             stats = self._breakers[row.name].stats_snapshot()
             breaker_stats[row.name] = stats
             budget = self.ledger.row(row.name)
+            u_integral = self._controllers[row.name].state_of(row.name).u_integral
             outcomes.append(
                 FleetRowOutcome(
                     name=row.name,
-                    summary=summary,
+                    summary=outcome.summary,
                     static_budget_watts=budget.static_watts,
                     final_allocation_watts=budget.allocation_watts,
                     rating_watts=budget.rating_watts,
-                    frozen_server_minutes=(
-                        state.u_integral * spec.n_servers * interval / 60.0
-                    ),
+                    frozen_server_minutes=u_integral * spec.n_servers * interval / 60.0,
                     breaker_trips=stats.trips,
-                    mean_wait_seconds=record.mean_wait(),
-                    p99_wait_seconds=record.wait_percentile(99.0),
+                    mean_wait_seconds=outcome.mean_wait_seconds,
+                    p99_wait_seconds=outcome.p99_wait_seconds,
                 )
             )
         _, facility_power = self.monitor.facility_power_series(
@@ -468,11 +388,6 @@ class FleetExperiment(StagedRun):
             breaker_stats=breaker_stats,
             **self._shared_result_fields(),
         )
-
-    def _attach_runtime_injector(self, injector: FaultInjector) -> None:
-        injector.attach_monitor(self.monitor)
-        if self.coordinator is not None:
-            injector.attach_coordinator(self.coordinator)
 
 
 def run_fleet_ab(

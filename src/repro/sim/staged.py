@@ -8,7 +8,7 @@ facility (:class:`~repro.sim.fleet_experiment.FleetExperiment`) -- run
 through the one :class:`StagedRun` written here:
 
 - **Lifecycle.** :meth:`~StagedRun.start` arms every service once
-  (the shape's ``_arm``), :meth:`~StagedRun.advance` moves simulated
+  (:meth:`~StagedRun._arm`), :meth:`~StagedRun.advance` moves simulated
   time, :meth:`~StagedRun.finish` collects once (the shape's
   ``_collect``) and caches the result; :meth:`~StagedRun.run` composes
   them. Consecutive advances compose exactly, so a run can be
@@ -18,10 +18,11 @@ through the one :class:`StagedRun` written here:
   ``SNAPSHOT_KIND``. Every subclass that declares a kind registers
   itself, and :func:`restore_run` picks the class from a frame's header,
   so no caller branches on the shape.
-- **Registries.** Each shape fills per-group registries in its
-  constructor: the groups, the scheduler owning each group, and the
-  controllers, breakers and safety supervisors by group name. The
-  auditor, the tenancy wiring and the service surface read only those.
+- **Control plane.** A shape builds its topology and registers its
+  groups and schedulers; the ``_build_*`` methods build each group's
+  controller, breaker and supervisor from the shared config
+  (:class:`RunWindow`) and register them by group name. The auditor,
+  the tenancy wiring and the service surface read only the registries.
 - **Service surface.** A run is its own service surface:
   :mod:`repro.service` drives a StagedRun directly through
   :meth:`~StagedRun.groups`, :meth:`~StagedRun.scheduler_for`,
@@ -31,43 +32,82 @@ through the one :class:`StagedRun` written here:
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar, Dict, Iterable, List, Optional, Tuple, Type, Union
 
+import numpy as np
+
+from repro.analysis.metrics import GroupRunSummary, summarize_power_series
+from repro.cluster.breaker import RowBreaker
+from repro.cluster.capping import CappingEngine
+from repro.core.config import AmpereConfig
+from repro.core.controller import AmpereController
+from repro.core.freeze_model import DEFAULT_K_R, FreezeEffectModel
+from repro.core.safety import SafetyConfig, SafetySupervisor
 from repro.faults.injector import FaultInjector
 from repro.faults.scenario import FaultScenario
+from repro.scheduler.base import InstrumentedScheduler
 from repro.sim.audit import AuditorConfig, StateAuditor
 from repro.telemetry import Telemetry
-from repro.tenancy import TenancyAccountant
+from repro.tenancy import TenancyAccountant, TenancyConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.breaker import RowBreaker
     from repro.cluster.group import ServerGroup
     from repro.cluster.server import Server
     from repro.cluster.state import ClusterState
-    from repro.core.controller import AmpereController
-    from repro.core.safety import SafetySupervisor
+    from repro.core.demand import DemandEstimator
+    from repro.core.policy import FreezePolicy
     from repro.fleet.ledger import BudgetLedger
     from repro.monitor.power_monitor import PowerMonitor
+    from repro.scheduler.base import SchedulerInterface
     from repro.scheduler.omega import OmegaScheduler
     from repro.sim.engine import Engine
     from repro.sim.eventlog import ControlEventLog
+    from repro.sim.testbed import ThroughputTracker
 
 SECONDS_PER_HOUR = 3600.0
+#: tick of the reactive capping engine, and of the unstarted one a
+#: safety supervisor slams when no reactive capping runs
+CAPPING_INTERVAL_SECONDS = 5.0
 
 #: snapshot kind -> run class, filled by ``StagedRun.__init_subclass__``
 _KINDS: Dict[str, Type["StagedRun"]] = {}
 
 
+@dataclass(frozen=True)
 class RunWindow:
-    """Warm-up and horizon of a staged run's (frozen dataclass) config.
+    """The config fields every staged run shares, and its time window.
 
-    The config declares ``duration_hours``, ``warmup_hours`` and
-    ``over_provision_ratio``; its ``__post_init__`` calls
-    :meth:`_check_window`.
+    A shape's config is a frozen dataclass that subclasses this one and
+    adds its topology and switches.
     """
 
-    def _check_window(self) -> None:
+    duration_hours: float = 8.0
+    warmup_hours: float = 1.0
+    over_provision_ratio: float = 0.25
+    ampere: AmpereConfig = AmpereConfig()
+    k_r: float = DEFAULT_K_R
+    seed: int = 0
+    #: control-plane fault schedule (None = the perfect control plane)
+    faults: Optional[FaultScenario] = None
+    #: breaker physics + emergency ladder (without it the single row
+    #: arms no breaker, the fleet breakers at the ``SafetyConfig()``
+    #: defaults)
+    safety: Optional[SafetyConfig] = None
+    #: collect metrics and spans for this run (off by default; the
+    #: disabled path is a shared no-op and never perturbs trajectories)
+    telemetry_enabled: bool = False
+    #: online state-invariant auditor (None = off). The auditor observes
+    #: only -- enabling it at any sampling rate leaves trajectories
+    #: byte-identical (see tests/test_auditor.py).
+    auditor: Optional[AuditorConfig] = None
+    #: multi-tenant mix and freeze-fairness policy (None = untenanted;
+    #: the single-tenant path stays bit-identical, see
+    #: tests/test_tenancy.py)
+    tenancy: Optional[TenancyConfig] = None
+
+    def __post_init__(self) -> None:
         if self.duration_hours <= 0:
             raise ValueError(f"duration_hours must be positive, got {self.duration_hours}")
         if self.warmup_hours < 0:
@@ -86,13 +126,46 @@ class RunWindow:
         return (self.warmup_hours + self.duration_hours) * SECONDS_PER_HOUR
 
 
-class StagedRun:
-    """Lifecycle, snapshot frame, auditor and service surface of a run.
+@dataclass
+class GroupOutcome:
+    """Measured behaviour of one group during the measurement window.
 
-    A shape subclasses this, declares ``SNAPSHOT_KIND``, builds its
-    topology in the constructor (setting ``engine``, ``state``,
-    ``monitor`` and ``event_log`` and filling the registries) and
-    implements ``_arm``, ``_collect`` and ``_attach_runtime_injector``.
+    Plain dataclass of scalars and numpy arrays, so it pickles and can
+    cross a process boundary; :meth:`without_series` drops the bulky
+    arrays when only the summary needs to travel (the campaign worker
+    boundary ships rows, not series).
+    """
+
+    summary: GroupRunSummary
+    power_times: np.ndarray
+    normalized_power: np.ndarray
+    throughput: int
+    u_times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    u_values: np.ndarray = field(default_factory=lambda: np.empty(0))
+    #: scheduling-queue wait of jobs accepted by this group (seconds);
+    #: freezing shows up here, never in running jobs
+    mean_wait_seconds: float = 0.0
+    p99_wait_seconds: float = 0.0
+
+    def without_series(self) -> "GroupOutcome":
+        """A copy with the per-sample series dropped (cheap to pickle)."""
+        return replace(
+            self,
+            power_times=np.empty(0),
+            normalized_power=np.empty(0),
+            u_times=np.empty(0),
+            u_values=np.empty(0),
+        )
+
+
+class StagedRun:
+    """Lifecycle, control-plane wiring, snapshot frame and service surface.
+
+    A shape declares ``SNAPSHOT_KIND``; its constructor sets ``engine``,
+    ``state``, ``monitor``, ``event_log``, ``throughput`` (and
+    ``injector`` when ``config.faults`` is set), fills the registries
+    and ends with :meth:`_finish_build`. It implements
+    ``_start_workload``, ``_attach_injector`` and ``_collect``.
     """
 
     #: frame kind tag of the shape; ``restore()`` refuses other kinds
@@ -116,12 +189,15 @@ class StagedRun:
         self.state: Optional["ClusterState"] = None
         self.monitor: Optional["PowerMonitor"] = None
         self.event_log: Optional["ControlEventLog"] = None
-        # Per-group registries; the shape's constructor fills them.
+        self.throughput: Optional["ThroughputTracker"] = None
+        # Per-group registries; the builders fill them.
         self._groups: Dict[str, "ServerGroup"] = {}
         self._schedulers: Dict[str, "OmegaScheduler"] = {}
-        self._controllers: Dict[str, "AmpereController"] = {}
-        self._breakers: Dict[str, "RowBreaker"] = {}
-        self._supervisors: Dict[str, "SafetySupervisor"] = {}
+        self._controllers: Dict[str, AmpereController] = {}
+        self._breakers: Dict[str, RowBreaker] = {}
+        self._supervisors: Dict[str, SafetySupervisor] = {}
+        #: the reactive capping engine (single-row shapes only)
+        self.capping: Optional[CappingEngine] = None
         #: the facility budget ledger (multi-row shapes only)
         self.ledger: Optional["BudgetLedger"] = None
         #: the injector of ``config.faults``, attached at build time
@@ -188,12 +264,64 @@ class StagedRun:
         return self.finish()
 
     def _arm(self, end: float, warmup: float) -> None:
-        """Start the shape's workload and services (once, from start())."""
+        """Start every service once, in this order (from :meth:`start`).
+
+        Monitoring, control and safety begin after warm-up so the
+        measurement window starts from steady state. Each service type
+        ticks at its own :class:`~repro.sim.events.EventPriority`, so the
+        order only numbers heap entries; same-type services (one
+        controller per row) tick in registry order.
+        """
+        self._start_workload(end)
+        self.monitor.start(end, first_at=warmup)
+        for controller in self._controllers.values():
+            controller.start(end, first_at=warmup)
+        for supervisor in self._supervisors.values():
+            supervisor.start(end, first_at=warmup)
+        if self.capping is not None:
+            self.capping.start(end, first_at=warmup)
+        for breaker in self._breakers.values():
+            breaker.start(end, first_at=warmup)
+        if self.auditor is not None:
+            self.auditor.start(end, first_at=warmup)
+        self._start_extras(end, warmup)
+        if self.injector is not None:
+            self.injector.arm(end)
+
+    def _start_workload(self, end: float) -> None:
+        """Build and start the shape's workload generators."""
         raise NotImplementedError
+
+    def _start_extras(self, end: float, warmup: float) -> None:
+        """Start services only this shape has (none by default)."""
 
     def _collect(self, warmup: float, end: float):
         """Summarize the measured window ``[warmup, end)`` into a result."""
         raise NotImplementedError
+
+    def _window_outcome(self, group_name: str, warmup: float, end: float) -> GroupOutcome:
+        """One group's power, freeze and throughput over ``[warmup, end)``."""
+        times, norm = self.monitor.normalized_power_series(group_name, start=warmup, end=end)
+        throughput = self.throughput.window_total(group_name, warmup, end)
+        u_times, u_values = np.empty(0), np.empty(0)
+        controller = self._controllers.get(group_name)
+        if controller is not None:
+            state = controller.state_of(group_name)
+            u_times = np.asarray(state.u_times)
+            u_values = np.asarray(state.u_history)
+        record = self.throughput.records[group_name]
+        return GroupOutcome(
+            summary=summarize_power_series(
+                group_name, norm, u_history=u_values, throughput=throughput, budget=1.0
+            ),
+            power_times=times,
+            normalized_power=norm,
+            throughput=throughput,
+            u_times=u_times,
+            u_values=u_values,
+            mean_wait_seconds=record.mean_wait(),
+            p99_wait_seconds=record.wait_percentile(99.0),
+        )
 
     def _shared_result_fields(self) -> dict:
         """The result fields every shape reports the same way."""
@@ -266,6 +394,109 @@ class StagedRun:
         return obj
 
     # ------------------------------------------------------------------
+    # Control-plane builders: each reads the shared config and fills
+    # its registry; a shape calls them per group, in its build order
+    # ------------------------------------------------------------------
+    def _build_controller(
+        self,
+        group: "ServerGroup",
+        rpc_path: "SchedulerInterface",
+        demand_estimator: Optional["DemandEstimator"] = None,
+        freeze_policy: Optional["FreezePolicy"] = None,
+    ) -> AmpereController:
+        """Ampere's controller for ``group``, calling the scheduler
+        through ``rpc_path`` (the fault layer's wrapper, when the shape
+        routes RPCs through one) under instrumentation, so the RPC
+        metrics see exactly what the controller experiences."""
+        config = self.config
+        controller = AmpereController(
+            self.engine,
+            InstrumentedScheduler(rpc_path, self.telemetry),
+            self.monitor,
+            [group],
+            config=config.ampere,
+            freeze_model=FreezeEffectModel(config.k_r),
+            demand_estimator=demand_estimator,
+            telemetry=self.telemetry,
+            freeze_policy=freeze_policy,
+        )
+        self._controllers[group.name] = controller
+        return controller
+
+    def _build_breaker(
+        self,
+        group: "ServerGroup",
+        scheduler: "OmegaScheduler",
+        rating_watts: Optional[float] = None,
+    ) -> RowBreaker:
+        """The breaker of ``group``'s feed, at ``config.safety``'s curve
+        and cadence (the ``SafetyConfig()`` defaults without one)."""
+        safety = self.config.safety or SafetyConfig()
+        breaker = RowBreaker(
+            group,
+            self.engine,
+            scheduler,
+            curve=safety.breaker,
+            interval=safety.breaker_interval_seconds,
+            reset_delay_seconds=safety.breaker_reset_minutes * 60.0,
+            event_log=self.event_log,
+            telemetry=self.telemetry,
+            rating_watts=rating_watts,
+        )
+        self._breakers[group.name] = breaker
+        return breaker
+
+    def _build_supervisor(
+        self,
+        group: "ServerGroup",
+        scheduler: "OmegaScheduler",
+        capping: Optional[CappingEngine] = None,
+        rating_watts: Optional[float] = None,
+    ) -> Optional[SafetySupervisor]:
+        """The emergency ladder over ``group``'s breaker, or None unless
+        ``config.safety`` enables it. Without the reactive ``capping``,
+        an unstarted engine gives its CRITICAL step something to slam."""
+        safety = self.config.safety
+        if safety is None or not safety.supervisor_enabled:
+            return None
+        supervisor = SafetySupervisor(
+            self.engine,
+            group,
+            scheduler,
+            capping or CappingEngine(group, self.engine, interval=CAPPING_INTERVAL_SECONDS),
+            config=safety,
+            breaker=self._breakers[group.name],
+            event_log=self.event_log,
+            telemetry=self.telemetry,
+            rating_watts=rating_watts,
+        )
+        self._supervisors[group.name] = supervisor
+        return supervisor
+
+    def _finish_build(self) -> None:
+        """Attach the fault injector, refusing scenario events no seam of
+        this run receives, and build the auditor (built now, not lazily,
+        so a snapshot carries it like every other component)."""
+        if self.injector is not None:
+            # Both shapes wrap their rate profiles when they start; the
+            # tenants a surge can name are those owning servers.
+            self.injector.attach_workload(sorted(set(self.tenant_of.values())))
+            self._attach_injector(self.injector)
+            unattached = self.injector.unattached_seams()
+            if unattached:
+                raise ValueError(
+                    f"fault scenario {self.injector.scenario.name!r} has events no "
+                    f"{type(self).__name__} seam receives: {', '.join(unattached)}"
+                )
+        if self.config.auditor is not None:
+            self.auditor = self.build_auditor(self.config.auditor)
+
+    def _attach_injector(self, injector: FaultInjector) -> None:
+        """Attach the seams of this shape that exist at any time (build
+        time and :meth:`arm_faults` alike)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
     # Auditor and tenancy, built from the registries
     # ------------------------------------------------------------------
     def build_auditor(self, config: Optional[AuditorConfig] = None) -> StateAuditor:
@@ -335,15 +566,15 @@ class StagedRun:
         """The *real* cluster scheduler owning a group's servers."""
         return self._schedulers[group_name]
 
-    def controllers(self) -> Dict[str, "AmpereController"]:
+    def controllers(self) -> Dict[str, AmpereController]:
         """Controllers by controlled group name."""
         return dict(self._controllers)
 
-    def breakers(self) -> Dict[str, "RowBreaker"]:
+    def breakers(self) -> Dict[str, RowBreaker]:
         """Armed breakers by group name (may be empty)."""
         return dict(self._breakers)
 
-    def supervisors(self) -> Dict[str, "SafetySupervisor"]:
+    def supervisors(self) -> Dict[str, SafetySupervisor]:
         """Safety-ladder supervisors by group name (may be empty)."""
         return dict(self._supervisors)
 
@@ -352,29 +583,19 @@ class StagedRun:
 
         The scenario's windows are interpreted relative to now (a
         scenario whose first blackout starts at t=600 begins blacking
-        out ten minutes after the operator arms it). Seams that can only
-        be installed at build time -- the flaky-RPC transport wrapper and
-        demand-surge profile wrapping -- cannot be armed mid-run and are
-        reported back as ignored rather than silently dropped.
+        out ten minutes after the operator arms it). Seams this run cannot
+        reach -- the RPC wrapper and surge wrapping exist only at build
+        time -- are reported back as ``ignored``, not silently dropped.
         """
-        ignored = []
-        if scenario.rpc_failure_rate > 0:
-            ignored.append("rpc")
-        if scenario.surges:
-            ignored.append("surges")
         injector = FaultInjector(self.engine, scenario.shifted(self.engine.now))
-        self._attach_runtime_injector(injector)
+        self._attach_injector(injector)
         injector.arm(self.end_seconds)
         self.runtime_injectors.append(injector)
         return {
             "scenario": scenario.name,
             "armed_at": self.engine.now,
-            "ignored": ignored,
+            "ignored": injector.unattached_seams(),
         }
-
-    def _attach_runtime_injector(self, injector: FaultInjector) -> None:
-        """Attach every seam of this shape that can be armed mid-run."""
-        raise NotImplementedError
 
 
 def _frame_bytes(source: Union[bytes, bytearray, str, Path]) -> bytes:
@@ -401,4 +622,4 @@ def restore_run(source: Union[bytes, str, Path]) -> StagedRun:
     return _KINDS[kind].restore(data)
 
 
-__all__ = ["RunWindow", "StagedRun", "restore_run"]
+__all__ = ["CAPPING_INTERVAL_SECONDS", "GroupOutcome", "RunWindow", "StagedRun", "restore_run"]

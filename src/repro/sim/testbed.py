@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.cluster.datacenter import build_row
 from repro.cluster.group import ServerGroup
-from repro.cluster.power import PowerModelParams
 from repro.cluster.row import Row
 from repro.monitor.power_monitor import PowerMonitor
 from repro.monitor.tsdb import TimeSeriesDatabase
@@ -36,6 +35,9 @@ from repro.workload.generator import (
     RateProfile,
 )
 from repro.workload.job import Job
+
+#: rack size of every testbed row and fleet row
+SERVERS_PER_RACK = 40
 
 
 @dataclass(frozen=True)
@@ -220,50 +222,39 @@ class ThroughputTracker:
 class Testbed:
     """A ready-to-run single-row cluster with workload and monitoring.
 
+    The servers are :func:`~repro.cluster.datacenter.build_row`'s
+    standard SKU (16 cores, 64 GB, the default power model) and the
+    monitor samples every 60 s with 1% noise, like the paper's.
+
     Parameters
     ----------
     n_servers:
-        Fleet size; must be divisible by ``servers_per_rack``.
+        Fleet size; must be divisible by :data:`SERVERS_PER_RACK`.
     seed:
         Master seed; all component generators derive from it.
-    monitor_interval / monitor_noise_sigma:
-        Power-monitor configuration (60 s / 1% like the paper's).
     """
 
-    SERVERS_PER_RACK = 40
     __test__ = False  # not a pytest test class despite the name
 
     def __init__(
         self,
         n_servers: int = 400,
-        cores: int = 16,
-        memory_gb: float = 64.0,
-        power_params: PowerModelParams = PowerModelParams(),
         seed: int = 0,
-        monitor_interval: float = 60.0,
-        monitor_noise_sigma: float = 0.01,
         placement_policy: Optional[PlacementPolicy] = None,
-        store_per_server_power: bool = False,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if n_servers % self.SERVERS_PER_RACK != 0:
+        if n_servers % SERVERS_PER_RACK != 0:
             raise ValueError(
-                f"n_servers must be a multiple of {self.SERVERS_PER_RACK}, got {n_servers}"
+                f"n_servers must be a multiple of {SERVERS_PER_RACK}, got {n_servers}"
             )
         self.seed = seed
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.engine = Engine(telemetry=self.telemetry)
         self.row: Row = build_row(
-            0,
-            racks=n_servers // self.SERVERS_PER_RACK,
-            servers_per_rack=self.SERVERS_PER_RACK,
-            power_params=power_params,
-            cores=cores,
-            memory_gb=memory_gb,
+            0, racks=n_servers // SERVERS_PER_RACK, servers_per_rack=SERVERS_PER_RACK
         )
         #: the columnar store behind the row (all servers share it)
         self.state = self.row.state
-        self.cores = cores
         root = np.random.SeedSequence(seed)
         sched_seed, monitor_seed, workload_seed, modulation_seed = root.spawn(4)
         self.scheduler = OmegaScheduler(
@@ -276,10 +267,7 @@ class Testbed:
         self.monitor = PowerMonitor(
             self.engine,
             db=self.db,
-            interval=monitor_interval,
-            noise_sigma=monitor_noise_sigma,
             rng=np.random.default_rng(monitor_seed),
-            store_per_server=store_per_server_power,
             telemetry=self.telemetry,
         )
         self._workload_rng = np.random.default_rng(workload_seed)
@@ -310,7 +298,7 @@ class Testbed:
         """Deterministic rate profile for ``spec`` over the horizon."""
         return build_rate_profile(
             len(self.row.servers),
-            self.cores,
+            self.row.servers[0].cores,
             spec,
             horizon_seconds,
             self._modulation_seed,
@@ -379,6 +367,7 @@ class Testbed:
 
 
 __all__ = [
+    "SERVERS_PER_RACK",
     "Testbed",
     "WorkloadSpec",
     "ThroughputTracker",

@@ -131,14 +131,16 @@ def test_frame_rejects_version_2_snapshot():
     """Version 2 frames carried an engine backend in ``ClusterState`` and
     the header meta; version 3 frames pickled each run shape's own
     attribute layout (fleet lists/dicts named ``schedulers``,
-    ``controllers``, ...) and kept runtime-armed injectors off the run.
-    This build refuses both with the version error."""
+    ``controllers``, ...) and kept runtime-armed injectors off the run;
+    version 4 configs declared the shared fields per shape and carried
+    the since-removed knobs (``monitor_noise_sigma``, ...). This build
+    refuses all three with the version error."""
     experiment = ControlledExperiment(tiny_config())
     experiment.start()
     header, _, payload = experiment.snapshot().partition(b"\n")
     doc = json.loads(header)
-    assert doc["version"] == SNAPSHOT_VERSION == 4
-    for version in (2, 3):
+    assert doc["version"] == SNAPSHOT_VERSION == 5
+    for version in (2, 3, 4):
         old = dict(doc, version=version, meta=dict(doc["meta"]))
         if version == 2:
             old["meta"]["backend"] = "object"
