@@ -34,13 +34,17 @@ and ``spans`` run a telemetry-enabled experiment and expose the
 :mod:`repro.telemetry` registry and control-loop span traces; the global
 ``--log-level`` flag turns on the package's stdlib logging.)
 
-Every command prints the same style of tables the paper reports and exits
-non-zero on invalid arguments.
+Every command prints the same style of tables the paper reports. A run
+or option the program refuses (a bad size, a fault scenario no seam of
+the run receives, a negative retry count, ...) ends in one ``error:``
+line on stderr and exit status 2; ``--log-level debug`` also logs the
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from dataclasses import replace
@@ -60,6 +64,10 @@ from repro.sim.experiment import (
 from repro.sim.testbed import WorkloadSpec
 from repro.telemetry import configure_logging
 from repro.tenancy import TENANCY_POLICIES, TenancyConfig, builtin_mixes
+
+# Named, not __name__: under ``python -m repro.cli`` the module is
+# __main__, outside the ``repro`` hierarchy that --log-level configures.
+logger = logging.getLogger("repro.cli")
 
 LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
@@ -189,7 +197,7 @@ def _tenancy_config(args: argparse.Namespace) -> Optional[TenancyConfig]:
     """The TenancyConfig implied by --tenants/--tenancy-policy (or None)."""
     if getattr(args, "tenants", None) is None:
         if getattr(args, "tenancy_policy", None) is not None:
-            raise SystemExit("error: --tenancy-policy requires --tenants")
+            raise ValueError("--tenancy-policy requires --tenants")
         return None
     config = MIXES[args.tenants]
     policy = getattr(args, "tenancy_policy", None)
@@ -811,8 +819,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     )
     workers: Optional[int] = args.workers
     if workers is not None and workers < 1:
-        print(f"error: --workers must be >= 1, got {workers}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--workers must be >= 1, got {workers}")
     if workers is None and args.parallel:
         import os
 
@@ -831,8 +838,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print(f"  [{done[0]}/{total}] {cell.label()}: {status}", flush=True)
 
     if args.resume and args.checkpoint_dir is None:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
+        raise ValueError("--resume requires --checkpoint-dir")
     try:
         if workers is not None:
             print(f"running {total} cells on {workers} workers ...")
@@ -1141,8 +1147,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     if args.serve_resume:
         if args.state_dir is None:
-            print("error: --resume requires --state-dir", file=sys.stderr)
-            return 2
+            raise ValueError("--resume requires --state-dir")
         experiment = None
     elif args.golden:
         # The pinned regression configuration (tests/test_golden.py):
@@ -1248,7 +1253,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.log_level is not None:
         configure_logging(args.log_level)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except ValueError as exc:
+        logger.debug("refused: %s", exc, exc_info=True)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -84,7 +84,6 @@ class SupervisorConfig:
         auto_snapshot_every: Optional[float] = DEFAULT_AUTO_SNAPSHOT_EVERY,
         auto_snapshot_min_wall_seconds: float = 5.0,
         keep_snapshots: int = 3,
-        verify_snapshots: bool = True,
         heartbeat_timeout: float = 30.0,
         watchdog_poll_seconds: float = 0.25,
         max_recoveries: int = 5,
@@ -100,6 +99,17 @@ class SupervisorConfig:
             raise ValueError(
                 f"heartbeat_timeout must be positive, got {heartbeat_timeout}"
             )
+        # A negative cadence would put the next auto-snapshot behind the
+        # clock and make every slice boundary a cadence boundary.
+        if auto_snapshot_every is not None and auto_snapshot_every < 0:
+            raise ValueError(
+                f"auto_snapshot_every must be >= 0, got {auto_snapshot_every}"
+            )
+        if auto_snapshot_min_wall_seconds < 0:
+            raise ValueError(
+                "auto_snapshot_min_wall_seconds must be >= 0, got "
+                f"{auto_snapshot_min_wall_seconds}"
+            )
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.auto_snapshot_every = (
             float(auto_snapshot_every) if auto_snapshot_every else None
@@ -111,7 +121,6 @@ class SupervisorConfig:
             auto_snapshot_min_wall_seconds
         )
         self.keep_snapshots = int(keep_snapshots)
-        self.verify_snapshots = bool(verify_snapshots)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.watchdog_poll_seconds = float(watchdog_poll_seconds)
         self.max_recoveries = int(max_recoveries)
@@ -424,7 +433,7 @@ class DriverSupervisor:
 
     def _adopt(self, frame: bytes, sim_now: float, wal_seq: int) -> bool:
         """Verify, persist, rotate; make ``frame`` the recovery point."""
-        if self.config.verify_snapshots and not self._verify_frame(frame):
+        if not self._verify_frame(frame):
             self._checkpoint_failures_counter.inc()
             logger.error(
                 "auto-snapshot at t=%.1fs failed verification; "

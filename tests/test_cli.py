@@ -194,6 +194,29 @@ class TestExecution:
         assert code == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a single row has no coordinator to black out
+            ["run", "--servers", "40", "--hours", "0.2",
+             "--faults", "fleet-blackout"],
+            ["campaign", "--servers", "40", "--hours", "0.2",
+             "--ratios", "0.17", "--seeds", "3", "--workers", "1",
+             "--retries", "-1"],
+            ["run", "--servers", "40", "--hours", "0.2",
+             "--tenancy-policy", "fair"],
+            ["serve", "--step-mode", "--port", "0",
+             "--auto-snapshot-every", "-1"],
+        ],
+        ids=["fleet-blackout-on-row", "negative-retries", "policy-no-tenants",
+             "negative-auto-snapshot"],
+    )
+    def test_refused_config_ends_in_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
     def test_campaign_survives_failing_cells(self, capsys):
         # 50 servers is invalid (must be a multiple of 40): every cell
         # fails in its worker, yet the sweep completes with failed rows.
@@ -227,6 +250,16 @@ class TestTelemetryCommands:
     def test_log_level_rejects_unknown(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--log-level", "chatty", "experiment"])
+
+    def test_debug_log_level_keeps_the_refusal_traceback(self, capsys):
+        code = main(
+            ["--log-level", "debug", "run", "--servers", "40",
+             "--hours", "0.2", "--faults", "fleet-blackout"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert err.rstrip("\n").splitlines()[-1].startswith("error: ")
 
     def test_metrics_command_prints_prometheus(self, capsys, tmp_path):
         import json

@@ -830,6 +830,16 @@ class TestStateDirAndResume:
         harness.advance(1500.0)
         assert frame == reference.snapshot()
 
+    @pytest.mark.parametrize(
+        "knob", ["auto_snapshot_every", "auto_snapshot_min_wall_seconds"]
+    )
+    def test_negative_snapshot_cadence_refused(self, knob):
+        # A negative cadence puts the next auto-snapshot behind the clock,
+        # so every slice boundary would encode a frame.
+        with pytest.raises(ValueError, match=f"{knob} must be >= 0"):
+            SupervisorConfig(**{knob: -1.0})
+        assert getattr(SupervisorConfig(**{knob: 0.0}), knob) in (None, 0.0)
+
     def test_resume_with_empty_state_dir_fails_loudly(self, tmp_path):
         from repro.service import SupervisorError
 
