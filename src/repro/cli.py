@@ -1136,6 +1136,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import SupervisorConfig, build_service
     from repro.sim.audit import AuditorConfig
 
+    # Refused in the operator's units, before minutes become seconds.
+    for flag, value, unit in (
+        ("--auto-snapshot-every", args.auto_snapshot_every, "sim-minutes"),
+        ("--auto-snapshot-min-wall", args.auto_snapshot_min_wall, "seconds"),
+    ):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0 {unit}, got {value}")
     supervisor_config = SupervisorConfig(
         state_dir=args.state_dir,
         auto_snapshot_every=(

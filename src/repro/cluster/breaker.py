@@ -25,13 +25,27 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.cluster.group import ServerGroup
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
+from repro.telemetry import Telemetry, counter_series, gauge_series
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.scheduler.omega import OmegaScheduler
     from repro.sim.eventlog import ControlEventLog
-    from repro.telemetry import Telemetry
 
 logger = logging.getLogger(__name__)
+
+TRIPS = counter_series(
+    "repro_breaker_trips_total",
+    "Breaker trips (every downstream server de-energized)",
+    label="group",
+)
+THERMAL = gauge_series(
+    "repro_breaker_thermal_fraction",
+    "Accumulated I2t heat as a fraction of the trip threshold",
+    label="group",
+)
+TRIPPED = gauge_series(
+    "repro_breaker_tripped", "1 while the breaker is open (row dark), else 0", label="group"
+)
 
 #: server_id used for breaker events in the control event log (a trip is
 #: a group-level action, not a per-server one)
@@ -151,7 +165,7 @@ class RowBreaker:
         interval: float = 5.0,
         reset_delay_seconds: float = 900.0,
         event_log: Optional["ControlEventLog"] = None,
-        telemetry: Optional["Telemetry"] = None,
+        telemetry: Optional[Telemetry] = None,
         rating_watts: Optional[float] = None,
     ) -> None:
         if interval <= 0:
@@ -179,25 +193,14 @@ class RowBreaker:
         self.stats = BreakerStats()
         self._deenergized_ids: List[int] = []
         if telemetry is None:
-            from repro.telemetry import Telemetry
-
             telemetry = getattr(engine, "telemetry", None) or Telemetry.disabled()
-        labels = {"group": group.name}
-        self._trip_counter = telemetry.counter(
-            "repro_breaker_trips_total",
-            "Breaker trips (every downstream server de-energized)",
-            labels,
-        )
-        self._thermal_gauge = telemetry.gauge(
-            "repro_breaker_thermal_fraction",
-            "Accumulated I2t heat as a fraction of the trip threshold",
-            labels,
-        )
-        self._tripped_gauge = telemetry.gauge(
-            "repro_breaker_tripped",
-            "1 while the breaker is open (row dark), else 0",
-            labels,
-        )
+        telemetry.collect(self._metrics)
+
+    def _metrics(self):
+        group = self.group.name
+        yield TRIPS(self.stats.trips, group)
+        yield THERMAL(self.thermal_fraction, group)
+        yield TRIPPED(1.0 if self.tripped else 0.0, group)
 
     @property
     def thermal_fraction(self) -> float:
@@ -234,7 +237,6 @@ class RowBreaker:
         self.stats.max_thermal_fraction = max(
             self.stats.max_thermal_fraction, self.thermal_fraction
         )
-        self._thermal_gauge.set(self.thermal_fraction)
         if self.thermal_load >= self.curve.i2t_threshold:
             self._trip(ratio, reason="inverse-time")
 
@@ -244,8 +246,6 @@ class RowBreaker:
         self.tripped = True
         self.stats.trips += 1
         self.stats.trip_times.append(self.engine.now)
-        self._trip_counter.inc()
-        self._tripped_gauge.set(1.0)
         logger.error(
             "breaker on %s TRIPPED (%s) at t=%.0fs, load ratio %.3f",
             self.group.name,
@@ -282,8 +282,6 @@ class RowBreaker:
         self.tripped = False
         self.thermal_load = 0.0
         self.stats.resets += 1
-        self._tripped_gauge.set(0.0)
-        self._thermal_gauge.set(0.0)
         logger.warning(
             "breaker on %s reset at t=%.0fs; row re-energized",
             self.group.name,

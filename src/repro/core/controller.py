@@ -56,7 +56,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.group import ServerGroup
 from repro.core.config import AmpereConfig
@@ -69,8 +69,7 @@ from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.base import SchedulerInterface, SchedulerRpcError
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
-from repro.telemetry import Telemetry
-from repro.telemetry.bridge import health_counters
+from repro.telemetry import Telemetry, counter_series, gauge_series
 
 logger = logging.getLogger(__name__)
 
@@ -87,21 +86,68 @@ class HealthEvent:
     detail: str = ""
 
 
+TICKS = counter_series(
+    "repro_controller_ticks_total", "Control ticks evaluated per controlled row", label="group"
+)
+ACTIVE_TICKS = counter_series(
+    "repro_controller_active_ticks_total",
+    "Ticks on which the row was over threshold and acted",
+    label="group",
+)
+FREEZES = counter_series(
+    "repro_controller_freeze_actions_total", "Freeze RPCs that landed", label="group"
+)
+UNFREEZES = counter_series(
+    "repro_controller_unfreeze_actions_total", "Unfreeze RPCs that landed", label="group"
+)
+COMMANDED_U = gauge_series(
+    "repro_controller_commanded_u", "Latest commanded freezing ratio u_t", label="group"
+)
+FROZEN = gauge_series(
+    "repro_controller_frozen_servers",
+    "Servers the controller intends frozen after its last tick",
+    label="group",
+)
+BUDGET = gauge_series(
+    "repro_controller_budget_watts",
+    "Current power budget (allocation) the row steers against",
+    label="group",
+)
+HEALTH = counter_series(
+    "repro_controller_health_total",
+    "Defensive actions of the hardened control loop, by kind (mirrors ControllerHealth.summary())",
+    label="kind",
+)
+HEALTH_EVENTS = counter_series(
+    "repro_controller_health_events_total",
+    "Noteworthy defensive actions of the control loop, by kind",
+    label="kind",
+)
+
+#: the scalar counters of :meth:`ControllerHealth.summary`, in order
+HEALTH_KINDS = (
+    "degraded_ticks",
+    "skipped_ticks",
+    "rpc_retries",
+    "rpc_giveups",
+    "reconciliations",
+    "reconciliation_diff_total",
+    "crashes",
+    "recoveries",
+    "budget_updates",
+)
+
+
 @dataclass
 class ControllerHealth:
     """Operational statistics of the hardened control loop.
 
     Counters model the external log/metrics pipeline a production
     controller ships telemetry to, which is why they survive a simulated
-    controller crash (the in-memory *control* state does not).
-
-    Since the telemetry subsystem landed, the registry is that external
-    pipeline made concrete: :meth:`bind` mirrors every counter into
-    ``repro_controller_health_total{kind=...}`` and every
-    :meth:`note` into ``repro_controller_health_events_total{kind=...}``,
-    keeping this dataclass as the in-process *view* the existing tests
-    and reports consume. Mutate the counters through :meth:`bump` so the
-    mirror stays exact.
+    controller crash (the in-memory *control* state does not). The
+    controller exports them as ``repro_controller_health_total{kind}``
+    and the noted events as
+    ``repro_controller_health_events_total{kind}`` (:meth:`samples`).
     """
 
     #: ticks spent in degraded mode (held frozen set on stale data)
@@ -122,58 +168,33 @@ class ControllerHealth:
     budget_updates: int = 0
     events: List[HealthEvent] = field(default_factory=list)
 
-    def bind(self, telemetry: Telemetry) -> None:
-        """Mirror every counter/event into the telemetry registry."""
-        self._counters = health_counters(telemetry)
-        self._telemetry = telemetry
+    def __post_init__(self) -> None:
+        #: noted events per kind, in first-seen order
+        self._kind_counts: Dict[str, int] = {}
+        for event in self.events:
+            self._count(event.kind)
 
-    def bump(self, kind: str, amount: int = 1) -> None:
-        """Increment one scalar counter (and its registry mirror)."""
-        setattr(self, kind, getattr(self, kind) + amount)
-        counters = getattr(self, "_counters", None)
-        if counters is not None:
-            counters[kind].inc(amount)
+    def _count(self, kind: str) -> None:
+        self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
 
     def note(self, time: float, kind: str, group: str, detail: str = "") -> None:
         self.events.append(HealthEvent(time, kind, group, detail))
-        telemetry = getattr(self, "_telemetry", None)
-        if telemetry is not None:
-            telemetry.counter(
-                "repro_controller_health_events_total",
-                "Noteworthy defensive actions of the control loop, by kind",
-                labels={"kind": kind},
-            ).inc()
+        self._count(kind)
 
-    def __getstate__(self) -> dict:
-        # The registry mirror is process-local wiring; the scalar view
-        # is what crosses pickling boundaries (campaign workers).
-        state = self.__dict__.copy()
-        state.pop("_counters", None)
-        state.pop("_telemetry", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+    def samples(self):
+        """The health series: every scalar counter, every noted kind."""
+        for kind in HEALTH_KINDS:
+            yield HEALTH(getattr(self, kind), kind)
+        for kind, count in self._kind_counts.items():
+            yield HEALTH_EVENTS(count, kind)
 
     def counts_by_kind(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
+        """Noted events per kind, in first-seen order."""
+        return dict(self._kind_counts)
 
     def summary(self) -> Dict[str, int]:
         """Scalar counters for reports and assertions."""
-        return {
-            "degraded_ticks": self.degraded_ticks,
-            "skipped_ticks": self.skipped_ticks,
-            "rpc_retries": self.rpc_retries,
-            "rpc_giveups": self.rpc_giveups,
-            "reconciliations": self.reconciliations,
-            "reconciliation_diff_total": self.reconciliation_diff_total,
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "budget_updates": self.budget_updates,
-        }
+        return {kind: getattr(self, kind) for kind in HEALTH_KINDS}
 
 
 @dataclass
@@ -288,56 +309,37 @@ class AmpereController:
             else getattr(engine, "telemetry", None) or Telemetry.disabled()
         )
         self.health = ControllerHealth()
-        self.health.bind(self.telemetry)
         self._crashed = False
         self.states: Dict[str, RowControlState] = {}
-        self._row_instruments: Dict[str, Dict[str, object]] = {}
+        #: per row, what the last completed tick commanded: ``(u_t,
+        #: servers intended frozen)``; a degraded hold or a crash leaves
+        #: it as it was
+        self._last_command: Dict[str, Tuple[float, int]] = {}
+        #: rows whose budget :meth:`update_budget` has moved
+        self._rebudgeted: Set[str] = set()
         for group in groups:
             if group.name in self.states:
                 raise ValueError(f"duplicate controlled group {group.name!r}")
             self.states[group.name] = self._new_state(
                 group, frozenset(s.server_id for s in group.servers)
             )
-            labels = {"group": group.name}
-            self._row_instruments[group.name] = {
-                "ticks": self.telemetry.counter(
-                    "repro_controller_ticks_total",
-                    "Control ticks evaluated per controlled row",
-                    labels,
-                ),
-                "active_ticks": self.telemetry.counter(
-                    "repro_controller_active_ticks_total",
-                    "Ticks on which the row was over threshold and acted",
-                    labels,
-                ),
-                "freezes": self.telemetry.counter(
-                    "repro_controller_freeze_actions_total",
-                    "Freeze RPCs that landed",
-                    labels,
-                ),
-                "unfreezes": self.telemetry.counter(
-                    "repro_controller_unfreeze_actions_total",
-                    "Unfreeze RPCs that landed",
-                    labels,
-                ),
-                "commanded_u": self.telemetry.gauge(
-                    "repro_controller_commanded_u",
-                    "Latest commanded freezing ratio u_t",
-                    labels,
-                ),
-                "frozen": self.telemetry.gauge(
-                    "repro_controller_frozen_servers",
-                    "Servers the controller intends frozen after its last tick",
-                    labels,
-                ),
-                "budget": self.telemetry.gauge(
-                    "repro_controller_budget_watts",
-                    "Current power budget (allocation) the row steers against",
-                    labels,
-                ),
-            }
         if not self.states:
             raise ValueError("controller needs at least one group to control")
+        self.telemetry.collect(self._metrics)
+
+    def _metrics(self):
+        for name, state in self.states.items():
+            yield TICKS(state.ticks, name)
+            yield ACTIVE_TICKS(state.active_ticks, name)
+            yield FREEZES(state.freeze_actions, name)
+            yield UNFREEZES(state.unfreeze_actions, name)
+            commanded_u, frozen = self._last_command.get(name, (0.0, 0))
+            yield COMMANDED_U(commanded_u, name)
+            yield FROZEN(frozen, name)
+            # Reads 0 until the row's budget first moves.
+            budget = state.group.power_budget_watts if name in self._rebudgeted else 0.0
+            yield BUDGET(budget, name)
+        yield from self.health.samples()
 
     def _new_state(self, group: ServerGroup, server_ids: frozenset) -> RowControlState:
         """Fresh per-row state honouring the configured retention window."""
@@ -377,7 +379,7 @@ class AmpereController:
         :meth:`recover` (the supervisor restart).
         """
         self._crashed = True
-        self.health.bump("crashes")
+        self.health.crashes += 1
         self.health.note(self.engine.now, "crash", "*", "in-memory state lost")
         logger.error(
             "controller crashed at t=%.0fs; in-memory state lost", self.engine.now
@@ -418,7 +420,7 @@ class AmpereController:
             state.u_integral = float(sum(float(v) for v in values))
             state.u_samples = len(values)
         self._crashed = False
-        self.health.bump("recoveries")
+        self.health.recoveries += 1
         self.health.note(
             self.engine.now,
             "recover",
@@ -440,7 +442,7 @@ class AmpereController:
         normalized quantity the controller steers on, so the next tick
         recomputes ``r_threshold = P_M - E_t`` against the new allocation
         automatically -- no restart, no state loss. The change is
-        recorded as a ``budget_changed`` health event and mirrored to the
+        recorded as a ``budget_changed`` health event and read by the
         ``repro_controller_budget_watts`` gauge.
 
         Returns True when the budget actually changed (the coordinator's
@@ -459,14 +461,14 @@ class AmpereController:
         # comparing the next (re-normalized) sample against it would
         # record a spurious residual.
         state._last_prediction = None
-        self.health.bump("budget_updates")
+        self.health.budget_updates += 1
         self.health.note(
             self.engine.now,
             "budget_changed",
             group_name,
             f"{old:.0f}W -> {budget_watts:.0f}W",
         )
-        self._row_instruments[group_name]["budget"].set(float(budget_watts))
+        self._rebudgeted.add(group_name)
         logger.info(
             "group %s: budget updated %.0fW -> %.0fW at t=%.0fs",
             group_name,
@@ -488,8 +490,6 @@ class AmpereController:
 
     def _control_row(self, state: RowControlState, now: float) -> None:
         state.ticks += 1
-        instruments = self._row_instruments[state.group.name]
-        instruments["ticks"].inc()
         try:
             sample_time, p_norm = self.monitor.latest_normalized_sample(
                 state.group.name
@@ -551,14 +551,11 @@ class AmpereController:
                 if self._rpc(state, "unfreeze", server_id, now):
                     achieved.discard(server_id)
                     state.unfreeze_actions += 1
-                    instruments["unfreezes"].inc()
             for server_id in sorted(plan.to_freeze):
                 if self._rpc(state, "freeze", server_id, now):
                     achieved.add(server_id)
                     state.freeze_actions += 1
-                    instruments["freezes"].inc()
             state.active_ticks += 1
-            instruments["active_ticks"].inc()
             state.intended_frozen = plan.new_frozen
             commanded_u = len(achieved) / len(state.group.servers)
         else:
@@ -567,12 +564,13 @@ class AmpereController:
                 if self._rpc(state, "unfreeze", server_id, now):
                     achieved.discard(server_id)
                     state.unfreeze_actions += 1
-                    instruments["unfreezes"].inc()
             state.intended_frozen = frozenset()
             commanded_u = len(achieved) / len(state.group.servers)
 
-        instruments["commanded_u"].set(commanded_u)
-        instruments["frozen"].set(len(state.intended_frozen))
+        self._last_command[state.group.name] = (
+            commanded_u,
+            len(state.intended_frozen),
+        )
         state.u_history.append(commanded_u)
         state.u_times.append(now)
         state.u_integral += commanded_u
@@ -601,8 +599,8 @@ class AmpereController:
         """
         drift = state.intended_frozen.symmetric_difference(currently_frozen)
         if drift:
-            self.health.bump("reconciliations")
-            self.health.bump("reconciliation_diff_total", len(drift))
+            self.health.reconciliations += 1
+            self.health.reconciliation_diff_total += len(drift)
             self.health.note(
                 now,
                 "reconcile",
@@ -633,7 +631,7 @@ class AmpereController:
         the reactive capping net handle true excursions until monitoring
         recovers.
         """
-        self.health.bump("degraded_ticks")
+        self.health.degraded_ticks += 1
         self.health.note(
             now,
             "degraded",
@@ -654,7 +652,6 @@ class AmpereController:
             if self._rpc(state, "freeze", server_id, now):
                 held.add(server_id)
                 state.freeze_actions += 1
-                self._row_instruments[state.group.name]["freezes"].inc()
         state.intended_frozen = frozenset(held | state.intended_frozen)
         state.u_history.append(len(held) / len(state.group.servers))
         state.u_times.append(now)
@@ -671,7 +668,7 @@ class AmpereController:
 
     def _skip_tick(self, state: RowControlState, now: float, reason: str) -> None:
         """Refuse to act on a degenerate observation (logged, counted)."""
-        self.health.bump("skipped_ticks")
+        self.health.skipped_ticks += 1
         self.health.note(now, "skipped", state.group.name, reason)
         logger.warning(
             "group %s: tick skipped at t=%.0fs (%s)", state.group.name, now, reason
@@ -702,7 +699,7 @@ class AmpereController:
                 elapsed += error.latency_seconds
                 out_of_budget = elapsed + backoff > config.rpc_deadline_seconds
                 if attempt >= config.rpc_max_attempts or out_of_budget:
-                    self.health.bump("rpc_giveups")
+                    self.health.rpc_giveups += 1
                     self.health.note(
                         now,
                         "rpc_giveup",
@@ -721,7 +718,7 @@ class AmpereController:
                         "; deadline exhausted" if out_of_budget else "",
                     )
                     return False
-                self.health.bump("rpc_retries")
+                self.health.rpc_retries += 1
                 elapsed += backoff
                 backoff *= 2.0
             else:

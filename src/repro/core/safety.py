@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set
 from repro.cluster.breaker import BreakerCurve
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
+from repro.telemetry import Telemetry, counter_series, gauge_series
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.cluster.breaker import RowBreaker
@@ -51,9 +52,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.cluster.group import ServerGroup
     from repro.scheduler.omega import OmegaScheduler
     from repro.sim.eventlog import ControlEventLog
-    from repro.telemetry import Telemetry
 
 logger = logging.getLogger(__name__)
+
+STATE = gauge_series(
+    "repro_safety_state", "Ladder position: 0 normal, 1 warning, 2 critical, 3 shed", label="group"
+)
+ESCALATIONS = counter_series("repro_safety_escalations_total", "Ladder steps up", label="group")
+JOBS_SHED = counter_series(
+    "repro_safety_jobs_shed_total", "Batch tasks dropped by emergency load shedding", label="group"
+)
 
 
 class SafetyState(enum.IntEnum):
@@ -175,7 +183,7 @@ class SafetySupervisor:
         config: SafetyConfig = SafetyConfig(),
         breaker: Optional["RowBreaker"] = None,
         event_log: Optional["ControlEventLog"] = None,
-        telemetry: Optional["Telemetry"] = None,
+        telemetry: Optional[Telemetry] = None,
         rating_watts: Optional[float] = None,
     ) -> None:
         if rating_watts is not None and rating_watts <= 0:
@@ -202,23 +210,14 @@ class SafetySupervisor:
         #: to undo when the emergency passes)
         self._frozen_by_supervisor: Set[int] = set()
         if telemetry is None:
-            from repro.telemetry import Telemetry
-
             telemetry = getattr(engine, "telemetry", None) or Telemetry.disabled()
-        labels = {"group": group.name}
-        self._state_gauge = telemetry.gauge(
-            "repro_safety_state",
-            "Ladder position: 0 normal, 1 warning, 2 critical, 3 shed",
-            labels,
-        )
-        self._escalation_counter = telemetry.counter(
-            "repro_safety_escalations_total", "Ladder steps up", labels
-        )
-        self._shed_counter = telemetry.counter(
-            "repro_safety_jobs_shed_total",
-            "Batch tasks dropped by emergency load shedding",
-            labels,
-        )
+        telemetry.collect(self._metrics)
+
+    def _metrics(self):
+        group = self.group.name
+        yield STATE(int(self.state), group)
+        yield ESCALATIONS(self.stats.escalations, group)
+        yield JOBS_SHED(self.stats.jobs_shed, group)
 
     def start(self, until: float, first_at: Optional[float] = None) -> None:
         """Begin periodic supervision on the engine."""
@@ -280,10 +279,8 @@ class SafetySupervisor:
         self.state = to
         self.stats.transitions.append((self.engine.now, frm.name, to.name))
         self.stats.max_state = max(self.stats.max_state, int(to))
-        self._state_gauge.set(float(to))
         if to > frm:
             self.stats.escalations += 1
-            self._escalation_counter.inc()
             logger.warning(
                 "safety ladder on %s: %s -> %s at t=%.0fs",
                 self.group.name,
@@ -354,7 +351,6 @@ class SafetySupervisor:
             shed += self.scheduler.shed_tasks(server.server_id)
         if shed:
             self.stats.jobs_shed += shed
-            self._shed_counter.inc(shed)
             logger.error(
                 "safety ladder on %s: SHED %d batch task(s) at t=%.0fs",
                 self.group.name,

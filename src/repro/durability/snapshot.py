@@ -41,8 +41,9 @@ run byte-identical to an uninterrupted one. Dtypes need it too: arrays
 built after a restore carry numpy's own dtype instance while the
 restored arrays carry the unpickled copy, so without it a run collected
 after a restore encodes one more dtype than the uninterrupted run. Sets
-are written with their members sorted: a set's iteration order follows
-its insertion and removal history, which a restore (rebuilding it
+and frozensets are written with their members sorted: their iteration
+order follows the history that built them (insertions, removals, the
+table size a union started from), which a restore (rebuilding them
 fresh) does not keep. Mutable containers keep identity-based
 memoization: their sharing structure is semantically meaningful
 (merging two equal dicts would alias future mutations) and is preserved
@@ -77,8 +78,10 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: runtime-armed injectors on the run, ``n_groups`` in the header meta;
 #: 5: the shared config fields live on the ``RunWindow`` base, the
 #: removed config knobs are gone, and the run carries ``capping`` and
-#: ``throughput`` on the ``StagedRun`` layout).
-SNAPSHOT_VERSION = 5
+#: ``throughput`` on the ``StagedRun`` layout; 6: the telemetry registry
+#: holds the components' collectors instead of counter and gauge
+#: instruments).
+SNAPSHOT_VERSION = 6
 
 #: Pickle protocol pinned for stable output within a Python version
 #: (``HIGHEST_PROTOCOL`` may move under our feet on an interpreter bump).
@@ -96,7 +99,7 @@ class SnapshotError(RuntimeError):
 
 class _CanonicalPickler(pickle._Pickler):
     """Pickler that dedups equal ``str``/``bytes``/dtypes by value and
-    writes set members in sorted order.
+    writes set and frozenset members in sorted order.
 
     Built on the pure-Python pickler so ``save`` can be intercepted: every
     string/bytes object and every metadata-free numpy dtype is swapped for
@@ -135,8 +138,27 @@ class _CanonicalPickler(pickle._Pickler):
                 self.save(item)
             self.write(pickle.ADDITEMS)
 
+    def save_frozenset(self, obj):
+        # The protocol-4+ layout of pickle._Pickler.save_frozenset, with
+        # the members sorted as in save_set.
+        self.write(pickle.MARK)
+        try:
+            items = sorted(obj)
+        except TypeError:
+            items = list(obj)
+        for item in items:
+            self.save(item)
+        if id(obj) in self.memo:
+            # A member's state reached back to this frozenset, which is
+            # now written: drop the members and fetch it from the memo.
+            self.write(pickle.POP_MARK + self.get(self.memo[id(obj)][0]))
+            return
+        self.write(pickle.FROZENSET)
+        self.memoize(obj)
+
     dispatch = dict(pickle._Pickler.dispatch)
     dispatch[set] = save_set
+    dispatch[frozenset] = save_frozenset
 
     def memoize(self, obj):
         # The pure-Python pickler writes PickleBuffer payloads through

@@ -45,7 +45,7 @@ from repro.fleet.policy import RowDemand, make_policy, sanitize_allocations
 from repro.monitor.power_monitor import PowerMonitor
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, counter_series, gauge_series
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.controller import AmpereController
@@ -57,6 +57,26 @@ logger = logging.getLogger(__name__)
 #: server_id used for coordinator events in the control event log (a
 #: budget move is a facility-level action; breakers already use -1)
 COORDINATOR_EVENT_ID = -2
+
+TICKS = counter_series("repro_fleet_ticks_total", "Coordinator ticks executed")
+REALLOCATIONS = counter_series(
+    "repro_fleet_reallocations_total", "Coordinator ticks that moved budget between rows"
+)
+STALE_HOLDS = counter_series(
+    "repro_fleet_stale_holds_total", "Coordinator ticks held because row demand data was stale"
+)
+BLACKOUT_TICKS = counter_series(
+    "repro_fleet_blackout_ticks_total", "Coordinator ticks skipped during a coordinator blackout"
+)
+LEDGER_FROZEN = gauge_series(
+    "repro_fleet_ledger_frozen", "1 while the budget ledger is frozen at last-good, else 0"
+)
+ALLOCATION = gauge_series(
+    "repro_fleet_allocation_watts", "Live budget allocation per row", label="row"
+)
+FLOOR = gauge_series(
+    "repro_fleet_floor_watts", "Safety floor per row (demand percentile with margin)", label="row"
+)
 
 
 @dataclass
@@ -120,40 +140,17 @@ class FleetCoordinator:
         if telemetry is None:
             telemetry = getattr(engine, "telemetry", None) or Telemetry.disabled()
         self.telemetry = telemetry
-        self._tick_counter = telemetry.counter(
-            "repro_fleet_ticks_total", "Coordinator ticks executed"
-        )
-        self._realloc_counter = telemetry.counter(
-            "repro_fleet_reallocations_total",
-            "Coordinator ticks that moved budget between rows",
-        )
-        self._stale_counter = telemetry.counter(
-            "repro_fleet_stale_holds_total",
-            "Coordinator ticks held because row demand data was stale",
-        )
-        self._blackout_counter = telemetry.counter(
-            "repro_fleet_blackout_ticks_total",
-            "Coordinator ticks skipped during a coordinator blackout",
-        )
-        self._frozen_gauge = telemetry.gauge(
-            "repro_fleet_ledger_frozen",
-            "1 while the budget ledger is frozen at last-good, else 0",
-        )
-        self._alloc_gauges = {}
-        self._floor_gauges = {}
-        for row in ledger.rows():
-            labels = {"row": row.name}
-            self._alloc_gauges[row.name] = telemetry.gauge(
-                "repro_fleet_allocation_watts",
-                "Live budget allocation per row",
-                labels,
-            )
-            self._floor_gauges[row.name] = telemetry.gauge(
-                "repro_fleet_floor_watts",
-                "Safety floor per row (demand percentile with margin)",
-                labels,
-            )
-            self._alloc_gauges[row.name].set(row.allocation_watts)
+        telemetry.collect(self._metrics)
+
+    def _metrics(self):
+        yield TICKS(self.stats.ticks)
+        yield REALLOCATIONS(self.stats.reallocations)
+        yield STALE_HOLDS(self.stats.stale_holds)
+        yield BLACKOUT_TICKS(self.stats.blackout_ticks)
+        yield LEDGER_FROZEN(1.0 if self._blackout else 0.0)
+        for row in self.ledger.rows():
+            yield ALLOCATION(row.allocation_watts, row.name)
+            yield FLOOR(row.floor_watts, row.name)
 
     # ------------------------------------------------------------------
     def start(
@@ -179,7 +176,6 @@ class FleetCoordinator:
         """The coordinator loses its view; the ledger holds last-good."""
         self._blackout = True
         self.ledger.freeze(self.engine.now)
-        self._frozen_gauge.set(1.0)
         logger.warning(
             "fleet coordinator blackout at t=%.0fs; ledger frozen", self.engine.now
         )
@@ -187,7 +183,6 @@ class FleetCoordinator:
     def blackout_end(self) -> None:
         self._blackout = False
         self.ledger.thaw()
-        self._frozen_gauge.set(0.0)
         logger.info(
             "fleet coordinator blackout over at t=%.0fs; ledger thawed",
             self.engine.now,
@@ -197,7 +192,6 @@ class FleetCoordinator:
     def tick(self) -> None:
         """One coordination pass."""
         self.stats.ticks += 1
-        self._tick_counter.inc()
         with self.telemetry.span(
             "fleet.coordinate", rows=len(self.ledger.row_names)
         ):
@@ -207,13 +201,11 @@ class FleetCoordinator:
         now = self.engine.now
         if self._blackout:
             self.stats.blackout_ticks += 1
-            self._blackout_counter.inc()
             return
         demands = self._gather_demands(now)
         if any(d.stale for d in demands.values()):
             stale = sorted(n for n, d in demands.items() if d.stale)
             self.stats.stale_holds += 1
-            self._stale_counter.inc()
             logger.warning(
                 "fleet tick at t=%.0fs held: stale demand for %s", now, stale
             )
@@ -238,17 +230,13 @@ class FleetCoordinator:
                 self.config.policy,
             )
             return
-        for name, gauge in self._floor_gauges.items():
-            gauge.set(self.ledger.row(name).floor_watts)
         if moved <= self.ledger.facility_budget_watts * 1e-9:
             return
         self.stats.reallocations += 1
         self.stats.watts_moved += moved
-        self._realloc_counter.inc()
         changed = []
         for name in self.ledger.row_names:
             watts = self.ledger.row(name).allocation_watts
-            self._alloc_gauges[name].set(watts)
             if watts != previous[name]:
                 if self.controllers[name].update_budget(name, watts):
                     self.stats.budget_pushes += 1

@@ -27,9 +27,23 @@ from typing import Optional, Set
 import numpy as np
 
 from repro.cluster.state import shared_state_of
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, counter_series
 
 logger = logging.getLogger(__name__)
+
+
+POLLS = counter_series("repro_ipmi_polls_total", "BMC power polls issued", label="group")
+TIMEOUTS = counter_series(
+    "repro_ipmi_timeouts_total", "BMC power polls that timed out", label="group"
+)
+FALLBACKS = counter_series(
+    "repro_ipmi_fallbacks_total", "Timed-out polls covered by the last known reading", label="group"
+)
+STALE_READS = counter_series(
+    "repro_ipmi_stale_reads_total",
+    "Polls returned as NaN because the endpoint exceeded its fallback budget",
+    label="group",
+)
 
 
 class IpmiFleet:
@@ -106,25 +120,18 @@ class IpmiFleet:
         self.stale_reads = 0
         self._polls = 0
         self._timeouts = 0
+        #: endpoints read as stale (NaN) by the last sweep
+        self.stale_count = 0
+        self._group = group or None
         tel = telemetry if telemetry is not None else Telemetry.disabled()
-        labels = {"group": group} if group else None
-        self._polls_counter = tel.counter(
-            "repro_ipmi_polls_total", "BMC power polls issued", labels
-        )
-        self._timeouts_counter = tel.counter(
-            "repro_ipmi_timeouts_total", "BMC power polls that timed out", labels
-        )
-        self._fallbacks_counter = tel.counter(
-            "repro_ipmi_fallbacks_total",
-            "Timed-out polls covered by the last known reading",
-            labels,
-        )
-        self._stale_reads_counter = tel.counter(
-            "repro_ipmi_stale_reads_total",
-            "Polls returned as NaN because the endpoint exceeded its "
-            "fallback budget",
-            labels,
-        )
+        tel.collect(self._metrics)
+
+    def _metrics(self):
+        group = self._group
+        yield POLLS(self._polls, group)
+        yield TIMEOUTS(self._timeouts, group)
+        yield FALLBACKS(self.fallbacks_used, group)
+        yield STALE_READS(self.stale_reads, group)
 
     def _draw_batches(self):
         """One sweep's randomness, in contract order: uniforms then normals."""
@@ -143,7 +150,6 @@ class IpmiFleet:
         us, zs = self._draw_batches()
         n = len(self._servers)
         self._polls += n
-        self._polls_counter.inc(n)
         true_powers = self._state.server_powers(self._indices)
         if zs is not None:
             readings = true_powers * (1.0 + self.noise_sigma * zs)
@@ -159,7 +165,6 @@ class IpmiFleet:
         n_timeouts = int(np.count_nonzero(timed_out))
         if n_timeouts:
             self._timeouts += n_timeouts
-            self._timeouts_counter.inc(n_timeouts)
             self._timeout_streak[timed_out] += 1
         self._timeout_streak[success] = 0
         was_stale = self._stale
@@ -176,12 +181,11 @@ class IpmiFleet:
         fallback = timed_out & ~stale
         n_fallbacks = int(np.count_nonzero(fallback))
         n_stale = int(np.count_nonzero(stale))
+        self.stale_count = n_stale
         if n_fallbacks:
             self.fallbacks_used += n_fallbacks
-            self._fallbacks_counter.inc(n_fallbacks)
         if n_stale:
             self.stale_reads += n_stale
-            self._stale_reads_counter.inc(n_stale)
         self._last_known[success] = readings[success]
         out = readings.copy()
         out[fallback] = self._last_known[fallback]
@@ -192,10 +196,6 @@ class IpmiFleet:
     def stale_ids(self) -> Set[int]:
         """Server ids of endpoints currently stale (reading NaN)."""
         return {int(self._server_ids[pos]) for pos in np.flatnonzero(self._stale)}
-
-    @property
-    def stale_count(self) -> int:
-        return int(np.count_nonzero(self._stale))
 
     @property
     def total_polls(self) -> int:

@@ -13,7 +13,7 @@ the monitor is the observer that defines the paper's violation metric.
 from __future__ import annotations
 
 import logging
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,9 +21,55 @@ from repro.cluster.group import ServerGroup
 from repro.monitor.tsdb import TimeSeriesDatabase
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, counter_series, gauge_series
 
 logger = logging.getLogger(__name__)
+
+SWEEPS = counter_series("repro_monitor_sweeps_total", "Per-minute monitor sweeps taken")
+SUPPRESSED = counter_series(
+    "repro_monitor_sweeps_suppressed_total",
+    "Sweeps (or group samples) dropped during outages or all-stale reads",
+)
+STALE_READINGS = counter_series(
+    "repro_monitor_stale_readings_total", "Per-server readings discarded because the BMC went stale"
+)
+IN_OUTAGE = gauge_series(
+    "repro_monitor_in_outage", "1 while a monitoring blackout is in effect, else 0"
+)
+SENSOR_BIAS = gauge_series(
+    "repro_monitor_sensor_bias", "Multiplicative miscalibration applied to served readings"
+)
+FACILITY_POWER = gauge_series(
+    "repro_monitor_facility_power_watts",
+    "Latest facility-wide power (sum of group samples in a sweep)",
+)
+FACILITY_BUDGET = gauge_series(
+    "repro_monitor_facility_budget_watts",
+    "Facility power budget the sweep totals are judged against",
+)
+FACILITY_RATIO = gauge_series(
+    "repro_monitor_facility_power_ratio", "Latest facility power normalized to the facility budget"
+)
+FACILITY_VIOLATIONS = counter_series(
+    "repro_monitor_facility_violations_total",
+    "Sampled minutes in which the facility exceeded its budget",
+)
+GROUP_POWER = gauge_series(
+    "repro_monitor_group_power_watts", "Latest aggregated group power reading", label="group"
+)
+GROUP_RATIO = gauge_series(
+    "repro_monitor_group_power_ratio",
+    "Latest group power normalized to its budget P_M",
+    label="group",
+)
+VIOLATIONS = counter_series(
+    "repro_monitor_violations_total",
+    "Sampled minutes in which the group exceeded its budget",
+    label="group",
+)
+STALE_ENDPOINTS = gauge_series(
+    "repro_monitor_stale_endpoints", "BMC endpoints currently read as stale (NaN)", label="group"
+)
 
 
 class PowerMonitor:
@@ -103,47 +149,41 @@ class PowerMonitor:
             if telemetry is not None
             else getattr(engine, "telemetry", None) or Telemetry.disabled()
         )
-        self._sweeps_counter = self.telemetry.counter(
-            "repro_monitor_sweeps_total", "Per-minute monitor sweeps taken"
-        )
-        self._suppressed_counter = self.telemetry.counter(
-            "repro_monitor_sweeps_suppressed_total",
-            "Sweeps (or group samples) dropped during outages or all-stale reads",
-        )
-        self._stale_counter = self.telemetry.counter(
-            "repro_monitor_stale_readings_total",
-            "Per-server readings discarded because the BMC went stale",
-        )
-        self._outage_gauge = self.telemetry.gauge(
-            "repro_monitor_in_outage",
-            "1 while a monitoring blackout is in effect, else 0",
-        )
-        self._bias_gauge = self.telemetry.gauge(
-            "repro_monitor_sensor_bias",
-            "Multiplicative miscalibration applied to served readings",
-        )
-        self._group_instruments: Dict[str, Dict[str, object]] = {}
         #: facility budget override (e.g. ``DataCenter.power_budget_watts``);
         #: None = the sum of registered group budgets at sample time
         self._facility_budget_override: Optional[float] = None
         #: sampled minutes in which the facility total exceeded its budget
         self.facility_violations = 0
-        self._facility_power_gauge = self.telemetry.gauge(
-            "repro_monitor_facility_power_watts",
-            "Latest facility-wide power (sum of group samples in a sweep)",
-        )
-        self._facility_budget_gauge = self.telemetry.gauge(
-            "repro_monitor_facility_budget_watts",
-            "Facility power budget the sweep totals are judged against",
-        )
-        self._facility_ratio_gauge = self.telemetry.gauge(
-            "repro_monitor_facility_power_ratio",
-            "Latest facility power normalized to the facility budget",
-        )
-        self._facility_violations_counter = self.telemetry.counter(
-            "repro_monitor_facility_violations_total",
-            "Sampled minutes in which the facility exceeded its budget",
-        )
+        #: ``(watts, budget)`` of the last facility roll-up
+        self.last_facility_sample: Tuple[float, float] = (0.0, 0.0)
+        #: whether :meth:`set_sensor_bias` has run (the exported bias
+        #: reads 0 until it has)
+        self._bias_published = False
+        self.telemetry.collect(self._metrics)
+
+    def _metrics(self):
+        yield SWEEPS(self.samples_taken)
+        yield SUPPRESSED(self.samples_suppressed)
+        yield STALE_READINGS(self.stale_readings)
+        yield IN_OUTAGE(1.0 if self.in_outage else 0.0)
+        yield SENSOR_BIAS(self.sensor_bias if self._bias_published else 0.0)
+        watts, budget = self.last_facility_sample
+        yield FACILITY_POWER(watts)
+        yield FACILITY_BUDGET(budget)
+        yield FACILITY_RATIO(watts / budget if budget else 0.0)
+        yield FACILITY_VIOLATIONS(self.facility_violations)
+        for name in self._groups:
+            yield GROUP_POWER(self._latest_or_zero(f"power/{name}"), name)
+            yield GROUP_RATIO(self._latest_or_zero(f"power_norm/{name}"), name)
+            yield VIOLATIONS(self.violations[name], name)
+            fleet = self._fleets.get(name)
+            yield STALE_ENDPOINTS(fleet.stale_count if fleet is not None else 0, name)
+
+    def _latest_or_zero(self, name: str) -> float:
+        try:
+            return self.db.latest(name)
+        except KeyError:
+            return 0.0
 
     # ------------------------------------------------------------------
     def register_group(self, group: ServerGroup) -> None:
@@ -156,29 +196,6 @@ class PowerMonitor:
             )
         self._groups[group.name] = group
         self.violations[group.name] = 0
-        labels = {"group": group.name}
-        self._group_instruments[group.name] = {
-            "power": self.telemetry.gauge(
-                "repro_monitor_group_power_watts",
-                "Latest aggregated group power reading",
-                labels,
-            ),
-            "ratio": self.telemetry.gauge(
-                "repro_monitor_group_power_ratio",
-                "Latest group power normalized to its budget P_M",
-                labels,
-            ),
-            "violations": self.telemetry.counter(
-                "repro_monitor_violations_total",
-                "Sampled minutes in which the group exceeded its budget",
-                labels,
-            ),
-            "stale_endpoints": self.telemetry.gauge(
-                "repro_monitor_stale_endpoints",
-                "BMC endpoints currently read as stale (NaN)",
-                labels,
-            ),
-        }
         if self.ipmi_failure_rate > 0:
             from repro.monitor.ipmi import IpmiFleet
 
@@ -241,7 +258,6 @@ class PowerMonitor:
         if not self.in_outage:
             self.in_outage = True
             self.outages_begun += 1
-            self._outage_gauge.set(1.0)
             logger.warning(
                 "monitoring blackout began at t=%.0fs (outage #%d)",
                 self.engine.now,
@@ -253,7 +269,6 @@ class PowerMonitor:
         if self.in_outage:
             logger.info("monitoring blackout ended at t=%.0fs", self.engine.now)
         self.in_outage = False
-        self._outage_gauge.set(0.0)
 
     # ------------------------------------------------------------------
     # Sensor miscalibration (the data-plane drift fault seam)
@@ -278,7 +293,7 @@ class PowerMonitor:
         elif factor == 1.0 and self.sensor_bias != 1.0:
             logger.info("sensor calibration restored at t=%.0fs", self.engine.now)
         self.sensor_bias = float(factor)
-        self._bias_gauge.set(self.sensor_bias)
+        self._bias_published = True
 
     # ------------------------------------------------------------------
     def sample_once(self) -> None:
@@ -291,30 +306,24 @@ class PowerMonitor:
         """
         if self.in_outage:
             self.samples_suppressed += 1
-            self._suppressed_counter.inc()
             return
         now = self.engine.now
         self.samples_taken += 1
-        self._sweeps_counter.inc()
         facility_total = 0.0
         facility_groups = 0
         with self.telemetry.span("monitor.sweep", groups=len(self._groups)):
             for group in self._groups.values():
-                instruments = self._group_instruments[group.name]
                 fleet = self._fleets.get(group.name)
                 if fleet is not None:
                     readings = fleet.poll_all()
-                    instruments["stale_endpoints"].set(fleet.stale_count)
                     stale = int(np.count_nonzero(~np.isfinite(readings)))
                     if stale:
                         self.stale_readings += stale
-                        self._stale_counter.inc(stale)
                         if stale == len(readings):
                             # Every BMC stale: there is no measurement to
                             # publish. Dropping the group sample (instead of
                             # writing 0 W) keeps the series honest.
                             self.samples_suppressed += 1
-                            self._suppressed_counter.inc()
                             logger.warning(
                                 "group %s: every BMC stale at t=%.0fs; "
                                 "sample dropped",
@@ -344,11 +353,8 @@ class PowerMonitor:
                 self.db.write(f"power/{group.name}", now, total)
                 normalized = total / group.power_budget_watts
                 self.db.write(f"power_norm/{group.name}", now, normalized)
-                instruments["power"].set(total)
-                instruments["ratio"].set(normalized)
                 if total > group.power_budget_watts:
                     self.violations[group.name] += 1
-                    instruments["violations"].inc()
                     logger.debug(
                         "group %s over budget at t=%.0fs (%.0f W, ratio %.3f)",
                         group.name,
@@ -373,12 +379,9 @@ class PowerMonitor:
             if facility_groups:
                 facility_budget = self.facility_budget_watts
                 self.db.write("power/facility", now, facility_total)
-                self._facility_power_gauge.set(facility_total)
-                self._facility_budget_gauge.set(facility_budget)
-                self._facility_ratio_gauge.set(facility_total / facility_budget)
+                self.last_facility_sample = (facility_total, facility_budget)
                 if facility_total > facility_budget:
                     self.facility_violations += 1
-                    self._facility_violations_counter.inc()
 
     # ------------------------------------------------------------------
     # Query API (stands in for the paper's RESTful endpoint)

@@ -12,7 +12,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Optional
 
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, counter_series
 from repro.workload.job import Job
 
 
@@ -90,6 +90,16 @@ class SchedulerInterface(abc.ABC):
         """
 
 
+RPC_CALLS = counter_series(
+    "repro_scheduler_rpc_total", "freeze/unfreeze RPCs issued by the control plane", label="op"
+)
+RPC_ERRORS = counter_series(
+    "repro_scheduler_rpc_errors_total",
+    "freeze/unfreeze RPCs that raised SchedulerRpcError",
+    label="op",
+)
+
+
 class InstrumentedScheduler(SchedulerInterface):
     """Transparent telemetry proxy over any :class:`SchedulerInterface`.
 
@@ -117,22 +127,9 @@ class InstrumentedScheduler(SchedulerInterface):
         self.inner = inner
         tel = telemetry if telemetry is not None else Telemetry.disabled()
         self._telemetry = tel
-        self._calls = {
-            op: tel.counter(
-                "repro_scheduler_rpc_total",
-                "freeze/unfreeze RPCs issued by the control plane",
-                {"op": op},
-            )
-            for op in ("freeze", "unfreeze")
-        }
-        self._errors = {
-            op: tel.counter(
-                "repro_scheduler_rpc_errors_total",
-                "freeze/unfreeze RPCs that raised SchedulerRpcError",
-                {"op": op},
-            )
-            for op in ("freeze", "unfreeze")
-        }
+        #: RPCs issued and RPCs that raised, per op
+        self.rpc_calls = {"freeze": 0, "unfreeze": 0}
+        self.rpc_errors = {"freeze": 0, "unfreeze": 0}
         self._latency = {
             op: tel.histogram(
                 "repro_scheduler_rpc_latency_seconds",
@@ -142,6 +139,12 @@ class InstrumentedScheduler(SchedulerInterface):
             )
             for op in ("freeze", "unfreeze")
         }
+        tel.collect(self._metrics)
+
+    def _metrics(self):
+        for op in ("freeze", "unfreeze"):
+            yield RPC_CALLS(self.rpc_calls[op], op)
+            yield RPC_ERRORS(self.rpc_errors[op], op)
 
     # ------------------------------------------------------------------
     # SchedulerInterface
@@ -162,12 +165,12 @@ class InstrumentedScheduler(SchedulerInterface):
     def _call(
         self, op: str, server_id: int, call: Callable[[int], None]
     ) -> None:
-        self._calls[op].inc()
+        self.rpc_calls[op] += 1
         with self._telemetry.span("scheduler.rpc", op=op, server_id=server_id):
             try:
                 call(server_id)
             except SchedulerRpcError as error:
-                self._errors[op].inc()
+                self.rpc_errors[op] += 1
                 self._latency[op].observe(error.latency_seconds)
                 raise
         # Successful calls cost the transport's modeled latency when the

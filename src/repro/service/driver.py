@@ -57,6 +57,7 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.staged import StagedRun
+from repro.telemetry import counter_series
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +71,12 @@ DEFAULT_QUEUE_CAPACITY = 64
 DEFAULT_RING_SIZE = 512
 
 MODES = ("manual", "realtime", "accelerated")
+
+EVENTS_DROPPED = counter_series(
+    "repro_service_events_dropped_total",
+    "SSE events dropped because a subscriber queue was full",
+    label="subscriber",
+)
 
 
 class DriverError(RuntimeError):
@@ -148,7 +155,7 @@ class EventBus:
 
     Publishing never blocks the sim thread: a subscriber whose queue is
     full loses the event -- counted per subscriber (and, when a metrics
-    registry is attached, as the labeled
+    registry is attached, exported as the labeled
     ``repro_service_events_dropped_total`` counter) rather than stalling
     the simulation.
 
@@ -181,7 +188,16 @@ class EventBus:
         self._sub_serial = 0
         self.published = 0
         self.dropped = 0
-        self._registry = registry
+        #: drops per subscriber name, kept after it unsubscribes
+        self._drops_by_name: Dict[str, int] = {}
+        if registry is not None:
+            registry.add_collector(self._metrics)
+
+    def _metrics(self):
+        with self._lock:
+            drops_by_name = list(self._drops_by_name.items())
+        for name, drops in drops_by_name:
+            yield EVENTS_DROPPED(drops, name)
 
     def subscribe(self, last_event_id: Optional[int] = None) -> _Subscription:
         with self._lock:
@@ -244,15 +260,12 @@ class EventBus:
             try:
                 sub.queue.put_nowait((eid, doc))
             except queue.Full:
-                self.dropped += 1
-                sub.dropped += 1
-                if self._registry is not None:
-                    self._registry.counter(
-                        "repro_service_events_dropped_total",
-                        "SSE events dropped because a subscriber queue "
-                        "was full",
-                        labels={"subscriber": sub.name},
-                    ).inc()
+                # publish runs on the sim and the watchdog threads
+                with self._lock:
+                    self.dropped += 1
+                    sub.dropped += 1
+                    drops = self._drops_by_name
+                    drops[sub.name] = drops.get(sub.name, 0) + 1
 
 
 class RealTimeDriver:

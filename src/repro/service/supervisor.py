@@ -56,7 +56,7 @@ from repro.service.driver import (
 )
 from repro.service.wal import ActWal, replay
 from repro.sim.staged import StagedRun, restore_run
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, counter_series
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +69,19 @@ STATES = ("running", "recovering", "degraded", "failed", "stopped")
 MANIFEST_NAME = "manifest.json"
 WAL_NAME = "acts.wal"
 MANIFEST_VERSION = 1
+
+RECOVERIES = counter_series(
+    "repro_service_recoveries_total", "Driver recoveries performed by the supervisor"
+)
+CHECKPOINTS = counter_series(
+    "repro_service_checkpoints_total", "Verified checkpoints adopted as the recovery point"
+)
+CHECKPOINT_FAILURES = counter_series(
+    "repro_service_checkpoint_failures_total", "Auto-snapshots rejected by verification"
+)
+WAL_RECORDS = counter_series(
+    "repro_service_wal_records_total", "Operator acts appended to the write-ahead log"
+)
 
 
 class SupervisorError(RuntimeError):
@@ -132,15 +145,14 @@ class SupervisorConfig:
 class _Checkpoint:
     """One adopted recovery point: frame bytes plus its WAL position."""
 
-    __slots__ = ("frame", "sim_now", "wal_seq", "path", "verified")
+    __slots__ = ("frame", "sim_now", "wal_seq", "path")
 
     def __init__(self, frame: bytes, sim_now: float, wal_seq: int,
-                 path: Optional[Path], verified: bool) -> None:
+                 path: Optional[Path]) -> None:
         self.frame = frame
         self.sim_now = sim_now
         self.wal_seq = wal_seq
         self.path = path
-        self.verified = verified
 
     def to_doc(self) -> dict:
         return {
@@ -148,7 +160,6 @@ class _Checkpoint:
             "wal_seq": self.wal_seq,
             "bytes": len(self.frame),
             "path": str(self.path) if self.path is not None else None,
-            "verified": self.verified,
         }
 
 
@@ -172,13 +183,12 @@ def load_resume_state(
         manifest = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SupervisorError(f"unreadable manifest: {exc}") from exc
-    entries = [
-        entry for entry in manifest.get("snapshots", [])
-        if entry.get("verified")
-    ]
+    # Only verified frames are ever manifested (manifests written before
+    # this layout also carry a per-entry ``verified`` key; it is ignored).
+    entries = manifest.get("snapshots", [])
     if not entries:
         raise SupervisorError(
-            f"nothing to resume: no verified snapshot listed in {manifest_path}"
+            f"nothing to resume: no snapshot listed in {manifest_path}"
         )
     newest = entries[-1]
     frame_path = state_dir / str(newest["file"])
@@ -186,11 +196,7 @@ def load_resume_state(
     run = restore_run(frame)
     wal = ActWal(state_dir / WAL_NAME)
     checkpoint = _Checkpoint(
-        frame,
-        float(newest["sim_now"]),
-        int(newest["wal_seq"]),
-        frame_path,
-        True,
+        frame, float(newest["sim_now"]), int(newest["wal_seq"]), frame_path
     )
     replayed = replay(run, wal.records_after(checkpoint.wal_seq))
     logger.info(
@@ -226,22 +232,12 @@ class DriverSupervisor:
 
         self.registry = MetricsRegistry()
         self.bus = EventBus(registry=self.registry)
-        self._recoveries_counter = self.registry.counter(
-            "repro_service_recoveries_total",
-            "Driver recoveries performed by the supervisor",
-        )
-        self._checkpoints_counter = self.registry.counter(
-            "repro_service_checkpoints_total",
-            "Verified checkpoints adopted as the recovery point",
-        )
-        self._checkpoint_failures_counter = self.registry.counter(
-            "repro_service_checkpoint_failures_total",
-            "Auto-snapshots rejected by verification",
-        )
-        self._wal_counter = self.registry.counter(
-            "repro_service_wal_records_total",
-            "Operator acts appended to the write-ahead log",
-        )
+        self.registry.add_collector(self._metrics)
+        #: verified checkpoints adopted, frames rejected by verification
+        #: and acts appended to the WAL by this process
+        self.checkpoints_adopted = 0
+        self.checkpoint_failures = 0
+        self.wal_appends = 0
 
         state_dir = self.config.state_dir
         if state_dir is not None:
@@ -270,6 +266,13 @@ class DriverSupervisor:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
+
+    def _metrics(self):
+        yield RECOVERIES(self.recoveries)
+        yield CHECKPOINTS(self.checkpoints_adopted)
+        yield CHECKPOINT_FAILURES(self.checkpoint_failures)
+        yield WAL_RECORDS(self.wal_appends)
+
     def _build_driver(self, run: StagedRun) -> RealTimeDriver:
         return RealTimeDriver(
             run,
@@ -364,7 +367,7 @@ class DriverSupervisor:
     def log_act(self, op: str, payload: dict) -> None:
         """Durably append one applied act (sim thread, post-apply)."""
         self.wal.append(op, payload, self.run.engine.now)
-        self._wal_counter.inc()
+        self.wal_appends += 1
 
     def summary(self) -> dict:
         with self._lock:
@@ -434,7 +437,7 @@ class DriverSupervisor:
     def _adopt(self, frame: bytes, sim_now: float, wal_seq: int) -> bool:
         """Verify, persist, rotate; make ``frame`` the recovery point."""
         if not self._verify_frame(frame):
-            self._checkpoint_failures_counter.inc()
+            self.checkpoint_failures += 1
             logger.error(
                 "auto-snapshot at t=%.1fs failed verification; "
                 "keeping previous checkpoint",
@@ -456,9 +459,9 @@ class DriverSupervisor:
             path = state_dir / f"auto-{self._snap_index:06d}.snap"
             self._snap_index += 1
             atomic_write_bytes(path, frame)
-        checkpoint = _Checkpoint(frame, sim_now, wal_seq, path, True)
+        checkpoint = _Checkpoint(frame, sim_now, wal_seq, path)
         self._checkpoint = checkpoint
-        self._checkpoints_counter.inc()
+        self.checkpoints_adopted += 1
         if state_dir is not None:
             self._rotate_and_write_manifest()
         self.bus.publish(
@@ -509,7 +512,6 @@ class DriverSupervisor:
                 "file": checkpoint.path.name,
                 "sim_now": checkpoint.sim_now,
                 "wal_seq": checkpoint.wal_seq,
-                "verified": checkpoint.verified,
             }
         )
         while len(entries) > self.config.keep_snapshots:
@@ -612,7 +614,6 @@ class DriverSupervisor:
             )
             return
         self.recoveries += 1
-        self._recoveries_counter.inc()
         self._state = "running"
         logger.warning(
             "recovered: restored t=%.1fs checkpoint, replayed %d WAL act(s) "

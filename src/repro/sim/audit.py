@@ -58,6 +58,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.sim.events import EventPriority
+from repro.telemetry import Telemetry, counter_series
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.state import ClusterState
@@ -65,9 +66,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.ledger import BudgetLedger
     from repro.scheduler.omega import OmegaScheduler
     from repro.sim.engine import Engine
-    from repro.telemetry import Telemetry
 
 logger = logging.getLogger(__name__)
+
+PASSES = counter_series("repro_auditor_passes_total", "Audit passes executed")
+VIOLATIONS = counter_series("repro_auditor_violations_total", "Invariant violations detected")
 
 #: Every check the auditor knows, in execution order.
 ALL_CHECKS = ("event_queue", "numeric", "power_cache", "masks", "index", "ledger")
@@ -204,7 +207,7 @@ class StateAuditor:
         ledger: Optional["BudgetLedger"] = None,
         supervisors: Sequence["SafetySupervisor"] = (),
         config: AuditorConfig = AuditorConfig(),
-        telemetry: Optional["Telemetry"] = None,
+        telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.engine = engine
         self.state = state
@@ -214,16 +217,13 @@ class StateAuditor:
         self.config = config
         self.stats = AuditStats()
         if telemetry is None:
-            from repro.telemetry import Telemetry
-
             telemetry = getattr(engine, "telemetry", None) or Telemetry.disabled()
-        self._passes_counter = telemetry.counter(
-            "repro_auditor_passes_total", "Audit passes executed"
-        )
-        self._violations_counter = telemetry.counter(
-            "repro_auditor_violations_total", "Invariant violations detected"
-        )
+        telemetry.collect(self._metrics)
         self._escalation_hooks: List[Callable[[InvariantViolation], None]] = []
+
+    def _metrics(self):
+        yield PASSES(self.stats.passes)
+        yield VIOLATIONS(self.stats.violations)
 
     def add_escalation_hook(
         self, hook: Callable[[InvariantViolation], None]
@@ -289,7 +289,6 @@ class StateAuditor:
         self.stats.last_pass_time = self.engine.now
         if indices is not None:
             self.stats.servers_audited += int(indices.size)
-        self._passes_counter.inc()
         if violations:
             self._handle(violations)
         return violations
@@ -556,7 +555,6 @@ class StateAuditor:
             by_check[violation.check] = by_check.get(violation.check, 0) + 1
             if len(self.stats.recorded) < self.config.max_recorded:
                 self.stats.recorded.append(violation.as_record())
-            self._violations_counter.inc()
             logger.error("invariant violation: %s", violation)
         if self.config.on_violation == "raise":
             raise violations[0]

@@ -143,8 +143,8 @@ class CampaignRow:
     #: (None for untenanted cells)
     jain_index: Optional[float] = None
     error: Optional[str] = None
-    #: the cell's metrics registry (None unless the run config enabled
-    #: telemetry). Deliberately excluded from :meth:`as_record`: records
+    #: copy of the cell's metrics registry (None unless the run config
+    #: enabled telemetry). Deliberately excluded from :meth:`as_record`: records
     #: are flat Table 3 rows; registries aggregate via
     #: :meth:`CampaignResult.merged_telemetry`.
     telemetry: Optional[MetricsRegistry] = None

@@ -17,9 +17,17 @@ import itertools
 from typing import Any, Callable, Optional
 
 from repro.sim.events import EventPriority
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, counter_series, gauge_series
 
 Callback = Callable[..., None]
+
+EVENTS = counter_series("repro_engine_events_total", "Event callbacks executed by the engine")
+QUEUE_DEPTH = gauge_series(
+    "repro_engine_queue_depth", "Pending heap entries (including lazily-cancelled ones)"
+)
+CANCELLED = counter_series(
+    "repro_engine_cancelled_events_total", "Heap entries skipped because their handle was cancelled"
+)
 
 
 class _SimClock:
@@ -115,23 +123,20 @@ class Engine:
         self._heap: list = []
         self._sequence = itertools.count()
         self._events_processed = 0
+        #: heap entries the run loop skipped because they were cancelled
+        self._cancelled_skipped = 0
         self._running = False
-        # The engine drives the run, so it owns the sim-clock binding;
-        # instruments resolve here once and the run loop only touches
-        # pre-resolved handles (no-ops when telemetry is disabled).
+        # The engine drives the run, so it owns the sim-clock binding.
+        # Its series are read from the fields above when the registry is
+        # read; the run loop makes no telemetry call per event.
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.telemetry.bind_sim_clock(_SimClock(self))
-        self._events_counter = self.telemetry.counter(
-            "repro_engine_events_total", "Event callbacks executed by the engine"
-        )
-        self._queue_depth_gauge = self.telemetry.gauge(
-            "repro_engine_queue_depth",
-            "Pending heap entries (including lazily-cancelled ones)",
-        )
-        self._cancelled_counter = self.telemetry.counter(
-            "repro_engine_cancelled_events_total",
-            "Heap entries skipped because their handle was cancelled",
-        )
+        self.telemetry.collect(self._metrics)
+
+    def _metrics(self):
+        yield EVENTS(self._events_processed)
+        yield QUEUE_DEPTH(len(self._heap))
+        yield CANCELLED(self._cancelled_skipped)
 
     @property
     def now(self) -> float:
@@ -221,13 +226,11 @@ class Engine:
                         break
                     heapq.heappop(self._heap)
                     if handle.cancelled:
-                        self._cancelled_counter.inc()
+                        self._cancelled_skipped += 1
                         continue
                     self._now = time
                     callback(*args)
                     self._events_processed += 1
-                    self._events_counter.inc()
-                    self._queue_depth_gauge.set(len(self._heap))
                 if until is not None and until > self._now:
                     self._now = until
                 span.set_attribute(

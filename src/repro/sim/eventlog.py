@@ -19,8 +19,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Union
 from repro.cluster.server import Server
 from repro.durability.atomic import atomic_write_text
 from repro.sim.engine import Engine
-from repro.telemetry import Telemetry
-from repro.telemetry.bridge import control_event_counter
+from repro.telemetry import Telemetry, counter_series
 
 KNOWN_KINDS = (
     "freeze",
@@ -43,6 +42,12 @@ KNOWN_KINDS = (
 #: fairness post-mortem needs to attribute
 TENANT_ANNOTATED_KINDS = frozenset({"freeze", "unfreeze", "shed"})
 
+CONTROL_EVENTS = counter_series(
+    "repro_control_events_total",
+    "Control-plane actions recorded by the audit event log, by kind",
+    label="kind",
+)
+
 
 @dataclass(frozen=True)
 class ControlEvent:
@@ -62,15 +67,20 @@ class ControlEventLog:
     ) -> None:
         self.engine = engine
         self.events: List[ControlEvent] = []
+        #: events per kind, in first-seen order (kept as events append)
+        self._counts: Dict[str, int] = {}
         tel = (
             telemetry
             if telemetry is not None
             else getattr(engine, "telemetry", None) or Telemetry.disabled()
         )
-        self._kind_counters = {
-            kind: control_event_counter(tel, kind) for kind in KNOWN_KINDS
-        }
+        tel.collect(self._metrics)
         self._tenant_resolver: Optional[Callable[[int], str]] = None
+
+    def _metrics(self):
+        counts = self.counts_by_kind()
+        for kind in KNOWN_KINDS:
+            yield CONTROL_EVENTS(counts.get(kind, 0), kind)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -100,10 +110,11 @@ class ControlEventLog:
                 if resolver is not None
                 else "tenant=-"
             )
-        self._kind_counters[kind].inc()
-        self.events.append(
-            ControlEvent(self.engine.now, kind, server_id, detail)
-        )
+        self._append(ControlEvent(self.engine.now, kind, server_id, detail))
+
+    def _append(self, event: ControlEvent) -> None:
+        self._counts[event.kind] = self._counts.get(event.kind, 0) + 1
+        self.events.append(event)
 
     def attach_scheduler(self, scheduler) -> None:
         """Subscribe to a scheduler's freeze/unfreeze/fail/repair hooks."""
@@ -116,8 +127,7 @@ class ControlEventLog:
 
     def _on_frequency_change(self, server: Server, old: float, new: float) -> None:
         kind = "cap" if new < old else "uncap"
-        self._kind_counters[kind].inc()
-        self.events.append(
+        self._append(
             ControlEvent(
                 self.engine.now, kind, server.server_id, f"{old:.2f}->{new:.2f}"
             )
@@ -134,10 +144,8 @@ class ControlEventLog:
         return self.events[lo:hi]
 
     def counts_by_kind(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
+        """Events per kind, in first-seen order."""
+        return dict(self._counts)
 
     def for_server(self, server_id: int) -> List[ControlEvent]:
         return [e for e in self.events if e.server_id == server_id]

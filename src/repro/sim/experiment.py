@@ -89,8 +89,9 @@ class ExperimentResult:
     safety_stats: Optional[SafetyStats] = None
     #: the controller's defensive-action telemetry (None when disabled)
     controller_health: Optional[ControllerHealth] = None
-    #: metrics registry of the run (None unless ``telemetry_enabled``);
-    #: holds only sim-deterministic series, so it pickles and merges
+    #: copy of the run's metrics registry at collect time (None unless
+    #: ``telemetry_enabled``); plain sim-deterministic series, so it
+    #: pickles and merges without the run
     telemetry: Optional[MetricsRegistry] = None
     #: facility-level power vs the summed group budgets (additive field;
     #: None only for results deserialized from older payloads)

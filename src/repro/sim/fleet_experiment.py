@@ -142,6 +142,8 @@ class FleetResult:
     coordinator_stats: Optional[CoordinatorStats] = None
     fault_stats: Optional[FaultStats] = None
     breaker_stats: Dict[str, BreakerStats] = field(default_factory=dict)
+    #: copy of the run's metrics registry at collect time (None unless
+    #: ``telemetry_enabled``)
     telemetry: Optional[MetricsRegistry] = None
     #: what the online auditor saw (None when the auditor was off)
     audit_stats: Optional[AuditStats] = None

@@ -329,7 +329,9 @@ class StagedRun:
             "fault_stats": (
                 self.injector.stats_snapshot() if self.injector is not None else None
             ),
-            "telemetry": self.telemetry.registry if self.telemetry.enabled else None,
+            "telemetry": (
+                self.telemetry.registry.materialize() if self.telemetry.enabled else None
+            ),
             "audit_stats": (
                 self.auditor.stats_snapshot() if self.auditor is not None else None
             ),
@@ -489,7 +491,7 @@ class StagedRun:
                     f"{type(self).__name__} seam receives: {', '.join(unattached)}"
                 )
         if self.config.auditor is not None:
-            self.auditor = self.build_auditor(self.config.auditor)
+            self.auditor = self.build_auditor(self.config.auditor, self.telemetry)
 
     def _attach_injector(self, injector: FaultInjector) -> None:
         """Attach the seams of this shape that exist at any time (build
@@ -499,11 +501,17 @@ class StagedRun:
     # ------------------------------------------------------------------
     # Auditor and tenancy, built from the registries
     # ------------------------------------------------------------------
-    def build_auditor(self, config: Optional[AuditorConfig] = None) -> StateAuditor:
+    def build_auditor(
+        self,
+        config: Optional[AuditorConfig] = None,
+        telemetry: Optional[Telemetry] = None,
+    ) -> StateAuditor:
         """A :class:`StateAuditor` wired to every surface of this run.
 
-        Used both for the in-run auditor (``config.auditor``) and by
-        ``repro verify-snapshot`` to audit a restored run on demand.
+        Used both for the in-run auditor (``config.auditor``, exported
+        through the run's ``telemetry``) and on demand (``repro
+        verify-snapshot``, ``/api/audit``, checkpoint verification),
+        where a sweep counts only in its own stats.
         """
         return StateAuditor(
             self.engine,
@@ -512,7 +520,7 @@ class StagedRun:
             ledger=self.ledger,
             supervisors=[self._supervisors[name] for name in sorted(self._supervisors)],
             config=config if config is not None else AuditorConfig(),
-            telemetry=self.telemetry,
+            telemetry=telemetry if telemetry is not None else Telemetry.disabled(),
         )
 
     def _distinct_schedulers(self) -> List["OmegaScheduler"]:

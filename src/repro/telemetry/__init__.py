@@ -2,20 +2,24 @@
 
 The control plane's observability subsystem, built from three parts:
 
-- :mod:`~repro.telemetry.registry` -- counters, gauges and fixed-bucket
-  histograms in one picklable, mergeable :class:`MetricsRegistry`.
+- :mod:`~repro.telemetry.registry` -- one picklable, mergeable
+  :class:`MetricsRegistry`: counter and gauge series read from the
+  components' own fields through collectors, and fixed-bucket
+  histograms.
 - :mod:`~repro.telemetry.tracing` -- per-tick spans (``monitor.sweep``,
   ``controller.tick``, ``rhc.decide``, ``scheduler.rpc``) carrying both
   sim-time and wall-time durations in a ring-buffer store.
 - :mod:`~repro.telemetry.exposition` -- Prometheus text format and
   canonical JSON snapshots.
 
-Components receive a :class:`Telemetry` facade. There is exactly one
-disabled instance (:func:`Telemetry.disabled`): it hands out shared
-no-op instruments and null spans, so uninstrumented-by-configuration
-runs pay one empty method call per record site and produce bit-identical
-trajectories to instrumented ones -- telemetry observes the simulation,
-it never participates in it.
+Components receive a :class:`Telemetry` facade. A component keeps its
+counts in its own fields either way; with telemetry enabled it also
+registers one collector (:meth:`Telemetry.collect`) that reads them when
+the registry is read, so counting costs the same with telemetry on or
+off. There is exactly one disabled instance (:func:`Telemetry.disabled`):
+it ignores collectors and hands out the shared no-op histogram and null
+spans. Trajectories are bit-identical either way -- telemetry observes
+the simulation, it never participates in it.
 """
 
 from __future__ import annotations
@@ -34,16 +38,16 @@ from repro.telemetry.exposition import (
 from repro.telemetry.fairness import jains_index
 from repro.telemetry.registry import (
     DEFAULT_TIME_BUCKETS,
-    NULL_COUNTER,
-    NULL_GAUGE,
     NULL_HISTOGRAM,
+    Collector,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullCounter,
-    NullGauge,
     NullHistogram,
+    Series,
+    counter_series,
+    gauge_series,
 )
 from repro.telemetry.tracing import NULL_SPAN, NullTracer, SpanRecord, Tracer
 
@@ -78,21 +82,13 @@ class Telemetry:
         return _DISABLED
 
     # ------------------------------------------------------------------
-    # Instruments (resolve once, record many)
+    # Metric sources
     # ------------------------------------------------------------------
-    def counter(
-        self, name: str, help_text: str = "", labels: Optional[Mapping[str, str]] = None
-    ):
-        if not self.enabled:
-            return NULL_COUNTER
-        return self.registry.counter(name, help_text, labels)
-
-    def gauge(
-        self, name: str, help_text: str = "", labels: Optional[Mapping[str, str]] = None
-    ):
-        if not self.enabled:
-            return NULL_GAUGE
-        return self.registry.gauge(name, help_text, labels)
+    def collect(self, collector: Collector) -> None:
+        """Read ``collector``'s samples on every registry read (ignored
+        when disabled)."""
+        if self.enabled:
+            self.registry.add_collector(collector)
 
     def histogram(
         self,
@@ -161,23 +157,23 @@ def configure_logging(
 
 
 __all__ = [
+    "Collector",
     "Counter",
     "DEFAULT_TIME_BUCKETS",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
     "NULL_HISTOGRAM",
     "NULL_SPAN",
-    "NullCounter",
-    "NullGauge",
     "NullHistogram",
     "NullTracer",
     "SpanRecord",
     "Telemetry",
     "Tracer",
+    "Series",
     "configure_logging",
+    "counter_series",
+    "gauge_series",
     "jains_index",
     "registry_from_snapshot",
     "render_json",

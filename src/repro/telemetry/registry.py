@@ -1,32 +1,30 @@
-"""Metric instruments and the registry that owns them.
+"""Metric series, collectors and the registry that reads them.
 
-The registry is the control plane's single metrics surface: every
-component records counters, gauges and fixed-bucket histograms into one
-:class:`MetricsRegistry`, labeled by row/rack/component, and everything
-downstream (Prometheus exposition, JSON snapshots, campaign-level
-aggregation) reads from it.
+The registry is the control plane's single metrics surface: Prometheus
+exposition, JSON snapshots and campaign-level aggregation all read one
+:class:`MetricsRegistry`. Three properties shape the design:
 
-Three properties shape the design:
-
-- **Cheap enough to be always-on.** An instrument is resolved once (at
-  construction time of the instrumented component) and recording is one
-  attribute update -- no name parsing, no label hashing on the hot path.
-  When telemetry is disabled the same call sites receive shared no-op
-  instruments (:data:`NULL_COUNTER` and friends), so disabling telemetry
-  costs one empty method call and changes *nothing* else.
+- **One copy of every count.** A component keeps its counts in its own
+  fields and, with telemetry enabled, registers one collector: a bound
+  method yielding its :class:`Series` samples. Every read (``families()``,
+  ``value()``, ``merge()``, exposition) calls the collectors, which read
+  O(1) or O(groups) fields, so recording costs nothing beyond the field
+  update and a scrape costs the same at 80 servers as at 10k. Only
+  histograms, which have no owner field to read, stay instruments
+  (disabled telemetry hands out the shared :data:`NULL_HISTOGRAM`).
 - **Deterministic content.** Only simulation-derived quantities go into
   the registry (sim-time durations, seeded-noise readings, event
   counts). Wall-clock timings live in the span tracer
-  (:mod:`repro.telemetry.tracing`), which is per-process diagnostic
-  state and never crosses the campaign worker boundary. This is what
-  lets serial and parallel campaign runs produce byte-identical merged
-  snapshots.
-- **Picklable and mergeable.** A registry is plain dicts of plain
-  scalars; it crosses a ``ProcessPoolExecutor`` boundary like any other
-  campaign record, and :meth:`MetricsRegistry.merge` folds per-cell
-  registries into one campaign-level registry (counters and histograms
-  add; gauges take the last merged value, which is deterministic because
-  campaigns always merge in cell order).
+  (:mod:`repro.telemetry.tracing`), which never crosses the campaign
+  worker boundary, so serial and parallel campaign runs produce
+  byte-identical merged snapshots.
+- **Copies cross boundaries.** A live registry points into its run
+  through the collectors (a run snapshot pickles it with the run);
+  results carry :meth:`MetricsRegistry.materialize`, a plain copy that
+  crosses a ``ProcessPoolExecutor`` boundary like any campaign record.
+  :meth:`MetricsRegistry.merge` folds per-cell registries into one
+  (counters and histograms add; gauges take the last merged value,
+  deterministic because campaigns always merge in cell order).
 
 Metric names follow the Prometheus convention used throughout the
 repository: ``repro_<component>_<what>[_<unit>][_total]``.
@@ -34,7 +32,7 @@ repository: ``repro_<component>_<what>[_<unit>][_total]``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 #: canonical label form: sorted ``(key, value)`` pairs
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -60,6 +58,39 @@ COUNTER = "counter"
 GAUGE = "gauge"
 HISTOGRAM = "histogram"
 
+#: one sample a collector yields: ``(name, kind, help, labels, value)``
+Sample = Tuple[str, str, str, LabelKey, float]
+#: a component's bound method yielding its current samples
+Collector = Callable[[], Iterable[Sample]]
+
+
+class Series:
+    """A counter or gauge family a collector exports, with at most one
+    label; calling it with a value (and the label's value) makes the
+    sample to yield."""
+
+    __slots__ = ("name", "kind", "help", "label")
+
+    def __init__(
+        self, name: str, kind: str, help_text: str, label: Optional[str] = None
+    ) -> None:
+        self.name = name
+        self.kind = kind
+        self.help = help_text
+        self.label = label
+
+    def __call__(self, value: float, label_value: Optional[str] = None) -> Sample:
+        key = () if label_value is None else ((self.label, label_value),)
+        return (self.name, self.kind, self.help, key, value)
+
+
+def counter_series(name: str, help_text: str, label: Optional[str] = None) -> Series:
+    return Series(name, COUNTER, help_text, label)
+
+
+def gauge_series(name: str, help_text: str, label: Optional[str] = None) -> Series:
+    return Series(name, GAUGE, help_text, label)
+
 
 def _label_key(labels: Optional[Mapping[str, str]]) -> LabelKey:
     if not labels:
@@ -68,7 +99,8 @@ def _label_key(labels: Optional[Mapping[str, str]]) -> LabelKey:
 
 
 class Counter:
-    """Monotonically increasing count (events, errors, ticks)."""
+    """Monotonically increasing count: a series of a copied or rebuilt
+    registry (a live run's counters come from collectors)."""
 
     __slots__ = ("value",)
 
@@ -82,7 +114,7 @@ class Counter:
 
 
 class Gauge:
-    """Point-in-time value (queue depth, stale-endpoint count)."""
+    """Point-in-time value: a series of a copied or rebuilt registry."""
 
     __slots__ = ("value",)
 
@@ -140,31 +172,9 @@ class Histogram:
         return out
 
 
-class NullCounter:
-    """Shared no-op counter handed out by disabled telemetry."""
-
-    __slots__ = ()
-    value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class NullGauge:
-    __slots__ = ()
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-
 class NullHistogram:
+    """Shared no-op histogram handed out by disabled telemetry."""
+
     __slots__ = ()
     sum = 0.0
     count = 0
@@ -173,8 +183,6 @@ class NullHistogram:
         pass
 
 
-NULL_COUNTER = NullCounter()
-NULL_GAUGE = NullGauge()
 NULL_HISTOGRAM = NullHistogram()
 
 
@@ -215,10 +223,19 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
+        self._collectors: List[Collector] = []
 
     # ------------------------------------------------------------------
-    # Instrument resolution (construction-time, not hot-path)
+    # Sources (construction-time, not hot-path)
     # ------------------------------------------------------------------
+    def add_collector(self, collect: Collector) -> None:
+        """Read ``collect()``'s samples on every read of this registry.
+
+        Samples of one series from several collectors combine like a
+        merge: counters add, the last gauge wins.
+        """
+        self._collectors.append(collect)
+
     def _family(
         self,
         name: str,
@@ -265,15 +282,44 @@ class MetricsRegistry:
         )
 
     # ------------------------------------------------------------------
-    # Introspection
+    # Reads (every one runs the collectors)
     # ------------------------------------------------------------------
+    def _read(self) -> Dict[str, MetricFamily]:
+        """Every family by name: the instruments plus what each
+        collector yields now (collected series are fresh objects)."""
+        if not self._collectors:
+            return self._families
+        collected: Dict[str, MetricFamily] = {}
+        for collect in self._collectors:
+            for name, kind, help_text, key, value in collect():
+                family = collected.get(name)
+                if family is None:
+                    if name in self._families:
+                        raise ValueError(
+                            f"metric {name!r} is both an instrument and collected"
+                        )
+                    family = collected[name] = MetricFamily(name, kind, help_text)
+                elif family.kind != kind:
+                    raise ValueError(f"metric {name!r} collected as two kinds")
+                child = family.children.get(key)
+                if kind == COUNTER:
+                    if child is None:
+                        child = family.children[key] = Counter()
+                    child.value += value
+                else:
+                    if child is None:
+                        child = family.children[key] = Gauge()
+                    child.value = float(value)
+        return {**self._families, **collected}
+
     def families(self) -> List[MetricFamily]:
         """Families in sorted-name order (the canonical export order)."""
-        return [self._families[name] for name in sorted(self._families)]
+        families = self._read()
+        return [families[name] for name in sorted(families)]
 
     def get(self, name: str, labels: Optional[Mapping[str, str]] = None):
-        """The live instrument for ``name``/``labels`` or ``None``."""
-        family = self._families.get(name)
+        """The series for ``name``/``labels`` as read now, or ``None``."""
+        family = self._read().get(name)
         if family is None:
             return None
         return family.children.get(_label_key(labels))
@@ -288,20 +334,29 @@ class MetricsRegistry:
         return instrument.value
 
     def __len__(self) -> int:
-        return len(self._families)
+        return len(self._read())
+
+    def materialize(self) -> "MetricsRegistry":
+        """A plain copy of what a read returns now, with no collectors.
+
+        What results carry: a live registry points into its run through
+        the collectors, a copy is a few dicts of scalars.
+        """
+        return MetricsRegistry.merged([self])
 
     # ------------------------------------------------------------------
     # Merge (the campaign worker boundary)
     # ------------------------------------------------------------------
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry.
+        """Fold what ``other`` reads now into this registry's instruments.
 
         Counters and histograms add; gauges take ``other``'s value (the
         merge is performed in cell order by both the serial and the
         parallel campaign paths, so the result is deterministic).
         """
-        for name in sorted(other._families):
-            theirs = other._families[name]
+        theirs_by_name = other._read()
+        for name in sorted(theirs_by_name):
+            theirs = theirs_by_name[name]
             family = self._family(name, theirs.kind, theirs.help, theirs.buckets)
             for key in sorted(theirs.children):
                 child = theirs.children[key]
@@ -337,16 +392,17 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "GAUGE",
     "HISTOGRAM",
+    "Collector",
     "Counter",
     "Gauge",
     "Histogram",
     "LabelKey",
     "MetricFamily",
     "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
     "NULL_HISTOGRAM",
-    "NullCounter",
-    "NullGauge",
     "NullHistogram",
+    "Sample",
+    "Series",
+    "counter_series",
+    "gauge_series",
 ]

@@ -18,11 +18,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
-from repro.telemetry import Telemetry, jains_index
+from repro.telemetry import Telemetry, counter_series, jains_index
 from repro.tenancy.config import TenancyConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
+
+FREEZE_EVENTS = counter_series(
+    "repro_tenant_freeze_events_total",
+    "freeze commands attributed to a tenant's servers",
+    label="tenant",
+)
+SHED_EVENTS = counter_series(
+    "repro_tenant_shed_events_total",
+    "emergency shed actions attributed to a tenant's servers",
+    label="tenant",
+)
 
 
 @dataclass(frozen=True)
@@ -85,22 +96,12 @@ class TenancyAccountant:
         for tenant in self.tenant_of.values():
             if tenant in self._n_servers:
                 self._n_servers[tenant] += 1
-        self._freeze_counters = {
-            name: telemetry.counter(
-                "repro_tenant_freeze_events_total",
-                "freeze commands attributed to a tenant's servers",
-                labels={"tenant": name},
-            )
-            for name in config.names
-        }
-        self._shed_counters = {
-            name: telemetry.counter(
-                "repro_tenant_shed_events_total",
-                "emergency shed actions attributed to a tenant's servers",
-                labels={"tenant": name},
-            )
-            for name in config.names
-        }
+        telemetry.collect(self._metrics)
+
+    def _metrics(self):
+        for name in self.config.names:
+            yield FREEZE_EVENTS(self._freeze_events[name], name)
+            yield SHED_EVENTS(self._shed_events[name], name)
 
     def resolve(self, server_id: int) -> str:
         """Tenant name owning ``server_id`` (``"-"`` when untagged)."""
@@ -116,14 +117,12 @@ class TenancyAccountant:
         if action == "freeze":
             self._open_since[server_id] = self.engine.now
             self._freeze_events[tenant] += 1
-            self._freeze_counters[tenant].inc()
         elif action == "unfreeze":
             opened = self._open_since.pop(server_id, None)
             if opened is not None:
                 self._frozen_seconds[tenant] += self.engine.now - opened
         elif action == "shed":
             self._shed_events[tenant] += 1
-            self._shed_counters[tenant].inc()
 
     # ------------------------------------------------------------------
     def frozen_server_seconds(self, at: Optional[float] = None) -> Dict[str, float]:

@@ -216,6 +216,10 @@ class TestExecution:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+        if "--auto-snapshot-every" in argv:
+            # the flag and the value as typed, not the converted seconds
+            assert "--auto-snapshot-every" in err
+            assert "-1" in err and "-60" not in err
 
     def test_campaign_survives_failing_cells(self, capsys):
         # 50 servers is invalid (must be a multiple of 40): every cell

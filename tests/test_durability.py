@@ -25,6 +25,7 @@ from repro.durability import (
     SnapshotError,
     atomic_write_bytes,
     atomic_write_text,
+    canonical_dumps,
     decode_snapshot,
     encode_snapshot,
     read_header,
@@ -133,14 +134,16 @@ def test_frame_rejects_version_2_snapshot():
     attribute layout (fleet lists/dicts named ``schedulers``,
     ``controllers``, ...) and kept runtime-armed injectors off the run;
     version 4 configs declared the shared fields per shape and carried
-    the since-removed knobs (``monitor_noise_sigma``, ...). This build
-    refuses all three with the version error."""
+    the since-removed knobs (``monitor_noise_sigma``, ...); version 5
+    telemetry registries held counter and gauge instruments instead of
+    the components' collectors. This build refuses all four with the
+    version error."""
     experiment = ControlledExperiment(tiny_config())
     experiment.start()
     header, _, payload = experiment.snapshot().partition(b"\n")
     doc = json.loads(header)
-    assert doc["version"] == SNAPSHOT_VERSION == 5
-    for version in (2, 3, 4):
+    assert doc["version"] == SNAPSHOT_VERSION == 6
+    for version in (2, 3, 4, 5):
         old = dict(doc, version=version, meta=dict(doc["meta"]))
         if version == 2:
             old["meta"]["backend"] = "object"
@@ -189,6 +192,32 @@ def test_canonical_pickle_writes_set_members_sorted():
     assert encode_snapshot(shrunk, "experiment", {}) == encode_snapshot(
         {8, 1}, "experiment", {}
     )
+
+
+def test_canonical_pickle_writes_frozenset_members_sorted():
+    # A union's table is sized by its operands, so its iteration order
+    # differs from the same members rebuilt fresh by a restore.
+    merged = frozenset(set(range(64, 72)) | frozenset(range(40, 56)))
+    rebuilt = frozenset(list(merged))
+    assert list(merged) != list(rebuilt)
+    assert encode_snapshot(merged, "experiment", {}) == encode_snapshot(
+        rebuilt, "experiment", {}
+    )
+
+
+class _Member:
+    pass
+
+
+def test_canonical_pickle_keeps_frozensets_reached_through_their_members():
+    # A member whose state refers back to the frozenset: the stream must
+    # still load as one frozenset shared by both references.
+    member = _Member()
+    holder = frozenset({member})
+    member.back = holder
+    restored = pickle.loads(canonical_dumps(holder))
+    (inner,) = restored
+    assert inner.back is restored
 
 
 def test_canonical_pickle_dedups_equal_strings_by_value():

@@ -22,6 +22,7 @@ contract:
 
 import http.client
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -455,7 +456,6 @@ class TestDegradedMode:
         assert status == 200
         summary = doc["supervisor"]
         assert summary["state"] == "running"
-        assert summary["checkpoint"]["verified"] is True
         assert summary["wal"]["last_seq"] == 0
 
 
@@ -656,6 +656,34 @@ class TestEventBusReplay:
         assert "repro_service_events_dropped_total" in text
         assert f'subscriber="{slow.name}"' in text
 
+    def test_drops_published_from_many_threads_are_all_counted(self):
+        # publish runs on the sim thread and the supervisor's watchdog;
+        # a lost update would leave a count short of the published total
+        registry = MetricsRegistry()
+        bus = EventBus(maxsize=4, ring_size=4, registry=registry)
+        slow = bus.subscribe()
+        per_thread, threads = 2_000, 4
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [bus.publish({}) for _ in range(per_thread)]
+                )
+                for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+            assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(previous)
+        dropped = per_thread * threads - slow.queue.qsize()
+        assert bus.dropped == slow.dropped == dropped
+        labels = {"subscriber": slow.name}
+        assert registry.value("repro_service_events_dropped_total", labels) == dropped
+
     def test_ring_must_fit_in_subscriber_queue(self):
         with pytest.raises(ValueError, match="must fit"):
             EventBus(maxsize=4, ring_size=8)
@@ -779,7 +807,6 @@ class TestStateDirAndResume:
         manifest = json.loads((state_dir / "manifest.json").read_text())
         entries = manifest["snapshots"]
         assert 1 <= len(entries) <= 2  # rotated down to keep_snapshots
-        assert all(entry["verified"] for entry in entries)
         on_disk = sorted(p.name for p in state_dir.glob("auto-*.snap"))
         assert on_disk == sorted(entry["file"] for entry in entries)
         # Every manifested frame restores to an auditor-clean state.
@@ -829,6 +856,35 @@ class TestStateDirAndResume:
         apply_act(harness, "freeze", {"group": "experiment"})
         harness.advance(1500.0)
         assert frame == reference.snapshot()
+
+    def test_resume_reads_a_manifest_with_per_entry_verified_keys(self, tmp_path):
+        """Manifests written before the flag was dropped list every entry
+        with ``"verified": true``; they still resume."""
+        from repro.service.supervisor import load_resume_state
+
+        state_dir = tmp_path / "state"
+        config = SupervisorConfig(state_dir=str(state_dir), auto_snapshot_every=600.0)
+        service = build_service(
+            ControlledExperiment(small_config()),
+            mode="manual",
+            supervisor_config=config,
+        )
+        service.start()
+        try:
+            post(service.url, "/api/step", {"until": 600.0})
+        finally:
+            service.stop()
+        manifest_path = state_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for entry in manifest["snapshots"]:
+            assert "verified" not in entry
+            entry["verified"] = True
+        manifest_path.write_text(json.dumps(manifest))
+
+        run, _, checkpoint, _ = load_resume_state(config)
+        newest = manifest["snapshots"][-1]
+        assert run.engine.now == checkpoint.sim_now == newest["sim_now"]
+        assert "verified" not in checkpoint.to_doc()
 
     @pytest.mark.parametrize(
         "knob", ["auto_snapshot_every", "auto_snapshot_min_wall_seconds"]

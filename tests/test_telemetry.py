@@ -2,7 +2,8 @@
 
 Covers the registry data model (instruments, families, label keying,
 merge semantics), the span tracer, Prometheus/JSON exposition, the
-disabled no-op path, the ControllerHealth / ControlEventLog bridges, the
+disabled no-op path, the components' collectors (ControllerHealth and
+ControlEventLog series read from their own counts), copied results, the
 worker-boundary contract (pickling, serial-vs-parallel byte identity)
 and the logging setup helper.
 """
@@ -22,23 +23,29 @@ from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.testbed import WorkloadSpec
 from repro.telemetry import (
     DEFAULT_TIME_BUCKETS,
-    NULL_COUNTER,
-    NULL_GAUGE,
     NULL_HISTOGRAM,
     MetricsRegistry,
     Telemetry,
     Tracer,
     configure_logging,
+    counter_series,
+    gauge_series,
     registry_from_snapshot,
     render_json,
     render_prometheus,
     snapshot,
 )
-from repro.telemetry.bridge import (
-    CONTROL_EVENTS_COUNTER,
-    HEALTH_KINDS,
-    health_summary_from_registry,
-)
+from repro.core.controller import HEALTH_KINDS
+
+CONTROL_EVENTS_COUNTER = "repro_control_events_total"
+
+
+def health_summary_from_registry(registry) -> dict:
+    """``ControllerHealth.summary()`` as the registry exports it."""
+    return {
+        kind: int(registry.value("repro_controller_health_total", {"kind": kind}) or 0)
+        for kind in HEALTH_KINDS
+    }
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -140,6 +147,71 @@ def make_registry(counter=1.0, gauge=2.0, obs=(0.5,)) -> MetricsRegistry:
     for v in obs:
         h.observe(v)
     return reg
+
+
+class _Owner:
+    """A component keeping one count and one level in its own fields."""
+
+    def __init__(self, name: str = "a") -> None:
+        self.name = name
+        self.done = 0
+        self.level = 0.0
+
+    def metrics(self):
+        yield counter_series("repro_owner_done_total", "things done")(self.done)
+        yield gauge_series("repro_owner_level", "a level", label="o")(self.level, "x")
+
+
+class TestCollectors:
+    def test_every_read_runs_the_collector(self):
+        reg = MetricsRegistry()
+        owner = _Owner()
+        reg.add_collector(owner.metrics)
+        owner.done = 3
+        assert reg.value("repro_owner_done_total") == 3.0
+        owner.done = 5
+        owner.level = 0.5
+        assert reg.value("repro_owner_done_total") == 5.0
+        assert reg.value("repro_owner_level", {"o": "x"}) == 0.5
+        assert "repro_owner_done_total 5" in render_prometheus(reg)
+
+    def test_same_series_from_two_collectors_adds_counters_last_gauge_wins(self):
+        reg = MetricsRegistry()
+        first, second = _Owner(), _Owner()
+        first.done, first.level = 2, 1.0
+        second.done, second.level = 3, 2.0
+        reg.add_collector(first.metrics)
+        reg.add_collector(second.metrics)
+        assert reg.value("repro_owner_done_total") == 5.0
+        assert reg.value("repro_owner_level", {"o": "x"}) == 2.0
+
+    def test_materialize_is_a_plain_frozen_copy(self):
+        reg = MetricsRegistry()
+        owner = _Owner()
+        reg.add_collector(owner.metrics)
+        reg.histogram("repro_owner_seconds").observe(0.2)
+        owner.done = 4
+        copy = reg.materialize()
+        owner.done = 9
+        assert copy._collectors == []
+        assert copy.value("repro_owner_done_total") == 4.0
+        assert copy.get("repro_owner_seconds").count == 1
+        assert render_json(copy) != render_json(reg)
+
+    def test_collected_name_cannot_also_be_an_instrument(self):
+        reg = MetricsRegistry()
+        reg.add_collector(_Owner().metrics)
+        reg.counter("repro_owner_done_total").inc()
+        with pytest.raises(ValueError, match="both an instrument and collected"):
+            reg.families()
+
+    def test_live_registry_pickles_with_its_owners(self):
+        reg = MetricsRegistry()
+        owner = _Owner()
+        owner.done = 7
+        reg.add_collector(owner.metrics)
+        clone = pickle.loads(pickle.dumps(reg))
+        assert clone.value("repro_owner_done_total") == 7.0
 
 
 class TestMerge:
@@ -360,17 +432,15 @@ class TestDisabled:
 
     def test_disabled_hands_out_shared_null_instruments(self):
         tel = Telemetry.disabled()
-        assert tel.counter("repro_any_total") is NULL_COUNTER
-        assert tel.gauge("repro_any_depth") is NULL_GAUGE
         assert tel.histogram("repro_any_seconds") is NULL_HISTOGRAM
+        # collectors are ignored: there is no registry to read them
+        tel.collect(lambda: iter(()))
+        assert tel.registry is None
 
     def test_null_instruments_swallow_records(self):
-        NULL_COUNTER.inc(5)
-        NULL_GAUGE.set(3)
         NULL_HISTOGRAM.observe(1.0)
-        assert NULL_COUNTER.value == 0.0
-        assert NULL_GAUGE.value == 0.0
         assert NULL_HISTOGRAM.count == 0
+        assert NULL_HISTOGRAM.sum == 0.0
 
     def test_disabled_spans_are_noops(self):
         tel = Telemetry.disabled()
@@ -392,13 +462,18 @@ class TestBridges:
     def test_health_counters_mirror_into_registry(self):
         from repro.core.controller import ControllerHealth
 
-        tel = Telemetry.create()
+        registry = MetricsRegistry()
         health = ControllerHealth()
-        health.bind(tel)
-        health.bump("degraded_ticks")
-        health.bump("rpc_retries", 3)
-        health.bump("reconciliation_diff_total", 7)
-        assert health_summary_from_registry(tel.registry) == health.summary()
+        registry.add_collector(health.samples)
+        health.degraded_ticks += 1
+        health.rpc_retries += 3
+        health.reconciliation_diff_total += 7
+        health.note(1.0, "degraded", "row")
+        assert health_summary_from_registry(registry) == health.summary()
+        assert (
+            registry.value("repro_controller_health_events_total", {"kind": "degraded"})
+            == 1
+        )
 
     def test_health_summary_covers_every_kind(self):
         from repro.core.controller import ControllerHealth
@@ -409,14 +484,13 @@ class TestBridges:
         from repro.core.controller import ControllerHealth
 
         health = ControllerHealth()
-        health.bind(Telemetry.create())
-        health.bump("crashes")
+        health.crashes += 1
+        health.note(1.0, "crash", "*")
         clone = pickle.loads(pickle.dumps(health))
         assert clone.summary() == health.summary()
-        assert not hasattr(clone, "_counters")
-        # an unbound clone still counts, just without a mirror
-        clone.bump("recoveries")
-        assert clone.recoveries == 1
+        assert clone.counts_by_kind() == {"crash": 1}
+        clone.note(2.0, "recover", "*")
+        assert clone.counts_by_kind() == {"crash": 1, "recover": 1}
 
     def test_event_log_mirrors_kind_counts(self):
         tel = Telemetry.create()
@@ -425,8 +499,10 @@ class TestBridges:
         log.record("freeze", 1)
         log.record("freeze", 2)
         log.record("unfreeze", 1)
+        assert log.counts_by_kind() == {"freeze": 2, "unfreeze": 1}
         for kind, n in log.counts_by_kind().items():
             assert tel.registry.value(CONTROL_EVENTS_COUNTER, {"kind": kind}) == n
+        assert tel.registry.value(CONTROL_EVENTS_COUNTER, {"kind": "trip"}) == 0
 
     def test_experiment_health_matches_registry_mirror(self):
         result = ControlledExperiment(
@@ -543,6 +619,34 @@ class TestCampaignTelemetry:
         parallel = campaign.run_parallel(max_workers=workers).merged_telemetry()
         assert render_prometheus(parallel) == render_prometheus(serial)
         assert render_json(parallel) == render_json(serial)
+
+    def test_rows_carry_a_copy_not_the_live_run(self):
+        """A row's registry is a plain copy: pickling the row pickles no
+        engine, no collector, and no more than the series themselves."""
+        import dataclasses
+        import io
+
+        from repro.sim.staged import StagedRun
+
+        class Spy(pickle.Pickler):
+            def __init__(self, stream):
+                super().__init__(stream, protocol=5)
+                self.types = set()
+
+            def reducer_override(self, obj):
+                self.types.add(type(obj))
+                return NotImplemented
+
+        row = tiny_campaign().run().rows[0]
+        spy = Spy(io.BytesIO())
+        spy.dump(row)
+        assert MetricsRegistry in spy.types
+        assert not spy.types & {Engine, ControlledExperiment, StagedRun}
+        assert row.telemetry._collectors == []
+        plain = dataclasses.replace(
+            row, telemetry=registry_from_snapshot(snapshot(row.telemetry))
+        )
+        assert len(pickle.dumps(row)) <= 1.1 * len(pickle.dumps(plain))
 
     def test_merged_counters_are_sums_of_cells(self):
         result = tiny_campaign().run()

@@ -58,7 +58,14 @@ from repro.sim.fleet_experiment import (
     FleetRowSpec,
 )
 from repro.sim.testbed import WorkloadSpec
-from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry, Tracer
+from repro.telemetry import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    Tracer,
+    render_prometheus,
+)
 from repro.tenancy import (
     FairShareFreezePolicy,
     TenancyAccountant,
@@ -74,15 +81,19 @@ class Work:
     ``calls`` counts function-call events (a generator resuming counts
     as one); ``lines`` counts line events when ``lines=True``. With
     ``within`` set to a function, ``calls_within`` counts the calls made
-    while that function is on the stack, itself included. ``codes``
-    holds every code object entered.
+    while that function is on the stack, itself included,
+    ``codes_within`` holds the code objects they entered, and
+    ``calls_direct`` counts the calls made by that function's own frame.
+    ``codes`` holds every code object entered.
     """
 
     def __init__(self, lines: bool = False, within=None) -> None:
         self.calls = 0
         self.lines = 0
         self.calls_within = 0
+        self.calls_direct = 0
         self.codes: set = set()
+        self.codes_within: set = set()
         self._lines = lines
         self._within = within.__code__ if within is not None else None
         self._inside = False
@@ -108,6 +119,9 @@ class Work:
         self.codes.add(frame.f_code)
         if self._inside:
             self.calls_within += 1
+            self.codes_within.add(frame.f_code)
+            if frame.f_back.f_code is self._within:
+                self.calls_direct += 1
         elif frame.f_code is self._within:
             self._inside = True
             self.calls_within += 1
@@ -504,3 +518,70 @@ def test_telemetry_costs_under_5pct_of_calls_and_nothing_when_off():
     live = _method_codes(MetricsRegistry, Counter, Gauge, Histogram, Tracer)
     assert not off.codes & live
     assert on.codes & live  # the probe sees telemetry when it runs
+
+
+def _run_loop_work(enabled: bool) -> tuple:
+    experiment = ControlledExperiment(
+        ExperimentConfig(
+            n_servers=80,
+            duration_hours=0.5,
+            warmup_hours=0.1,
+            workload=WorkloadSpec(target_utilization=0.3),
+            seed=5,
+            telemetry_enabled=enabled,
+        )
+    )
+    experiment.start()
+    work = Work(within=Engine.run)
+    with work.count():
+        experiment.advance()
+    return work, experiment.engine.events_processed
+
+
+def test_engine_loop_makes_no_metric_call_and_the_same_calls_per_event():
+    """With telemetry on, nothing the run loop does -- its own body or
+    any callback it runs -- calls into a counter, a gauge or the
+    registry: counts live in the components' fields. The loop's own
+    frame makes exactly the calls it makes with telemetry off."""
+    _run_loop_work(True)  # warm-up
+    off, events_off = _run_loop_work(False)
+    on, events_on = _run_loop_work(True)
+    assert events_on == events_off > 1000
+    assert not on.codes_within & _method_codes(MetricsRegistry, Counter, Gauge)
+    assert on.calls_direct == off.calls_direct
+    # one callback per event, plus the span and its attribute
+    assert on.calls_direct <= events_on + 5
+
+
+def _live_render_work(n_servers: int, extra_events: int = 0) -> Work:
+    experiment = ControlledExperiment(
+        ExperimentConfig(
+            n_servers=n_servers,
+            duration_hours=0.5,
+            warmup_hours=0.1,
+            workload=WorkloadSpec(target_utilization=0.3),
+            seed=5,
+            telemetry_enabled=True,
+        )
+    )
+    experiment.advance(0.1 * 3600.0 + 150.0)  # warm-up plus three sweeps
+    for i in range(extra_events):
+        experiment.event_log.record("cap", i % n_servers)
+    registry = experiment.telemetry.registry
+    render_prometheus(registry)  # warm-up
+    work = Work(lines=True)
+    with work.count():
+        render_prometheus(registry)
+    return work
+
+
+def test_scrape_work_is_flat_in_servers_and_logged_events():
+    """One ``/metrics`` render of a live run does the same Python work at
+    80 and 800 servers, and after 1k or 10k logged control events: every
+    collector reads O(1) or O(groups) fields, never servers or events."""
+    small = _live_render_work(80)
+    large = _live_render_work(800)
+    assert (small.calls, small.lines) == (large.calls, large.lines)
+    thousand = _live_render_work(80, extra_events=1_000)
+    ten_thousand = _live_render_work(80, extra_events=10_000)
+    assert (thousand.calls, thousand.lines) == (ten_thousand.calls, ten_thousand.lines)
