@@ -95,7 +95,9 @@ def check_step(base, ctx):
 @check("group+controllers")
 def check_group(base, ctx):
     doc = get_json(base, "/api/groups/experiment")
-    assert doc["servers"] and doc["controller"]["ticks"] >= 0
+    lengths = {name: len(column) for name, column in doc["servers"].items()}
+    assert lengths == dict.fromkeys(("id", "power_watts", "flags"), doc["n_servers"])
+    assert doc["n_servers"] > 0 and doc["controller"]["ticks"] >= 0
     controllers = get_json(base, "/api/controllers")
     assert "experiment" in controllers["controllers"]
 

@@ -8,7 +8,7 @@ controller, so they share this base class.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -42,16 +42,16 @@ class ServerGroup:
         self.servers: List[Server] = list(servers)
         if not self.servers:
             raise ValueError(f"server group {name!r} must contain at least one server")
+        # Every member lives in one ClusterState, so the group is a set
+        # of slots in it and the hot loops are array expressions.
+        self.state, self.state_indices = shared_state_of(self.servers)
         if power_budget_watts is None:
-            power_budget_watts = sum(s.rated_watts for s in self.servers)
+            power_budget_watts = self.rated_watts()
         if power_budget_watts <= 0:
             raise ValueError(
                 f"power_budget_watts must be positive, got {power_budget_watts}"
             )
         self.power_budget_watts = float(power_budget_watts)
-        # Every member lives in one ClusterState, so the group is a set
-        # of slots in it and the hot loops are array expressions.
-        self.state, self.state_indices = shared_state_of(self.servers)
 
     def __len__(self) -> int:
         return len(self.servers)
@@ -75,8 +75,12 @@ class ServerGroup:
         return self.state.server_powers(self.state_indices)
 
     def rated_watts(self) -> float:
-        """Sum of member rated power (the conservative provisioning base)."""
-        return sum(s.rated_watts for s in self.servers)
+        """Sum of member rated power (the conservative provisioning base).
+
+        Sequential ``cumsum``, like :meth:`power_watts`: bit-identical to
+        a left-to-right ``sum`` of the members' ``rated_watts``.
+        """
+        return float(self.state.rated_watts[self.state_indices].cumsum()[-1])
 
     def normalized_power(self) -> float:
         """Aggregate power normalized to the provisioned budget ``P_M``."""
@@ -114,6 +118,18 @@ class ServerGroup:
 
     def capped_servers(self) -> List[Server]:
         return [s for s in self.servers if s.is_capped]
+
+    def flag_masks(self) -> Dict[str, np.ndarray]:
+        """The per-server flags as boolean columns in member order:
+        ``frozen``, ``capped`` (``Server.is_capped``), ``failed`` and
+        ``powered_off``, each gathered from the store in one read."""
+        state, indices = self.state, self.state_indices
+        return {
+            "frozen": state.frozen[indices],
+            "capped": state.capped_mask(indices),
+            "failed": state.failed[indices],
+            "powered_off": state.powered_off[indices],
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

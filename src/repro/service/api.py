@@ -16,12 +16,14 @@ GET    /                         HTML dashboard
 GET    /api/status               driver status (mode, sim time, progress)
 GET    /api/config               experiment kind + full config
 GET    /api/state                facility overview, one row per group
-GET    /api/groups/<name>        one group in depth (per-server masks)
+GET    /api/groups/<name>        one group in depth (per-server columns)
 GET    /api/controllers          controller health + steering statistics
 GET    /api/ledger               fleet budget ledger (404 on single-row)
 GET    /api/tenants              per-tenant fairness (404 when untenanted)
-GET    /api/events               eventlog tail (``?limit=&kind=``)
-GET    /api/series               power/budget traces (``?window=seconds``)
+GET    /api/events               eventlog tail (``?limit=&kind=``, integer
+                                 limit)
+GET    /api/series               power/budget traces (``?window=seconds``,
+                                 finite)
 GET    /api/safety               safety ladders + breaker states
 GET    /api/faults               armed injectors and their fault counts
 GET    /api/audit                full invariant sweep of live state, now
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import queue
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -178,15 +181,28 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _query(self) -> dict:
         return parse_qs(urlparse(self.path).query)
 
-    def _qs_float(self, query: dict, name: str,
-                  default: Optional[float]) -> Optional[float]:
+    def _qs_float(self, query: dict, name: str, default: float) -> float:
         if name not in query:
             return default
         try:
-            return float(query[name][0])
-        except ValueError as exc:
-            raise ServiceError(400, f"query param {name!r} must be a number") \
-                from exc
+            value = float(query[name][0])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ServiceError(
+                400, f"query param {name!r} must be a finite number"
+            )
+        return value
+
+    def _qs_int(self, query: dict, name: str, default: int) -> int:
+        if name not in query:
+            return default
+        try:
+            return int(query[name][0])
+        except ValueError:
+            raise ServiceError(
+                400, f"query param {name!r} must be an integer"
+            ) from None
 
     # -- dispatch -------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -244,7 +260,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(200, app.tenants())
             elif path == "/api/events":
                 query = self._query()
-                limit = int(self._qs_float(query, "limit", 100.0))
+                limit = self._qs_int(query, "limit", 100)
                 kind = query.get("kind", [None])[0]
                 self._send_json(200, app.events(limit=limit, kind=kind))
             elif path == "/api/series":

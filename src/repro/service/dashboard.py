@@ -262,14 +262,18 @@ async function renderMasks(doc) {
                                  encodeURIComponent(g.name));
     const row = document.createElement("div");
     row.className = "maskrow";
-    const cells = detail.servers.map((s) => {
+    const cols = detail.servers;
+    const bit = {};
+    detail.server_flags.forEach((flag, i) => { bit[flag] = 1 << i; });
+    const cells = cols.id.map((id, i) => {
+      const flags = cols.flags[i];
       let cls = "idle";
-      if (s.powered_off) cls = "off";
-      else if (s.failed) cls = "failed";
-      else if (s.capped) cls = "capped";
-      else if (s.frozen) cls = "frozen";
-      return '<span class="cell ' + cls + '" title="#' + s.id + " " +
-        fmtW(s.power_watts) + '"></span>';
+      if (flags & bit.powered_off) cls = "off";
+      else if (flags & bit.failed) cls = "failed";
+      else if (flags & bit.capped) cls = "capped";
+      else if (flags & bit.frozen) cls = "frozen";
+      return '<span class="cell ' + cls + '" title="#' + id + " " +
+        fmtW(cols.power_watts[i]) + '"></span>';
     }).join("");
     row.innerHTML = '<div class="label">' + g.name + '</div>' +
       '<div class="cells">' + cells + "</div>";

@@ -12,7 +12,11 @@ document the sim thread has moved on.
 NaNs (an IPMI read during a monitoring blackout carries last-known
 value with a NaN marker, a never-sampled group has no latest point).
 :func:`jsonsafe` scrubs every document to ``null`` before it leaves the
-sim thread.
+sim thread (a group's per-server columns with one vectorised check).
+
+The state, group and controller documents (the operator's polled
+reads) take O(groups) fields plus array expressions over the
+``ClusterState`` columns, never a Python loop over servers.
 """
 
 from __future__ import annotations
@@ -71,22 +75,24 @@ def config_doc(run: StagedRun) -> dict:
     )
 
 
-def _group_summary(run: StagedRun, name: str, group) -> dict:
-    servers = group.servers
+#: the flags a group document's ``flags`` column packs, bit ``i`` for
+#: ``SERVER_FLAGS[i]`` (frozen = 1, capped = 2, failed = 4, off = 8)
+SERVER_FLAGS = ("frozen", "capped", "failed", "powered_off")
+
+
+def _group_summary(run: StagedRun, name: str, group, masks: dict) -> dict:
     breaker = run.breakers().get(name)
     supervisor = run.supervisors().get(name)
+    power = group.power_watts()
     doc = {
         "name": name,
-        "n_servers": len(servers),
-        "power_watts": group.power_watts(),
+        "n_servers": len(group),
+        "power_watts": power,
         "budget_watts": group.power_budget_watts,
         "rated_watts": group.rated_watts(),
-        "normalized_power": group.normalized_power(),
+        "normalized_power": power / group.power_budget_watts,
         "over_provision_ratio": group.over_provision_ratio,
-        "frozen": sum(1 for s in servers if s.frozen),
-        "capped": sum(1 for s in servers if s.is_capped),
-        "failed": sum(1 for s in servers if s.failed),
-        "powered_off": sum(1 for s in servers if s.powered_off),
+        **{flag: int(np.count_nonzero(masks[flag])) for flag in SERVER_FLAGS},
         "controlled": name in run.controllers(),
         "safety_state": supervisor.state.name if supervisor else None,
         "safety_level": int(supervisor.state) if supervisor else None,
@@ -110,43 +116,46 @@ def _group_summary(run: StagedRun, name: str, group) -> dict:
 def state_doc(run: StagedRun) -> dict:
     """The facility overview: every group, one summary row each."""
     monitor = run.monitor
-    groups = run.groups()
+    summaries = [
+        _group_summary(run, name, group, group.flag_masks())
+        for name, group in run.groups().items()
+    ]
     return jsonsafe(
         {
             "kind": run.SNAPSHOT_KIND,
             "sim_now": run.engine.now,
             "facility_budget_watts": monitor.facility_budget_watts,
-            "facility_power_watts": sum(
-                g.power_watts() for g in groups.values()
-            ),
+            "facility_power_watts": sum(g["power_watts"] for g in summaries),
             "in_outage": monitor.in_outage,
             "sensor_bias": monitor.sensor_bias,
-            "groups": [
-                _group_summary(run, name, group)
-                for name, group in groups.items()
-            ],
+            "groups": summaries,
         }
     )
 
 
+def _finite_list(values: np.ndarray) -> list:
+    """``values`` as a list with every NaN/Inf turned into ``None``."""
+    out = values.tolist()
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        out[i] = None
+    return out
+
+
 def group_doc(run: StagedRun, name: str) -> Optional[dict]:
-    """One group in depth: per-server masks plus controller state."""
+    """One group in depth: its summary, controller state and per-server
+    columns.
+
+    ``servers`` holds parallel lists in member order: ``id``,
+    ``power_watts`` and ``flags``, whose bit ``i`` is set when
+    ``SERVER_FLAGS[i]`` holds (listed in ``server_flags``). Every column
+    is an array read of the group's slots.
+    """
     groups = run.groups()
     if name not in groups:
         return None
     group = groups[name]
-    doc = _group_summary(run, name, group)
-    doc["servers"] = [
-        {
-            "id": s.server_id,
-            "power_watts": s.power_watts(),
-            "frozen": s.frozen,
-            "capped": s.is_capped,
-            "failed": s.failed,
-            "powered_off": s.powered_off,
-        }
-        for s in group.servers
-    ]
+    masks = group.flag_masks()
+    doc = _group_summary(run, name, group, masks)
     controller = run.controllers().get(name)
     if controller is not None:
         state = controller.state_of(name)
@@ -162,7 +171,17 @@ def group_doc(run: StagedRun, name: str) -> Optional[dict]:
         }
     else:
         doc["controller"] = None
-    return jsonsafe(doc)
+    doc = jsonsafe(doc)
+    flags = np.zeros(len(group), dtype=np.int64)
+    for bit, flag in enumerate(SERVER_FLAGS):
+        flags[masks[flag]] |= 1 << bit
+    doc["server_flags"] = list(SERVER_FLAGS)
+    doc["servers"] = {
+        "id": group.state.server_ids[group.state_indices].tolist(),
+        "power_watts": _finite_list(group.server_powers()),
+        "flags": flags.tolist(),
+    }
+    return doc
 
 
 def controllers_doc(run: StagedRun) -> dict:
@@ -366,6 +385,7 @@ def audit_doc(run: StagedRun) -> dict:
 
 
 __all__ = [
+    "SERVER_FLAGS",
     "audit_doc",
     "config_doc",
     "controllers_doc",

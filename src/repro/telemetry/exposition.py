@@ -69,59 +69,46 @@ def _format_labels(key: LabelKey, extra: str = "") -> str:
 def render_prometheus(registry: MetricsRegistry) -> str:
     """The registry in Prometheus text exposition format (version 0.0.4)."""
     lines: List[str] = []
-    for family in registry.families():
-        if family.help:
-            lines.append(
-                f"# HELP {family.name} {escape_help_text(family.help)}"
-            )
-        lines.append(f"# TYPE {family.name} {family.kind}")
-        for key in sorted(family.children):
-            child = family.children[key]
-            if isinstance(child, Histogram):
-                cumulative = child.cumulative_counts()
-                bounds = [*child.uppers, float("inf")]
+    for name, kind, help_text, series in registry.series():
+        if help_text:
+            lines.append(f"# HELP {name} {escape_help_text(help_text)}")
+        lines.append(f"# TYPE {name} {kind}")
+        for key in sorted(series):
+            value = series[key]
+            if isinstance(value, Histogram):
+                cumulative = value.cumulative_counts()
+                bounds = [*value.uppers, float("inf")]
                 for upper, count in zip(bounds, cumulative):
                     le_label = 'le="' + _format_value(upper) + '"'
                     lines.append(
-                        f"{family.name}_bucket"
-                        f"{_format_labels(key, le_label)} {count}"
+                        f"{name}_bucket{_format_labels(key, le_label)} {count}"
                     )
                 lines.append(
-                    f"{family.name}_sum{_format_labels(key)} "
-                    f"{_format_value(child.sum)}"
+                    f"{name}_sum{_format_labels(key)} {_format_value(value.sum)}"
                 )
-                lines.append(
-                    f"{family.name}_count{_format_labels(key)} {child.count}"
-                )
+                lines.append(f"{name}_count{_format_labels(key)} {value.count}")
             else:
-                lines.append(
-                    f"{family.name}{_format_labels(key)} "
-                    f"{_format_value(child.value)}"
-                )
+                lines.append(f"{name}{_format_labels(key)} {_format_value(value)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def snapshot(registry: MetricsRegistry) -> Dict[str, Any]:
     """Canonical plain-dict form of a registry (the JSON export)."""
     doc: Dict[str, Any] = {}
-    for family in registry.families():
-        series: List[Dict[str, Any]] = []
-        for key in sorted(family.children):
-            child = family.children[key]
+    for name, kind, help_text, series in registry.series():
+        entries: List[Dict[str, Any]] = []
+        for key in sorted(series):
+            value = series[key]
             entry: Dict[str, Any] = {"labels": {k: v for k, v in key}}
-            if isinstance(child, Histogram):
-                entry["buckets"] = list(child.uppers)
-                entry["bucket_counts"] = list(child.bucket_counts)
-                entry["sum"] = child.sum
-                entry["count"] = child.count
+            if isinstance(value, Histogram):
+                entry["buckets"] = list(value.uppers)
+                entry["bucket_counts"] = list(value.bucket_counts)
+                entry["sum"] = value.sum
+                entry["count"] = value.count
             else:
-                entry["value"] = child.value
-            series.append(entry)
-        doc[family.name] = {
-            "kind": family.kind,
-            "help": family.help,
-            "series": series,
-        }
+                entry["value"] = value
+            entries.append(entry)
+        doc[name] = {"kind": kind, "help": help_text, "series": entries}
     return doc
 
 

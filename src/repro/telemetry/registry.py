@@ -6,7 +6,7 @@ exposition, JSON snapshots and campaign-level aggregation all read one
 
 - **One copy of every count.** A component keeps its counts in its own
   fields and, with telemetry enabled, registers one collector: a bound
-  method yielding its :class:`Series` samples. Every read (``families()``,
+  method yielding its :class:`Series` samples. Every read (``series()``,
   ``value()``, ``merge()``, exposition) calls the collectors, which read
   O(1) or O(groups) fields, so recording costs nothing beyond the field
   update and a scrape costs the same at 80 servers as at 10k. Only
@@ -284,57 +284,72 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Reads (every one runs the collectors)
     # ------------------------------------------------------------------
-    def _read(self) -> Dict[str, MetricFamily]:
-        """Every family by name: the instruments plus what each
-        collector yields now (collected series are fresh objects)."""
-        if not self._collectors:
-            return self._families
-        collected: Dict[str, MetricFamily] = {}
+    def _collect(self) -> Dict[str, Tuple[str, str, Dict[LabelKey, float]]]:
+        """What the collectors yield now, by name: ``(kind, help,
+        {labels: value})``, counters summed and the last gauge kept."""
+        collected: Dict[str, Tuple[str, str, Dict[LabelKey, float]]] = {}
         for collect in self._collectors:
             for name, kind, help_text, key, value in collect():
-                family = collected.get(name)
-                if family is None:
+                entry = collected.get(name)
+                if entry is None:
                     if name in self._families:
                         raise ValueError(
                             f"metric {name!r} is both an instrument and collected"
                         )
-                    family = collected[name] = MetricFamily(name, kind, help_text)
-                elif family.kind != kind:
+                    entry = collected[name] = (kind, help_text, {})
+                elif entry[0] != kind:
                     raise ValueError(f"metric {name!r} collected as two kinds")
-                child = family.children.get(key)
+                values = entry[2]
                 if kind == COUNTER:
-                    if child is None:
-                        child = family.children[key] = Counter()
-                    child.value += value
+                    values[key] = values.get(key, 0.0) + value
                 else:
-                    if child is None:
-                        child = family.children[key] = Gauge()
-                    child.value = float(value)
-        return {**self._families, **collected}
+                    values[key] = float(value)
+        return collected
 
-    def families(self) -> List[MetricFamily]:
-        """Families in sorted-name order (the canonical export order)."""
-        families = self._read()
-        return [families[name] for name in sorted(families)]
+    def _rows(self) -> Dict[str, Tuple[str, str, Dict[LabelKey, object]]]:
+        """Every family by name as read now: ``(kind, help, {labels:
+        series})``, where a counter or gauge series is its value and a
+        histogram series its :class:`Histogram`."""
+        rows: Dict[str, Tuple[str, str, Dict[LabelKey, object]]] = {
+            name: (
+                family.kind,
+                family.help,
+                {
+                    key: child if family.kind == HISTOGRAM else child.value
+                    for key, child in family.children.items()
+                },
+            )
+            for name, family in self._families.items()
+        }
+        rows.update(self._collect())
+        return rows
+
+    def series(self) -> List[Tuple[str, str, str, Dict[LabelKey, object]]]:
+        """Every family as ``(name, kind, help, {labels: series})`` in
+        sorted-name order (the canonical export order). The exports
+        format these directly."""
+        rows = self._rows()
+        return [(name, *rows[name]) for name in sorted(rows)]
 
     def get(self, name: str, labels: Optional[Mapping[str, str]] = None):
-        """The series for ``name``/``labels`` as read now, or ``None``."""
-        family = self._read().get(name)
-        if family is None:
+        """The series for ``name``/``labels`` as read now (a counter or
+        gauge value, or a :class:`Histogram`), or ``None``."""
+        row = self._rows().get(name)
+        if row is None:
             return None
-        return family.children.get(_label_key(labels))
+        return row[2].get(_label_key(labels))
 
     def value(
         self, name: str, labels: Optional[Mapping[str, str]] = None
     ) -> Optional[float]:
         """Scalar value of a counter/gauge series (``None`` if absent)."""
-        instrument = self.get(name, labels)
-        if instrument is None or isinstance(instrument, Histogram):
+        series = self.get(name, labels)
+        if series is None or isinstance(series, Histogram):
             return None
-        return instrument.value
+        return series
 
     def __len__(self) -> int:
-        return len(self._read())
+        return len(self._rows())
 
     def materialize(self) -> "MetricsRegistry":
         """A plain copy of what a read returns now, with no collectors.
@@ -354,17 +369,16 @@ class MetricsRegistry:
         merge is performed in cell order by both the serial and the
         parallel campaign paths, so the result is deterministic).
         """
-        theirs_by_name = other._read()
-        for name in sorted(theirs_by_name):
-            theirs = theirs_by_name[name]
-            family = self._family(name, theirs.kind, theirs.help, theirs.buckets)
-            for key in sorted(theirs.children):
-                child = theirs.children[key]
+        for name, kind, help_text, values in other.series():
+            buckets = other._families[name].buckets if kind == HISTOGRAM else None
+            family = self._family(name, kind, help_text, buckets)
+            for key in sorted(values):
+                child = values[key]
                 mine = family.child(key)
-                if theirs.kind == COUNTER:
-                    mine.value += child.value  # type: ignore[union-attr]
-                elif theirs.kind == GAUGE:
-                    mine.value = child.value  # type: ignore[union-attr]
+                if kind == COUNTER:
+                    mine.value += child  # type: ignore[union-attr]
+                elif kind == GAUGE:
+                    mine.value = child  # type: ignore[union-attr]
                 else:
                     assert isinstance(child, Histogram)
                     assert isinstance(mine, Histogram)

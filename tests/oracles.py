@@ -26,6 +26,7 @@ from repro.cluster.capping import CappingEngine
 from repro.cluster.group import ServerGroup
 from repro.cluster.power import DVFS_FREQUENCIES
 from repro.monitor.power_monitor import PowerMonitor
+from repro.service.views import jsonsafe
 
 
 def _live(server) -> bool:
@@ -46,6 +47,96 @@ def group_server_powers(group) -> np.ndarray:
         (s.power_watts() for s in group.servers),
         dtype=np.float64,
         count=len(group.servers),
+    )
+
+
+def group_rated_watts(group) -> float:
+    """Sum of member rated power, left to right."""
+    return sum(s.rated_watts for s in group.servers)
+
+
+# ---------------------------------------------------------------------------
+# Observe documents
+# ---------------------------------------------------------------------------
+def group_flag_counts(group) -> Dict[str, int]:
+    """A group summary's server counts, one attribute read per server."""
+    servers = group.servers
+    return {
+        "frozen": sum(1 for s in servers if s.frozen),
+        "capped": sum(1 for s in servers if s.is_capped),
+        "failed": sum(1 for s in servers if s.failed),
+        "powered_off": sum(1 for s in servers if s.powered_off),
+    }
+
+
+def group_server_dicts(group) -> List[dict]:
+    """A group document's per-server section as one dict per server."""
+    return [
+        {
+            "id": s.server_id,
+            "power_watts": s.power_watts(),
+            "frozen": s.frozen,
+            "capped": s.is_capped,
+            "failed": s.failed,
+            "powered_off": s.powered_off,
+        }
+        for s in group.servers
+    ]
+
+
+def _group_summary(run, name: str, group) -> dict:
+    breaker = run.breakers().get(name)
+    supervisor = run.supervisors().get(name)
+    doc = {
+        "name": name,
+        "n_servers": len(group.servers),
+        "power_watts": group_power_watts(group),
+        "budget_watts": group.power_budget_watts,
+        "rated_watts": group_rated_watts(group),
+        "normalized_power": group_power_watts(group) / group.power_budget_watts,
+        "over_provision_ratio": (
+            group_rated_watts(group) / group.power_budget_watts - 1.0
+        ),
+        **group_flag_counts(group),
+        "controlled": name in run.controllers(),
+        "safety_state": supervisor.state.name if supervisor else None,
+        "safety_level": int(supervisor.state) if supervisor else None,
+        "breaker": (
+            {
+                "tripped": breaker.tripped,
+                "thermal_fraction": breaker.thermal_fraction,
+                "trips": breaker.stats.trips,
+            }
+            if breaker
+            else None
+        ),
+    }
+    try:
+        doc["violations"] = run.monitor.violation_count(name)
+    except KeyError:
+        doc["violations"] = None
+    return doc
+
+
+def state_doc(run) -> dict:
+    """``views.state_doc`` with every group figure taken server by server."""
+    monitor = run.monitor
+    groups = run.groups()
+    return jsonsafe(
+        {
+            "kind": run.SNAPSHOT_KIND,
+            "sim_now": run.engine.now,
+            "facility_budget_watts": monitor.facility_budget_watts,
+            "facility_power_watts": sum(
+                group_power_watts(g) for g in groups.values()
+            ),
+            "in_outage": monitor.in_outage,
+            "sensor_bias": monitor.sensor_bias,
+            "groups": [
+                _group_summary(run, name, group)
+                for name, group in groups.items()
+            ],
+        }
     )
 
 
@@ -262,7 +353,7 @@ class OracleCappingEngine(CappingEngine):
 def use_oracle_loops(monkeypatch) -> None:
     """Run whole simulations on the oracle loops instead of the arrays.
 
-    Swaps the group power sum, ``server_powers``, the monitor's
+    Swaps the group power and rated sums, ``server_powers``, the monitor's
     per-server readings and the capping orders and books of the
     production classes for the scalar loops above, for the duration of
     one test. Trajectories must not move: the loops are bit-identical
@@ -270,6 +361,7 @@ def use_oracle_loops(monkeypatch) -> None:
     """
     monkeypatch.setattr(ServerGroup, "power_watts", group_power_watts)
     monkeypatch.setattr(ServerGroup, "server_powers", group_server_powers)
+    monkeypatch.setattr(ServerGroup, "rated_watts", group_rated_watts)
     monkeypatch.setattr(
         PowerMonitor,
         "snapshot_server_powers",

@@ -10,9 +10,10 @@ hold it to the per-server model it replaced.
   the per-server loops still ran in production. Each document's sha256
   lives in ``tests/golden/trajectory_digests.json``.
 - **Loop-level oracles.** Each hot loop is checked against its scalar
-  oracle in ``tests/oracles.py``: the group power sum and
+  oracle in ``tests/oracles.py``: the group power and rated sums and
   ``server_powers``, the IPMI poll, capping's three orderings (ties
-  included) and the per-server readings.
+  included), the per-server readings and the observe documents (the
+  service's state summary and per-server group columns).
 
 The three numerical contracts each have a test here that fails if the
 contract breaks: exact-exponent pow (exotic SKU exponents, where NumPy's
@@ -46,6 +47,7 @@ from repro.faults.scenario import builtin_scenarios
 from repro.fleet.config import FleetConfig
 from repro.monitor.ipmi import IpmiFleet
 from repro.monitor.power_monitor import PowerMonitor
+from repro.service import views
 from repro.sim.campaign import Campaign
 from repro.sim.engine import Engine
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
@@ -253,6 +255,92 @@ class TestGroupPower:
         assert row.power_watts() == oracles.group_power_watts(row)
         util = np.array([s.utilization for s in row.servers[:160]])
         assert (util**1.3 != np.array([u**1.3 for u in util.tolist()])).any()
+
+    def test_rated_sum_is_the_sequential_sum(self):
+        """Mixed SKUs: the rated column sums left to right, like power."""
+        row = build_heterogeneous_row(
+            0,
+            [
+                (40, ServerSpec(power_params=PowerModelParams(rated_watts=333.3))),
+                (40, ServerSpec(power_params=PowerModelParams(rated_watts=0.1))),
+                (40, ServerSpec()),
+            ],
+            servers_per_rack=40,
+        )
+        assert row.rated_watts() == oracles.group_rated_watts(row)
+        rated = np.array([s.rated_watts for s in row.servers])
+        assert float(np.sum(rated)) != oracles.group_rated_watts(row)
+
+
+class TestObserveDocuments:
+    """The observe documents read the store's columns; the oracles read
+    every server object. A data-chaos row with capping and the safety
+    ladder, plus operator failures and a power-off, sets all four
+    per-server flags."""
+
+    @pytest.fixture(scope="class")
+    def chaos_run(self):
+        run = ControlledExperiment(
+            ExperimentConfig(
+                n_servers=80,
+                duration_hours=1.5,
+                warmup_hours=1.0,
+                over_provision_ratio=0.25,
+                workload=WorkloadSpec(target_utilization=0.33, modulation_sigma=0.05),
+                faults=builtin_scenarios()["data-chaos"],
+                safety=SafetyConfig(),
+                capping_enabled=True,
+                seed=42,
+            )
+        )
+        run.advance(100 * 60.0)
+        scheduler = run.scheduler_for("experiment")
+        experiment = run.groups()["experiment"].servers
+        control = run.groups()["control"].servers
+        # a repaired server of the frozen group stays idle: power it off
+        scheduler.fail_server(experiment[3].server_id)
+        scheduler.repair_server(experiment[3].server_id)
+        scheduler.power_off_server(experiment[3].server_id)
+        scheduler.fail_server(experiment[11].server_id)
+        scheduler.fail_server(control[5].server_id)
+        return run
+
+    def test_every_flag_is_set_somewhere(self, chaos_run):
+        counts = {
+            name: oracles.group_flag_counts(group)
+            for name, group in chaos_run.groups().items()
+        }
+        for flag in views.SERVER_FLAGS:
+            assert sum(c[flag] for c in counts.values()) > 0, flag
+
+    def test_state_doc_bytes_match_the_per_server_oracle(self, chaos_run):
+        ours = json.dumps(views.state_doc(chaos_run), sort_keys=True)
+        theirs = json.dumps(oracles.state_doc(chaos_run), sort_keys=True)
+        assert ours == theirs
+
+    def test_counts_and_rated_watts_match(self, chaos_run):
+        for group in chaos_run.groups().values():
+            counts = {
+                flag: int(np.count_nonzero(mask))
+                for flag, mask in group.flag_masks().items()
+            }
+            assert counts == oracles.group_flag_counts(group)
+            assert group.rated_watts() == oracles.group_rated_watts(group)
+
+    @pytest.mark.parametrize("name", ["experiment", "control"])
+    def test_group_columns_match_the_per_server_dicts(self, chaos_run, name):
+        columns = views.group_doc(chaos_run, name)["servers"]
+        expected = oracles.group_server_dicts(chaos_run.groups()[name])
+        assert {len(column) for column in columns.values()} == {len(expected)}
+        for i, server in enumerate(expected):
+            assert columns["id"][i] == server["id"]
+            assert columns["power_watts"][i] == server["power_watts"]
+            for bit, flag in enumerate(views.SERVER_FLAGS):
+                assert bool(columns["flags"][i] >> bit & 1) is server[flag]
+
+    def test_non_finite_power_becomes_null(self):
+        powers = np.array([1.5, np.nan, np.inf, -np.inf, 2.0])
+        assert views._finite_list(powers) == [1.5, None, None, None, 2.0]
 
 
 def ids(servers):

@@ -194,9 +194,36 @@ class TestAPIContract:
 
     def test_group_detail_and_unknown_group(self, service):
         _, _, doc = get(service.url, "/api/groups/experiment")
-        assert len(doc["servers"]) == 20  # half of n_servers=40
+        columns = doc["servers"]
+        assert set(columns) == {"id", "power_watts", "flags"}
+        # half of n_servers=40, one entry per server in every column
+        assert [len(column) for column in columns.values()] == [20, 20, 20]
+        assert doc["server_flags"] == ["frozen", "capped", "failed", "powered_off"]
         assert doc["controller"] is not None
         assert get_status(service.url, "/api/groups/nope") == 404
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "/api/events?limit=inf",
+            "/api/events?limit=1e400",
+            "/api/events?limit=nan",
+            "/api/events?limit=2.5",
+            "/api/events?limit=ten",
+            "/api/series?window=nan",
+            "/api/series?window=inf",
+            "/api/series?window=-1e400",
+            "/api/series?window=soon",
+        ],
+    )
+    def test_malformed_query_numbers_answer_400(self, service, path):
+        try:
+            get(service.url, path)
+        except urllib.error.HTTPError as exc:
+            assert exc.code == 400
+            assert json.loads(exc.read())["error"].startswith("query param")
+        else:
+            raise AssertionError(f"{path} was accepted")
 
     def test_controllers_events_series_safety(self, service):
         _, _, controllers = get(service.url, "/api/controllers")
@@ -213,6 +240,7 @@ class TestAPIContract:
         assert frozen["servers_changed"] > 0
         _, _, doc = get(service.url, "/api/groups/experiment")
         assert doc["frozen"] == 20
+        assert all(flags & 1 for flags in doc["servers"]["flags"])
         _, thawed = post(service.url, "/api/unfreeze", {"group": "experiment"})
         assert thawed["servers_changed"] == frozen["servers_changed"]
 

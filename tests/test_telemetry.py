@@ -203,7 +203,7 @@ class TestCollectors:
         reg.add_collector(_Owner().metrics)
         reg.counter("repro_owner_done_total").inc()
         with pytest.raises(ValueError, match="both an instrument and collected"):
-            reg.families()
+            reg.series()
 
     def test_live_registry_pickles_with_its_owners(self):
         reg = MetricsRegistry()

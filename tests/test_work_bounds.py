@@ -46,6 +46,7 @@ from repro.core.safety import SafetyConfig
 from repro.fleet import FleetConfig
 from repro.fleet.coordinator import FleetCoordinator
 from repro.monitor.power_monitor import PowerMonitor
+from repro.service import views
 from repro.service.driver import RealTimeDriver
 from repro.service.supervisor import DriverSupervisor, SupervisorConfig
 from repro.service.wal import ActWal, apply_act
@@ -585,3 +586,75 @@ def test_scrape_work_is_flat_in_servers_and_logged_events():
     thousand = _live_render_work(80, extra_events=1_000)
     ten_thousand = _live_render_work(80, extra_events=10_000)
     assert (thousand.calls, thousand.lines) == (ten_thousand.calls, ten_thousand.lines)
+
+
+# ----------------------------------------------------------------------
+# Observe documents
+# ----------------------------------------------------------------------
+def _observe_work(run, until: float) -> Work:
+    """One build of each observe document the service's read path
+    serves: the facility state, controller health and one controlled
+    group."""
+    run.advance(until)
+    name = sorted(run.controllers())[0]
+
+    def observe():
+        views.state_doc(run)
+        views.controllers_doc(run)
+        views.group_doc(run, name)
+
+    observe()  # warm-up
+    work = Work(lines=True)
+    with work.count():
+        observe()
+    return work
+
+
+def _experiment_observe_work(n_servers: int) -> Work:
+    run = ControlledExperiment(
+        ExperimentConfig(
+            n_servers=n_servers,
+            duration_hours=0.5,
+            warmup_hours=0.1,
+            workload=WorkloadSpec(target_utilization=0.3),
+            seed=5,
+        )
+    )
+    return _observe_work(run, 0.1 * 3600.0 + 150.0)
+
+
+def _fleet_observe_work(servers_per_row: int) -> Work:
+    run = FleetExperiment(
+        FleetExperimentConfig(
+            rows=(
+                FleetRowSpec(
+                    n_servers=servers_per_row,
+                    workload=WorkloadSpec(target_utilization=0.40),
+                ),
+                FleetRowSpec(
+                    n_servers=servers_per_row,
+                    workload=WorkloadSpec(target_utilization=0.06),
+                ),
+            ),
+            duration_hours=0.5,
+            warmup_hours=0.1,
+            over_provision_ratio=0.25,
+            seed=7,
+            fleet=FleetConfig(policy="static"),
+        )
+    )
+    return _observe_work(run, 0.1 * 3600.0 + 150.0)
+
+
+def test_observe_work_is_flat_in_servers():
+    """The state summary, controller health and group documents do the
+    same Python work at 80 and 800 servers, and on a fleet at 40 and 400
+    servers per row: counts, rated watts and the per-server columns are
+    array reads of the group's slots, never a loop over servers."""
+    _experiment_observe_work(80)  # warm-up
+    small = _experiment_observe_work(80)
+    large = _experiment_observe_work(800)
+    assert (small.calls, small.lines) == (large.calls, large.lines)
+    small = _fleet_observe_work(40)
+    large = _fleet_observe_work(400)
+    assert (small.calls, small.lines) == (large.calls, large.lines)
