@@ -112,8 +112,13 @@ def check_observe(base, ctx):
 
 @check("freeze+unfreeze")
 def check_freeze(base, ctx):
+    # one control event per changed server (the run is paused between
+    # requests, so nothing else logs in between)
+    before = get_json(base, "/api/events?kind=freeze&limit=1")["total"]
     frozen = post_json(base, "/api/freeze", {"group": "control"})
     assert frozen["servers_changed"] > 0
+    after = get_json(base, "/api/events?kind=freeze&limit=1")["total"]
+    assert after - before == frozen["servers_changed"], (before, after, frozen)
     thawed = post_json(base, "/api/unfreeze", {"group": "control"})
     assert thawed["servers_changed"] == frozen["servers_changed"]
 

@@ -90,10 +90,11 @@ class ClusterState:
 
     ``fit_index_of`` maps each slot to the placement fit index that
     covers it (see :mod:`repro.scheduler.resources`), or ``None``.
-    ``Server`` mutations keep that index exact; the mask mutations below
-    write the columns only, so a fit index over their slots drifts
-    (the auditor's ``index`` check reports it). The list is derived
-    state: it is not pickled and restores empty.
+    ``Server`` mutations and :meth:`set_frozen` keep that index exact;
+    :meth:`fail_servers` and :meth:`repair_servers` write the columns
+    only, so a fit index over their slots drifts (the auditor's
+    ``index`` check reports it). The list is derived state: it is not
+    pickled and restores empty.
     """
 
     _FLOAT_COLUMNS = (
@@ -300,8 +301,21 @@ class ClusterState:
         self.power_valid[indices] = False
 
     def set_frozen(self, indices, frozen: bool) -> None:
-        """Mask-apply freeze/unfreeze (power-neutral, cache untouched)."""
+        """Mask-apply freeze/unfreeze to ``indices`` (a slot or an array).
+
+        Power-neutral (the cache is untouched). Each slot's refit is
+        queued in the fit index covering it, as ``Server.frozen`` does
+        for one slot, so placement draws stay exact.
+        """
         self.frozen[indices] = frozen
+        slots = np.asarray(indices).ravel().tolist()
+        fits = set(map(self.fit_index_of.__getitem__, slots)) - {None}
+        for fit in fits:
+            if len(fits) > 1:  # slots of several indexes: each gets its own
+                stop = fit.first + fit.n
+                fit.pending.update([s for s in slots if fit.first <= s < stop])
+            else:
+                fit.pending.update(slots)
 
     def set_tenant(self, indices, tenant_id: int) -> None:
         """Tag slots with a tenant ordinal (0 = untenanted, the default).

@@ -80,8 +80,9 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: removed config knobs are gone, and the run carries ``capping`` and
 #: ``throughput`` on the ``StagedRun`` layout; 6: the telemetry registry
 #: holds the components' collectors instead of counter and gauge
-#: instruments).
-SNAPSHOT_VERSION = 6
+#: instruments; 7: control events are ``ControlEvent`` named tuples and
+#: the event log holds its tenant map and per-tenant detail strings).
+SNAPSHOT_VERSION = 7
 
 #: Pickle protocol pinned for stable output within a Python version
 #: (``HIGHEST_PROTOCOL`` may move under our feet on an interpreter bump).

@@ -10,13 +10,18 @@ backfill) and placement policy.
 
 Freezing a server only removes it from the candidate set for *new*
 placements; running jobs continue untouched -- the property Ampere's
-SLA-safety argument rests on.
+SLA-safety argument rests on. A freeze or thaw of many servers (an
+operator's group act, :meth:`OmegaScheduler.set_frozen`) is one call:
+one write of the store's frozen column, one call per control listener
+with every changed server id, and after a thaw one queue drain over the
+whole thawed set. The per-server ``freeze``/``unfreeze`` are the one-id
+case of the same body.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, FrozenSet, Iterable, List, Optional
+from typing import Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +35,9 @@ from repro.workload.job import Job
 
 PlacementListener = Callable[[Job, Server], None]
 CompletionListener = Callable[[Job, Server], None]
+#: called with (action, server_ids): every server one control action
+#: changed, in slot order (one id for fail, repair and shed)
+ControlListener = Callable[[str, Sequence[int]], None]
 
 #: Progress shortfall below which a completion event is accepted as final.
 _COMPLETION_EPSILON = 1e-6
@@ -94,8 +102,8 @@ class OmegaScheduler(SchedulerInterface):
         self._default_framework = Framework("default", default_policy)
         self.placement_listeners: List[PlacementListener] = []
         self.completion_listeners: List[CompletionListener] = []
-        #: called with (action, server_id) on freeze/unfreeze/fail/repair
-        self.control_listeners: List[Callable[[str, int], None]] = []
+        #: called on freeze/unfreeze/fail/repair/shed (see ControlListener)
+        self.control_listeners: List[ControlListener] = []
         self._frozen_ids: set = set()
         for server in self.tracker.servers:
             server.frequency_listeners.append(self._on_frequency_change)
@@ -139,28 +147,61 @@ class OmegaScheduler(SchedulerInterface):
             return
         framework.queue.append(job)
 
-    def _server(self, server_id: int) -> Server:
+    def _index(self, server_id: int) -> int:
         index = self.tracker.index_of.get(server_id)
         if index is None:
             raise KeyError(f"unknown server id {server_id}")
-        return self.tracker.servers[index]
+        return index
+
+    def _server(self, server_id: int) -> Server:
+        return self.tracker.servers[self._index(server_id)]
 
     def freeze(self, server_id: int) -> None:
-        server = self._server(server_id)
+        slot = self.tracker.first_slot + self._index(server_id)
         if server_id in self._frozen_ids:
             return  # idempotent: reconciliation may re-assert a freeze
-        server.freeze()
-        self._frozen_ids.add(server_id)
-        self._notify_control("freeze", server_id)
+        self._set_frozen(slot, (server_id,), True)
 
     def unfreeze(self, server_id: int) -> None:
-        server = self._server(server_id)
+        slot = self.tracker.first_slot + self._index(server_id)
         if server_id not in self._frozen_ids:
             return  # idempotent: a retried unfreeze must not re-drain
-        server.unfreeze()
-        self._frozen_ids.discard(server_id)
-        self._notify_control("unfreeze", server_id)
-        self._drain_queues()
+        self._set_frozen(slot, (server_id,), False)
+
+    def set_frozen(self, slots, frozen: bool) -> List[int]:
+        """Freeze (``frozen=True``) or thaw many servers in one call.
+
+        ``slots`` are store slots of this scheduler's servers (a group's
+        ``state_indices``). Failed and powered-off servers, and servers
+        already in the target state, are skipped. Returns the ids of the
+        servers that changed, in slot order; when none did, nothing is
+        written, notified or drained.
+        """
+        tracker = self.tracker
+        state = tracker.state
+        slots = np.asarray(slots, dtype=np.intp)
+        first = tracker.first_slot
+        if slots.size and (slots.min() < first or slots.max() >= first + len(tracker)):
+            raise KeyError("slots outside this scheduler's servers")
+        down = state.failed[slots] | state.powered_off[slots]
+        slots = slots[(state.frozen[slots] != frozen) & ~down]
+        server_ids = state.server_ids[slots].tolist()
+        if server_ids:
+            self._set_frozen(slots, server_ids, frozen)
+        return server_ids
+
+    def _set_frozen(self, slots, server_ids: Sequence[int], frozen: bool) -> None:
+        """The one freeze/thaw body: one mask write (which queues the fit
+        index refits), one set update, one call per control listener and,
+        after a thaw, one drain once every server is schedulable."""
+        self.tracker.state.set_frozen(slots, frozen)
+        if frozen:
+            self._frozen_ids.update(server_ids)
+            self._notify_control("freeze", server_ids)
+        else:
+            self._frozen_ids.difference_update(server_ids)
+            self._notify_control("unfreeze", server_ids)
+            self._drain_queues()
 
     def frozen_server_ids(self) -> FrozenSet[int]:
         return frozenset(self._frozen_ids)
@@ -182,7 +223,7 @@ class OmegaScheduler(SchedulerInterface):
         for job in killed:
             self._evict(job, server)
         server.fail()
-        self._notify_control("fail", server_id)
+        self._notify_control("fail", (server_id,))
         self.stats.failures += 1
         self.stats.jobs_killed += len(killed)
         now = self.engine.now
@@ -230,7 +271,7 @@ class OmegaScheduler(SchedulerInterface):
             self._evict(job, server, now)
         if victims:
             self.stats.jobs_shed += len(victims)
-            self._notify_control("shed", server_id)
+            self._notify_control("shed", (server_id,))
         return len(victims)
 
     def repair_server(self, server_id: int) -> None:
@@ -239,7 +280,7 @@ class OmegaScheduler(SchedulerInterface):
         if not server.failed:
             return
         server.repair()
-        self._notify_control("repair", server_id)
+        self._notify_control("repair", (server_id,))
         self._drain_queues()
 
     # ------------------------------------------------------------------
@@ -349,9 +390,9 @@ class OmegaScheduler(SchedulerInterface):
         server.remove_task(job)
         job.kill()
 
-    def _notify_control(self, action: str, server_id: int) -> None:
+    def _notify_control(self, action: str, server_ids: Sequence[int]) -> None:
         for listener in self.control_listeners:
-            listener(action, server_id)
+            listener(action, server_ids)
 
     # ------------------------------------------------------------------
     # Placement (low level)
@@ -459,4 +500,10 @@ class OmegaScheduler(SchedulerInterface):
             )
 
 
-__all__ = ["OmegaScheduler", "Framework", "PlacementListener", "CompletionListener"]
+__all__ = [
+    "CompletionListener",
+    "ControlListener",
+    "Framework",
+    "OmegaScheduler",
+    "PlacementListener",
+]

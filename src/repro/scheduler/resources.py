@@ -332,6 +332,11 @@ class ResourceTracker:
     def __len__(self) -> int:
         return len(self.servers)
 
+    @property
+    def first_slot(self) -> int:
+        """Store slot of ``servers[0]`` (server ``i`` is at ``first_slot + i``)."""
+        return self._slots.start
+
     def __getstate__(self) -> dict:
         # Views would pickle as copies, and the fit index is derived: a
         # restored tracker rebuilds both.

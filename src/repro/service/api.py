@@ -23,7 +23,7 @@ GET    /api/tenants              per-tenant fairness (404 when untenanted)
 GET    /api/events               eventlog tail (``?limit=&kind=``, integer
                                  limit)
 GET    /api/series               power/budget traces (``?window=seconds``,
-                                 finite)
+                                 finite and positive)
 GET    /api/safety               safety ladders + breaker states
 GET    /api/faults               armed injectors and their fault counts
 GET    /api/audit                full invariant sweep of live state, now
@@ -265,6 +265,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(200, app.events(limit=limit, kind=kind))
             elif path == "/api/series":
                 window = self._qs_float(self._query(), "window", 3600.0)
+                if window <= 0:
+                    raise ServiceError(
+                        400, "query param 'window' must be a positive number"
+                    )
                 self._send_json(200, app.series(window_seconds=window))
             elif path == "/api/safety":
                 self._send_json(200, app.safety())

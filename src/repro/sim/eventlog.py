@@ -2,9 +2,13 @@
 
 Production power controllers need an audit trail: who froze what, when,
 and what the hardware safety net did underneath. The log subscribes to
-the scheduler's control hooks (freeze/unfreeze/fail/repair) and to
+the scheduler's control hooks (freeze/unfreeze/fail/repair/shed) and to
 per-server DVFS changes, timestamps everything against the simulation
 clock, and supports range queries and CSV export for post-mortems.
+
+It keeps one record per server even when one call changed many (a group
+freeze): :meth:`ControlEventLog.record_many` builds the records in bulk,
+without a Python call per server.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left
-from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Union
 
 from repro.cluster.server import Server
 from repro.durability.atomic import atomic_write_text
@@ -37,8 +41,8 @@ KNOWN_KINDS = (
     "budget",
 )
 
-#: kinds whose ``detail`` gains a ``tenant=<name>`` annotation when a
-#: tenant resolver is attached -- the per-server allocation actions a
+#: kinds whose ``detail`` gains a ``tenant=<name>`` annotation (``-``
+#: for an untagged server) -- the per-server allocation actions a
 #: fairness post-mortem needs to attribute
 TENANT_ANNOTATED_KINDS = frozenset({"freeze", "unfreeze", "shed"})
 
@@ -49,9 +53,8 @@ CONTROL_EVENTS = counter_series(
 )
 
 
-@dataclass(frozen=True)
-class ControlEvent:
-    """One control action against one server."""
+class ControlEvent(NamedTuple):
+    """One control action against one server (an immutable tuple)."""
 
     time: float
     kind: str
@@ -59,8 +62,17 @@ class ControlEvent:
     detail: str = ""
 
 
+#: ``tenant=`` details of the untenanted log
+_UNTENANTED = {"-": "tenant=-"}
+
+
 class ControlEventLog:
-    """Time-ordered record of every control action."""
+    """Time-ordered record of every control action.
+
+    One :class:`ControlEvent` per server and action, whether the
+    scheduler reported the server alone or in a batch; the ``tenant=``
+    detail strings are built once per tenant.
+    """
 
     def __init__(
         self, engine: Engine, telemetry: Optional[Telemetry] = None
@@ -75,7 +87,10 @@ class ControlEventLog:
             else getattr(engine, "telemetry", None) or Telemetry.disabled()
         )
         tel.collect(self._metrics)
-        self._tenant_resolver: Optional[Callable[[int], str]] = None
+        #: server id -> tenant name (untagged servers are absent)
+        self._tenant_of: Mapping[int, str] = {}
+        #: tenant name -> its ``tenant=<name>`` detail, "-" included
+        self._tenant_details: Dict[str, str] = _UNTENANTED
 
     def _metrics(self):
         counts = self.counts_by_kind()
@@ -88,37 +103,55 @@ class ControlEventLog:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def attach_tenant_resolver(self, resolver: Callable[[int], str]) -> None:
+    def attach_tenants(self, tenant_of: Mapping[int, str]) -> None:
         """Annotate freeze/unfreeze/shed events with the owning tenant.
 
-        ``resolver`` maps a server id to a tenant name and must return
-        ``"-"`` for untagged servers. Annotation only fills an empty
+        ``tenant_of`` maps a server id to its tenant name; servers it
+        does not name are marked ``"-"``. Annotation only fills an empty
         ``detail`` field, so caller-provided details always win.
         """
-        self._tenant_resolver = resolver
+        self._tenant_of = tenant_of
+        # sorted: a snapshot pickles the dict in insertion order
+        names = sorted({*tenant_of.values(), "-"})
+        self._tenant_details = {name: f"tenant={name}" for name in names}
 
     def record(self, kind: str, server_id: int, detail: str = "") -> None:
+        """Log one action against one server (or a group-level id)."""
+        if not detail:
+            self.record_many(kind, (server_id,))
+            return
         if kind not in KNOWN_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
-        if not detail and kind in TENANT_ANNOTATED_KINDS:
-            # Every freeze/shed is attributed: the tenant name when a
-            # resolver is attached, "-" on untenanted runs, so the
-            # operator-facing format never depends on the run's config.
-            resolver = self._tenant_resolver
-            detail = (
-                f"tenant={resolver(server_id)}"
-                if resolver is not None
-                else "tenant=-"
-            )
         self._append(ControlEvent(self.engine.now, kind, server_id, detail))
+
+    def record_many(self, kind: str, server_ids: Sequence[int]) -> None:
+        """Log one action against each of ``server_ids``, in order, at the
+        current time: the scheduler's control-listener entry point.
+
+        Every freeze/unfreeze/shed is attributed: the tenant name on a
+        tenanted run, ``"-"`` otherwise, so the operator-facing format
+        never depends on the run's config. Other kinds get no detail.
+        """
+        if kind not in KNOWN_KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if not server_ids:
+            return
+        if kind in TENANT_ANNOTATED_KINDS:
+            tenants = map(self._tenant_of.get, server_ids, repeat("-"))
+            details = map(self._tenant_details.__getitem__, tenants)
+        else:
+            details = repeat("")
+        rows = zip(repeat(self.engine.now), repeat(kind), server_ids, details)
+        self.events.extend(map(tuple.__new__, repeat(ControlEvent), rows))
+        self._counts[kind] = self._counts.get(kind, 0) + len(server_ids)
 
     def _append(self, event: ControlEvent) -> None:
         self._counts[event.kind] = self._counts.get(event.kind, 0) + 1
         self.events.append(event)
 
     def attach_scheduler(self, scheduler) -> None:
-        """Subscribe to a scheduler's freeze/unfreeze/fail/repair hooks."""
-        scheduler.control_listeners.append(self.record)
+        """Subscribe to a scheduler's freeze/unfreeze/fail/repair/shed hooks."""
+        scheduler.control_listeners.append(self.record_many)
 
     def attach_servers(self, servers: Iterable[Server]) -> None:
         """Subscribe to DVFS changes (capping activity) on servers."""

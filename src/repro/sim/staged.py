@@ -545,7 +545,7 @@ class StagedRun:
         )
         for scheduler in self._distinct_schedulers():
             scheduler.control_listeners.append(self.accountant.on_control_event)
-        self.event_log.attach_tenant_resolver(self.accountant.resolve)
+        self.event_log.attach_tenants(self.accountant.tenant_of)
 
     # ------------------------------------------------------------------
     # Service surface (repro.service reads a run through these; every

@@ -16,7 +16,7 @@ weight-normalized frozen time (see :mod:`repro.telemetry.fairness`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.telemetry import Telemetry, counter_series, jains_index
 from repro.tenancy.config import TenancyConfig
@@ -108,21 +108,33 @@ class TenancyAccountant:
         return self.tenant_of.get(server_id, "-")
 
     # ------------------------------------------------------------------
-    # scheduler.control_listeners signature: (action, server_id)
+    # scheduler.control_listeners signature: (action, server_ids)
     # ------------------------------------------------------------------
-    def on_control_event(self, action: str, server_id: int) -> None:
-        tenant = self.tenant_of.get(server_id)
-        if tenant is None:
-            return
+    def on_control_event(self, action: str, server_ids: Sequence[int]) -> None:
+        """Book one action against every listed server, in order, in one
+        loop (untagged servers are ignored)."""
+        tenant_of = self.tenant_of
+        now = self.engine.now
         if action == "freeze":
-            self._open_since[server_id] = self.engine.now
-            self._freeze_events[tenant] += 1
+            open_since, events = self._open_since, self._freeze_events
+            for server_id in server_ids:
+                tenant = tenant_of.get(server_id)
+                if tenant is not None:
+                    open_since[server_id] = now
+                    events[tenant] += 1
         elif action == "unfreeze":
-            opened = self._open_since.pop(server_id, None)
-            if opened is not None:
-                self._frozen_seconds[tenant] += self.engine.now - opened
+            # only tagged servers hold an open interval
+            open_since, seconds = self._open_since, self._frozen_seconds
+            for server_id in server_ids:
+                opened = open_since.pop(server_id, None)
+                if opened is not None:
+                    seconds[tenant_of[server_id]] += now - opened
         elif action == "shed":
-            self._shed_events[tenant] += 1
+            events = self._shed_events
+            for server_id in server_ids:
+                tenant = tenant_of.get(server_id)
+                if tenant is not None:
+                    events[tenant] += 1
 
     # ------------------------------------------------------------------
     def frozen_server_seconds(self, at: Optional[float] = None) -> Dict[str, float]:

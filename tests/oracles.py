@@ -350,6 +350,35 @@ class OracleCappingEngine(CappingEngine):
         return slam_victims(self.group)
 
 
+# ---------------------------------------------------------------------------
+# Operator acts
+# ---------------------------------------------------------------------------
+def set_group_frozen(run, name: str, frozen: bool) -> dict:
+    """An operator group freeze or thaw, one scheduler call per server.
+
+    Each live server not yet in the target state gets its own
+    ``freeze``/``unfreeze``: one control event per call and, on a thaw,
+    one queue drain per server.
+    """
+    scheduler = run.scheduler_for(name)
+    changed = 0
+    for server in run.groups()[name].servers:
+        if not _live(server):
+            continue
+        if frozen and not server.frozen:
+            scheduler.freeze(server.server_id)
+            changed += 1
+        elif not frozen and server.frozen:
+            scheduler.unfreeze(server.server_id)
+            changed += 1
+    return {
+        "group": name,
+        "action": "freeze" if frozen else "unfreeze",
+        "servers_changed": changed,
+        "sim_now": run.engine.now,
+    }
+
+
 def use_oracle_loops(monkeypatch) -> None:
     """Run whole simulations on the oracle loops instead of the arrays.
 

@@ -72,8 +72,8 @@ class TestControlListenerOrdering:
     def test_listeners_called_in_registration_order(self):
         engine, servers, scheduler = cluster()
         calls = []
-        scheduler.control_listeners.append(lambda a, s: calls.append(("first", a)))
-        scheduler.control_listeners.append(lambda a, s: calls.append(("second", a)))
+        scheduler.control_listeners.append(lambda a, ids: calls.append(("first", a)))
+        scheduler.control_listeners.append(lambda a, ids: calls.append(("second", a)))
         scheduler.freeze(0)
         assert calls == [("first", "freeze"), ("second", "freeze")]
 

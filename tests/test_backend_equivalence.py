@@ -12,8 +12,9 @@ hold it to the per-server model it replaced.
 - **Loop-level oracles.** Each hot loop is checked against its scalar
   oracle in ``tests/oracles.py``: the group power and rated sums and
   ``server_powers``, the IPMI poll, capping's three orderings (ties
-  included), the per-server readings and the observe documents (the
-  service's state summary and per-server group columns).
+  included), the per-server readings, the observe documents (the
+  service's state summary and per-server group columns) and the
+  operator group act (one scheduler call per server).
 
 The three numerical contracts each have a test here that fails if the
 contract breaks: exact-exponent pow (exotic SKU exponents, where NumPy's
@@ -48,8 +49,11 @@ from repro.fleet.config import FleetConfig
 from repro.monitor.ipmi import IpmiFleet
 from repro.monitor.power_monitor import PowerMonitor
 from repro.service import views
+from repro.service.wal import apply_act
+from repro.sim.audit import AuditorConfig
 from repro.sim.campaign import Campaign
 from repro.sim.engine import Engine
+from repro.sim.eventlog import ControlEvent
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.fleet_experiment import (
     FleetExperiment,
@@ -57,6 +61,7 @@ from repro.sim.fleet_experiment import (
     FleetRowSpec,
 )
 from repro.sim.testbed import WorkloadSpec
+from repro.tenancy.config import builtin_mixes
 from tests import oracles
 
 DIGESTS_PATH = Path(__file__).parent / "golden" / "trajectory_digests.json"
@@ -345,6 +350,151 @@ class TestObserveDocuments:
 
 def ids(servers):
     return [s.server_id for s in servers]
+
+
+class TestGroupActs:
+    """An operator group act is one scheduler call; the oracle makes one
+    ``freeze``/``unfreeze`` call per server. Twin tenanted data-chaos
+    rows with capping and the safety ladder -- the controller holding
+    part of the experiment group frozen, operator failures and a
+    power-off in both groups -- take the same acts, production on one
+    twin and the oracle on the other, with 20 s of simulation (the
+    controller's own freezes and thaws) between acts."""
+
+    ACTS = (
+        ("experiment", False),
+        ("experiment", True),
+        ("experiment", False),
+        ("control", True),
+        ("control", False),
+        ("experiment", True),
+        ("experiment", False),
+        ("control", True),
+        ("control", False),
+    )
+
+    @staticmethod
+    def _run() -> ControlledExperiment:
+        run = ControlledExperiment(
+            ExperimentConfig(
+                n_servers=80,
+                duration_hours=1.5,
+                warmup_hours=1.0,
+                over_provision_ratio=0.25,
+                workload=WorkloadSpec(target_utilization=0.33, modulation_sigma=0.05),
+                faults=builtin_scenarios()["data-chaos"],
+                safety=SafetyConfig(),
+                capping_enabled=True,
+                tenancy=builtin_mixes()["three-tier"],
+                seed=42,
+            )
+        )
+        run.advance(62 * 60.0)
+        scheduler = run.scheduler_for("experiment")
+        experiment = run.groups()["experiment"].servers
+        control = run.groups()["control"].servers
+        # a repaired server is idle: power it off
+        for servers, off, failed in ((experiment, 3, 11), (control, 7, 5)):
+            scheduler.fail_server(servers[off].server_id)
+            scheduler.repair_server(servers[off].server_id)
+            scheduler.power_off_server(servers[off].server_id)
+            scheduler.fail_server(servers[failed].server_id)
+        return run
+
+    @staticmethod
+    def _observe(run) -> dict:
+        accountant = run.accountant
+        return {
+            "events": list(run.event_log.events),
+            "counts": list(run.event_log.counts_by_kind().items()),
+            "frozen_seconds": accountant.frozen_server_seconds(),
+            "freeze_events": [
+                t.freeze_events for t in accountant.stats_snapshot().tenants
+            ],
+            "frozen_ids": run.scheduler_for("experiment").frozen_server_ids(),
+            "used_cores": run.state.used_cores[: run.state.n].tobytes(),
+            "jobs_started": run.state.jobs_started[: run.state.n].tobytes(),
+        }
+
+    @staticmethod
+    def _queued(run) -> int:
+        return run.scheduler_for("experiment").queued_jobs
+
+    @pytest.fixture(scope="class")
+    def twins(self):
+        ours, theirs = self._run(), self._run()
+        first = ours.groups()["experiment"].flag_masks()
+        steps = []
+        for name, frozen in self.ACTS:
+            act = "freeze" if frozen else "unfreeze"
+            queued = (self._queued(ours), self._queued(theirs))
+            steps.append(
+                (
+                    queued,
+                    apply_act(ours, act, {"group": name}),
+                    oracles.set_group_frozen(theirs, name, frozen),
+                    self._observe(ours),
+                    self._observe(theirs),
+                )
+            )
+            until = ours.engine.now + 20.0
+            ours.advance(until)
+            theirs.advance(until)
+        return ours, theirs, first, steps
+
+    def test_the_twins_start_partly_frozen_with_servers_down(self, twins):
+        _, _, first, _ = twins
+        assert 0 < np.count_nonzero(first["frozen"]) < len(first["frozen"])
+        assert np.count_nonzero(first["failed"]) == 1
+        assert np.count_nonzero(first["powered_off"]) == 1
+
+    def test_servers_changed_match(self, twins):
+        _, _, _, steps = twins
+        for _, ours, theirs, _, _ in steps:
+            assert ours == theirs
+        # the first thaw releases the controller's live freezes only; every
+        # later act changes a group's 38 live servers (one failed, one off)
+        changed = [doc["servers_changed"] for _, doc, _, _, _ in steps]
+        assert changed == [11] + [38] * 8
+
+    def test_event_lists_match_tuple_for_tuple(self, twins):
+        ours, theirs, _, steps = twins
+        for _, _, _, mine, reference in steps:
+            assert mine["events"] == reference["events"]
+        assert ours.event_log.events == theirs.event_log.events
+        assert {type(e) for e in ours.event_log.events} == {ControlEvent}
+
+    def test_counts_by_kind_match_in_first_seen_order(self, twins):
+        ours, theirs, _, steps = twins
+        for _, _, _, mine, reference in steps:
+            assert mine["counts"] == reference["counts"]
+        assert list(ours.event_log.counts_by_kind().items()) == list(
+            theirs.event_log.counts_by_kind().items()
+        )
+
+    def test_tenant_books_and_frozen_sets_match(self, twins):
+        _, _, _, steps = twins
+        for _, _, _, mine, reference in steps:
+            for key in ("frozen_seconds", "freeze_events", "frozen_ids"):
+                assert mine[key] == reference[key], key
+
+    def test_placements_match(self, twins):
+        """Every thaw here finds the queues empty, so draining once and
+        draining per server place the same jobs (with a backlog they
+        differ by design -- see ``test_scheduler_omega``'s drain-once
+        contract)."""
+        ours, theirs, _, steps = twins
+        for queued, _, _, mine, reference in steps:
+            assert queued == (0, 0)
+            assert mine["used_cores"] == reference["used_cores"]
+            assert mine["jobs_started"] == reference["jobs_started"]
+        assert np.array_equal(ours.state.jobs_started, theirs.state.jobs_started)
+
+    def test_full_audit_is_clean(self, twins):
+        ours, theirs, _, _ = twins
+        assert "index" in AuditorConfig().checks
+        assert views.audit_doc(ours)["violations"] == []
+        assert views.audit_doc(theirs)["violations"] == []
 
 
 class TestCappingOrders:

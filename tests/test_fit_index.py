@@ -227,6 +227,25 @@ class TestUpkeep:
         assert fit_count(tracker, 1.0, 2.0) == 50
         assert not tracker._fit.pending
 
+    def test_mask_freeze_queues_each_slot_in_its_own_index(self):
+        """``ClusterState.set_frozen`` keeps the indexes exact, also when
+        its slots span two trackers: each index gets only its own."""
+        servers = build_rows((40, 104), ((16, 64.0),))
+        first, second = ResourceTracker(servers[:40]), ResourceTracker(servers[40:])
+        assert fit_count(first, 1.0, 2.0) == 40
+        assert fit_count(second, 1.0, 2.0) == 104
+        state = servers[0]._state
+        state.set_frozen(np.arange(30, 60), True)
+        assert first._fit.pending == set(range(30, 40))
+        assert second._fit.pending == set(range(40, 60))
+        assert fit_count(first, 1.0, 2.0) == 30
+        assert fit_count(second, 1.0, 2.0) == 84
+        state.set_frozen(np.arange(35, 45), False)
+        assert_index_matches_scan(first, 2, seed=3)
+        assert_index_matches_scan(second, 2, seed=4)
+        assert fit_count(first, 1.0, 2.0) == 35
+        assert fit_count(second, 1.0, 2.0) == 89
+
     def test_second_tracker_over_same_slots_makes_first_stale(self):
         servers = make_servers(10)
         first = ResourceTracker(servers)

@@ -145,6 +145,69 @@ class TestFreezeSemantics:
         assert scheduler.stats.placed == 0
 
 
+class TestGroupFreeze:
+    """``set_frozen`` freezes or thaws many servers in one call."""
+
+    def test_skips_down_servers_and_notifies_once(self, setup):
+        engine, servers, scheduler = setup
+        calls = []
+        scheduler.control_listeners.append(lambda a, ids: calls.append((a, ids)))
+        scheduler.fail_server(1)
+        scheduler.power_off_server(2)
+        slots = [s._index for s in servers]
+        assert scheduler.set_frozen(slots, True) == [0, 3]
+        assert [s.frozen for s in servers] == [True, False, False, True]
+        assert scheduler.frozen_server_ids() == frozenset({0, 3})
+        assert calls == [("fail", (1,)), ("freeze", [0, 3])]
+        assert scheduler.set_frozen(slots, True) == []  # nothing left to do
+        assert scheduler.set_frozen(slots, False) == [0, 3]
+        assert calls[2:] == [("unfreeze", [0, 3])]
+        assert scheduler.frozen_server_ids() == frozenset()
+
+    def test_one_id_freeze_is_the_same_call(self, setup):
+        engine, servers, scheduler = setup
+        calls = []
+        scheduler.control_listeners.append(lambda a, ids: calls.append((a, list(ids))))
+        scheduler.freeze(2)
+        scheduler.freeze(2)  # idempotent
+        scheduler.unfreeze(2)
+        assert calls == [("freeze", [2]), ("unfreeze", [2])]
+
+    def test_foreign_slots_are_refused(self, setup):
+        engine, servers, scheduler = setup
+        with pytest.raises(KeyError):
+            scheduler.set_frozen([len(servers)], True)
+
+    def test_group_thaw_drains_once_over_every_thawed_server(self, setup, monkeypatch):
+        """Thawing a group with a backlog runs one drain after the whole
+        group is schedulable: the queued jobs land where the policy puts
+        them with every server open -- exactly where a scheduler that
+        never froze places the same submissions -- instead of packing
+        onto the first server thawed."""
+        engine, servers, scheduler = setup
+        slots = [s._index for s in servers]
+        scheduler.set_frozen(slots, True)
+        jobs = [make_job(i, cores=1.0, memory_gb=1.0) for i in range(8)]
+        for job in jobs:
+            scheduler.submit(job)
+        assert scheduler.queued_jobs == 8
+        drains = []
+        drain = scheduler._drain_queues
+        monkeypatch.setattr(scheduler, "_drain_queues", lambda: (drains.append(1), drain()))
+        assert scheduler.set_frozen(slots, False) == [0, 1, 2, 3]
+        assert drains == [1]
+        assert scheduler.queued_jobs == 0
+
+        twin_servers = make_servers(4)
+        twin = OmegaScheduler(Engine(), twin_servers, rng=np.random.default_rng(7))
+        twin_jobs = [make_job(i, cores=1.0, memory_gb=1.0) for i in range(8)]
+        for job in twin_jobs:
+            twin.submit(job)
+        hosts = [job.server.server_id for job in jobs]
+        assert hosts == [job.server.server_id for job in twin_jobs]
+        assert len(set(hosts)) > 1  # one server fits all eight
+
+
 class TestBackfill:
     def test_backfill_places_small_job_behind_blocked_head(self, setup):
         engine, servers, scheduler = setup

@@ -214,6 +214,8 @@ class TestAPIContract:
             "/api/series?window=inf",
             "/api/series?window=-1e400",
             "/api/series?window=soon",
+            "/api/series?window=-600",
+            "/api/series?window=0",
         ],
     )
     def test_malformed_query_numbers_answer_400(self, service, path):

@@ -430,9 +430,9 @@ class TestTenancyAccountant:
 
     def test_freeze_interval_accrues_minutes(self, engine):
         accountant, tenant_of = self._accountant(engine)
-        accountant.on_control_event("freeze", 0)
+        accountant.on_control_event("freeze", [0])
         engine.run(until=600.0)
-        accountant.on_control_event("unfreeze", 0)
+        accountant.on_control_event("unfreeze", [0])
         stats = accountant.stats_snapshot()
         tenant = next(
             t for t in stats.tenants if t.name == tenant_of[0]
@@ -442,14 +442,14 @@ class TestTenancyAccountant:
 
     def test_open_interval_counted_to_now(self, engine):
         accountant, tenant_of = self._accountant(engine)
-        accountant.on_control_event("freeze", 1)
+        accountant.on_control_event("freeze", [1])
         engine.run(until=120.0)
         seconds = accountant.frozen_server_seconds()
         assert seconds[tenant_of[1]] == pytest.approx(120.0)
 
     def test_shed_events_attributed(self, engine):
         accountant, tenant_of = self._accountant(engine)
-        accountant.on_control_event("shed", 2)
+        accountant.on_control_event("shed", [2])
         stats = accountant.stats_snapshot()
         tenant = next(t for t in stats.tenants if t.name == tenant_of[2])
         assert tenant.shed_events == 1
@@ -457,7 +457,7 @@ class TestTenancyAccountant:
 
     def test_untagged_servers_ignored_and_resolved_to_dash(self, engine):
         accountant, _ = self._accountant(engine)
-        accountant.on_control_event("freeze", 999)
+        accountant.on_control_event("freeze", [999])
         assert accountant.resolve(999) == "-"
         assert accountant.stats_snapshot().total_frozen_server_minutes == 0.0
 
@@ -479,7 +479,7 @@ class TestEventLogTenantAnnotation:
 
     def test_resolver_names_the_tenant(self, engine):
         log = ControlEventLog(engine)
-        log.attach_tenant_resolver(lambda sid: "prod" if sid < 5 else "-")
+        log.attach_tenants({sid: "prod" for sid in range(5)})
         log.record("freeze", 3)
         log.record("unfreeze", 9)
         assert log.events[0].detail == "tenant=prod"
@@ -487,7 +487,7 @@ class TestEventLogTenantAnnotation:
 
     def test_caller_detail_wins_over_annotation(self, engine):
         log = ControlEventLog(engine)
-        log.attach_tenant_resolver(lambda sid: "prod")
+        log.attach_tenants({1: "prod"})
         log.record("shed", 1, "deadline exceeded")
         assert log.events[0].detail == "deadline exceeded"
 

@@ -293,9 +293,9 @@ def _freeze_tick_work(n_servers: int, n_freeze: int, fair: bool) -> List[Work]:
             return set(plan_freeze_set(powers, n_freeze, frozen).new_frozen)
         plan = policy.plan(powers, n_freeze, frozen)
         for sid in plan.to_freeze:
-            accountant.on_control_event("freeze", sid)
+            accountant.on_control_event("freeze", [sid])
         for sid in plan.to_unfreeze:
-            accountant.on_control_event("unfreeze", sid)
+            accountant.on_control_event("unfreeze", [sid])
         return set(plan.new_frozen)
 
     frozen = tick(readings(), set())  # warm-up: the cold first tick
@@ -658,3 +658,54 @@ def test_observe_work_is_flat_in_servers():
     small = _fleet_observe_work(40)
     large = _fleet_observe_work(400)
     assert (small.calls, small.lines) == (large.calls, large.lines)
+
+
+# ----------------------------------------------------------------------
+# Operator group acts
+# ----------------------------------------------------------------------
+def _group_act_work(n_servers: int) -> tuple:
+    """One freeze+unfreeze pair on the uncontrolled group of a tenanted
+    run, after a warm-up pair; returns the work and the servers each
+    act changed."""
+    run = ControlledExperiment(
+        ExperimentConfig(
+            n_servers=n_servers,
+            duration_hours=0.5,
+            warmup_hours=0.1,
+            workload=WorkloadSpec(target_utilization=0.3),
+            tenancy=TenancyConfig(
+                tenants=(
+                    TenantSpec("alpha", sla="critical", share=0.2),
+                    TenantSpec("bravo", sla="standard", share=0.5),
+                    TenantSpec("charlie", sla="batch", share=0.3),
+                )
+            ),
+            seed=5,
+        )
+    )
+    run.advance(0.1 * 3600.0 + 150.0)
+
+    def act() -> list:
+        return [
+            apply_act(run, op, {"group": "control"})["servers_changed"]
+            for op in ("freeze", "unfreeze")
+        ]
+
+    act()  # warm-up
+    work = Work()
+    with work.count():
+        changed = act()
+    return work, changed
+
+
+def test_group_act_calls_are_flat_in_servers():
+    """An operator freeze+unfreeze pair makes the same Python calls at
+    80 and 800 servers: each act writes the group's frozen mask once,
+    calls each control listener (the event log and the tenancy
+    accountant) once with every changed id, and a thaw drains the
+    queues once -- never a call per server."""
+    _group_act_work(80)  # warm-up
+    small, small_changed = _group_act_work(80)
+    large, large_changed = _group_act_work(800)
+    assert (small_changed, large_changed) == ([40, 40], [400, 400])
+    assert small.calls == large.calls
