@@ -11,8 +11,8 @@ contains:
   ``freeze``/``unfreeze`` API that Ampere relies on.
 - :mod:`repro.workload` -- batch and interactive workload generators matching
   the distributions published in the paper.
-- :mod:`repro.monitor` -- a per-minute power monitor backed by an in-memory
-  time-series database (optionally through a simulated IPMI/BMC layer).
+- :mod:`repro.monitor` -- a per-minute power monitor (model power plus
+  measurement noise) backed by an in-memory time-series database.
 - :mod:`repro.sim` -- the discrete-event simulation engine and the controlled
   A/B experiment harness used throughout the evaluation.
 - :mod:`repro.cooling` -- the workload-sensitive cooling extension

@@ -12,7 +12,7 @@ failure path (jobs killed, power reads 0 W) until an operator reset
 delay expires.
 
 The breaker evaluates **true** power on the engine clock, independent of
-the monitoring plane -- sensor noise, IPMI staleness and monitoring
+the monitoring plane -- sensor noise, sensor drift and monitoring
 blackouts do not fool a bimetal strip.
 """
 

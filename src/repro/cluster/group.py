@@ -116,9 +116,6 @@ class ServerGroup:
         """Fraction of member servers currently frozen (the paper's u_t)."""
         return self.state.frozen_count(self.state_indices) / len(self.servers)
 
-    def capped_servers(self) -> List[Server]:
-        return [s for s in self.servers if s.is_capped]
-
     def flag_masks(self) -> Dict[str, np.ndarray]:
         """The per-server flags as boolean columns in member order:
         ``frozen``, ``capped`` (``Server.is_capped``), ``failed`` and

@@ -12,8 +12,8 @@ dynamic state (utilization, frequency, flags, the power cache) lives in a
 :class:`~repro.cluster.state.ClusterState` slot, and the attributes below
 are properties over that slot. Builders pass a shared store so whole rows
 become contiguous array slices; a standalone ``Server()`` gets a private
-single-slot store. Groups, schedulers and IPMI fleets need members that
-share one store.
+single-slot store. Groups and schedulers need members that share one
+store.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ power) in dense NumPy columns; :class:`~repro.cluster.server.Server`,
 :class:`~repro.cluster.row.Row` and the other ``ServerGroup`` layers are
 thin views over slots in one shared store, so the established object API
 is unchanged at its seams while the hot loops -- power aggregation, the
-monitor sweep, IPMI sampling and capping's victim orders -- are array
-expressions over the columns.
+monitor sweep and capping's victim orders -- are array expressions over
+the columns.
 
 One path, three numerical contracts, pinned by oracles
 ------------------------------------------------------
@@ -35,7 +35,7 @@ contracts keep the array path bit-identical to the scalar model:
    consume the underlying bit stream exactly like ``n`` scalar draws,
    so batched noise is draw-order-compatible by construction.
 
-Every group, tracker and IPMI fleet reads one store: servers registered
+Every group and tracker reads one store: servers registered
 with different stores are rejected (:func:`shared_state_of`).
 """
 
@@ -329,10 +329,6 @@ class ClusterState:
         if tenant_id < 0:
             raise ValueError(f"tenant_id must be non-negative, got {tenant_id}")
         self.tenant_ids[indices] = tenant_id
-
-    def tenant_counts(self, indices: np.ndarray) -> "np.ndarray":
-        """Occurrences of each tenant ordinal among ``indices`` (bincount)."""
-        return np.bincount(self.tenant_ids[indices])
 
     # ------------------------------------------------------------------
     # Introspection

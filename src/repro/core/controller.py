@@ -315,8 +315,6 @@ class AmpereController:
         #: servers intended frozen)``; a degraded hold or a crash leaves
         #: it as it was
         self._last_command: Dict[str, Tuple[float, int]] = {}
-        #: rows whose budget :meth:`update_budget` has moved
-        self._rebudgeted: Set[str] = set()
         for group in groups:
             if group.name in self.states:
                 raise ValueError(f"duplicate controlled group {group.name!r}")
@@ -336,9 +334,7 @@ class AmpereController:
             commanded_u, frozen = self._last_command.get(name, (0.0, 0))
             yield COMMANDED_U(commanded_u, name)
             yield FROZEN(frozen, name)
-            # Reads 0 until the row's budget first moves.
-            budget = state.group.power_budget_watts if name in self._rebudgeted else 0.0
-            yield BUDGET(budget, name)
+            yield BUDGET(state.group.power_budget_watts, name)
         yield from self.health.samples()
 
     def _new_state(self, group: ServerGroup, server_ids: frozenset) -> RowControlState:
@@ -468,7 +464,6 @@ class AmpereController:
             group_name,
             f"{old:.0f}W -> {budget_watts:.0f}W",
         )
-        self._rebudgeted.add(group_name)
         logger.info(
             "group %s: budget updated %.0fW -> %.0fW at t=%.0fs",
             group_name,

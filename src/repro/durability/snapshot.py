@@ -81,8 +81,10 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: ``throughput`` on the ``StagedRun`` layout; 6: the telemetry registry
 #: holds the components' collectors instead of counter and gauge
 #: instruments; 7: control events are ``ControlEvent`` named tuples and
-#: the event log holds its tenant map and per-tenant detail strings).
-SNAPSHOT_VERSION = 7
+#: the event log holds its tenant map and per-tenant detail strings; 8:
+#: the power monitor has no IPMI fleets, stale-reading count or
+#: bias-published flag, and the controller no set of rebudgeted rows).
+SNAPSHOT_VERSION = 8
 
 #: Pickle protocol pinned for stable output within a Python version
 #: (``HIGHEST_PROTOCOL`` may move under our feet on an interpreter bump).

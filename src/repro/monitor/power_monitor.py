@@ -2,9 +2,9 @@
 
 Every ``interval`` seconds (one minute by default, the paper's choice of
 "a good tradeoff between measurement accuracy and monitoring overhead"),
-the monitor reads each registered server's power through a simulated IPMI
-interface -- the true model power perturbed by multiplicative measurement
-noise -- aggregates it per group, and appends the results to the
+the monitor reads each registered server's power -- the true model power
+perturbed by multiplicative measurement noise, the paper's IPMI readings --
+aggregates it per group, and appends the results to the
 time-series database. Violation accounting (one violation per sampled
 minute in which a group's power exceeds its budget) also lives here, since
 the monitor is the observer that defines the paper's violation metric.
@@ -28,10 +28,7 @@ logger = logging.getLogger(__name__)
 SWEEPS = counter_series("repro_monitor_sweeps_total", "Per-minute monitor sweeps taken")
 SUPPRESSED = counter_series(
     "repro_monitor_sweeps_suppressed_total",
-    "Sweeps (or group samples) dropped during outages or all-stale reads",
-)
-STALE_READINGS = counter_series(
-    "repro_monitor_stale_readings_total", "Per-server readings discarded because the BMC went stale"
+    "Sweeps dropped during monitoring outages",
 )
 IN_OUTAGE = gauge_series(
     "repro_monitor_in_outage", "1 while a monitoring blackout is in effect, else 0"
@@ -67,9 +64,6 @@ VIOLATIONS = counter_series(
     "Sampled minutes in which the group exceeded its budget",
     label="group",
 )
-STALE_ENDPOINTS = gauge_series(
-    "repro_monitor_stale_endpoints", "BMC endpoints currently read as stale (NaN)", label="group"
-)
 
 
 class PowerMonitor:
@@ -91,11 +85,6 @@ class PowerMonitor:
     store_per_server:
         Also record one series per server (needed only by the freeze-decay
         experiment of Figure 4; off by default to bound memory).
-    ipmi_failure_rate:
-        When positive, sampling goes through a simulated IPMI/BMC fleet
-        (:class:`~repro.monitor.ipmi.IpmiFleet`): quantized readings with
-        occasional poll timeouts covered by last-known values. Zero keeps
-        the fast direct-noise path.
     """
 
     def __init__(
@@ -106,26 +95,19 @@ class PowerMonitor:
         noise_sigma: float = 0.01,
         rng: Optional[np.random.Generator] = None,
         store_per_server: bool = False,
-        ipmi_failure_rate: float = 0.0,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         if noise_sigma < 0:
             raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
-        if not 0.0 <= ipmi_failure_rate < 1.0:
-            raise ValueError(
-                f"ipmi_failure_rate must be in [0, 1), got {ipmi_failure_rate}"
-            )
         self.engine = engine
         self.db = db if db is not None else TimeSeriesDatabase()
         self.interval = interval
         self.noise_sigma = noise_sigma
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.store_per_server = store_per_server
-        self.ipmi_failure_rate = ipmi_failure_rate
         self._groups: Dict[str, ServerGroup] = {}
-        self._fleets: Dict[str, "IpmiFleet"] = {}
         self.violations: Dict[str, int] = {}
         #: names of Row groups whose breaker has tripped (catastrophic)
         self.breaker_trips: set = set()
@@ -142,8 +124,6 @@ class PowerMonitor:
         #: the "controller steering on lying sensors" hazard.
         self.sensor_bias = 1.0
         self.bias_windows_applied = 0
-        #: per-server readings discarded because the BMC went stale (NaN)
-        self.stale_readings = 0
         self.telemetry = (
             telemetry
             if telemetry is not None
@@ -156,17 +136,13 @@ class PowerMonitor:
         self.facility_violations = 0
         #: ``(watts, budget)`` of the last facility roll-up
         self.last_facility_sample: Tuple[float, float] = (0.0, 0.0)
-        #: whether :meth:`set_sensor_bias` has run (the exported bias
-        #: reads 0 until it has)
-        self._bias_published = False
         self.telemetry.collect(self._metrics)
 
     def _metrics(self):
         yield SWEEPS(self.samples_taken)
         yield SUPPRESSED(self.samples_suppressed)
-        yield STALE_READINGS(self.stale_readings)
         yield IN_OUTAGE(1.0 if self.in_outage else 0.0)
-        yield SENSOR_BIAS(self.sensor_bias if self._bias_published else 0.0)
+        yield SENSOR_BIAS(self.sensor_bias)
         watts, budget = self.last_facility_sample
         yield FACILITY_POWER(watts)
         yield FACILITY_BUDGET(budget)
@@ -176,8 +152,6 @@ class PowerMonitor:
             yield GROUP_POWER(self._latest_or_zero(f"power/{name}"), name)
             yield GROUP_RATIO(self._latest_or_zero(f"power_norm/{name}"), name)
             yield VIOLATIONS(self.violations[name], name)
-            fleet = self._fleets.get(name)
-            yield STALE_ENDPOINTS(fleet.stale_count if fleet is not None else 0, name)
 
     def _latest_or_zero(self, name: str) -> float:
         try:
@@ -196,17 +170,6 @@ class PowerMonitor:
             )
         self._groups[group.name] = group
         self.violations[group.name] = 0
-        if self.ipmi_failure_rate > 0:
-            from repro.monitor.ipmi import IpmiFleet
-
-            self._fleets[group.name] = IpmiFleet(
-                group.servers,
-                rng=self.rng,
-                noise_sigma=self.noise_sigma,
-                failure_rate=self.ipmi_failure_rate,
-                telemetry=self.telemetry,
-                group=group.name,
-            )
 
     def register_groups(self, groups: Iterable[ServerGroup]) -> None:
         for group in groups:
@@ -278,8 +241,8 @@ class PowerMonitor:
 
         Applied to every per-server reading this monitor serves -- the
         stored series, violation accounting and :meth:`snapshot_server_powers`
-        all see the biased values, exactly as a miscalibrated IPMI fleet
-        would present them. Idempotent per factor.
+        all see the biased values, exactly as miscalibrated sensors would
+        present them. Idempotent per factor.
         """
         if factor <= 0:
             raise ValueError(f"sensor bias factor must be positive, got {factor}")
@@ -293,7 +256,6 @@ class PowerMonitor:
         elif factor == 1.0 and self.sensor_bias != 1.0:
             logger.info("sensor calibration restored at t=%.0fs", self.engine.now)
         self.sensor_bias = float(factor)
-        self._bias_published = True
 
     # ------------------------------------------------------------------
     def sample_once(self) -> None:
@@ -310,41 +272,17 @@ class PowerMonitor:
         now = self.engine.now
         self.samples_taken += 1
         facility_total = 0.0
-        facility_groups = 0
         with self.telemetry.span("monitor.sweep", groups=len(self._groups)):
             for group in self._groups.values():
-                fleet = self._fleets.get(group.name)
-                if fleet is not None:
-                    readings = fleet.poll_all()
-                    stale = int(np.count_nonzero(~np.isfinite(readings)))
-                    if stale:
-                        self.stale_readings += stale
-                        if stale == len(readings):
-                            # Every BMC stale: there is no measurement to
-                            # publish. Dropping the group sample (instead of
-                            # writing 0 W) keeps the series honest.
-                            self.samples_suppressed += 1
-                            logger.warning(
-                                "group %s: every BMC stale at t=%.0fs; "
-                                "sample dropped",
-                                group.name,
-                                now,
-                            )
-                            continue
-                else:
-                    true_powers = group.server_powers()
-                    if self.noise_sigma > 0:
-                        noise = 1.0 + self.noise_sigma * self.rng.standard_normal(
-                            len(true_powers)
-                        )
-                        readings = true_powers * noise
-                    else:
-                        readings = true_powers
+                readings = group.server_powers()
+                if self.noise_sigma > 0:
+                    readings = readings * (
+                        1.0 + self.noise_sigma * self.rng.standard_normal(len(readings))
+                    )
                 if self.sensor_bias != 1.0:
                     readings = readings * self.sensor_bias
-                total = float(np.nansum(readings))
+                total = float(readings.sum())
                 facility_total += total
-                facility_groups += 1
                 if self.store_per_server:
                     for server, reading in zip(group.servers, readings):
                         self.db.write(
@@ -376,7 +314,7 @@ class PowerMonitor:
             # Facility roll-up: the sum of the group samples published
             # this sweep. Computed from already-drawn readings -- no extra
             # RNG draws, so registering it perturbs no trajectory.
-            if facility_groups:
+            if self._groups:
                 facility_budget = self.facility_budget_watts
                 self.db.write("power/facility", now, facility_total)
                 self.last_facility_sample = (facility_total, facility_budget)

@@ -21,7 +21,8 @@ GET    /api/controllers          controller health + steering statistics
 GET    /api/ledger               fleet budget ledger (404 on single-row)
 GET    /api/tenants              per-tenant fairness (404 when untenanted)
 GET    /api/events               eventlog tail (``?limit=&kind=``, integer
-                                 limit)
+                                 limit); ``total`` counts the events of
+                                 ``kind``, or every event without it
 GET    /api/series               power/budget traces (``?window=seconds``,
                                  finite and positive)
 GET    /api/safety               safety ladders + breaker states

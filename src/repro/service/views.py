@@ -9,8 +9,7 @@ document the sim thread has moved on.
 
 ``json.dumps`` happily emits ``NaN``/``Infinity``, which browsers'
 ``JSON.parse`` rejects -- and live power telemetry legitimately holds
-NaNs (an IPMI read during a monitoring blackout carries last-known
-value with a NaN marker, a never-sampled group has no latest point).
+NaNs (a never-sampled group has no latest point).
 :func:`jsonsafe` scrubs every document to ``null`` before it leaves the
 sim thread (a group's per-server columns with one vectorised check).
 
@@ -24,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -241,14 +241,27 @@ def tenants_doc(run: StagedRun) -> Optional[dict]:
 
 def events_doc(run: StagedRun, limit: int = 100,
                kind: Optional[str] = None) -> dict:
-    """The tail of the control-plane eventlog, newest last."""
-    events = run.event_log.events
-    if kind is not None:
-        events = [e for e in events if e.kind == kind]
-    tail = events[-limit:] if limit > 0 else list(events)
+    """The tail of the control-plane eventlog, newest last.
+
+    ``total`` counts the events the filter matches: the log length, or
+    the events of ``kind`` when one is given (from the log's per-kind
+    counts). The filtered tail scans back from the newest event and
+    stops at its ``limit``-th match (or the kind's last one), so it
+    costs the span of the tail, not the log.
+    """
+    log = run.event_log
+    events = log.events
+    if kind is None:
+        total = len(events)
+        tail = events[-limit:] if limit > 0 else list(events)
+    else:
+        total = log.counts_by_kind().get(kind, 0)
+        wanted = min(limit, total) if limit > 0 else total
+        newest_first = (e for e in reversed(events) if e.kind == kind)
+        tail = list(islice(newest_first, wanted))[::-1]
     return jsonsafe(
         {
-            "total": len(run.event_log.events),
+            "total": total,
             "returned": len(tail),
             "events": [
                 {

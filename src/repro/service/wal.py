@@ -180,6 +180,12 @@ def apply_act(run: StagedRun, op: str, payload: dict) -> dict:
     records against the same restored state reproduces the same
     mutations, which is what makes the WAL a recovery log rather than an
     audit trail.
+
+    A freeze or thaw of a group that a controller steers is not a hold:
+    the controller plans each tick from the scheduler's frozen set and
+    commands its own plan, so the operator's set lasts until that
+    controller's next tick, at most one control interval while it ticks.
+    Such acts are accepted, not refused.
     """
     if op == "freeze":
         return _set_group_frozen(run, payload, frozen=True)

@@ -28,9 +28,9 @@ def make_server(server_id: int = 0, cores: int = 16, **kwargs) -> Server:
 def make_servers(n: int, cores: int = 16, **kwargs) -> List[Server]:
     """``n`` servers with ids ``0..n-1``, registered in one shared store.
 
-    Groups, schedulers and IPMI fleets need servers that share one
-    ClusterState (their hot loops read its columns), as every production
-    builder arranges; ad-hoc fixtures build their servers here.
+    Groups and schedulers need servers that share one ClusterState
+    (their hot loops read its columns), as every production builder
+    arranges; ad-hoc fixtures build their servers here.
     """
     state = ClusterState(capacity=n)
     return [Server(i, cores=cores, state=state, **kwargs) for i in range(n)]

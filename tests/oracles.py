@@ -17,8 +17,7 @@ contracts the array path relies on:
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -189,148 +188,8 @@ def snapshot_server_powers(monitor, group) -> Dict[int, float]:
 
 
 # ---------------------------------------------------------------------------
-# IPMI
+# Capping engine
 # ---------------------------------------------------------------------------
-class BmcEndpoint:
-    """The management controller of one server, read one poll at a time.
-
-    Parameters
-    ----------
-    server:
-        The managed server (source of true power).
-    rng:
-        Random source for noise and timeouts.
-    noise_sigma:
-        Relative standard deviation of sensor noise.
-    failure_rate:
-        Probability that a poll times out (returns ``None``).
-    quantize_watts:
-        Reading resolution; IPMI power sensors report whole watts.
-    """
-
-    def __init__(
-        self,
-        server,
-        rng: np.random.Generator,
-        noise_sigma: float = 0.01,
-        failure_rate: float = 0.001,
-        quantize_watts: float = 1.0,
-    ) -> None:
-        if noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
-        if not 0.0 <= failure_rate < 1.0:
-            raise ValueError(f"failure_rate must be in [0, 1), got {failure_rate}")
-        if quantize_watts <= 0:
-            raise ValueError(f"quantize_watts must be positive, got {quantize_watts}")
-        self.server = server
-        self.rng = rng
-        self.noise_sigma = noise_sigma
-        self.failure_rate = failure_rate
-        self.quantize_watts = quantize_watts
-        self.polls = 0
-        self.timeouts = 0
-        self._queued_u: Optional[float] = None
-        self._queued_z: Optional[float] = None
-
-    def queue_draws(self, u: Optional[float], z: Optional[float]) -> None:
-        """Hand this endpoint its slice of a fleet sweep's draws."""
-        self._queued_u = u
-        self._queued_z = z
-
-    def read_power(self) -> Optional[float]:
-        """One poll: quantized noisy watts, or ``None`` on timeout.
-
-        Uses queued draws when a sweep handed them over, else draws
-        lazily, as a lone BMC conversation would.
-        """
-        u, z = self._queued_u, self._queued_z
-        self._queued_u = self._queued_z = None
-        self.polls += 1
-        if self.failure_rate > 0:
-            if u is None:
-                u = self.rng.random()
-            if u < self.failure_rate:
-                self.timeouts += 1
-                return None
-        reading = self.server.power_watts()
-        if self.noise_sigma > 0:
-            if z is None:
-                z = self.rng.standard_normal()
-            reading *= 1.0 + self.noise_sigma * z
-        quantized = round(reading / self.quantize_watts) * self.quantize_watts
-        return max(0.0, quantized)
-
-
-class IpmiFleetOracle:
-    """``IpmiFleet.poll_all`` as a dict-building loop over endpoints.
-
-    Draws follow the fleet contract one scalar at a time: every
-    endpoint's timeout uniform, then every endpoint's noise normal.
-    """
-
-    def __init__(
-        self,
-        servers,
-        rng: np.random.Generator,
-        noise_sigma: float = 0.01,
-        failure_rate: float = 0.001,
-        max_fallback_polls: int = 5,
-        quantize_watts: float = 1.0,
-    ) -> None:
-        self.servers = list(servers)
-        self.rng = rng
-        self.noise_sigma = noise_sigma
-        self.failure_rate = failure_rate
-        self.max_fallback_polls = max_fallback_polls
-        self.endpoints: Dict[int, BmcEndpoint] = {
-            s.server_id: BmcEndpoint(
-                s,
-                rng,
-                noise_sigma=noise_sigma,
-                failure_rate=failure_rate,
-                quantize_watts=quantize_watts,
-            )
-            for s in self.servers
-        }
-        self.last_known = {s.server_id: s.power_params.idle_watts for s in self.servers}
-        self.streak = {s.server_id: 0 for s in self.servers}
-        self.stale_ids: set = set()
-        self.total_polls = 0
-        self.total_timeouts = 0
-        self.fallbacks_used = 0
-        self.stale_reads = 0
-
-    def poll_all(self) -> Dict[int, float]:
-        n = len(self.servers)
-        us: List[Optional[float]] = [None] * n
-        zs: List[Optional[float]] = [None] * n
-        if self.failure_rate > 0:
-            us = [self.rng.random() for _ in range(n)]
-        if self.noise_sigma > 0:
-            zs = [self.rng.standard_normal() for _ in range(n)]
-        readings: Dict[int, float] = {}
-        self.total_polls += n
-        for pos, (server_id, endpoint) in enumerate(self.endpoints.items()):
-            endpoint.queue_draws(us[pos], zs[pos])
-            value = endpoint.read_power()
-            if value is None:
-                self.total_timeouts += 1
-                self.streak[server_id] += 1
-                if self.streak[server_id] > self.max_fallback_polls:
-                    self.stale_ids.add(server_id)
-                    self.stale_reads += 1
-                    value = math.nan
-                else:
-                    self.fallbacks_used += 1
-                    value = self.last_known[server_id]
-            else:
-                self.streak[server_id] = 0
-                self.stale_ids.discard(server_id)
-                self.last_known[server_id] = value
-            readings[server_id] = value
-        return readings
-
-
 class OracleCappingEngine(CappingEngine):
     """A capping engine whose orders and capped-time books are the loops."""
 

@@ -5,16 +5,16 @@ columnar :class:`~repro.cluster.state.ClusterState`. Two kinds of test
 hold it to the per-server model it replaced.
 
 - **Pinned trajectories.** The seeded experiment, two chaos scenarios,
-  the fleet A/B, campaign rows (serial and parallel) and an IPMI sweep
-  must reproduce, byte for byte, the canonical documents recorded when
-  the per-server loops still ran in production. Each document's sha256
+  the fleet A/B and campaign rows (serial and parallel) must
+  reproduce, byte for byte, the canonical documents recorded when the
+  per-server loops still ran in production. Each document's sha256
   lives in ``tests/golden/trajectory_digests.json``.
 - **Loop-level oracles.** Each hot loop is checked against its scalar
   oracle in ``tests/oracles.py``: the group power and rated sums and
-  ``server_powers``, the IPMI poll, capping's three orderings (ties
-  included), the per-server readings, the observe documents (the
-  service's state summary and per-server group columns) and the
-  operator group act (one scheduler call per server).
+  ``server_powers``, capping's three orderings (ties included), the
+  per-server readings, the observe documents (the service's state
+  summary and per-server group columns) and the operator group act
+  (one scheduler call per server).
 
 The three numerical contracts each have a test here that fails if the
 contract breaks: exact-exponent pow (exotic SKU exponents, where NumPy's
@@ -46,7 +46,6 @@ from repro.cluster.power import DVFS_FREQUENCIES, PowerModelParams
 from repro.core.safety import SafetyConfig
 from repro.faults.scenario import builtin_scenarios
 from repro.fleet.config import FleetConfig
-from repro.monitor.ipmi import IpmiFleet
 from repro.monitor.power_monitor import PowerMonitor
 from repro.service import views
 from repro.service.wal import apply_act
@@ -138,36 +137,6 @@ def campaign_rows(parallel: bool) -> dict:
     return {"rows": campaign_rows_to_dicts(result.rows)}
 
 
-def ipmi_sweep() -> dict:
-    """Forty monitor sweeps through a lossy IPMI fleet: timeouts,
-    fallback carry, staleness and quantization."""
-    row = build_row(0, racks=2, servers_per_rack=10)
-    monitor = PowerMonitor(
-        Engine(),
-        noise_sigma=0.01,
-        rng=np.random.default_rng(7),
-        ipmi_failure_rate=0.2,
-        store_per_server=True,
-    )
-    monitor.register_group(row)
-    for _ in range(40):
-        monitor.sample_once()
-    _, values = monitor.power_series(row.name)
-    fleet = monitor._fleets[row.name]
-    return {
-        "row": values.tolist(),
-        "servers": {
-            str(sid): monitor.db.query(f"power/server/{sid}")[1].tolist()
-            for sid in (0, 5, 19)
-        },
-        "polls": fleet.total_polls,
-        "timeouts": fleet.total_timeouts,
-        "fallbacks": fleet.fallbacks_used,
-        "stale_reads": fleet.stale_reads,
-        "stale_ids": sorted(fleet.stale_ids),
-    }
-
-
 def regenerate() -> None:  # pragma: no cover - maintenance helper
     documents = {
         "seeded-experiment": seeded_experiment(),
@@ -175,7 +144,6 @@ def regenerate() -> None:  # pragma: no cover - maintenance helper
         "chaos-crash-storm": chaos_experiment("crash-storm"),
         "fleet-ab": fleet_ab(),
         "campaign-rows": campaign_rows(parallel=False),
-        "ipmi-sweep": ipmi_sweep(),
     }
     digests = {name: digest(doc) for name, doc in documents.items()}
     DIGESTS_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
@@ -201,11 +169,6 @@ class TestCampaignRows:
 
     def test_campaign_parallel_matches_pinned_digest(self):
         assert digest(campaign_rows(parallel=True)) == pinned("campaign-rows")
-
-
-class TestIpmiSweeps:
-    def test_ipmi_sweep_byte_identical(self):
-        assert digest(ipmi_sweep()) == pinned("ipmi-sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -539,34 +502,6 @@ class TestCappingOrders:
         assert list(capper.stats.per_server_capped_seconds) == oracles.capped_time_order(
             tied_row
         )
-
-
-class TestIpmiPoll:
-    def test_poll_matches_dict_oracle(self):
-        """Array sweep vs per-endpoint reads on scalar draws (RNG
-        batching contract), through loads, timeouts and staleness."""
-        kwargs = dict(noise_sigma=0.02, failure_rate=0.3, max_fallback_polls=2)
-        row, twin = loaded_row(racks=1), loaded_row(racks=1)
-        fleet = IpmiFleet(row.servers, np.random.default_rng(3), **kwargs)
-        oracle = oracles.IpmiFleetOracle(twin.servers, np.random.default_rng(3), **kwargs)
-        for sweep in range(30):
-            randomize_load(row, np.random.default_rng(sweep), frequencies=False)
-            randomize_load(twin, np.random.default_rng(sweep), frequencies=False)
-            readings = fleet.poll_all()
-            polled = oracle.poll_all()
-            expected = np.array([polled[s.server_id] for s in row.servers])
-            assert readings.tobytes() == expected.tobytes()
-            assert fleet.stale_ids == oracle.stale_ids
-        assert (fleet.total_polls, fleet.total_timeouts) == (
-            oracle.total_polls,
-            oracle.total_timeouts,
-        )
-        assert (fleet.fallbacks_used, fleet.stale_reads) == (
-            oracle.fallbacks_used,
-            oracle.stale_reads,
-        )
-        assert oracle.stale_reads > 0
-        assert fleet.rng.bit_generator.state == oracle.rng.bit_generator.state
 
 
 class TestPerServerReadings:

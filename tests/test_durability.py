@@ -137,14 +137,15 @@ def test_frame_rejects_version_2_snapshot():
     the since-removed knobs (``monitor_noise_sigma``, ...); version 5
     telemetry registries held counter and gauge instruments instead of
     the components' collectors; version 6 event logs held control events
-    as frozen dataclasses and a tenant resolver. This build refuses all
-    five with the version error."""
+    as frozen dataclasses and a tenant resolver; version 7 power monitors
+    held IPMI fleets and a stale-reading count. This build refuses all
+    six with the version error."""
     experiment = ControlledExperiment(tiny_config())
     experiment.start()
     header, _, payload = experiment.snapshot().partition(b"\n")
     doc = json.loads(header)
-    assert doc["version"] == SNAPSHOT_VERSION == 7
-    for version in (2, 3, 4, 5, 6):
+    assert doc["version"] == SNAPSHOT_VERSION == 8
+    for version in (2, 3, 4, 5, 6, 7):
         old = dict(doc, version=version, meta=dict(doc["meta"]))
         if version == 2:
             old["meta"]["backend"] = "object"

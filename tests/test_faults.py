@@ -26,7 +26,6 @@ from repro.faults.scenario import (
     FaultScenario,
     builtin_scenarios,
 )
-from repro.monitor.ipmi import IpmiFleet
 from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.base import SchedulerInterface, SchedulerRpcError
 from repro.scheduler.omega import OmegaScheduler
@@ -34,7 +33,7 @@ from repro.sim.engine import Engine
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.testbed import WorkloadSpec
 from repro.workload.generator import ConstantRateProfile, SurgeRateProfile
-from tests.conftest import make_server, make_servers
+from tests.conftest import make_servers
 
 
 class Harness:
@@ -374,90 +373,6 @@ class TestMonitorOutage:
         harness.monitor.end_outage()
         harness.monitor.sample_once()
         assert harness.monitor.violation_count("row") == 1
-
-
-def go_dark(fleet, positions):
-    """Make the BMCs at fleet ``positions`` time out on every poll.
-
-    Their timeout uniforms are forced to 0.0, below any positive failure
-    rate; every other draw is the fleet's own. ``del fleet._draw_batches``
-    brings them back.
-    """
-    fleet.failure_rate = max(fleet.failure_rate, 1e-12)
-    draw = fleet._draw_batches
-
-    def rigged():
-        us, zs = draw()
-        us[positions] = 0.0
-        return us, zs
-
-    fleet._draw_batches = rigged
-
-
-class TestIpmiStalenessBound:
-    def _fleet(self, n=3, max_fallback_polls=2):
-        servers = make_servers(n)
-        return servers, IpmiFleet(
-            servers,
-            rng=np.random.default_rng(0),
-            noise_sigma=0.0,
-            failure_rate=0.0,
-            max_fallback_polls=max_fallback_polls,
-        )
-
-    def test_carry_through_is_bounded(self):
-        servers, fleet = self._fleet(max_fallback_polls=2)
-        go_dark(fleet, [0])  # BMC 0 goes dark
-        first = fleet.poll_all()
-        second = fleet.poll_all()
-        # Within the bound: the last known value is replayed.
-        assert first[0] == second[0] == servers[0].power_params.idle_watts
-        assert fleet.fallbacks_used == 2
-        assert 0 not in fleet.stale_ids
-        # Past the bound: the endpoint is declared stale and reads NaN.
-        third = fleet.poll_all()
-        assert np.isnan(third[0])
-        assert fleet.stale_ids == {0}
-        assert fleet.stale_reads == 1
-
-    def test_successful_poll_clears_staleness(self):
-        _, fleet = self._fleet(max_fallback_polls=0)
-        go_dark(fleet, [0])
-        assert np.isnan(fleet.poll_all()[0])
-        assert fleet.stale_ids == {0}
-        del fleet._draw_batches  # the BMC answers again
-        healed = fleet.poll_all()
-        assert np.isfinite(healed[0])
-        assert fleet.stale_ids == set()
-
-    def test_monitor_drops_group_sample_when_all_bmcs_stale(self):
-        engine = Engine()
-        group = ServerGroup("row", make_servers(3))
-        monitor = PowerMonitor(engine, noise_sigma=0.01, ipmi_failure_rate=0.01)
-        monitor.register_group(group)
-        fleet = monitor._fleets["row"]
-        fleet.max_fallback_polls = 0
-        go_dark(fleet, slice(None))
-        monitor.sample_once()
-        assert monitor.samples_suppressed == 1
-        assert monitor.stale_readings == 3
-        with pytest.raises(KeyError):
-            monitor.latest_normalized_sample("row")
-
-    def test_partial_staleness_keeps_series_honest(self):
-        engine = Engine()
-        servers = make_servers(3)
-        group = ServerGroup("row", servers)
-        monitor = PowerMonitor(engine, noise_sigma=0.01, ipmi_failure_rate=0.01)
-        monitor.register_group(group)
-        fleet = monitor._fleets["row"]
-        fleet.max_fallback_polls = 0
-        go_dark(fleet, [0])  # one dark BMC
-        monitor.sample_once()
-        # The group total is the nansum of the two live readings.
-        assert monitor.stale_readings == 1
-        total = monitor.latest_power("row")
-        assert 0 < total < sum(s.power_watts() for s in servers)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ together reach every component that exports a series:
   tenancy accountant);
 - ``data_chaos``: one row under ``data-chaos`` with the safety ladder
   (surge, sensor drift and a crash storm);
-- ``ipmi_monitor``: a monitor sampling through an ``IpmiFleet`` (no
-  builtin run sets ``ipmi_failure_rate``), with one outage.
+- ``monitor_outage``: a bare monitor over one group with one
+  monitoring outage (the only run that suppresses sweeps).
 
 Each run is rebuilt and compared byte for byte, both through the result
 and through the live registry. If a series changes on purpose,
@@ -105,15 +105,10 @@ def data_chaos() -> tuple:
     return _run(ControlledExperiment(config))
 
 
-def ipmi_monitor() -> tuple:
+def monitor_outage() -> tuple:
     telemetry = Telemetry.create()
     engine = Engine(telemetry=telemetry)
-    monitor = PowerMonitor(
-        engine,
-        rng=np.random.default_rng(1),
-        ipmi_failure_rate=0.6,
-        telemetry=telemetry,
-    )
+    monitor = PowerMonitor(engine, rng=np.random.default_rng(1), telemetry=telemetry)
     monitor.register_group(ServerGroup("g", make_servers(20)))
     engine.schedule_periodic(60.0, 0, monitor.sample_once, until=3600.0)
     engine.schedule(1200.0, 0, monitor.begin_outage)
@@ -127,7 +122,7 @@ RUNS = {
     "single_row": single_row,
     "fleet": fleet,
     "data_chaos": data_chaos,
-    "ipmi_monitor": ipmi_monitor,
+    "monitor_outage": monitor_outage,
 }
 
 
@@ -152,7 +147,6 @@ def test_golden_covers_every_exporting_component():
     for prefix in (
         "repro_engine_",
         "repro_monitor_",
-        "repro_ipmi_",
         "repro_controller_",
         "repro_controller_health_",
         "repro_control_events_",

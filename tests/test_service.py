@@ -252,6 +252,17 @@ class TestAPIContract:
         _, _, events = get(service.url, "/api/events?kind=freeze&limit=0")
         assert events["returned"] > 0
 
+    def test_events_total_counts_the_filtered_kind(self, service):
+        post(service.url, "/api/freeze", {"group": "control"})
+        post(service.url, "/api/unfreeze", {"group": "control"})
+        _, _, everything = get(service.url, "/api/events?limit=1")
+        _, _, newest = get(service.url, "/api/events?kind=freeze&limit=1")
+        _, _, freezes = get(service.url, "/api/events?kind=freeze&limit=0")
+        assert newest["total"] == freezes["total"] == freezes["returned"] > 0
+        assert newest["total"] < everything["total"]
+        assert newest["events"] == freezes["events"][-1:]
+        assert {e["kind"] for e in freezes["events"]} == {"freeze"}
+
     def test_resume_rejected_in_manual_mode(self, service):
         status, message = post_error(service.url, "/api/resume")
         assert status == 409 and "manual" in message

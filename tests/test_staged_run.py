@@ -130,6 +130,24 @@ def test_runtime_injectors_survive_snapshot_restore():
     assert restored.engine.events_processed == run.engine.events_processed
 
 
+def test_operator_freeze_of_a_controlled_group_lasts_one_control_interval():
+    """The controller plans each tick from the scheduler's frozen set and
+    commands its own plan, so an operator freeze of the controlled
+    ``experiment`` group is undone by the controller's next tick."""
+    run = single_row()
+    run.start()
+    run.advance(0.2 * 3600.0)  # past warm-up: the controller is ticking
+    controller = run.controllers()["experiment"]
+    scheduler = run.scheduler_for("experiment")
+    members = frozenset(s.server_id for s in run.groups()["experiment"].servers)
+    apply_act(run, "freeze", {"group": "experiment"})
+    assert scheduler.frozen_server_ids() & members == members
+    run.advance(run.engine.now + controller.config.control_interval)
+    frozen = scheduler.frozen_server_ids() & members
+    assert frozen == controller.state_of("experiment").intended_frozen
+    assert len(frozen) < len(members)
+
+
 class OneShotCrash:
     """Advance hook that raises once at (or past) ``at`` sim-seconds."""
 

@@ -543,6 +543,20 @@ class TestExperimentIntegration:
             > 0
         )
 
+    def test_first_scrape_exports_the_real_budget_and_bias(self):
+        """A fresh controlled row's budget and the calibrated sensor bias
+        are exported from the first scrape, before either ever moves."""
+        experiment = ControlledExperiment(small_config(telemetry_enabled=True))
+        experiment.start()
+        registry = experiment.telemetry.registry
+        budget = experiment.groups()["experiment"].power_budget_watts
+        assert budget > 0
+        assert (
+            registry.value("repro_controller_budget_watts", {"group": "experiment"})
+            == budget
+        )
+        assert registry.value("repro_monitor_sensor_bias") == 1.0
+
     def test_disabled_run_has_no_registry(self):
         result = ControlledExperiment(small_config()).run()
         assert result.telemetry is None

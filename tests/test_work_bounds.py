@@ -160,12 +160,7 @@ def _logging_held_off():
 # ----------------------------------------------------------------------
 def _sweep_work(n_servers: int) -> Work:
     row = build_row(0, racks=n_servers // 40, servers_per_rack=40)
-    monitor = PowerMonitor(
-        Engine(),
-        noise_sigma=0.01,
-        rng=np.random.default_rng(7),
-        ipmi_failure_rate=0.02,
-    )
+    monitor = PowerMonitor(Engine(), noise_sigma=0.01, rng=np.random.default_rng(7))
     monitor.register_group(row)
     monitor.sample_once()  # warm-up
     # Workload churn invalidates power between ticks in a real run;
@@ -178,9 +173,10 @@ def _sweep_work(n_servers: int) -> Work:
 
 
 def test_monitor_sweep_work_is_flat_from_400_to_10k_servers():
-    """One sweep (IPMI poll, noise, staleness, power sum) does the same
-    Python work at 400 and 10k servers: every per-server step is an
-    array expression, none a Python loop."""
+    """One sweep as every run takes it (true powers, measurement noise,
+    power sum, TSDB writes) does the same Python work at 400 and 10k
+    servers: every per-server step is an array expression, none a Python
+    loop."""
     small = _sweep_work(400)
     large = _sweep_work(10_000)
     assert (large.calls, large.lines) == (small.calls, small.lines)
@@ -657,6 +653,38 @@ def test_observe_work_is_flat_in_servers():
     assert (small.calls, small.lines) == (large.calls, large.lines)
     small = _fleet_observe_work(40)
     large = _fleet_observe_work(400)
+    assert (small.calls, small.lines) == (large.calls, large.lines)
+
+
+def _events_read_work(n_events: int) -> Work:
+    """One ``kind=freeze&limit=1`` read of a log holding ``n_events``
+    events, the newest of them a freeze."""
+    run = ControlledExperiment(
+        ExperimentConfig(
+            n_servers=40,
+            duration_hours=0.5,
+            warmup_hours=0.1,
+            workload=WorkloadSpec(target_utilization=0.3),
+            seed=5,
+        )
+    )
+    run.start()
+    run.event_log.record_many("unfreeze", range(n_events - 1))
+    run.event_log.record_many("freeze", (0,))
+    views.events_doc(run, limit=1, kind="freeze")  # warm-up
+    work = Work(lines=True)
+    with work.count():
+        doc = views.events_doc(run, limit=1, kind="freeze")
+    assert doc["events"][0]["kind"] == "freeze"
+    return work
+
+
+def test_filtered_events_read_work_is_flat_in_log_length():
+    """A kind-filtered tail read scans back from the newest event and
+    takes its total from the per-kind counts: the same Python work at 1k
+    and 100k logged events when the newest one matches."""
+    small = _events_read_work(1_000)
+    large = _events_read_work(100_000)
     assert (small.calls, small.lines) == (large.calls, large.lines)
 
 
