@@ -329,8 +329,10 @@ class SafetySupervisor:
 
     def _release_freezes(self) -> None:
         """Undo exactly the freezes this supervisor issued."""
+        # Read once: an unfreeze removes only its own id from the set.
+        frozen = self.scheduler.frozen_server_ids()
         for server_id in sorted(self._frozen_by_supervisor):
-            if server_id in self.scheduler.frozen_server_ids():
+            if server_id in frozen:
                 self.scheduler.unfreeze(server_id)
         self._frozen_by_supervisor.clear()
 

@@ -83,8 +83,10 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: instruments; 7: control events are ``ControlEvent`` named tuples and
 #: the event log holds its tenant map and per-tenant detail strings; 8:
 #: the power monitor has no IPMI fleets, stale-reading count or
-#: bias-published flag, and the controller no set of rebudgeted rows).
-SNAPSHOT_VERSION = 8
+#: bias-published flag, and the controller no set of rebudgeted rows;
+#: 9: each workload rng has one arrival stream, and a pending arrival
+#: event is an already-accepted job, thinned ahead).
+SNAPSHOT_VERSION = 9
 
 #: Pickle protocol pinned for stable output within a Python version
 #: (``HIGHEST_PROTOCOL`` may move under our feet on an interpreter bump).

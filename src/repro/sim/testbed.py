@@ -28,6 +28,7 @@ from repro.workload.distributions import (
     rate_for_target_utilization,
 )
 from repro.workload.generator import (
+    ArrivalStream,
     BatchWorkloadGenerator,
     BurstyRateProfile,
     DiurnalRateProfile,
@@ -271,6 +272,8 @@ class Testbed:
             telemetry=self.telemetry,
         )
         self._workload_rng = np.random.default_rng(workload_seed)
+        #: the one arrival stream every generator on the workload rng joins
+        self._arrivals = ArrivalStream(self.engine, self._workload_rng)
         self._modulation_seed = int(modulation_seed.generate_state(1)[0])
         self.throughput = ThroughputTracker(self.engine)
         self.scheduler.placement_listeners.append(self.throughput.on_placement)
@@ -320,8 +323,10 @@ class Testbed:
         workload without disturbing its RNG stream. ``tenant`` stamps
         every generated job with an owning tenant name (multi-tenant
         runs attach one generator per tenant, all sharing the testbed's
-        single workload RNG so the merged arrival stream stays a
-        deterministic function of the seed).
+        single workload RNG and its one arrival stream, so the merged
+        stream stays a deterministic function of the seed). Every
+        generator must join before the stream thins past the instant it
+        starts at (:class:`~repro.workload.generator.ArrivalStream`).
         """
         generator = BatchWorkloadGenerator(
             self.engine,
@@ -330,6 +335,7 @@ class Testbed:
             if profile is not None
             else self.build_rate_profile(spec, horizon_seconds),
             rng=self._workload_rng,
+            stream=self._arrivals,
             duration=self.duration_distribution,
             demand=self.demand_distribution,
             product=product,

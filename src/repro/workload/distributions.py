@@ -7,14 +7,24 @@ clipped lognormal with ``sigma = 1.6`` and median ~3.5 minutes matches
 those anchors (clipped mean 9.0 min, P(<=2 min) = 0.36); the calibration
 is locked in by tests.
 
-Draw-order contract: every trajectory is pinned by the order in which a
-batch generator consumes its rng. Per candidate arrival it draws one
-exponential (the thinning gap), then one uniform (acceptance); per
+Draw-order contract (v1): every trajectory is pinned by the order in
+which a batch generator consumes its rng. Per candidate arrival it draws
+one exponential (the thinning gap), then one uniform (acceptance); per
 accepted job, one uniform (cores, ``ResourceDemandDistribution.sample``)
 then one lognormal (duration, ``JobDurationDistribution.sample_one``).
+Generators sharing an rng take these draws candidate by candidate in
+(time, schedule order), as if each candidate were its own engine event.
 Both scalar samplers use the bit stream exactly as
 ``rng.choice(choices, p=weights)`` and
 ``np.clip(rng.lognormal(mu, sigma, size=1) * 60, lo, hi)`` did.
+
+Candidates are thinned inline: after an accepted job's attribute draws,
+the generator's :class:`~repro.workload.generator.ArrivalStream` draws
+gap, uniform, gap, uniform, ... up to the next accepted candidate and
+schedules one engine event there, whose job draws its cores and duration
+when it fires. That is the v1 order unchanged, only taken earlier, which
+is exact because rate profiles are pure functions of time and nothing
+else draws from a workload rng.
 """
 
 from __future__ import annotations

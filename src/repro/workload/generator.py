@@ -1,6 +1,8 @@
 """Batch workload generation: arrival-rate profiles and the generator process.
 
-Arrivals follow a non-homogeneous Poisson process realized by thinning.
+Arrivals follow a non-homogeneous Poisson process realized by thinning,
+done inline by an :class:`ArrivalStream`: one engine event per accepted
+job, none per rejected candidate.
 Rate profiles compose a deterministic shape (constant or diurnal) with an
 optional mean-reverting AR(1) modulation that reproduces the minute-scale
 spikes and valleys of Figure 8 / Figure 9: smooth on the hour scale, with
@@ -9,6 +11,7 @@ occasional several-percent power jumps within a single minute.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
@@ -134,8 +137,14 @@ class ModulatedRateProfile(RateProfile):
         self._multipliers = multipliers
 
     def rate(self, t: float) -> float:
-        index = min(len(self._multipliers) - 1, max(0, int(t / self.step)))
-        return self.base.rate(t) * self._multipliers[index]
+        # Runs once per thinning candidate: clamp without min/max calls.
+        multipliers = self._multipliers
+        index = int(t / self.step)
+        if index < 0:
+            index = 0
+        elif index >= len(multipliers):
+            index = len(multipliers) - 1
+        return self.base.rate(t) * multipliers[index]
 
     @property
     def max_rate(self) -> float:
@@ -264,6 +273,106 @@ class SurgeRateProfile(RateProfile):
         return self.base.max_rate * max(peak, 1.0)
 
 
+class ArrivalStream:
+    """The thinned arrival stream of every generator drawing from one rng.
+
+    Each member generator offers candidates at its profile's bound rate
+    ``max_rate`` and keeps each with probability ``rate(t) / max_rate``.
+    Rejected candidates cost two draws and nothing else, so the stream
+    thins ahead inline: after each accepted job it draws gap, uniform,
+    gap, uniform, ... until it reaches the next accepted candidate, and
+    schedules one ``JOB_ARRIVAL`` event there. That job's demand and
+    duration are drawn when the event fires. This consumes the rng in
+    exactly the order one engine event per candidate would (the v1
+    contract in :mod:`repro.workload.distributions`), because rate
+    profiles are pure functions of time and nothing else draws from a
+    workload rng.
+
+    Members sharing the rng merge their candidates in (time, schedule
+    order), as the engine would order one event per candidate. A stream
+    has at most one pending engine event: a start event at the join
+    instant, or its next accepted arrival. A generator may join only
+    while no candidate at or after ``now`` has been thinned; a later
+    join would reorder draws, so it raises.
+    """
+
+    def __init__(self, engine: Engine, rng: np.random.Generator) -> None:
+        self.engine = engine
+        self.rng = rng
+        #: ``(time, schedule order, member)`` of each member's drawn,
+        #: unthinned candidate; while an arrival is pending, ``[0]`` is it
+        self._candidates: List[tuple] = []
+        self._order = 0
+        #: time of the latest candidate whose acceptance uniform is drawn
+        self._cursor = -math.inf
+
+    def join(self, generator: "BatchWorkloadGenerator") -> None:
+        """Draw ``generator``'s first candidate gap at ``now``."""
+        now = self.engine.now
+        if self._cursor >= now:
+            raise RuntimeError(
+                f"arrival stream has thinned ahead to t={self._cursor:.3f}; "
+                f"a generator joining at t={now:.3f} would reorder its draws"
+            )
+        t = now + self.rng.exponential(1.0 / generator._max_rate)
+        if t >= generator._until:
+            return
+        if not self._candidates:
+            self.engine.schedule(now, EventPriority.JOB_ARRIVAL, self._thin)
+        heapq.heappush(self._candidates, (t, self._order, generator))
+        self._order += 1
+
+    def resume(self, generator: "BatchWorkloadGenerator") -> None:
+        """After ``generator``'s accepted job: draw its next gap, thin on."""
+        t = self.engine.now + self.rng.exponential(1.0 / generator._max_rate)
+        if t < generator._until:
+            heapq.heapreplace(self._candidates, (t, self._order, generator))
+            self._order += 1
+        else:
+            heapq.heappop(self._candidates)
+        self._thin()
+
+    def _thin(self) -> None:
+        """Thin candidates until one is accepted or every member is done."""
+        candidates = self._candidates
+        random = self.rng.random
+        exponential = self.rng.exponential
+        while len(candidates) > 1:
+            t, _, member = candidates[0]
+            self._cursor = t
+            if random() < member.rate_profile.rate(t) / member._max_rate:
+                self.engine.schedule(
+                    t, EventPriority.JOB_ARRIVAL, member._candidate_arrival
+                )
+                return
+            t += exponential(1.0 / member._max_rate)
+            if t < member._until:
+                heapq.heapreplace(candidates, (t, self._order, member))
+                self._order += 1
+            else:
+                heapq.heappop(candidates)
+        if not candidates:
+            return
+        # One member left: no merge, just its own thinning loop.
+        t, order, member = candidates[0]
+        rate = member.rate_profile.rate
+        max_rate = member._max_rate
+        scale = 1.0 / max_rate
+        until = member._until
+        while t < until:
+            if random() < rate(t) / max_rate:
+                self._cursor = t
+                candidates[0] = (t, order, member)
+                self.engine.schedule(
+                    t, EventPriority.JOB_ARRIVAL, member._candidate_arrival
+                )
+                return
+            thinned = t
+            t += exponential(scale)
+        self._cursor = thinned
+        candidates.clear()
+
+
 class BatchWorkloadGenerator:
     """Simulation process that submits batch jobs to the scheduler.
 
@@ -285,6 +394,10 @@ class BatchWorkloadGenerator:
     tenant:
         Tenant name stamped on every generated job (``None`` when
         multi-tenancy is off).
+    stream:
+        The :class:`ArrivalStream` on ``rng`` this generator joins.
+        Generators that share an rng must share its stream; by default
+        the generator has a stream of its own.
     """
 
     def __init__(
@@ -299,11 +412,17 @@ class BatchWorkloadGenerator:
         allowed_rows: Optional[Sequence[int]] = None,
         job_id_offset: int = 0,
         tenant: Optional[str] = None,
+        stream: Optional[ArrivalStream] = None,
     ) -> None:
+        if stream is None:
+            stream = ArrivalStream(engine, rng)
+        elif stream.rng is not rng or stream.engine is not engine:
+            raise ValueError("a shared arrival stream must be on the same engine and rng")
         self.engine = engine
         self.scheduler = scheduler
         self.rate_profile = rate_profile
         self.rng = rng
+        self.stream = stream
         self.duration = duration
         self.demand = demand
         self.product = product
@@ -323,23 +442,13 @@ class BatchWorkloadGenerator:
         if self._max_rate <= 0:
             return
         self._until = until
-        self._schedule_next_candidate()
+        self.stream.join(self)
 
     # ------------------------------------------------------------------
-    def _schedule_next_candidate(self) -> None:
-        """Thinning step: candidate arrivals come at the max rate."""
-        gap = self.rng.exponential(1.0 / self._max_rate)
-        t = self.engine.now + gap
-        if self._until is not None and t >= self._until:
-            return
-        self.engine.schedule(t, EventPriority.JOB_ARRIVAL, self._candidate_arrival)
-
     def _candidate_arrival(self) -> None:
-        now = self.engine.now
-        accept_probability = self.rate_profile.rate(now) / self._max_rate
-        if self.rng.random() < accept_probability:
-            self._emit_job(now)
-        self._schedule_next_candidate()
+        """The accepted candidate's event: emit its job, thin to the next."""
+        self._emit_job(self.engine.now)
+        self.stream.resume(self)
 
     def _emit_job(self, now: float) -> None:
         cores, memory_gb = self.demand.sample(self.rng)
@@ -368,6 +477,7 @@ __all__ = [
     "BurstyRateProfile",
     "ScaledRateProfile",
     "SurgeRateProfile",
+    "ArrivalStream",
     "BatchWorkloadGenerator",
     "SECONDS_PER_HOUR",
     "SECONDS_PER_DAY",

@@ -13,6 +13,9 @@ contracts the array path relies on:
    built-in ``sum``;
 3. RNG batching: every oracle draws its randomness one scalar call at a
    time, in the documented order, where production draws whole batches.
+
+:class:`PerCandidateGenerator` is the arrival path that production's
+thin-ahead stream replaced: one engine event per thinning candidate.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from repro.cluster.group import ServerGroup
 from repro.cluster.power import DVFS_FREQUENCIES
 from repro.monitor.power_monitor import PowerMonitor
 from repro.service.views import jsonsafe
+from repro.sim import testbed
+from repro.sim.events import EventPriority
+from repro.workload.generator import BatchWorkloadGenerator
 
 
 def _live(server) -> bool:
@@ -236,6 +242,44 @@ def set_group_frozen(run, name: str, frozen: bool) -> dict:
         "servers_changed": changed,
         "sim_now": run.engine.now,
     }
+
+
+# ---------------------------------------------------------------------------
+# Batch arrivals
+# ---------------------------------------------------------------------------
+class PerCandidateGenerator(BatchWorkloadGenerator):
+    """Poisson thinning with one engine event per candidate.
+
+    Each generator schedules its own candidates, so generators sharing
+    an rng interleave their draws in engine (time, schedule) order; the
+    arrival stream a production generator joins is ignored.
+    """
+
+    def start(self, until: float) -> None:
+        self._max_rate = self.rate_profile.max_rate
+        if self._max_rate <= 0:
+            return
+        self._until = until
+        self._schedule_next_candidate()
+
+    def _schedule_next_candidate(self) -> None:
+        gap = self.rng.exponential(1.0 / self._max_rate)
+        t = self.engine.now + gap
+        if t >= self._until:
+            return
+        self.engine.schedule(t, EventPriority.JOB_ARRIVAL, self._candidate_arrival)
+
+    def _candidate_arrival(self) -> None:
+        now = self.engine.now
+        accept_probability = self.rate_profile.rate(now) / self._max_rate
+        if self.rng.random() < accept_probability:
+            self._emit_job(now)
+        self._schedule_next_candidate()
+
+
+def use_per_candidate_arrivals(monkeypatch) -> None:
+    """Build every testbed generator as a :class:`PerCandidateGenerator`."""
+    monkeypatch.setattr(testbed, "BatchWorkloadGenerator", PerCandidateGenerator)
 
 
 def use_oracle_loops(monkeypatch) -> None:

@@ -43,6 +43,7 @@ from repro.sim.fleet_experiment import (
     FleetRowSpec,
 )
 from repro.sim.testbed import WorkloadSpec
+from repro.tenancy import TenancyConfig, TenantSpec
 from tests import oracles
 
 
@@ -138,14 +139,15 @@ def test_frame_rejects_version_2_snapshot():
     telemetry registries held counter and gauge instruments instead of
     the components' collectors; version 6 event logs held control events
     as frozen dataclasses and a tenant resolver; version 7 power monitors
-    held IPMI fleets and a stale-reading count. This build refuses all
-    six with the version error."""
+    held IPMI fleets and a stale-reading count; version 8 generators
+    scheduled one engine event per thinning candidate. This build refuses
+    all seven with the version error."""
     experiment = ControlledExperiment(tiny_config())
     experiment.start()
     header, _, payload = experiment.snapshot().partition(b"\n")
     doc = json.loads(header)
-    assert doc["version"] == SNAPSHOT_VERSION == 8
-    for version in (2, 3, 4, 5, 6, 7):
+    assert doc["version"] == SNAPSHOT_VERSION == 9
+    for version in (2, 3, 4, 5, 6, 7, 8):
         old = dict(doc, version=version, meta=dict(doc["meta"]))
         if version == 2:
             old["meta"]["backend"] = "object"
@@ -328,6 +330,40 @@ def test_chaos_snapshot_resume_is_byte_identical(backend):
     resumed = ControlledExperiment.restore(experiment.snapshot()).finish()
     assert result_json_without_config(resumed) == result_json_without_config(
         uninterrupted
+    )
+
+
+def test_tenanted_resume_with_a_pending_accepted_arrival_is_byte_identical():
+    """Three tenant generators share the testbed's workload rng, so one
+    arrival stream has thinned ahead to an accepted job when the frame is
+    taken. The resumed run's frame and result match the uninterrupted
+    twin's byte for byte."""
+    config = tiny_config(
+        tenancy=TenancyConfig(
+            tenants=(
+                TenantSpec("alpha", sla="critical", share=0.2),
+                TenantSpec("bravo", sla="standard", share=0.5),
+                TenantSpec("charlie", sla="batch", share=0.3),
+            )
+        )
+    )
+    twin = ControlledExperiment(config)
+    twin.start()
+    twin.advance(2400.0)
+    twin_frame = twin.snapshot()
+    twin_result = twin.finish()
+
+    experiment = ControlledExperiment(config)
+    experiment.start()
+    experiment.advance(1800.0)
+    stream = experiment.testbed._arrivals
+    assert len(experiment.testbed.generators) == 3
+    assert stream._candidates and stream._cursor > 1800.0  # an accepted job pending
+    resumed = ControlledExperiment.restore(experiment.snapshot())
+    resumed.advance(2400.0)
+    assert resumed.snapshot() == twin_frame
+    assert result_json_without_config(resumed.finish()) == result_json_without_config(
+        twin_result
     )
 
 

@@ -3,16 +3,23 @@
 import numpy as np
 import pytest
 
+from repro.faults.scenario import FaultScenario
 from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
+from repro.sim.experiment import ControlledExperiment, ExperimentConfig
+from repro.sim.testbed import Testbed, WorkloadSpec
+from repro.tenancy import TenancyConfig, TenantSpec
 from repro.workload.generator import (
+    ArrivalStream,
     BatchWorkloadGenerator,
     BurstyRateProfile,
     ConstantRateProfile,
     DiurnalRateProfile,
     ModulatedRateProfile,
+    ScaledRateProfile,
     SECONDS_PER_DAY,
 )
+from tests import oracles
 from tests.conftest import make_servers
 
 
@@ -84,6 +91,13 @@ class TestModulatedProfile:
     def test_piecewise_constant_on_grid(self):
         profile = ModulatedRateProfile(self.base(), 3600.0, seed=1, step_seconds=100.0)
         assert profile.rate(10.0) == profile.rate(90.0)
+
+    def test_grid_index_clamps_at_both_ends(self):
+        profile = ModulatedRateProfile(self.base(), 3600.0, seed=1, step_seconds=100.0)
+        multipliers = profile._multipliers
+        assert profile.rate(-250.0) == 10.0 * multipliers[0]
+        assert profile.rate(1e9) == 10.0 * multipliers[-1]
+        assert profile.rate(350.0) == 10.0 * multipliers[3]
 
     def test_mean_reverts_toward_one(self):
         profile = ModulatedRateProfile(self.base(), 40 * 86400.0, seed=3)
@@ -210,3 +224,205 @@ class TestGenerator:
         first_half = np.sum(arrivals < SECONDS_PER_DAY / 2)  # rising sine
         second_half = len(arrivals) - first_half
         assert first_half > second_half * 1.5
+
+
+# ---------------------------------------------------------------------------
+# Thin-ahead arrival stream against the per-candidate oracle
+# ---------------------------------------------------------------------------
+class _Sink:
+    """A scheduler stand-in that keeps every submitted job."""
+
+    def __init__(self) -> None:
+        self.jobs = []
+
+    def submit(self, job) -> None:
+        self.jobs.append(job)
+
+
+def _job_stream(jobs) -> list:
+    return [
+        (j.job_id, j.arrival_time, j.cores, j.memory_gb, j.work_seconds, j.tenant)
+        for j in jobs
+    ]
+
+
+def _thinned(generator_class, profiles, until, seed=3):
+    """Run one generator per profile, all on one rng and one stream;
+    return the job stream and the rng's final state."""
+    engine = Engine()
+    sink = _Sink()
+    rng = np.random.default_rng(seed)
+    stream = ArrivalStream(engine, rng)
+    for index, profile in enumerate(profiles):
+        generator_class(
+            engine, sink, profile, rng=rng, stream=stream,
+            job_id_offset=index * 1_000_000,
+            tenant=f"tenant-{index}" if len(profiles) > 1 else None,
+        ).start(until)
+    engine.run(until=until)
+    return _job_stream(sink.jobs), rng.bit_generator.state
+
+
+def _bursty(horizon=20_000.0):
+    return BurstyRateProfile(
+        DiurnalRateProfile(0.5, amplitude=0.5, period_seconds=7200.0),
+        horizon,
+        seed=1,
+        bursts_per_day=40.0,
+    )
+
+
+class TestThinAheadMatchesPerCandidate:
+    """The thin-ahead stream consumes the rng exactly as one engine event
+    per candidate did: same jobs, same attributes, same final rng state."""
+
+    @pytest.mark.parametrize(
+        "profiles",
+        [
+            pytest.param(
+                lambda: [DiurnalRateProfile(0.3, amplitude=0.8, period_seconds=5000.0)],
+                id="single",
+            ),
+            pytest.param(lambda: [_bursty()], id="bursty"),
+            pytest.param(
+                lambda: [ScaledRateProfile(_bursty(), f) for f in (0.2, 0.5, 0.3)],
+                id="three-tenants",
+            ),
+        ],
+    )
+    def test_job_stream_and_rng_state_match(self, profiles):
+        fast = _thinned(BatchWorkloadGenerator, profiles(), 20_000.0)
+        oracle = _thinned(oracles.PerCandidateGenerator, profiles(), 20_000.0)
+        assert len(fast[0]) > 1000
+        assert fast == oracle
+
+    @pytest.mark.parametrize("previous_accepted", [True, False])
+    def test_candidate_exactly_at_until_is_dropped_by_both(self, previous_accepted):
+        """``until`` set to a candidate's exact time, the candidate before
+        it accepted (its gap is drawn after its job) or rejected (drawn
+        inside the thinning loop)."""
+        engine = Engine()
+        sink = _Sink()
+        probe = oracles.PerCandidateGenerator(
+            engine, sink, _bursty(), rng=np.random.default_rng(3)
+        )
+        times = []
+        original = probe._candidate_arrival
+
+        def record():
+            times.append(engine.now)
+            original()
+
+        probe._candidate_arrival = record
+        probe.start(20_000.0)
+        engine.run(until=20_000.0)
+        accepted = {job.arrival_time for job in sink.jobs}
+        index = next(
+            i
+            for i in range(len(times) // 2, len(times))
+            if (times[i - 1] in accepted) == previous_accepted
+        )
+        until = times[index]
+        fast = _thinned(BatchWorkloadGenerator, [_bursty()], until)
+        oracle = _thinned(oracles.PerCandidateGenerator, [_bursty()], until)
+        assert fast == oracle
+        assert fast[0][-1][1] < until
+
+    def test_surge_scenario_experiment_matches(self, monkeypatch):
+        """Tenant and row surges from a fault scenario, three tenants on
+        the testbed's shared workload rng, through a whole run."""
+
+        def jobs_of(per_candidate: bool):
+            with monkeypatch.context() as patch:
+                if per_candidate:
+                    oracles.use_per_candidate_arrivals(patch)
+                run = ControlledExperiment(
+                    ExperimentConfig(
+                        n_servers=40,
+                        duration_hours=1.0,
+                        warmup_hours=0.25,
+                        workload=WorkloadSpec.typical(),
+                        tenancy=TenancyConfig(
+                            tenants=(
+                                TenantSpec("alpha", share=0.2),
+                                TenantSpec("bravo", share=0.5),
+                                TenantSpec("charlie", share=0.3),
+                            )
+                        ),
+                        faults=FaultScenario(
+                            name="surges",
+                            surges=((1500.0, 1200.0, 3.0),),
+                            tenant_surges=(("bravo", 2000.0, 900.0, 2.0),),
+                        ),
+                        seed=11,
+                    )
+                )
+                run.start()
+                assert (run.injector.surges_applied, run.injector.tenant_surges_applied) == (1, 1)
+                jobs = []
+                for generator in run.testbed.generators:
+                    generator.listeners.append(jobs.append)
+                run.finish()
+                return _job_stream(jobs), run.testbed._workload_rng.bit_generator.state
+
+        fast = jobs_of(per_candidate=False)
+        assert len({job[-1] for job in fast[0]}) == 3
+        assert fast == jobs_of(per_candidate=True)
+
+    def test_warm_up_then_fresh_start_on_the_same_rng(self, monkeypatch):
+        def jobs_of(per_candidate: bool):
+            with monkeypatch.context() as patch:
+                if per_candidate:
+                    oracles.use_per_candidate_arrivals(patch)
+                testbed = Testbed(n_servers=40, seed=4)
+                jobs = []
+                testbed.warm_up(WorkloadSpec.typical(), seconds=1800.0)
+                testbed.generators[0].listeners.append(jobs.append)
+                generator = testbed.add_batch_workload(WorkloadSpec.heavy(), 5400.0)
+                generator.listeners.append(jobs.append)
+                generator.start(5400.0)
+                testbed.run(until=5400.0)
+                return _job_stream(jobs), testbed._workload_rng.bit_generator.state
+
+        fast = jobs_of(per_candidate=False)
+        assert fast[0] and fast[0][0][1] >= 1800.0
+        assert fast == jobs_of(per_candidate=True)
+
+
+class TestArrivalStream:
+    def test_one_pending_event_per_stream(self):
+        engine = Engine()
+        rng = np.random.default_rng(0)
+        stream = ArrivalStream(engine, rng)
+        for share in (0.2, 0.5, 0.3):
+            BatchWorkloadGenerator(
+                engine, _Sink(), ScaledRateProfile(_bursty(), share),
+                rng=rng, stream=stream,
+            ).start(20_000.0)
+        assert engine.pending_count() == 1
+        engine.run(until=5000.0)
+        assert engine.pending_count() == 1
+
+    def test_joining_a_stream_that_thinned_ahead_raises(self):
+        engine = Engine()
+        rng = np.random.default_rng(0)
+        stream = ArrivalStream(engine, rng)
+        sink = _Sink()
+        BatchWorkloadGenerator(
+            engine, sink, _bursty(), rng=rng, stream=stream
+        ).start(20_000.0)
+        engine.run(until=100.0)  # the next accepted arrival lies ahead
+        late = BatchWorkloadGenerator(engine, sink, _bursty(), rng=rng, stream=stream)
+        state = rng.bit_generator.state
+        with pytest.raises(RuntimeError, match="thinned ahead"):
+            late.start(20_000.0)
+        assert rng.bit_generator.state == state
+
+    def test_shared_stream_must_be_on_the_generators_rng(self):
+        engine = Engine()
+        stream = ArrivalStream(engine, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="same engine and rng"):
+            BatchWorkloadGenerator(
+                engine, _Sink(), ConstantRateProfile(1.0),
+                rng=np.random.default_rng(0), stream=stream,
+            )

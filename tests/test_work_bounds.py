@@ -37,21 +37,25 @@ from typing import List
 import numpy as np
 import pytest
 
+from repro.cluster.capping import CappingEngine
 from repro.cluster.datacenter import build_row
+from repro.cluster.group import ServerGroup
 from repro.cluster.power import PowerModelParams
 from repro.cluster.server import Server
 from repro.cluster.state import ClusterState
 from repro.core.policy import plan_freeze_set
-from repro.core.safety import SafetyConfig
+from repro.core.safety import SafetyConfig, SafetySupervisor
 from repro.fleet import FleetConfig
 from repro.fleet.coordinator import FleetCoordinator
 from repro.monitor.power_monitor import PowerMonitor
+from repro.scheduler.omega import OmegaScheduler
 from repro.service import views
 from repro.service.driver import RealTimeDriver
 from repro.service.supervisor import DriverSupervisor, SupervisorConfig
 from repro.service.wal import ActWal, apply_act
 from repro.sim.audit import AuditorConfig, StateAuditor
 from repro.sim.engine import Engine
+from repro.sim.events import EventPriority
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.fleet_experiment import (
     FleetExperiment,
@@ -74,6 +78,7 @@ from repro.tenancy import (
     TenantSpec,
     assign_to_tenants,
 )
+from tests.conftest import make_servers
 
 
 class Work:
@@ -737,3 +742,95 @@ def test_group_act_calls_are_flat_in_servers():
     large, large_changed = _group_act_work(800)
     assert (small_changed, large_changed) == ([40, 40], [400, 400])
     assert small.calls == large.calls
+
+
+# ----------------------------------------------------------------------
+# Batch arrivals
+# ----------------------------------------------------------------------
+def _arrival_events(tenancy=None) -> tuple:
+    """Run a 40-server bursty row for 2 h; return the ``JOB_ARRIVAL``
+    events its engine scheduled and the jobs its generators made."""
+    run = ControlledExperiment(
+        ExperimentConfig(
+            n_servers=40,
+            duration_hours=1.5,
+            warmup_hours=0.5,
+            workload=WorkloadSpec(
+                target_utilization=0.2, bursts_per_day=48.0, burst_factor=3.0
+            ),
+            tenancy=tenancy,
+            seed=9,
+        )
+    )
+    engine = run.engine
+    schedule = engine.schedule
+    arrivals = [0]
+
+    def counted(time, priority, callback, *args):
+        if priority == EventPriority.JOB_ARRIVAL:
+            arrivals[0] += 1
+        return schedule(time, priority, callback, *args)
+
+    engine.schedule = counted
+    run.run()
+    return arrivals[0], sum(g.jobs_generated for g in run.testbed.generators)
+
+
+@pytest.mark.parametrize(
+    "tenancy",
+    [
+        pytest.param(None, id="single"),
+        pytest.param(
+            TenancyConfig(
+                tenants=(
+                    TenantSpec("alpha", share=0.2),
+                    TenantSpec("bravo", share=0.5),
+                    TenantSpec("charlie", share=0.3),
+                )
+            ),
+            id="three-tenants",
+        ),
+    ],
+)
+def test_arrival_engine_events_equal_accepted_jobs(tenancy):
+    """Rejected thinning candidates cost rng draws, never engine events:
+    a row's one arrival stream schedules one event per accepted job plus
+    at most one start event, however many generators share its rng."""
+    arrivals, jobs = _arrival_events(tenancy)
+    assert jobs > 500
+    assert jobs <= arrivals <= jobs + 1
+
+
+# ----------------------------------------------------------------------
+# Safety ladder release
+# ----------------------------------------------------------------------
+def _release_reads(n_servers: int) -> int:
+    """Hold ``n_servers`` in a supervisor's freeze, release them, and
+    return the frozen-set reads the release made."""
+    engine = Engine()
+    servers = make_servers(n_servers)
+    scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(0))
+    group = ServerGroup("row", servers)
+    group.power_budget_watts = 1000.0 * n_servers
+    supervisor = SafetySupervisor(
+        engine, group, scheduler, CappingEngine(group, engine)
+    )
+    supervisor._freeze_all()
+    assert len(scheduler.frozen_server_ids()) == n_servers
+    reads = [0]
+    frozen_server_ids = scheduler.frozen_server_ids
+
+    def counted():
+        reads[0] += 1
+        return frozen_server_ids()
+
+    scheduler.frozen_server_ids = counted
+    supervisor._release_freezes()
+    assert not frozen_server_ids()
+    return reads[0]
+
+
+def test_safety_release_reads_the_frozen_set_once():
+    """Releasing the ladder's freezes copies the scheduler's frozen set
+    once, not once per held server (which made a release quadratic)."""
+    assert _release_reads(20) == _release_reads(400) == 1
