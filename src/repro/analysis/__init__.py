@@ -23,11 +23,9 @@ from repro.analysis.ascii_plots import (
 )
 from repro.analysis.bootstrap import (
     ConfidenceInterval,
-    bootstrap_ci,
     gtpw_ci,
     throughput_ratio_ci,
 )
-from repro.analysis.model import CapacityModel
 
 # NOTE: repro.analysis.serialize is intentionally NOT imported here: it
 # depends on repro.sim.experiment, which itself imports this package --
@@ -52,8 +50,6 @@ __all__ = [
     "sparkline",
     "sparkline_with_scale",
     "ConfidenceInterval",
-    "bootstrap_ci",
     "gtpw_ci",
     "throughput_ratio_ci",
-    "CapacityModel",
 ]

@@ -9,7 +9,7 @@ same demand minute by minute -- resampling minutes keeps that coupling).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,35 +31,6 @@ class ConfidenceInterval:
     @property
     def width(self) -> float:
         return self.high - self.low
-
-
-def bootstrap_ci(
-    samples: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.mean,
-    n_resamples: int = 2000,
-    confidence: float = 0.95,
-    rng: Optional[np.random.Generator] = None,
-) -> ConfidenceInterval:
-    """Percentile bootstrap CI of ``statistic`` over ``samples``."""
-    data = np.asarray(samples, dtype=float)
-    if data.size < 2:
-        raise ValueError("bootstrap needs at least two samples")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if n_resamples < 100:
-        raise ValueError(f"n_resamples must be >= 100, got {n_resamples}")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    stats = np.empty(n_resamples)
-    n = data.size
-    for i in range(n_resamples):
-        stats[i] = statistic(data[rng.integers(0, n, size=n)])
-    alpha = (1.0 - confidence) / 2.0
-    return ConfidenceInterval(
-        point=float(statistic(data)),
-        low=float(np.percentile(stats, 100 * alpha)),
-        high=float(np.percentile(stats, 100 * (1 - alpha))),
-        confidence=confidence,
-    )
 
 
 def throughput_ratio_ci(
@@ -115,4 +86,4 @@ def gtpw_ci(
     )
 
 
-__all__ = ["ConfidenceInterval", "bootstrap_ci", "throughput_ratio_ci", "gtpw_ci"]
+__all__ = ["ConfidenceInterval", "throughput_ratio_ci", "gtpw_ci"]

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.analysis.metrics import GroupRunSummary
 from repro.durability.atomic import atomic_write_text
-from repro.sim.campaign import CampaignCell, CampaignResult, CampaignRow
+from repro.sim.campaign import CampaignCell, CampaignRow
 from repro.sim.experiment import ExperimentResult, GroupOutcome
 from repro.sim.testbed import WorkloadSpec
 
@@ -230,21 +230,6 @@ def campaign_rows_to_dicts(rows: Iterable[CampaignRow]) -> List[Dict[str, Any]]:
     return [campaign_row_to_dict(row) for row in rows]
 
 
-def save_campaign_json(
-    result: CampaignResult, path: Union[str, Path]
-) -> None:
-    """Archive a campaign's rows (full cells, reconstructable; atomic)."""
-    atomic_write_text(path, json.dumps(campaign_rows_to_dicts(result.rows), indent=2))
-
-
-def load_campaign_result(path: Union[str, Path]) -> CampaignResult:
-    """Rebuild a :class:`CampaignResult` from :func:`save_campaign_json`
-    output; unlike experiment series, rows are small enough to revive."""
-    with open(path) as handle:
-        docs = json.load(handle)
-    return CampaignResult(rows=[campaign_row_from_dict(doc) for doc in docs])
-
-
 __all__ = [
     "fleet_result_to_dict",
     "result_to_dict",
@@ -257,6 +242,4 @@ __all__ = [
     "campaign_row_to_dict",
     "campaign_row_from_dict",
     "campaign_rows_to_dicts",
-    "save_campaign_json",
-    "load_campaign_result",
 ]

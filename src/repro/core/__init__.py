@@ -20,9 +20,6 @@ from repro.core.demand import (
 from repro.core.rhc import (
     spcp_optimal_ratio,
     pcp_optimal_sequence,
-    pcp_cost,
-    spcp_optimal_ratio_nonlinear,
-    simulate_power_trajectory,
 )
 from repro.core.policy import FreezePlan, plan_freeze_set
 from repro.core.safety import (
@@ -47,9 +44,6 @@ __all__ = [
     "EwmaDemandEstimator",
     "spcp_optimal_ratio",
     "pcp_optimal_sequence",
-    "pcp_cost",
-    "spcp_optimal_ratio_nonlinear",
-    "simulate_power_trajectory",
     "FreezePlan",
     "plan_freeze_set",
 ]

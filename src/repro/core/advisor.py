@@ -22,7 +22,7 @@ The advisor picks the largest candidate ratio whose scaled
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,12 +47,6 @@ class ProvisioningAdvice:
 
     recommended_ratio: float
     assessments: Tuple[RatioAssessment, ...]
-
-    def assessment_for(self, ratio: float) -> RatioAssessment:
-        for assessment in self.assessments:
-            if abs(assessment.ratio - ratio) < 1e-12:
-                return assessment
-        raise KeyError(f"ratio {ratio} was not assessed")
 
 
 def assess_ratio(
@@ -126,117 +120,9 @@ def recommend_over_provision_ratio(
     )
 
 
-@dataclass(frozen=True)
-class FleetProvisioningAdvice:
-    """Facility-level provisioning advice: static split vs shared budget.
-
-    ``per_row`` holds the ordinary single-row advice for each row.
-    ``independent_ratio`` is the facility-effective r_O when every row
-    keeps its own recommendation under a static budget split;
-    ``pooled_advice`` re-runs the advisor on the budget-weighted *sum*
-    of the row histories -- the series a fleet coordinator that conserves
-    the facility total effectively provisions against. The gap between
-    the two, ``coordination_gain``, is the extra over-provisioning
-    statistical multiplexing buys: row peaks that do not coincide cancel
-    in the pooled series, so its tail is thinner than any single row's.
-    """
-
-    per_row: Dict[str, ProvisioningAdvice]
-    independent_ratio: float
-    pooled_advice: ProvisioningAdvice
-    coordination_gain: float
-
-    @property
-    def pooled_ratio(self) -> float:
-        return self.pooled_advice.recommended_ratio
-
-
-def recommend_fleet_provisioning(
-    row_histories: Mapping[str, Sequence[float]],
-    row_budgets: Optional[Mapping[str, float]] = None,
-    candidate_ratios: Sequence[float] = (0.13, 0.17, 0.21, 0.25),
-    target_percentile: float = 95.0,
-    percentile_headroom: float = 0.97,
-    max_fraction_over_budget: float = 0.002,
-    control_threshold: float = 0.975,
-) -> FleetProvisioningAdvice:
-    """Advise r_O for a multi-row fleet, with and without coordination.
-
-    ``row_histories`` maps row name -> normalized power history recorded
-    under rated provisioning (r_O = 0), all sampled on the same grid.
-    ``row_budgets`` weighs rows by rated power (equal weights when
-    omitted): the pooled facility series is the weighted mean of the row
-    series, i.e. facility power normalized to the facility rating.
-
-    The *independent* number composes per-row recommendations the way a
-    static split does. Scaling row ``i``'s budget by ``1/(1 + r_i)``
-    shrinks the facility budget to ``sum(w_i / (1 + r_i))``, so the
-    facility-effective ratio is ``sum(w_i) / sum(w_i / (1 + r_i)) - 1``
-    -- a budget-weighted harmonic composition, dominated by the most
-    conservative large row. The *pooled* number asks what a coordinator
-    free to move budget between rows could run the whole facility at.
-    """
-    if not row_histories:
-        raise ValueError("need at least one row history")
-    names = sorted(row_histories)
-    histories = {
-        name: np.asarray(row_histories[name], dtype=float) for name in names
-    }
-    lengths = {name: h.size for name, h in histories.items()}
-    if len(set(lengths.values())) != 1:
-        raise ValueError(
-            f"row histories must be sampled on the same grid, got {lengths}"
-        )
-    if row_budgets is None:
-        weights = {name: 1.0 for name in names}
-    else:
-        missing = [n for n in names if n not in row_budgets]
-        if missing:
-            raise ValueError(f"row_budgets missing rows {missing}")
-        weights = {name: float(row_budgets[name]) for name in names}
-        if any(w <= 0 for w in weights.values()):
-            raise ValueError("row budgets must be positive")
-    total_weight = sum(weights.values())
-    per_row = {
-        name: recommend_over_provision_ratio(
-            histories[name],
-            candidate_ratios=candidate_ratios,
-            target_percentile=target_percentile,
-            percentile_headroom=percentile_headroom,
-            max_fraction_over_budget=max_fraction_over_budget,
-            control_threshold=control_threshold,
-        )
-        for name in names
-    }
-    shrunk = sum(
-        weights[name] / (1.0 + per_row[name].recommended_ratio)
-        for name in names
-    )
-    independent_ratio = total_weight / shrunk - 1.0
-    pooled_history = (
-        sum(weights[name] * histories[name] for name in names) / total_weight
-    )
-    pooled_advice = recommend_over_provision_ratio(
-        pooled_history,
-        candidate_ratios=candidate_ratios,
-        target_percentile=target_percentile,
-        percentile_headroom=percentile_headroom,
-        max_fraction_over_budget=max_fraction_over_budget,
-        control_threshold=control_threshold,
-    )
-    return FleetProvisioningAdvice(
-        per_row=per_row,
-        independent_ratio=independent_ratio,
-        pooled_advice=pooled_advice,
-        coordination_gain=pooled_advice.recommended_ratio - independent_ratio,
-    )
-
-
 __all__ = [
     "RatioAssessment",
     "ProvisioningAdvice",
-    "FleetProvisioningAdvice",
     "assess_ratio",
     "recommend_over_provision_ratio",
-    "recommend_fleet_provisioning",
 ]

@@ -21,8 +21,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 #: Default slope of f(u) = k_r * u, calibrated on this repository's
-#: simulator via the Figure 5 experiment (examples/calibrate_freeze_model.py
-#: regenerates it). Normalized power reduction per unit freezing ratio per
+#: simulator via the Figure 5 experiment (``ampere-repro calibrate`` runs
+#: it). Normalized power reduction per unit freezing ratio per
 #: one-minute interval. The paper's production fit is larger (~0.1-0.2)
 #: because its job churn is faster; only the feedback loop's gain depends
 #: on it, and RHC absorbs the difference.

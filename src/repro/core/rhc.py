@@ -12,15 +12,16 @@ empirically linear freeze effect ``f(u) = k_r * u`` the problem reduces
     u_t = max(min((P_t + E_t - P_M) / k_r, 1.0), 0.0)        (Eq. 13)
 
 Both the closed-form SPCP and the iterated-SPCP construction of the
-optimal PCP sequence are implemented here, plus a bisection-based variant
-for non-linear monotone ``f`` (the paper notes PCP does not require
-linearity).
+optimal PCP sequence are implemented here. ``tests/oracles.py`` holds the
+references they are checked against: the PCP cost, the Eq. 8 power
+trajectory and a bisection SPCP for any monotone ``f`` (the paper notes
+PCP does not require linearity).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 
 def spcp_optimal_ratio(
@@ -99,67 +100,8 @@ def pcp_optimal_sequence(
     return controls
 
 
-def pcp_cost(controls: Sequence[float]) -> float:
-    """The PCP cost function C(U_t) = sum of freezing ratios (Eq. 2)."""
-    return float(sum(controls))
-
-
-def simulate_power_trajectory(
-    p_t: float,
-    e_sequence: Sequence[float],
-    controls: Sequence[float],
-    k_r: float,
-) -> List[float]:
-    """Power trajectory P_{t+1..t+N} under the PCP dynamics (Eq. 8)."""
-    if len(e_sequence) != len(controls):
-        raise ValueError(
-            f"length mismatch: {len(e_sequence)} demands vs {len(controls)} controls"
-        )
-    trajectory: List[float] = []
-    power = p_t
-    for e_k, u_k in zip(e_sequence, controls):
-        if not 0.0 <= u_k <= 1.0:
-            raise ValueError(f"control {u_k} outside [0, 1]")
-        power = power + e_k - k_r * u_k
-        trajectory.append(power)
-    return trajectory
-
-
-def spcp_optimal_ratio_nonlinear(
-    p_t: float,
-    e_t: float,
-    f: Callable[[float], float],
-    p_m: float = 1.0,
-    u_max: float = 1.0,
-    tolerance: float = 1e-9,
-) -> float:
-    """SPCP solution for a general monotone non-decreasing freeze effect.
-
-    Finds the smallest ``u`` in ``[0, u_max]`` with
-    ``p_t + e_t - f(u) <= p_m`` by bisection; returns ``u_max`` when even
-    maximal freezing cannot satisfy the constraint (the controller then
-    saturates, exactly as with the paper's 50% limit in Figure 10b).
-    """
-    required = p_t + e_t - p_m
-    if required <= 0.0:
-        return 0.0
-    if f(u_max) < required - tolerance:
-        return u_max
-    lo, hi = 0.0, u_max
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= required:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 __all__ = [
     "spcp_optimal_ratio",
     "threshold_ratio",
     "pcp_optimal_sequence",
-    "pcp_cost",
-    "simulate_power_trajectory",
-    "spcp_optimal_ratio_nonlinear",
 ]

@@ -68,40 +68,6 @@ class TimeSeries:
     def times(self) -> np.ndarray:
         return np.asarray(self._times, dtype=float)
 
-    def resample(
-        self, bucket_seconds: float, aggregate: str = "mean"
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Roll the series up into fixed time buckets.
-
-        Buckets are aligned to multiples of ``bucket_seconds``; the
-        returned timestamps are bucket starts and empty buckets are
-        omitted. ``aggregate`` is ``"mean"``, ``"max"``, ``"min"`` or
-        ``"sum"`` -- the rollups a dashboard (or the Figure 9 analysis)
-        needs.
-        """
-        if bucket_seconds <= 0:
-            raise ValueError(f"bucket_seconds must be positive, got {bucket_seconds}")
-        reducers = {"mean": np.mean, "max": np.max, "min": np.min, "sum": np.sum}
-        if aggregate not in reducers:
-            raise ValueError(
-                f"aggregate must be one of {sorted(reducers)}, got {aggregate!r}"
-            )
-        if not self._times:
-            return np.empty(0), np.empty(0)
-        times = self.times()
-        values = self.values()
-        buckets = np.floor(times / bucket_seconds).astype(np.int64)
-        reduce = reducers[aggregate]
-        out_times = []
-        out_values = []
-        start = 0
-        for i in range(1, len(buckets) + 1):
-            if i == len(buckets) or buckets[i] != buckets[start]:
-                out_times.append(buckets[start] * bucket_seconds)
-                out_values.append(reduce(values[start:i]))
-                start = i
-        return np.asarray(out_times, dtype=float), np.asarray(out_values, dtype=float)
-
 
 class TimeSeriesDatabase:
     """A collection of named :class:`TimeSeries`.

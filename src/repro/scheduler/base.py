@@ -32,11 +32,6 @@ class SchedulerStats:
     #: placements broken down by product tag
     placed_by_product: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def queued(self) -> int:
-        """Jobs submitted but not yet placed."""
-        return self.submitted - self.placed
-
     def record_placement(self, job: Job) -> None:
         self.placed += 1
         self.placed_by_product[job.product] = (

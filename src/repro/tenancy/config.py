@@ -21,7 +21,7 @@ random stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, Sequence, Tuple
 
 #: recognized SLA classes, most to least freeze-averse
 SLA_CLASSES = ("critical", "standard", "batch")
@@ -86,12 +86,6 @@ class TenancyConfig:
     @property
     def names(self) -> Tuple[str, ...]:
         return tuple(t.name for t in self.tenants)
-
-    def spec(self, name: str) -> TenantSpec:
-        for tenant in self.tenants:
-            if tenant.name == name:
-                return tenant
-        raise KeyError(f"unknown tenant {name!r}")
 
     def weights(self) -> Dict[str, float]:
         """Fairness weight per tenant (share x SLA freeze tolerance)."""

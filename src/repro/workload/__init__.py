@@ -1,11 +1,11 @@
 """Workload substrate: batch jobs, interactive services and generators.
 
-The generators are calibrated to the distributions the paper publishes:
-job durations match Figure 7 (mean ~9 minutes, ~40% under 2 minutes),
-diurnal row power matches Figure 8, and minute-scale power changes match
-Figure 9. Interactive services reproduce the Redis benchmark of Figure 11
-as a queueing model whose service rate scales with the server's DVFS
-frequency.
+The generators are calibrated to the distributions the paper publishes.
+Job durations match Figure 7 (mean ~9 minutes, ~40% under 2 minutes).
+Row power varies less than in Figures 8 and 9; DESIGN.md gives the
+measured gaps. Interactive services reproduce the Redis benchmark of
+Figure 11 as a queueing model whose service rate scales with the
+server's DVFS frequency.
 """
 
 from repro.workload.job import Job

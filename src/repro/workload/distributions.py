@@ -87,24 +87,6 @@ class JobDurationDistribution:
         """Monte-Carlo mean of the clipped distribution."""
         return float(np.mean(self.sample(rng, n)))
 
-    def mean_analytic(self) -> float:
-        """Analytic clipped-lognormal mean in seconds.
-
-        E[min(X, b)] for X ~ LN(mu, sigma) via the partial-expectation
-        formula; the lower clip's effect is negligible for realistic
-        minima and is ignored.
-        """
-        mu, sigma = self.log_mu_minutes, self.log_sigma
-        b = self.max_seconds / 60.0
-        z = (math.log(b) - mu) / sigma
-
-        def phi(x: float) -> float:
-            return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-        body = math.exp(mu + sigma * sigma / 2.0) * phi(z - sigma)
-        tail = b * (1.0 - phi(z))
-        return (body + tail) * 60.0
-
 
 @dataclass(frozen=True)
 class ResourceDemandDistribution:

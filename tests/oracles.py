@@ -16,11 +16,16 @@ contracts the array path relies on:
 
 :class:`PerCandidateGenerator` is the arrival path that production's
 thin-ahead stream replaced: one engine event per thinning candidate.
+
+The PCP references at the end (:func:`pcp_cost`,
+:func:`simulate_power_trajectory`, :func:`spcp_optimal_ratio_nonlinear`)
+are what ``tests/test_rhc.py`` and ``tests/test_properties.py`` check
+the controller's closed-form SPCP and iterated PCP against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -306,3 +311,62 @@ def use_oracle_loops(monkeypatch) -> None:
         "_slam_victims",
     ):
         monkeypatch.setattr(CappingEngine, name, getattr(OracleCappingEngine, name))
+
+
+# ---------------------------------------------------------------------------
+# PCP references (Section 3.6)
+# ---------------------------------------------------------------------------
+def pcp_cost(controls: Sequence[float]) -> float:
+    """The PCP cost function C(U_t) = sum of freezing ratios (Eq. 2)."""
+    return float(sum(controls))
+
+
+def simulate_power_trajectory(
+    p_t: float,
+    e_sequence: Sequence[float],
+    controls: Sequence[float],
+    k_r: float,
+) -> List[float]:
+    """Power trajectory P_{t+1..t+N} under the PCP dynamics (Eq. 8)."""
+    if len(e_sequence) != len(controls):
+        raise ValueError(
+            f"length mismatch: {len(e_sequence)} demands vs {len(controls)} controls"
+        )
+    trajectory: List[float] = []
+    power = p_t
+    for e_k, u_k in zip(e_sequence, controls):
+        if not 0.0 <= u_k <= 1.0:
+            raise ValueError(f"control {u_k} outside [0, 1]")
+        power = power + e_k - k_r * u_k
+        trajectory.append(power)
+    return trajectory
+
+
+def spcp_optimal_ratio_nonlinear(
+    p_t: float,
+    e_t: float,
+    f: Callable[[float], float],
+    p_m: float = 1.0,
+    u_max: float = 1.0,
+    tolerance: float = 1e-9,
+) -> float:
+    """SPCP solution for a general monotone non-decreasing freeze effect.
+
+    Finds the smallest ``u`` in ``[0, u_max]`` with
+    ``p_t + e_t - f(u) <= p_m`` by bisection; returns ``u_max`` when even
+    maximal freezing cannot satisfy the constraint (the controller then
+    saturates, exactly as with the paper's 50% limit in Figure 10b).
+    """
+    required = p_t + e_t - p_m
+    if required <= 0.0:
+        return 0.0
+    if f(u_max) < required - tolerance:
+        return u_max
+    lo, hi = 0.0, u_max
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if f(mid) >= required:
+            hi = mid
+        else:
+            lo = mid
+    return hi

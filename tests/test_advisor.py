@@ -52,9 +52,6 @@ class TestRecommendation:
     def test_assessments_cover_all_candidates(self):
         advice = recommend_over_provision_ratio(history(), candidate_ratios=(0.1, 0.2))
         assert {a.ratio for a in advice.assessments} == {0.1, 0.2}
-        assert advice.assessment_for(0.1).ratio == 0.1
-        with pytest.raises(KeyError):
-            advice.assessment_for(0.5)
 
     def test_larger_ratio_never_safer(self):
         advice = recommend_over_provision_ratio(history(mean=0.78))
@@ -107,80 +104,3 @@ class TestRecommendation:
             )
         ).run()
         assert check.experiment.summary.violations == 0
-
-
-class TestFleetProvisioning:
-    """Facility-level advice: static split vs pooled (coordinated) budget."""
-
-    def anti_correlated_rows(self, n=5000):
-        rng = np.random.default_rng(2)
-        phase = np.linspace(0.0, 6 * np.pi, n)
-        swing = 0.09 * np.sin(phase) + rng.normal(0.0, 0.01, size=n)
-        hot = np.clip(0.76 + swing, 0.0, 1.5)
-        cold = np.clip(0.76 - swing, 0.0, 1.5)
-        return {"row-0": hot, "row-1": cold}
-
-    def test_identical_rows_have_no_coordination_gain(self):
-        from repro.core.advisor import recommend_fleet_provisioning
-
-        series = history(mean=0.70, std=0.02)
-        advice = recommend_fleet_provisioning(
-            {"row-0": series, "row-1": series.copy()}
-        )
-        solo = recommend_over_provision_ratio(series)
-        assert advice.pooled_ratio == solo.recommended_ratio
-        assert advice.independent_ratio == pytest.approx(
-            solo.recommended_ratio
-        )
-        assert advice.coordination_gain == pytest.approx(0.0)
-
-    def test_anti_correlated_rows_reward_coordination(self):
-        """Row peaks that cancel thin the pooled tail, so the shared
-        budget supports a larger r_O than the static split."""
-        from repro.core.advisor import recommend_fleet_provisioning
-
-        advice = recommend_fleet_provisioning(self.anti_correlated_rows())
-        assert advice.pooled_ratio > advice.independent_ratio
-        assert advice.coordination_gain > 0.0
-
-    def test_independent_ratio_is_weighted_harmonic_composition(self):
-        from repro.core.advisor import recommend_fleet_provisioning
-
-        histories = {
-            "big": history(mean=0.65, std=0.01),   # supports 0.25
-            "small": history(mean=0.84, std=0.01),  # forced to 0.13
-        }
-        budgets = {"big": 3000.0, "small": 1000.0}
-        advice = recommend_fleet_provisioning(histories, row_budgets=budgets)
-        r_big = advice.per_row["big"].recommended_ratio
-        r_small = advice.per_row["small"].recommended_ratio
-        expected = 4000.0 / (3000.0 / (1 + r_big) + 1000.0 / (1 + r_small)) - 1
-        assert advice.independent_ratio == pytest.approx(expected)
-        assert r_big > r_small
-
-    def test_mismatched_grids_rejected(self):
-        from repro.core.advisor import recommend_fleet_provisioning
-
-        with pytest.raises(ValueError, match="same grid"):
-            recommend_fleet_provisioning(
-                {"a": history(n=5000), "b": history(n=4000)}
-            )
-
-    def test_missing_or_bad_budgets_rejected(self):
-        from repro.core.advisor import recommend_fleet_provisioning
-
-        series = history()
-        with pytest.raises(ValueError, match="missing rows"):
-            recommend_fleet_provisioning(
-                {"a": series, "b": series}, row_budgets={"a": 1.0}
-            )
-        with pytest.raises(ValueError, match="positive"):
-            recommend_fleet_provisioning(
-                {"a": series}, row_budgets={"a": 0.0}
-            )
-
-    def test_empty_fleet_rejected(self):
-        from repro.core.advisor import recommend_fleet_provisioning
-
-        with pytest.raises(ValueError, match="at least one row"):
-            recommend_fleet_provisioning({})

@@ -5,45 +5,9 @@ import pytest
 
 from repro.analysis.bootstrap import (
     ConfidenceInterval,
-    bootstrap_ci,
     gtpw_ci,
     throughput_ratio_ci,
 )
-
-
-class TestBootstrapCi:
-    def test_covers_true_mean(self, rng):
-        samples = rng.normal(10.0, 2.0, size=500)
-        ci = bootstrap_ci(samples, rng=rng)
-        assert 10.0 in ci
-        assert ci.low < ci.point < ci.high
-
-    def test_width_shrinks_with_sample_size(self, rng):
-        small = bootstrap_ci(rng.normal(0, 1, 50), rng=np.random.default_rng(1))
-        large = bootstrap_ci(rng.normal(0, 1, 5000), rng=np.random.default_rng(1))
-        assert large.width < small.width
-
-    def test_custom_statistic(self, rng):
-        samples = rng.exponential(1.0, size=2000)
-        ci = bootstrap_ci(samples, statistic=np.median, rng=rng)
-        assert np.log(2) in ci  # exponential median
-
-    def test_higher_confidence_wider(self, rng):
-        samples = rng.normal(0, 1, 300)
-        narrow = bootstrap_ci(samples, confidence=0.8, rng=np.random.default_rng(2))
-        wide = bootstrap_ci(samples, confidence=0.99, rng=np.random.default_rng(2))
-        assert wide.width > narrow.width
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"confidence": 0.0}, {"confidence": 1.0}, {"n_resamples": 10}]
-    )
-    def test_validation(self, rng, kwargs):
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0, 2.0, 3.0], **kwargs)
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0])
 
 
 class TestThroughputRatioCi:

@@ -144,6 +144,16 @@ class TestExecution:
         assert code == 0
         assert "r_O" in capsys.readouterr().out
 
+    def test_calibrate_command_runs(self, capsys):
+        code = main(["calibrate", "--servers", "40", "--hours", "0.2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        header, _, *bins = out.split("\n\n")[0].splitlines()
+        assert header.split() == ["u", "p25", "median", "p75"]
+        assert bins  # at least one freezing-ratio bin was probed
+        k_r = float(out.rsplit("k_r = ", 1)[1])
+        assert 0.0 < k_r < 1.0
+
     def test_trace_command_runs(self, capsys):
         code = main(["trace", "--rows", "2", "--days", "0.05"])
         assert code == 0

@@ -1,21 +1,16 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.metrics import count_violations, gain_in_tpw
 from repro.core.policy import plan_freeze_set
-from repro.core.rhc import (
-    pcp_optimal_sequence,
-    simulate_power_trajectory,
-    spcp_optimal_ratio,
-    spcp_optimal_ratio_nonlinear,
-)
+from repro.core.rhc import pcp_optimal_sequence, spcp_optimal_ratio
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
 from repro.workload.interactive import lindley_waits
+from tests.oracles import simulate_power_trajectory, spcp_optimal_ratio_nonlinear
 
 # ---------------------------------------------------------------------------
 # SPCP / PCP invariants
@@ -253,65 +248,6 @@ def test_gtpw_bounded_by_r_o(r_t, r_o):
     g = gain_in_tpw(r_t, r_o)
     assert g <= r_o + 1e-12
     assert g >= -1.0
-
-
-# ---------------------------------------------------------------------------
-# Capacity model round trips
-# ---------------------------------------------------------------------------
-
-
-@given(st.floats(0.0, 0.9), st.floats(0.0, 0.5))
-@settings(max_examples=100)
-def test_capacity_model_inverse(utilization, r_o):
-    from repro.analysis.model import CapacityModel
-
-    model = CapacityModel()
-    p = model.predicted_power(utilization, r_o)
-    recovered = model.utilization_for_power(p, r_o)
-    # Saturation at util+background >= 1 loses information; below it the
-    # mapping is a bijection.
-    if utilization + model.background_utilization < 1.0:
-        assert abs(recovered - utilization) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# TSDB resampling conservation
-# ---------------------------------------------------------------------------
-
-
-@given(
-    st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=100),
-    st.floats(1.0, 500.0),
-)
-@settings(max_examples=100)
-def test_resample_sum_conserved(values, bucket):
-    from repro.monitor.tsdb import TimeSeries
-
-    series = TimeSeries("s")
-    for i, v in enumerate(values):
-        series.append(float(i), v)
-    _, sums = series.resample(bucket, "sum")
-    # Equal up to float summation-order error.
-    assert float(np.sum(sums)) == pytest.approx(float(np.sum(values)), abs=1e-6)
-
-
-@given(
-    st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=100),
-    st.floats(1.0, 500.0),
-)
-@settings(max_examples=100)
-def test_resample_bounds(values, bucket):
-    from repro.monitor.tsdb import TimeSeries
-
-    series = TimeSeries("s")
-    for i, v in enumerate(values):
-        series.append(float(i), v)
-    _, means = series.resample(bucket, "mean")
-    _, maxes = series.resample(bucket, "max")
-    _, mins = series.resample(bucket, "min")
-    assert (mins <= means + 1e-9).all()
-    assert (means <= maxes + 1e-9).all()
-    assert maxes.max() <= max(values) + 1e-9
 
 
 # ---------------------------------------------------------------------------

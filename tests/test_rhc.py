@@ -5,13 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.rhc import (
+from repro.core.rhc import pcp_optimal_sequence, spcp_optimal_ratio, threshold_ratio
+from tests.oracles import (
     pcp_cost,
-    pcp_optimal_sequence,
     simulate_power_trajectory,
-    spcp_optimal_ratio,
     spcp_optimal_ratio_nonlinear,
-    threshold_ratio,
 )
 
 

@@ -57,49 +57,6 @@ class TestTimeSeries:
         assert series.times().tolist() == [1.0]
 
 
-class TestResample:
-    def make_series(self):
-        series = TimeSeries("s")
-        for minute in range(10):
-            series.append(minute * 60.0, float(minute))
-        return series
-
-    def test_mean_rollup(self):
-        times, values = self.make_series().resample(300.0, "mean")
-        np.testing.assert_array_equal(times, [0.0, 300.0])
-        np.testing.assert_array_equal(values, [2.0, 7.0])
-
-    def test_max_min_sum(self):
-        series = self.make_series()
-        assert series.resample(300.0, "max")[1].tolist() == [4.0, 9.0]
-        assert series.resample(300.0, "min")[1].tolist() == [0.0, 5.0]
-        assert series.resample(300.0, "sum")[1].tolist() == [10.0, 35.0]
-
-    def test_bucket_alignment(self):
-        series = TimeSeries("s")
-        series.append(90.0, 1.0)  # falls in bucket [60, 120)
-        times, values = series.resample(60.0)
-        assert times.tolist() == [60.0]
-
-    def test_empty_series(self):
-        times, values = TimeSeries("s").resample(60.0)
-        assert len(times) == 0
-
-    def test_empty_buckets_omitted(self):
-        series = TimeSeries("s")
-        series.append(0.0, 1.0)
-        series.append(600.0, 2.0)
-        times, _ = series.resample(60.0)
-        assert times.tolist() == [0.0, 600.0]
-
-    def test_validation(self):
-        series = self.make_series()
-        with pytest.raises(ValueError):
-            series.resample(0.0)
-        with pytest.raises(ValueError):
-            series.resample(60.0, "median")
-
-
 class TestTimeSeriesDatabase:
     def test_write_and_query(self):
         db = TimeSeriesDatabase()
