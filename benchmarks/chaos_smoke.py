@@ -1,10 +1,11 @@
 """CI chaos smoke: run one builtin fault scenario twice, demand identity.
 
-Each CI matrix leg picks a scenario name, runs a short seeded experiment
-with the safety ladder armed, then runs the *same* configuration a second
-time and compares the full serialized result documents. Any unhandled
-exception or byte-level divergence between the two runs fails the leg:
-hazard injection must be crash-free and deterministic per seed.
+CI runs it once per builtin scenario, with ``--audit``. Each run picks a
+scenario name, runs a short seeded experiment with the safety ladder
+armed, then runs the *same* configuration a second time and compares the
+full serialized result documents. Any unhandled exception or byte-level
+divergence between the two runs fails the scenario: hazard injection
+must be crash-free and deterministic per seed.
 
 Scenarios that include coordinator-blackout windows run on the
 multi-row fleet harness (the only place a coordinator exists to black
@@ -38,8 +39,8 @@ from repro.tenancy import builtin_mixes
 
 
 def _auditor_config(args: argparse.Namespace):
-    """Aggressive auditing for --audit legs: every tick-minute, full
-    sweep, raise on the first violation (fails the leg with exit 2)."""
+    """Aggressive auditing for --audit runs: every tick-minute, full
+    sweep, raise on the first violation (fails the run with exit 2)."""
     if not args.audit:
         return None
     return AuditorConfig(
@@ -125,7 +126,7 @@ def main(argv=None) -> int:
         "--audit",
         action="store_true",
         help="arm the online state-invariant auditor at full sampling "
-        "every sim-minute; any invariant violation crashes the leg",
+        "every sim-minute; any invariant violation crashes the run",
     )
     args = parser.parse_args(argv)
 

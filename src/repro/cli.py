@@ -87,7 +87,7 @@ def _add_run_options(
     *,
     hours: float,
     seed: int = 0,
-    servers: bool = True,
+    servers: Optional[str] = "fleet size (multiple of 40)",
     warmup_hours: Optional[float] = None,
     ro: bool = False,
     workload: Optional[str] = None,
@@ -100,15 +100,14 @@ def _add_run_options(
 
     ``hours``, ``seed``, ``warmup_hours`` and ``workload`` are the
     subcommand's defaults (``None`` leaves the option out); the flags
-    add ``--servers``, ``--ro``, ``--faults``, ``--safety``,
-    ``--capping`` and the tenancy options. :func:`_run_fields` turns the parsed values into
+    add ``--servers`` (with ``servers`` as its help; ``None`` leaves it
+    out), ``--ro``, ``--faults``, ``--safety``, ``--capping`` and the
+    tenancy options. :func:`_run_fields` turns the parsed values into
     config fields.
     """
     parser.add_argument("--seed", type=int, default=seed, help="master RNG seed")
     if servers:
-        parser.add_argument(
-            "--servers", type=int, default=400, help="fleet size (multiple of 40)"
-        )
+        parser.add_argument("--servers", type=int, default=400, help=servers)
     parser.add_argument("--hours", type=float, default=hours)
     if warmup_hours is not None:
         parser.add_argument(
@@ -281,7 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = sub.add_parser(
         "campaign", help="run a grid of Section 4.4 cells (the Table 3 study)"
     )
-    _add_run_options(campaign, hours=12.0, faults=True, safety=True, tenants=True)
+    _add_run_options(
+        campaign,
+        hours=12.0,
+        servers="fleet size (multiple of 40; of 80 with --fleet-policy, "
+        "which splits it over two rows)",
+        faults=True,
+        safety=True,
+        tenants=True,
+    )
     campaign.add_argument(
         "--ratios", type=float, nargs="+", default=[0.13, 0.17, 0.21, 0.25]
     )
@@ -369,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         "budget reallocation (repro.fleet)",
     )
     _add_run_options(
-        fleet, hours=6.0, seed=7, servers=False, ro=True, tenants=True
+        fleet, hours=6.0, seed=7, servers=None, ro=True, tenants=True
     )
     fleet.add_argument(
         "--servers-per-row",
@@ -808,6 +815,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if args.fleet_policy is not None
         else None
     )
+    if fleet is not None and args.servers % 80:
+        raise ValueError(
+            f"--servers {args.servers} must be a multiple of 80 with "
+            "--fleet-policy (each cell splits it over two rows)"
+        )
     campaign = Campaign(
         ratios=tuple(args.ratios),
         seeds=tuple(args.seeds),

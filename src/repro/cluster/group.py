@@ -8,7 +8,7 @@ controller, so they share this base class.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Collection, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -109,12 +109,11 @@ class ServerGroup:
     # ------------------------------------------------------------------
     # Freeze state
     # ------------------------------------------------------------------
-    def frozen_servers(self) -> List[Server]:
-        return [s for s in self.servers if s.frozen]
-
-    def freezing_ratio(self) -> float:
-        """Fraction of member servers currently frozen (the paper's u_t)."""
-        return self.state.frozen_count(self.state_indices) / len(self.servers)
+    def member_mask(self, server_ids: Collection[int]) -> np.ndarray:
+        """Boolean column in member order: which members have an id in
+        ``server_ids`` (index ``state_indices`` with it for their slots)."""
+        wanted = np.fromiter(server_ids, dtype=np.int64, count=len(server_ids))
+        return np.isin(self.state.server_ids[self.state_indices], wanted)
 
     def flag_masks(self) -> Dict[str, np.ndarray]:
         """The per-server flags as boolean columns in member order:

@@ -270,9 +270,6 @@ class ClusterState:
         """Servers below full DVFS frequency (``Server.is_capped``)."""
         return self.frequency[indices] < 1.0
 
-    def frozen_count(self, indices: np.ndarray) -> int:
-        return int(np.count_nonzero(self.frozen[indices]))
-
     # ------------------------------------------------------------------
     # Vectorized mutations
     # ------------------------------------------------------------------

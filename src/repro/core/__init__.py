@@ -21,7 +21,7 @@ from repro.core.rhc import (
     spcp_optimal_ratio,
     pcp_optimal_sequence,
 )
-from repro.core.policy import FreezePlan, plan_freeze_set
+from repro.core.policy import plan_freeze_set
 from repro.core.safety import (
     SafetyConfig,
     SafetyState,
@@ -44,6 +44,5 @@ __all__ = [
     "EwmaDemandEstimator",
     "spcp_optimal_ratio",
     "pcp_optimal_sequence",
-    "FreezePlan",
     "plan_freeze_set",
 ]

@@ -49,8 +49,9 @@ class AmpereConfig:
         safety to the reactive capping net until fresh data arrives. The
         default tolerates one missed monitor sweep but not two.
     rpc_max_attempts:
-        Bounded retry budget for one freeze/unfreeze RPC within a tick
-        (first try included). Exhausted intents are left to next-tick
+        Bounded retry budget for one freeze or thaw batch (one
+        ``set_frozen`` RPC) within a tick (first try included).
+        Exhausted batches are left to next-tick
         reconciliation against the scheduler's authoritative frozen set.
     rpc_backoff_base_seconds:
         First retry back-off; doubles per attempt (exponential back-off).

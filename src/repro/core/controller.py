@@ -9,10 +9,12 @@ controller:
 3. if power is above the threshold, computes the optimal freezing ratio
    from the SPCP closed form (Eq. 13), clamps it to the operational
    ceiling, converts it to a server count, and
-4. reconciles the frozen set via :func:`~repro.core.policy.plan_freeze_set`
-   (highest-power-first with r_stable hysteresis), issuing only
-   ``freeze``/``unfreeze`` calls to the scheduler;
-5. below the threshold, it unfreezes everything.
+4. plans the next frozen set with its freeze policy (by default
+   :func:`~repro.core.policy.plan_freeze_set`: highest-power-first with
+   r_stable hysteresis) over the row's member arrays, and sends the
+   difference to the scheduler as at most one thaw batch and one freeze
+   batch, each a single ``set_frozen`` call;
+5. below the threshold, it thaws everything in one batch.
 
 The controller is stateless with respect to the frozen set -- it re-derives
 membership from the scheduler each tick, so a restarted controller resumes
@@ -36,12 +38,13 @@ not: it is hardened against the three operational hazards injected by
   (mass failure, dead sensor path) produces no control action at all --
   the tick is skipped with a logged health event rather than fitting
   f(u) on fiction.
-- **Scheduler RPC faults.** ``freeze``/``unfreeze`` may raise
-  :class:`~repro.scheduler.base.SchedulerRpcError`. Each intent is
-  retried with exponential back-off under a bounded per-tick RPC time
-  budget; intents that still fail are *not* forgotten -- the controller
-  records its intended frozen set and reconciles intent against the
-  scheduler's authoritative ``frozen_server_ids()`` at the next tick.
+- **Scheduler RPC faults.** ``set_frozen`` may raise
+  :class:`~repro.scheduler.base.SchedulerRpcError`; a batch lands or
+  fails as a whole. Each batch is retried with exponential back-off
+  under a bounded per-tick RPC time budget; batches that still fail are
+  *not* forgotten -- the controller records its intended frozen set and
+  reconciles intent against the scheduler's authoritative
+  ``frozen_server_ids()`` at the next tick.
 - **Controller crashes.** :meth:`AmpereController.crash` wipes all
   in-memory per-row state (the simulated process death);
   :meth:`AmpereController.recover` reconstructs it from the two durable
@@ -56,14 +59,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.cluster.group import ServerGroup
 from repro.core.config import AmpereConfig
 from repro.core.demand import ConstantDemandEstimator, DemandEstimator
 from repro.core.history import BoundedHistory
 from repro.core.freeze_model import FreezeEffectModel
-from repro.core.policy import FreezePolicy, plan_freeze_set
+# plan_freeze_set is not called here (the default FreezePolicy calls
+# it); perfbench's tracer wraps it under this module's name.
+from repro.core.policy import FreezePolicy, plan_freeze_set  # noqa: F401
 from repro.core.rhc import pcp_optimal_sequence, spcp_optimal_ratio, threshold_ratio
 from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.base import SchedulerInterface, SchedulerRpcError
@@ -95,10 +102,10 @@ ACTIVE_TICKS = counter_series(
     label="group",
 )
 FREEZES = counter_series(
-    "repro_controller_freeze_actions_total", "Freeze RPCs that landed", label="group"
+    "repro_controller_freeze_actions_total", "Servers frozen by landed RPCs", label="group"
 )
 UNFREEZES = counter_series(
-    "repro_controller_unfreeze_actions_total", "Unfreeze RPCs that landed", label="group"
+    "repro_controller_unfreeze_actions_total", "Servers thawed by landed RPCs", label="group"
 )
 COMMANDED_U = gauge_series(
     "repro_controller_commanded_u", "Latest commanded freezing ratio u_t", label="group"
@@ -156,7 +163,7 @@ class ControllerHealth:
     skipped_ticks: int = 0
     #: individual RPC retry attempts after a transport failure
     rpc_retries: int = 0
-    #: RPC intents abandoned after the retry/back-off budget ran out
+    #: RPC batches abandoned after the retry/back-off budget ran out
     rpc_giveups: int = 0
     #: ticks on which intent and the scheduler's frozen set disagreed
     reconciliations: int = 0
@@ -260,9 +267,9 @@ class AmpereController:
     engine:
         Simulation engine for the periodic control loop.
     scheduler:
-        Anything implementing the two-call freeze/unfreeze interface.
-        Calls may raise :class:`SchedulerRpcError`; the controller
-        retries with back-off and reconciles on the next tick.
+        Anything implementing the ``set_frozen`` interface. Calls may
+        raise :class:`SchedulerRpcError`; the controller retries with
+        back-off and reconciles on the next tick.
     monitor:
         Power monitor; every controlled group must be registered there.
     groups:
@@ -275,8 +282,8 @@ class AmpereController:
         E_t provider; defaults to a constant conservative margin.
     freeze_policy:
         Pluggable freeze-set selection (:class:`~repro.core.policy.FreezePolicy`).
-        ``None`` keeps the paper's power-ordered :func:`plan_freeze_set`
-        bit-identically; the tenancy subsystem installs
+        ``None`` installs the base class, the paper's power-ordered
+        :func:`plan_freeze_set`; the tenancy subsystem installs
         :class:`~repro.tenancy.FairShareFreezePolicy` here.
     """
 
@@ -302,7 +309,7 @@ class AmpereController:
             if demand_estimator is not None
             else ConstantDemandEstimator(config.default_e_t)
         )
-        self.freeze_policy = freeze_policy
+        self.freeze_policy = freeze_policy if freeze_policy is not None else FreezePolicy()
         self.telemetry = (
             telemetry
             if telemetry is not None
@@ -506,7 +513,7 @@ class AmpereController:
             watts_time = None
         if watts_time == sample_time:
             p_norm = watts / state.group.power_budget_watts
-        currently_frozen = set(self.scheduler.frozen_server_ids() & state.server_ids)
+        currently_frozen = self.scheduler.frozen_server_ids() & state.server_ids
         self._reconcile(state, currently_frozen, now)
 
         age = now - sample_time
@@ -522,45 +529,32 @@ class AmpereController:
         if state._last_prediction is not None:
             state.prediction_residuals.append(p_norm - state._last_prediction)
 
+        group = state.group
+        ids = group.state.server_ids[group.state_indices]
+        frozen = group.member_mask(currently_frozen)
         if p_norm > threshold_ratio(e_t, p_m=target):
             u_t = self._optimal_ratio(p_norm, now)
-            n_freeze = math.floor(u_t * len(state.group.servers))
-            powers = self.monitor.snapshot_server_powers(state.group.name)
-            if not self._snapshot_usable(powers):
+            n_freeze = math.floor(u_t * len(group.servers))
+            powers = self.monitor.read_server_powers(group.name)
+            powers = np.where(np.isfinite(powers), powers, 0.0)
+            if not np.any(powers > 0.0):
+                # A snapshot with no finite positive reading is fiction.
                 self._skip_tick(state, now, "empty/all-failed power snapshot")
                 return
-            powers = {
-                sid: (value if math.isfinite(value) else 0.0)
-                for sid, value in powers.items()
-            }
-            if self.freeze_policy is not None:
-                plan = self.freeze_policy.plan(
-                    powers, n_freeze, currently_frozen, self.config.r_stable
-                )
-            else:
-                plan = plan_freeze_set(
-                    powers, n_freeze, currently_frozen, self.config.r_stable
-                )
-            achieved: Set[int] = set(currently_frozen)
-            for server_id in sorted(plan.to_unfreeze):
-                if self._rpc(state, "unfreeze", server_id, now):
-                    achieved.discard(server_id)
-                    state.unfreeze_actions += 1
-            for server_id in sorted(plan.to_freeze):
-                if self._rpc(state, "freeze", server_id, now):
-                    achieved.add(server_id)
-                    state.freeze_actions += 1
+            plan = self.freeze_policy.plan(
+                powers, ids, n_freeze, frozen, self.config.r_stable
+            )
             state.active_ticks += 1
-            state.intended_frozen = plan.new_frozen
-            commanded_u = len(achieved) / len(state.group.servers)
         else:
-            achieved = set(currently_frozen)
-            for server_id in sorted(currently_frozen):
-                if self._rpc(state, "unfreeze", server_id, now):
-                    achieved.discard(server_id)
-                    state.unfreeze_actions += 1
-            state.intended_frozen = frozenset()
-            commanded_u = len(achieved) / len(state.group.servers)
+            plan = np.zeros(len(ids), dtype=bool)
+        slots = group.state_indices
+        thawed = self._rpc(state, False, slots[frozen & ~plan], now)
+        newly_frozen = self._rpc(state, True, slots[plan & ~frozen], now)
+        state.unfreeze_actions += len(thawed)
+        state.freeze_actions += len(newly_frozen)
+        achieved = currently_frozen.difference(thawed).union(newly_frozen)
+        state.intended_frozen = frozenset(ids[plan].tolist())
+        commanded_u = len(achieved) / len(group.servers)
 
         self._last_command[state.group.name] = (
             commanded_u,
@@ -578,13 +572,8 @@ class AmpereController:
     # ------------------------------------------------------------------
     # Hardening helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _snapshot_usable(powers: Dict[int, float]) -> bool:
-        """A snapshot with no finite positive reading is fiction, not data."""
-        return any(math.isfinite(v) and v > 0.0 for v in powers.values())
-
     def _reconcile(
-        self, state: RowControlState, currently_frozen: Set[int], now: float
+        self, state: RowControlState, currently_frozen: FrozenSet[int], now: float
     ) -> None:
         """Compare last tick's intent with the scheduler's authoritative set.
 
@@ -613,7 +602,7 @@ class AmpereController:
     def _degraded_hold(
         self,
         state: RowControlState,
-        currently_frozen: Set[int],
+        currently_frozen: FrozenSet[int],
         now: float,
         age: float,
     ) -> None:
@@ -642,12 +631,12 @@ class AmpereController:
             age,
             self.config.max_staleness_seconds,
         )
-        held = set(currently_frozen)
-        for server_id in sorted(state.intended_frozen - currently_frozen):
-            if self._rpc(state, "freeze", server_id, now):
-                held.add(server_id)
-                state.freeze_actions += 1
-        state.intended_frozen = frozenset(held | state.intended_frozen)
+        group = state.group
+        missing = group.member_mask(state.intended_frozen - currently_frozen)
+        reasserted = self._rpc(state, True, group.state_indices[missing], now)
+        state.freeze_actions += len(reasserted)
+        held = currently_frozen.union(reasserted)
+        state.intended_frozen = held | state.intended_frozen
         state.u_history.append(len(held) / len(state.group.servers))
         state.u_times.append(now)
         state.u_integral += len(held) / len(state.group.servers)
@@ -671,54 +660,54 @@ class AmpereController:
         state._last_prediction = None
 
     def _rpc(
-        self, state: RowControlState, action: str, server_id: int, now: float
-    ) -> bool:
-        """One freeze/unfreeze intent with bounded retry + back-off.
+        self, state: RowControlState, frozen: bool, slots: np.ndarray, now: float
+    ) -> List[int]:
+        """One freeze or thaw batch with bounded retry + back-off.
 
-        Returns True when the RPC landed. On giving up the intent is left
-        for next-tick reconciliation -- never silently assumed applied.
-        Back-off is accounted against ``rpc_deadline_seconds`` rather than
-        advancing the simulated clock: the tick is atomic on the engine,
-        but the budget bounds retries exactly as wall-clock would.
+        Returns the ids the landed call changed; an empty batch sends
+        nothing. A batch lands or fails as a whole, so on giving up the
+        whole batch is left for next-tick reconciliation -- never
+        silently assumed applied. Back-off is accounted against
+        ``rpc_deadline_seconds`` rather than advancing the simulated
+        clock: the tick is atomic on the engine, but the budget bounds
+        retries exactly as wall-clock would.
         """
+        if not len(slots):
+            return []
         config = self.config
-        call = (
-            self.scheduler.freeze if action == "freeze" else self.scheduler.unfreeze
-        )
         backoff = config.rpc_backoff_base_seconds
         elapsed = 0.0
         for attempt in range(1, config.rpc_max_attempts + 1):
             try:
-                call(server_id)
+                return self.scheduler.set_frozen(slots, frozen)
             except SchedulerRpcError as error:
                 elapsed += error.latency_seconds
                 out_of_budget = elapsed + backoff > config.rpc_deadline_seconds
                 if attempt >= config.rpc_max_attempts or out_of_budget:
+                    action = "freeze" if frozen else "unfreeze"
                     self.health.rpc_giveups += 1
                     self.health.note(
                         now,
                         "rpc_giveup",
                         state.group.name,
-                        f"{action}({server_id}) failed {attempt}x"
+                        f"{action} of {len(slots)} servers failed {attempt}x"
                         + ("; deadline" if out_of_budget else ""),
                     )
                     logger.warning(
-                        "group %s: gave up on %s(%d) after %d attempts at "
-                        "t=%.0fs%s",
+                        "group %s: gave up on %s of %d servers after %d "
+                        "attempts at t=%.0fs%s",
                         state.group.name,
                         action,
-                        server_id,
+                        len(slots),
                         attempt,
                         now,
                         "; deadline exhausted" if out_of_budget else "",
                     )
-                    return False
+                    return []
                 self.health.rpc_retries += 1
                 elapsed += backoff
                 backoff *= 2.0
-            else:
-                return True
-        return False  # not reached; loop always returns
+        return []  # not reached; the loop always returns
 
     def _optimal_ratio(self, p_norm: float, now: float) -> float:
         """The RHC control: SPCP closed form, or N-step PCP for horizon > 1."""

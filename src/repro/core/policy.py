@@ -1,170 +1,123 @@
 """Freeze-set selection: the server-choice half of Algorithm 1.
 
 Given per-server power readings, the target number of servers to freeze
-and the currently frozen set, compute which servers to freeze and which to
-unfreeze. The paper freezes the *highest-power* servers ("servers with
-lower power utilization may have more computation capacity left and thus
-freezing them may result in a higher cost") and adds hysteresis through
+and the currently frozen set, compute the next frozen set. The paper
+freezes the *highest-power* servers ("servers with lower power
+utilization may have more computation capacity left and thus freezing
+them may result in a higher cost") and adds hysteresis through
 ``r_stable``: a frozen server is only swapped out for another when that
 other server's power exceeds ``r_stable`` times the freeze set's power
 floor, which prevents freeze/unfreeze flapping on noisy readings.
+
+A plan is made over a group's member arrays: readings, server ids and
+the frozen mask in member order, and the plan is the next frozen mask.
+The servers to thaw are ``frozen & ~plan`` and the servers to freeze
+``plan & ~frozen``, so the controller sends at most one batch of each.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set
-
-
-@dataclass(frozen=True)
-class FreezePlan:
-    """The actions produced by one planning step."""
-
-    to_freeze: FrozenSet[int]
-    to_unfreeze: FrozenSet[int]
-    new_frozen: FrozenSet[int]
-
-    @property
-    def is_noop(self) -> bool:
-        return not self.to_freeze and not self.to_unfreeze
+import numpy as np
 
 
 def plan_freeze_set(
-    server_powers: Dict[int, float],
+    powers: np.ndarray,
+    server_ids: np.ndarray,
     n_freeze: int,
-    currently_frozen: Set[int],
+    frozen: np.ndarray,
     r_stable: float = 0.8,
-) -> FreezePlan:
+) -> np.ndarray:
     """One step of Algorithm 1's candidate-selection logic for a row.
 
     Parameters
     ----------
-    server_powers:
-        Power reading per server id for every server in the row.
+    powers:
+        Power reading per member server (finite).
+    server_ids:
+        Member server ids, the tie-break between equal readings.
     n_freeze:
         Target size of the frozen set (already clamped by the caller to
         ``floor(u_t * n)`` and the operational ceiling).
-    currently_frozen:
-        Frozen set from the previous interval, ``S_f[k]``.
+    frozen:
+        Boolean mask of the frozen set from the previous interval, ``S_f[k]``.
     r_stable:
         Stability ratio; servers whose power exceeds ``r_stable * min(S)``
         join the candidate set so that near-ties don't cause churn.
 
     Returns
     -------
-    FreezePlan
-        The freeze/unfreeze actions and the resulting frozen set, with
-        ``len(new_frozen) == min(n_freeze, len(server_powers))``.
+    numpy.ndarray
+        The next frozen mask, with ``min(n_freeze, len(powers))`` members.
     """
     if n_freeze < 0:
         raise ValueError(f"n_freeze must be non-negative, got {n_freeze}")
     if not 0.0 < r_stable <= 1.0:
         raise ValueError(f"r_stable must be in (0, 1], got {r_stable}")
-    unknown = currently_frozen - server_powers.keys()
-    if unknown:
-        raise KeyError(f"frozen servers missing power readings: {sorted(unknown)}")
-
-    n_freeze = min(n_freeze, len(server_powers))
+    n_freeze = min(n_freeze, len(powers))
+    plan = np.zeros(len(powers), dtype=bool)
     if n_freeze == 0:
-        return FreezePlan(
-            to_freeze=frozenset(),
-            to_unfreeze=frozenset(currently_frozen),
-            new_frozen=frozenset(),
-        )
+        return plan
 
     # S <- n_freeze servers with highest power. Ties broken by id so the
     # plan is deterministic for identical readings.
-    by_power_desc: List[int] = sorted(
-        server_powers, key=lambda sid: (-server_powers[sid], sid)
-    )
-    top = by_power_desc[:n_freeze]
-    candidates: Set[int] = set(top)
+    by_power_desc = np.lexsort((server_ids, -powers))
 
     # Stability band: any server within r_stable of the set's floor is an
     # acceptable member, so current members inside the band are kept.
-    power_floor = min(server_powers[sid] for sid in top)
-    p_threshold = r_stable * power_floor
-    for sid in by_power_desc[n_freeze:]:
-        if server_powers[sid] > p_threshold:
-            candidates.add(sid)
-        else:
-            break  # sorted descending; everything after is colder
+    # Sorted descending, the band is a prefix of what follows the top.
+    p_threshold = r_stable * powers[by_power_desc[n_freeze - 1]]
+    in_band = powers[by_power_desc[n_freeze:]] > p_threshold
+    n_candidates = n_freeze + int(np.count_nonzero(in_band))
+    candidates = np.zeros(len(powers), dtype=bool)
+    candidates[by_power_desc[:n_candidates]] = True
 
-    # Unfreeze servers that fell out of the candidate set entirely.
-    kept = currently_frozen & candidates
-    dropped = currently_frozen - candidates
-
-    if len(kept) > n_freeze:
+    # Frozen servers that fell out of the candidate set are unfrozen.
+    kept = frozen & candidates
+    n_kept = int(np.count_nonzero(kept))
+    if n_kept > n_freeze:
         # Too many survivors: release the coldest surplus ("arbitrary" in
         # the paper; coldest-first minimizes capacity cost and is
         # deterministic).
-        surplus = sorted(kept, key=lambda sid: (server_powers[sid], -sid))
-        release = set(surplus[: len(kept) - n_freeze])
-        kept -= release
-        dropped |= release
-        newly_frozen: Set[int] = set()
-    else:
-        # Fill up with the hottest non-frozen candidates.
-        need = n_freeze - len(kept)
-        fill_pool = [sid for sid in by_power_desc if sid in candidates and sid not in kept]
-        newly_frozen = set(fill_pool[:need])
-        kept |= newly_frozen
-
-    return FreezePlan(
-        to_freeze=frozenset(newly_frozen),
-        to_unfreeze=frozenset(dropped),
-        new_frozen=frozenset(kept),
-    )
+        survivors = np.flatnonzero(kept)
+        coldest = np.lexsort((-server_ids[survivors], powers[survivors]))
+        kept[survivors[coldest[: n_kept - n_freeze]]] = False
+        return kept
+    # Fill up with the hottest non-frozen candidates.
+    ranked = by_power_desc[:n_candidates]
+    fill = ranked[~kept[ranked]][: n_freeze - n_kept]
+    kept[fill] = True
+    return kept
 
 
-class FreezePolicy(abc.ABC):
+class FreezePolicy:
     """Pluggable freeze-set selection strategy.
 
     The controller calls :meth:`plan` once per control interval with the
-    same inputs :func:`plan_freeze_set` takes. Implementations must be
-    deterministic (no RNG, no wall clock) and must return a plan with
-    ``len(new_frozen) == min(n_freeze, len(server_powers))`` -- the
-    controller turns the plan into freeze/unfreeze RPCs verbatim.
+    inputs :func:`plan_freeze_set` takes and sends the returned mask to
+    the scheduler verbatim. This base class is the paper's tenancy-blind
+    power-ordered selection; a subclass (the tenancy subsystem's
+    :class:`~repro.tenancy.FairShareFreezePolicy`) overrides :meth:`plan`.
+    Implementations must be deterministic (no RNG, no wall clock) and
+    return a mask with ``min(n_freeze, len(powers))`` members.
 
     Policies may carry state between calls (e.g. per-tenant cumulative
     frozen time); that state is pickled with the controller, so a
     restored snapshot resumes byte-identically.
     """
 
-    @abc.abstractmethod
     def plan(
         self,
-        server_powers: Dict[int, float],
+        powers: np.ndarray,
+        server_ids: np.ndarray,
         n_freeze: int,
-        currently_frozen: Set[int],
+        frozen: np.ndarray,
         r_stable: float = 0.8,
-    ) -> FreezePlan:
-        """Select the next frozen set for one row."""
-
-
-class PowerOrderedFreezePolicy(FreezePolicy):
-    """The paper's tenancy-blind policy: delegate to :func:`plan_freeze_set`.
-
-    This is the default installed by the controller when no policy is
-    given, and it is bit-identical to calling the function directly --
-    the class exists only so fairness-aware policies can slot into the
-    same seam.
-    """
-
-    def plan(
-        self,
-        server_powers: Dict[int, float],
-        n_freeze: int,
-        currently_frozen: Set[int],
-        r_stable: float = 0.8,
-    ) -> FreezePlan:
-        return plan_freeze_set(server_powers, n_freeze, currently_frozen, r_stable)
+    ) -> np.ndarray:
+        """Select the next frozen set for one row, as a member mask."""
+        return plan_freeze_set(powers, server_ids, n_freeze, frozen, r_stable)
 
 
 __all__ = [
-    "FreezePlan",
     "FreezePolicy",
-    "PowerOrderedFreezePolicy",
     "plan_freeze_set",
 ]

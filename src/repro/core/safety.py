@@ -316,24 +316,20 @@ class SafetySupervisor:
             self.capping.restore_step()
 
     def _freeze_all(self) -> None:
-        """Re-assert a whole-group freeze (the controller's reconciliation
-        may have unfrozen servers since the last tick; the supervisor
-        simply wins by acting more often)."""
-        already = self.scheduler.frozen_server_ids()
-        for server in self.group.servers:
-            if server.server_id in already or server.failed:
-                continue
-            self.scheduler.freeze(server.server_id)
-            self._frozen_by_supervisor.add(server.server_id)
-            self.stats.freezes_issued += 1
+        """Re-assert a whole-group freeze in one scheduler call (the
+        controller's reconciliation may have unfrozen servers since the
+        last tick; the supervisor simply wins by acting more often).
+        Servers already frozen and dark servers are skipped."""
+        frozen = self.scheduler.set_frozen(self.group.state_indices, True)
+        self._frozen_by_supervisor.update(frozen)
+        self.stats.freezes_issued += len(frozen)
 
     def _release_freezes(self) -> None:
-        """Undo exactly the freezes this supervisor issued."""
-        # Read once: an unfreeze removes only its own id from the set.
-        frozen = self.scheduler.frozen_server_ids()
-        for server_id in sorted(self._frozen_by_supervisor):
-            if server_id in frozen:
-                self.scheduler.unfreeze(server_id)
+        """Undo exactly the freezes this supervisor issued, in one
+        scheduler call (those another actor thawed since are skipped)."""
+        group = self.group
+        mine = group.member_mask(self._frozen_by_supervisor)
+        self.scheduler.set_frozen(group.state_indices[mine], False)
         self._frozen_by_supervisor.clear()
 
     def _shed(self, ratio: float) -> None:

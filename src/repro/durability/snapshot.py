@@ -85,8 +85,10 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: the power monitor has no IPMI fleets, stale-reading count or
 #: bias-published flag, and the controller no set of rebudgeted rows;
 #: 9: each workload rng has one arrival stream, and a pending arrival
-#: event is an already-accepted job, thinned ahead).
-SNAPSHOT_VERSION = 9
+#: event is an already-accepted job, thinned ahead; 10: a controller
+#: always holds a freeze policy, the base ``FreezePolicy`` when none
+#: was given).
+SNAPSHOT_VERSION = 10
 
 #: Pickle protocol pinned for stable output within a Python version
 #: (``HIGHEST_PROTOCOL`` may move under our feet on an interpreter bump).

@@ -4,7 +4,7 @@ Control-plane seams (PR 2) break the control system itself -- the part
 the paper's safety argument quietly assumes is perfect:
 
 - monitor blackouts (the per-minute sweep returns nothing, TSDB stales),
-- scheduler RPC faults (freeze/unfreeze timeouts with injected latency),
+- scheduler RPC faults (``set_frozen`` batch timeouts with injected latency),
 - controller crashes (in-memory state lost; supervisor restarts later).
 
 Data-plane seams break the *world* while the control system works as

@@ -1,20 +1,26 @@
-"""A scheduler proxy whose freeze/unfreeze RPCs fail like real ones.
+"""A scheduler proxy whose ``set_frozen`` RPCs fail like real ones.
 
-In production the scheduler is a remote service; Ampere's two control
-calls cross a network. :class:`FlakyScheduler` wraps any
-:class:`~repro.scheduler.base.SchedulerInterface` and makes exactly those
-two calls fail with configurable probability, raising
+In production the scheduler is a remote service; Ampere's one control
+call crosses a network. :class:`FlakyScheduler` wraps any
+:class:`~repro.scheduler.base.SchedulerInterface` and makes exactly that
+call fail with configurable probability, raising
 :class:`~repro.scheduler.base.SchedulerRpcError` *before* the inner call
 runs -- a failed RPC is guaranteed not to have been applied, matching the
 interface contract. Reads (``frozen_server_ids``) and job submission pass
 through untouched: the fault surface is the control path, not the data
 path.
+
+The fault seam for a batch: one ``set_frozen`` call is one RPC, with one
+failure draw. The batch lands or raises as a whole -- a raise means no
+server of the batch changed, never a partial apply. The caller's retry,
+back-off, deadline and next-tick reconciliation then apply to the whole
+remaining batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet
+from typing import FrozenSet, List
 
 import numpy as np
 
@@ -30,10 +36,6 @@ class RpcFaultStats:
     failures: int = 0
     injected_latency_seconds: float = 0.0
 
-    @property
-    def observed_failure_rate(self) -> float:
-        return self.failures / self.calls if self.calls else 0.0
-
 
 class FlakyScheduler(SchedulerInterface):
     """Transparent scheduler wrapper with injectable RPC faults.
@@ -46,7 +48,7 @@ class FlakyScheduler(SchedulerInterface):
         Fault RNG (derive from the scenario seed, never the experiment's,
         so fault timing replays independently of workload randomness).
     failure_rate:
-        Per-call probability that a freeze/unfreeze raises.
+        Per-call probability that a ``set_frozen`` batch raises.
     latency_seconds / timeout_seconds:
         Latency charged to successful calls / to failures. The failure
         cost is what drains the controller's per-tick RPC deadline.
@@ -75,30 +77,21 @@ class FlakyScheduler(SchedulerInterface):
     def submit(self, job: Job) -> None:
         self.inner.submit(job)
 
-    def freeze(self, server_id: int) -> None:
-        self._call("freeze", server_id, self.inner.freeze)
-
-    def unfreeze(self, server_id: int) -> None:
-        self._call("unfreeze", server_id, self.inner.unfreeze)
-
-    def frozen_server_ids(self) -> FrozenSet[int]:
-        return self.inner.frozen_server_ids()
-
-    # ------------------------------------------------------------------
-    def _call(
-        self, action: str, server_id: int, call: Callable[[int], None]
-    ) -> None:
+    def set_frozen(self, slots, frozen: bool) -> List[int]:
         self.stats.calls += 1
         if self.failure_rate > 0 and self.rng.random() < self.failure_rate:
             self.stats.failures += 1
             self.stats.injected_latency_seconds += self.timeout_seconds
             raise SchedulerRpcError(
-                f"{action}({server_id}) timed out after "
-                f"{self.timeout_seconds:.1f}s",
+                f"{'freeze' if frozen else 'unfreeze'} of {len(slots)} "
+                f"servers timed out after {self.timeout_seconds:.1f}s",
                 latency_seconds=self.timeout_seconds,
             )
         self.stats.injected_latency_seconds += self.latency_seconds
-        call(server_id)
+        return self.inner.set_frozen(slots, frozen)
+
+    def frozen_server_ids(self) -> FrozenSet[int]:
+        return self.inner.frozen_server_ids()
 
 
 __all__ = ["FlakyScheduler", "RpcFaultStats"]

@@ -68,7 +68,8 @@ class FaultScenario:
     blackouts:
         ``(start_seconds, duration_seconds)`` monitor outage windows.
     rpc_failure_rate:
-        Probability that one freeze/unfreeze RPC fails in transit.
+        Probability that one ``set_frozen`` RPC (a whole freeze or thaw
+        batch) fails in transit.
     rpc_latency_seconds:
         Latency charged to a *successful* RPC (bookkeeping only).
     rpc_timeout_seconds:

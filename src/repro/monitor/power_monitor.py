@@ -240,7 +240,7 @@ class PowerMonitor:
         """Install (or clear, with 1.0) a multiplicative calibration error.
 
         Applied to every per-server reading this monitor serves -- the
-        stored series, violation accounting and :meth:`snapshot_server_powers`
+        stored series, violation accounting and :meth:`read_server_powers`
         all see the biased values, exactly as miscalibrated sensors would
         present them. Idempotent per factor.
         """
@@ -363,12 +363,13 @@ class PowerMonitor:
         """``(times, power/P_M)`` arrays for a group."""
         return self.db.query(f"power_norm/{group_name}", start, end)
 
-    def snapshot_server_powers(self, group_name: str) -> Dict[int, float]:
-        """On-demand noisy per-server readings for a group (not stored).
+    def read_server_powers(self, group_name: str) -> np.ndarray:
+        """On-demand noisy per-server readings of a group, in member
+        order (not stored).
 
-        The controller uses this to rank servers by power when choosing
-        freeze victims; it sees the same noisy IPMI readings as the
-        aggregated series, not the simulator's true state.
+        The controller ranks servers by these when choosing freeze
+        victims; it sees the same noisy readings as the aggregated
+        series, not the simulator's true state.
         """
         if group_name not in self._groups:
             raise KeyError(f"unknown group {group_name!r}")
@@ -379,11 +380,7 @@ class PowerMonitor:
             )
         else:
             noise = np.ones(len(group.servers))
-        values = group.server_powers() * noise * self.sensor_bias
-        return {
-            server.server_id: value
-            for server, value in zip(group.servers, values.tolist())
-        }
+        return group.server_powers() * noise * self.sensor_bias
 
     def violation_count(self, group_name: str) -> int:
         if group_name not in self.violations:

@@ -1,10 +1,11 @@
-"""Two-level job scheduler substrate with the freeze/unfreeze API.
+"""Two-level job scheduler substrate with the batched freeze/thaw API.
 
 The scheduler mirrors the paper's custom Omega-like system: a low level
-tracks resources and exposes exactly two control operations -- ``freeze``
-(advise: place no new jobs on this server) and ``unfreeze`` -- while an
-upper level of per-product frameworks decides placement with pluggable
-policies. Ampere interacts with this package *only* through
+tracks resources and exposes exactly one control operation --
+``set_frozen(slots, frozen)``, which freezes (advise: place no new jobs
+on these servers) or thaws a batch of servers -- while an upper level
+of per-product frameworks decides placement with pluggable policies.
+Ampere interacts with this package *only* through
 :class:`~repro.scheduler.base.SchedulerInterface`.
 """
 

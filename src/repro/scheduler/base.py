@@ -1,16 +1,20 @@
 """Scheduler interface: the only surface Ampere is allowed to touch.
 
 Design choice 2 of the paper (Section 3.1): the power controller must not
-read scheduler internals or inject policy; it may only ``submit`` nothing
-and call ``freeze``/``unfreeze``. Keeping the interface this small is what
-makes the approach portable across schedulers.
+read scheduler internals or inject policy. The one call Ampere makes is
+``set_frozen(slots, frozen)``: freeze or thaw a batch of servers and get
+back the ids that changed. It reads the authoritative frozen set with
+``frozen_server_ids()`` and never submits work. Every actor -- the
+controller, the safety supervisor, calibration and operator acts --
+mutates the frozen set through this one call. Keeping the interface this
+small is what makes the approach portable across schedulers.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.telemetry import Telemetry, counter_series
 from repro.workload.job import Job
@@ -40,11 +44,12 @@ class SchedulerStats:
 
 
 class SchedulerRpcError(RuntimeError):
-    """A freeze/unfreeze RPC failed in transit (timeout, connection reset).
+    """A ``set_frozen`` RPC failed in transit (timeout, connection reset).
 
     Part of the interface contract: in production the scheduler is a
-    remote service, so ``freeze``/``unfreeze`` may fail without the
-    request having been applied. Callers must treat a raise as
+    remote service, so ``set_frozen`` may fail without the request
+    having been applied. A batch lands or fails as a whole: a raise
+    means no server of the batch changed. Callers must treat a raise as
     "state unchanged" and either retry or reconcile on the next tick.
     ``latency_seconds`` is how long the caller waited before the failure
     surfaced (a timeout costs its full deadline).
@@ -63,18 +68,15 @@ class SchedulerInterface(abc.ABC):
         """Accept a job for (eventual) placement."""
 
     @abc.abstractmethod
-    def freeze(self, server_id: int) -> None:
-        """Advise: stop assigning new jobs to this server.
+    def set_frozen(self, slots, frozen: bool) -> List[int]:
+        """Freeze (stop assigning new jobs to) or thaw many servers at once.
 
-        Running jobs are unaffected. Idempotent. May raise
-        :class:`SchedulerRpcError` when the control plane is degraded;
-        the request is then guaranteed *not* to have been applied.
+        ``slots`` are store slots of this scheduler's servers (a group's
+        ``state_indices``). Running jobs are unaffected. Idempotent:
+        servers already in the target state are skipped. Returns the ids
+        of the servers that changed. May raise :class:`SchedulerRpcError`
+        when the control plane is degraded; then no server changed.
         """
-
-    @abc.abstractmethod
-    def unfreeze(self, server_id: int) -> None:
-        """Make a frozen server schedulable again. Idempotent. May raise
-        :class:`SchedulerRpcError` (request not applied)."""
 
     @abc.abstractmethod
     def frozen_server_ids(self) -> FrozenSet[int]:
@@ -86,11 +88,13 @@ class SchedulerInterface(abc.ABC):
 
 
 RPC_CALLS = counter_series(
-    "repro_scheduler_rpc_total", "freeze/unfreeze RPCs issued by the control plane", label="op"
+    "repro_scheduler_rpc_total",
+    "set_frozen RPCs issued by the control plane (one per batch), by op",
+    label="op",
 )
 RPC_ERRORS = counter_series(
     "repro_scheduler_rpc_errors_total",
-    "freeze/unfreeze RPCs that raised SchedulerRpcError",
+    "set_frozen RPCs that raised SchedulerRpcError, by op",
     label="op",
 )
 
@@ -100,8 +104,9 @@ class InstrumentedScheduler(SchedulerInterface):
 
     Sits outermost in the controller-facing stack (instrumentation wraps
     the fault layer, when one is configured), so it observes exactly
-    what the controller experiences: every freeze/unfreeze intent,
-    including the ones a flaky transport rejects. Each call records
+    what the controller experiences: every freeze or thaw batch,
+    including the ones a flaky transport rejects. Each call (one batch,
+    ``op`` = ``freeze`` or ``unfreeze``) records
 
     - ``repro_scheduler_rpc_total{op}`` / ``repro_scheduler_rpc_errors_total{op}``,
     - a ``repro_scheduler_rpc_latency_seconds{op}`` histogram of the
@@ -109,7 +114,8 @@ class InstrumentedScheduler(SchedulerInterface):
       success, the timeout charged by :class:`SchedulerRpcError` on
       failure) -- sim-deterministic, so it merges across campaign
       workers,
-    - a ``scheduler.rpc`` span carrying the wall-clock cost.
+    - a ``scheduler.rpc`` span carrying the wall-clock cost and the
+      batch size ``servers=k``.
 
     Reads (``frozen_server_ids``) and ``submit`` pass through untouched:
     the instrumented surface is the control path, mirroring the fault
@@ -128,7 +134,7 @@ class InstrumentedScheduler(SchedulerInterface):
         self._latency = {
             op: tel.histogram(
                 "repro_scheduler_rpc_latency_seconds",
-                "Modeled RPC latency of freeze/unfreeze calls "
+                "Modeled RPC latency of set_frozen calls "
                 "(timeout cost on failure)",
                 {"op": op},
             )
@@ -147,23 +153,12 @@ class InstrumentedScheduler(SchedulerInterface):
     def submit(self, job: Job) -> None:
         self.inner.submit(job)
 
-    def freeze(self, server_id: int) -> None:
-        self._call("freeze", server_id, self.inner.freeze)
-
-    def unfreeze(self, server_id: int) -> None:
-        self._call("unfreeze", server_id, self.inner.unfreeze)
-
-    def frozen_server_ids(self) -> FrozenSet[int]:
-        return self.inner.frozen_server_ids()
-
-    # ------------------------------------------------------------------
-    def _call(
-        self, op: str, server_id: int, call: Callable[[int], None]
-    ) -> None:
+    def set_frozen(self, slots, frozen: bool) -> List[int]:
+        op = "freeze" if frozen else "unfreeze"
         self.rpc_calls[op] += 1
-        with self._telemetry.span("scheduler.rpc", op=op, server_id=server_id):
+        with self._telemetry.span("scheduler.rpc", op=op, servers=len(slots)):
             try:
-                call(server_id)
+                changed = self.inner.set_frozen(slots, frozen)
             except SchedulerRpcError as error:
                 self.rpc_errors[op] += 1
                 self._latency[op].observe(error.latency_seconds)
@@ -171,6 +166,10 @@ class InstrumentedScheduler(SchedulerInterface):
         # Successful calls cost the transport's modeled latency when the
         # inner layer models one (the fault layer does), else 0.
         self._latency[op].observe(getattr(self.inner, "latency_seconds", 0.0))
+        return changed
+
+    def frozen_server_ids(self) -> FrozenSet[int]:
+        return self.inner.frozen_server_ids()
 
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Two-level Omega-like scheduler with the freeze/unfreeze API.
+"""Two-level Omega-like scheduler with the batched freeze/thaw API.
 
 The low level (this class plus :class:`ResourceTracker`, which reads
 placement state straight from the servers' shared ``ClusterState``)
@@ -10,12 +10,12 @@ backfill) and placement policy.
 
 Freezing a server only removes it from the candidate set for *new*
 placements; running jobs continue untouched -- the property Ampere's
-SLA-safety argument rests on. A freeze or thaw of many servers (an
-operator's group act, :meth:`OmegaScheduler.set_frozen`) is one call:
-one write of the store's frozen column, one call per control listener
-with every changed server id, and after a thaw one queue drain over the
-whole thawed set. The per-server ``freeze``/``unfreeze`` are the one-id
-case of the same body.
+SLA-safety argument rests on. Every freeze or thaw -- the controller's,
+the safety supervisor's, calibration's and an operator's group act -- is
+one :meth:`OmegaScheduler.set_frozen` call over a batch of servers: one
+write of the store's frozen column, one call per control listener with
+every changed server id, and after a thaw one queue drain over the whole
+thawed set.
 """
 
 from __future__ import annotations
@@ -156,26 +156,16 @@ class OmegaScheduler(SchedulerInterface):
     def _server(self, server_id: int) -> Server:
         return self.tracker.servers[self._index(server_id)]
 
-    def freeze(self, server_id: int) -> None:
-        slot = self.tracker.first_slot + self._index(server_id)
-        if server_id in self._frozen_ids:
-            return  # idempotent: reconciliation may re-assert a freeze
-        self._set_frozen(slot, (server_id,), True)
-
-    def unfreeze(self, server_id: int) -> None:
-        slot = self.tracker.first_slot + self._index(server_id)
-        if server_id not in self._frozen_ids:
-            return  # idempotent: a retried unfreeze must not re-drain
-        self._set_frozen(slot, (server_id,), False)
-
     def set_frozen(self, slots, frozen: bool) -> List[int]:
         """Freeze (``frozen=True``) or thaw many servers in one call.
 
         ``slots`` are store slots of this scheduler's servers (a group's
-        ``state_indices``). Failed and powered-off servers, and servers
-        already in the target state, are skipped. Returns the ids of the
-        servers that changed, in slot order; when none did, nothing is
-        written, notified or drained.
+        ``state_indices``). Servers already in the target state are
+        skipped, and so are failed and powered-off servers on a freeze (a
+        thaw clears the flag of a dark server too, so it comes back
+        schedulable). Returns the ids of the servers that changed, in
+        slot order; when none did, nothing is written, notified or
+        drained.
         """
         tracker = self.tracker
         state = tracker.state
@@ -183,25 +173,32 @@ class OmegaScheduler(SchedulerInterface):
         first = tracker.first_slot
         if slots.size and (slots.min() < first or slots.max() >= first + len(tracker)):
             raise KeyError("slots outside this scheduler's servers")
-        down = state.failed[slots] | state.powered_off[slots]
-        slots = slots[(state.frozen[slots] != frozen) & ~down]
+        change = state.frozen[slots] != frozen
+        if frozen:
+            change &= ~(state.failed[slots] | state.powered_off[slots])
+        slots = slots[change]
         server_ids = state.server_ids[slots].tolist()
         if server_ids:
-            self._set_frozen(slots, server_ids, frozen)
+            (self.freeze if frozen else self.unfreeze)(slots, server_ids)
         return server_ids
 
-    def _set_frozen(self, slots, server_ids: Sequence[int], frozen: bool) -> None:
-        """The one freeze/thaw body: one mask write (which queues the fit
-        index refits), one set update, one call per control listener and,
-        after a thaw, one drain once every server is schedulable."""
-        self.tracker.state.set_frozen(slots, frozen)
-        if frozen:
-            self._frozen_ids.update(server_ids)
-            self._notify_control("freeze", server_ids)
-        else:
-            self._frozen_ids.difference_update(server_ids)
-            self._notify_control("unfreeze", server_ids)
-            self._drain_queues()
+    # The two halves of set_frozen, called only by it with the servers
+    # that change. They keep these names because perfbench's tracer
+    # times them as the ``scheduler.freeze`` layer.
+    def freeze(self, slots, server_ids: Sequence[int]) -> None:
+        """One mask write (which queues the fit index refits), one set
+        update and one call per control listener."""
+        self.tracker.state.set_frozen(slots, True)
+        self._frozen_ids.update(server_ids)
+        self._notify_control("freeze", server_ids)
+
+    def unfreeze(self, slots, server_ids: Sequence[int]) -> None:
+        """As :meth:`freeze`, then one queue drain once every thawed
+        server is schedulable."""
+        self.tracker.state.set_frozen(slots, False)
+        self._frozen_ids.difference_update(server_ids)
+        self._notify_control("unfreeze", server_ids)
+        self._drain_queues()
 
     def frozen_server_ids(self) -> FrozenSet[int]:
         return frozenset(self._frozen_ids)

@@ -63,11 +63,10 @@ def run_freeze_decay(
     generator.start(end)
     testbed.run(until=warmup_hours * 3600.0)
 
-    servers = sorted(
-        testbed.row.servers, key=lambda s: s.power_watts(), reverse=True
-    )[:n_freeze]
-    for server in servers:
-        testbed.scheduler.freeze(server.server_id)
+    row = testbed.row
+    hottest = np.argsort(-row.server_powers(), kind="stable")[:n_freeze]
+    testbed.scheduler.set_frozen(row.state_indices[hottest], True)
+    servers = [row.servers[i] for i in hottest]
 
     samples: List[float] = []
 
@@ -159,18 +158,21 @@ class _FreezeEffectProbe:
     def _apply(self) -> None:
         self._current_u = float(self.rng.choice(self.u_values))
         self._gap_before = self._gap()
-        n_freeze = int(self._current_u * len(self.experiment.servers))
-        powers = {s.server_id: s.power_watts() for s in self.experiment.servers}
-        plan = plan_freeze_set(powers, n_freeze, set())
-        for server_id in plan.to_freeze:
-            self.testbed.scheduler.freeze(server_id)
+        group = self.experiment
+        n_freeze = int(self._current_u * len(group.servers))
+        plan = plan_freeze_set(
+            group.server_powers(),
+            group.state.server_ids[group.state_indices],
+            n_freeze,
+            np.zeros(len(group.servers), dtype=bool),
+        )
+        self.testbed.scheduler.set_frozen(group.state_indices[plan], True)
         self._phase = "measure"
 
     def _measure(self) -> None:
         effect = self._gap() - self._gap_before
         self.samples.append((self._current_u, effect))
-        for server_id in list(self.testbed.scheduler.frozen_server_ids()):
-            self.testbed.scheduler.unfreeze(server_id)
+        self.testbed.scheduler.set_frozen(self.experiment.state_indices, False)
         self._phase = "recover"
         self._recover_left = self.recovery_minutes
 

@@ -180,22 +180,6 @@ class ControlEventLog:
         """Events per kind, in first-seen order."""
         return dict(self._counts)
 
-    def for_server(self, server_id: int) -> List[ControlEvent]:
-        return [e for e in self.events if e.server_id == server_id]
-
-    def freeze_durations(self) -> List[float]:
-        """Completed freeze->unfreeze durations per server (diagnostics)."""
-        open_freezes: Dict[int, float] = {}
-        durations: List[float] = []
-        for event in self.events:
-            if event.kind == "freeze":
-                open_freezes[event.server_id] = event.time
-            elif event.kind == "unfreeze":
-                started = open_freezes.pop(event.server_id, None)
-                if started is not None:
-                    durations.append(event.time - started)
-        return durations
-
     # ------------------------------------------------------------------
     def dump_csv(self, path: Union[str, Path]) -> int:
         buffer = io.StringIO()

@@ -26,16 +26,15 @@ def jains_index(values: Sequence[float]) -> float:
     xs = [float(v) for v in values]
     if any(v < 0 for v in xs):
         raise ValueError(f"allocations must be non-negative, got {xs}")
+    peak = max(xs, default=0.0)
+    if peak == 0.0:
+        return 1.0
+    # Scale by the largest value first: the index is scale-free, and
+    # squares of tiny values would otherwise lose precision or
+    # underflow (2.8e-160 squared is subnormal).
+    xs = [v / peak for v in xs]
     total = sum(xs)
-    if not xs or total == 0.0:
-        return 1.0
-    square_sum = sum(v * v for v in xs)
-    if square_sum == 0.0:
-        # Subnormal allocations can underflow v*v to exactly zero while
-        # the sum stays positive; such vectors are equal to within
-        # float resolution, so report perfect fairness.
-        return 1.0
-    return (total * total) / (len(xs) * square_sum)
+    return (total * total) / (len(xs) * sum(v * v for v in xs))
 
 
 __all__ = ["jains_index"]

@@ -21,12 +21,11 @@ The greedy gives the two properties the tests pin down:
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.policy import FreezePlan, FreezePolicy
+from repro.core.policy import FreezePolicy
 
 
 def fair_freeze_counts(
@@ -61,30 +60,26 @@ def fair_freeze_counts(
         raise ValueError(f"quota must be non-negative, got {quota}")
     counts = {name: 0 for name in order}
     quota = min(quota, sum(capacity.get(name, 0) for name in order))
-    # One heap entry per tenant, keyed exactly like the naive greedy's
-    # min() -- (normalized burden, declared rank). Only the granted
-    # tenant's burden changes per step, so re-pushing just that entry
-    # keeps every heap key current (O(quota log T) instead of
-    # O(quota x T)).
-    heap = [
-        (cumulative.get(name, 0.0) / weights[name], rank, name)
-        for rank, name in enumerate(order)
-        if capacity.get(name, 0) > 0
-    ]
-    heapq.heapify(heap)
-    for _ in range(quota):
-        burden, rank, name = heapq.heappop(heap)
-        counts[name] += 1
-        if counts[name] < capacity.get(name, 0):
-            heapq.heappush(
-                heap,
-                (
-                    (cumulative.get(name, 0.0) + counts[name])
-                    / weights[name],
-                    rank,
-                    name,
-                ),
+    if quota == 0:
+        return counts
+    # The greedy hands each server to the tenant whose key -- (normalized
+    # burden, declared rank) -- is lowest. A tenant's j-th grant comes at
+    # burden (cumulative + j) / weight, increasing in j, so the greedy
+    # merges the tenants' key sequences and grants exactly the quota
+    # lowest keys of all. One sort of every tenant's first ``quota``
+    # candidate keys finds them, with no Python loop per grant.
+    burdens, ranks = [], []
+    for rank, name in enumerate(order):
+        grants = min(capacity.get(name, 0), quota)
+        if grants > 0:
+            burdens.append(
+                (cumulative.get(name, 0.0) + np.arange(grants)) / weights[name]
             )
+            ranks.append(np.full(grants, rank))
+    burden, rank = np.concatenate(burdens), np.concatenate(ranks)
+    granted = rank[np.lexsort((rank, burden))[:quota]]
+    for index, count in enumerate(np.bincount(granted, minlength=len(order)).tolist()):
+        counts[order[index]] = count
     return counts
 
 
@@ -135,33 +130,24 @@ class FairShareFreezePolicy(FreezePolicy):
 
     def plan(
         self,
-        server_powers: Dict[int, float],
+        powers: np.ndarray,
+        server_ids: np.ndarray,
         n_freeze: int,
-        currently_frozen: Set[int],
+        frozen: np.ndarray,
         r_stable: float = 0.8,
-    ) -> FreezePlan:
+    ) -> np.ndarray:
         if n_freeze < 0:
             raise ValueError(f"n_freeze must be non-negative, got {n_freeze}")
         if not 0.0 < r_stable <= 1.0:
             raise ValueError(f"r_stable must be in (0, 1], got {r_stable}")
-        unknown = currently_frozen - server_powers.keys()
-        if unknown:
-            raise KeyError(
-                f"frozen servers missing power readings: {sorted(unknown)}"
-            )
-
-        n_freeze = min(n_freeze, len(server_powers))
+        n = len(powers)
+        n_freeze = min(n_freeze, n)
+        plan = np.zeros(n, dtype=bool)
         if n_freeze == 0:
-            return FreezePlan(
-                to_freeze=frozenset(),
-                to_unfreeze=frozenset(currently_frozen),
-                new_frozen=frozenset(),
-            )
+            return plan
 
-        n = len(server_powers)
-        sids = np.fromiter(server_powers.keys(), dtype=np.int64, count=n)
         if self._cached_sids is None or not np.array_equal(
-            self._cached_sids, sids
+            self._cached_sids, server_ids
         ):
             ordinal = {
                 name: index
@@ -174,35 +160,19 @@ class FairShareFreezePolicy(FreezePolicy):
                         self.tenant_of.get(int(sid), self.UNTENANTED),
                         untenanted,
                     )
-                    for sid in sids
+                    for sid in server_ids
                 ),
                 dtype=np.int64,
                 count=n,
             )
-            self._cached_sids = sids
+            self._cached_sids = np.array(server_ids)
         ordinals = self._cached_ordinals
-        powers = np.fromiter(
-            server_powers.values(), dtype=np.float64, count=n
-        )
-        if currently_frozen:
-            frozen_mask = np.isin(
-                sids,
-                np.fromiter(
-                    currently_frozen,
-                    dtype=np.int64,
-                    count=len(currently_frozen),
-                ),
-            )
-        else:
-            frozen_mask = np.zeros(n, dtype=bool)
         # Keep-frozen-first is the hysteresis: a frozen server stays in
         # its tenant's slice while the tenant's quota covers it, so the
         # per-tenant churn profile mirrors the r_stable band's intent.
         # lexsort's last key is primary; the full key (frozen-first,
-        # hottest-first, sid) is a total order, so the ranking matches
-        # the object policy's tuple sort exactly.
-        ranked = np.lexsort((sids, -powers, ~frozen_mask))
-        ranked_sids = sids[ranked]
+        # hottest-first, sid) is a total order.
+        ranked = np.lexsort((server_ids, -powers, ~frozen))
         ranked_ordinals = ordinals[ranked]
         order = self._full_order()
         weights = dict(self.weights)
@@ -215,24 +185,14 @@ class FairShareFreezePolicy(FreezePolicy):
             self.cumulative,
             {name: int(per_tenant[i]) for i, name in enumerate(order)},
         )
-        picks: List[np.ndarray] = []
         for index, name in enumerate(order):
             take = counts.get(name, 0)
             if take:
-                picks.append(
-                    ranked_sids[ranked_ordinals == index][:take]
-                )
+                plan[ranked[ranked_ordinals == index][:take]] = True
                 self.cumulative[name] = (
                     self.cumulative.get(name, 0.0) + take
                 )
-        new_frozen: Set[int] = (
-            set(map(int, np.concatenate(picks))) if picks else set()
-        )
-        return FreezePlan(
-            to_freeze=frozenset(new_frozen - currently_frozen),
-            to_unfreeze=frozenset(currently_frozen - new_frozen),
-            new_frozen=frozenset(new_frozen),
-        )
+        return plan
 
 
 __all__ = ["FairShareFreezePolicy", "fair_freeze_counts"]

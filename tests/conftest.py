@@ -1,6 +1,6 @@
 """Shared fixtures for the test suite."""
 
-from typing import List
+from typing import Callable, Dict, List, Set
 
 import numpy as np
 import pytest
@@ -65,3 +65,23 @@ def server() -> Server:
 @pytest.fixture
 def power_params() -> PowerModelParams:
     return PowerModelParams()
+
+
+def plan_ids(
+    plan: Callable, powers: Dict[int, float], n_freeze: int, frozen: Set[int], *args
+) -> Set[int]:
+    """Run an array freeze planner (``plan_freeze_set`` or a policy's
+    ``plan``) on ``{server_id: watts}`` readings and a frozen id set,
+    members in dict order; return the planned frozen set as ids."""
+    ids = np.fromiter(powers, dtype=np.int64, count=len(powers))
+    readings = np.fromiter(powers.values(), dtype=np.float64, count=len(powers))
+    mask = plan(readings, ids, n_freeze, np.isin(ids, list(frozen)), *args)
+    return set(ids[mask].tolist())
+
+
+def set_frozen_ids(scheduler, ids, frozen: bool) -> list:
+    """``scheduler.set_frozen`` over the slots of the given server ids
+    (actors pass a group's slots; tests often name servers by id)."""
+    tracker = scheduler.tracker
+    slots = [tracker.first_slot + tracker.index_of[sid] for sid in ids]
+    return scheduler.set_frozen(slots, frozen)

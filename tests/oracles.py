@@ -16,6 +16,9 @@ contracts the array path relies on:
 
 :class:`PerCandidateGenerator` is the arrival path that production's
 thin-ahead stream replaced: one engine event per thinning candidate.
+:func:`plan_freeze_set` is the freeze planner over ``{server_id: watts}``
+dicts and id sets that the array planner in :mod:`repro.core.policy`
+replaced; ``tests/test_properties.py`` checks the two make the same plan.
 
 The PCP references at the end (:func:`pcp_cost`,
 :func:`simulate_power_trajectory`, :func:`spcp_optimal_ratio_nonlinear`)
@@ -25,7 +28,8 @@ the controller's closed-form SPCP and iterated PCP against.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Sequence, Set
 
 import numpy as np
 
@@ -185,17 +189,115 @@ def capped_time_order(group) -> list:
 # ---------------------------------------------------------------------------
 # Per-server readings
 # ---------------------------------------------------------------------------
-def snapshot_server_powers(monitor, group) -> Dict[int, float]:
-    """``PowerMonitor.snapshot_server_powers``: one noise draw per server."""
-    readings: Dict[int, float] = {}
+def read_server_powers(monitor, group) -> np.ndarray:
+    """``PowerMonitor.read_server_powers``: one noise draw per server."""
+    readings: List[float] = []
     for server in group.servers:
         factor = 1.0
         if monitor.noise_sigma > 0:
             factor = 1.0 + monitor.noise_sigma * monitor.rng.standard_normal()
-        readings[server.server_id] = (
-            server.power_watts() * factor * monitor.sensor_bias
+        readings.append(server.power_watts() * factor * monitor.sensor_bias)
+    return np.array(readings, dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
+# Freeze planning
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class FreezePlan:
+    """The actions produced by one planning step."""
+
+    to_freeze: FrozenSet[int]
+    to_unfreeze: FrozenSet[int]
+    new_frozen: FrozenSet[int]
+
+
+def plan_freeze_set(
+    server_powers: Dict[int, float],
+    n_freeze: int,
+    currently_frozen: Set[int],
+    r_stable: float = 0.8,
+) -> FreezePlan:
+    """One step of Algorithm 1's candidate-selection logic for a row.
+
+    Parameters
+    ----------
+    server_powers:
+        Power reading per server id for every server in the row.
+    n_freeze:
+        Target size of the frozen set (already clamped by the caller to
+        ``floor(u_t * n)`` and the operational ceiling).
+    currently_frozen:
+        Frozen set from the previous interval, ``S_f[k]``.
+    r_stable:
+        Stability ratio; servers whose power exceeds ``r_stable * min(S)``
+        join the candidate set so that near-ties don't cause churn.
+
+    Returns
+    -------
+    FreezePlan
+        The freeze/unfreeze actions and the resulting frozen set, with
+        ``len(new_frozen) == min(n_freeze, len(server_powers))``.
+    """
+    if n_freeze < 0:
+        raise ValueError(f"n_freeze must be non-negative, got {n_freeze}")
+    if not 0.0 < r_stable <= 1.0:
+        raise ValueError(f"r_stable must be in (0, 1], got {r_stable}")
+    unknown = currently_frozen - server_powers.keys()
+    if unknown:
+        raise KeyError(f"frozen servers missing power readings: {sorted(unknown)}")
+
+    n_freeze = min(n_freeze, len(server_powers))
+    if n_freeze == 0:
+        return FreezePlan(
+            to_freeze=frozenset(),
+            to_unfreeze=frozenset(currently_frozen),
+            new_frozen=frozenset(),
         )
-    return readings
+
+    # S <- n_freeze servers with highest power. Ties broken by id so the
+    # plan is deterministic for identical readings.
+    by_power_desc: List[int] = sorted(
+        server_powers, key=lambda sid: (-server_powers[sid], sid)
+    )
+    top = by_power_desc[:n_freeze]
+    candidates: Set[int] = set(top)
+
+    # Stability band: any server within r_stable of the set's floor is an
+    # acceptable member, so current members inside the band are kept.
+    power_floor = min(server_powers[sid] for sid in top)
+    p_threshold = r_stable * power_floor
+    for sid in by_power_desc[n_freeze:]:
+        if server_powers[sid] > p_threshold:
+            candidates.add(sid)
+        else:
+            break  # sorted descending; everything after is colder
+
+    # Unfreeze servers that fell out of the candidate set entirely.
+    kept = currently_frozen & candidates
+    dropped = currently_frozen - candidates
+
+    if len(kept) > n_freeze:
+        # Too many survivors: release the coldest surplus ("arbitrary" in
+        # the paper; coldest-first minimizes capacity cost and is
+        # deterministic).
+        surplus = sorted(kept, key=lambda sid: (server_powers[sid], -sid))
+        release = set(surplus[: len(kept) - n_freeze])
+        kept -= release
+        dropped |= release
+        newly_frozen: Set[int] = set()
+    else:
+        # Fill up with the hottest non-frozen candidates.
+        need = n_freeze - len(kept)
+        fill_pool = [sid for sid in by_power_desc if sid in candidates and sid not in kept]
+        newly_frozen = set(fill_pool[:need])
+        kept |= newly_frozen
+
+    return FreezePlan(
+        to_freeze=frozenset(newly_frozen),
+        to_unfreeze=frozenset(dropped),
+        new_frozen=frozenset(kept),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +328,18 @@ class OracleCappingEngine(CappingEngine):
 def set_group_frozen(run, name: str, frozen: bool) -> dict:
     """An operator group freeze or thaw, one scheduler call per server.
 
-    Each live server not yet in the target state gets its own
-    ``freeze``/``unfreeze``: one control event per call and, on a thaw,
-    one queue drain per server.
+    Each server not yet in the target state gets its own one-slot
+    ``set_frozen`` (a freeze skips dark servers): one control event per
+    call and, on a thaw, one queue drain per server.
     """
     scheduler = run.scheduler_for(name)
+    group = run.groups()[name]
     changed = 0
-    for server in run.groups()[name].servers:
-        if not _live(server):
-            continue
-        if frozen and not server.frozen:
-            scheduler.freeze(server.server_id)
-            changed += 1
+    for server, slot in zip(group.servers, group.state_indices.tolist()):
+        if frozen and not server.frozen and _live(server):
+            changed += len(scheduler.set_frozen([slot], True))
         elif not frozen and server.frozen:
-            scheduler.unfreeze(server.server_id)
-            changed += 1
+            changed += len(scheduler.set_frozen([slot], False))
     return {
         "group": name,
         "action": "freeze" if frozen else "unfreeze",
@@ -301,8 +400,8 @@ def use_oracle_loops(monkeypatch) -> None:
     monkeypatch.setattr(ServerGroup, "rated_watts", group_rated_watts)
     monkeypatch.setattr(
         PowerMonitor,
-        "snapshot_server_powers",
-        lambda monitor, name: snapshot_server_powers(monitor, monitor._groups[name]),
+        "read_server_powers",
+        lambda monitor, name: read_server_powers(monitor, monitor._groups[name]),
     )
     for name in (
         "_account_capped_time",

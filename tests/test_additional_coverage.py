@@ -7,7 +7,7 @@ from repro.scheduler.policies import BestFitPolicy, LeastLoadedPolicy
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
 from repro.workload.job import Job
-from tests.conftest import make_servers
+from tests.conftest import make_servers, set_frozen_ids
 
 
 def cluster(n=8, seed=0):
@@ -74,7 +74,7 @@ class TestControlListenerOrdering:
         calls = []
         scheduler.control_listeners.append(lambda a, ids: calls.append(("first", a)))
         scheduler.control_listeners.append(lambda a, ids: calls.append(("second", a)))
-        scheduler.freeze(0)
+        set_frozen_ids(scheduler, [0], True)
         assert calls == [("first", "freeze"), ("second", "freeze")]
 
 

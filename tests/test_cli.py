@@ -231,6 +231,18 @@ class TestExecution:
             assert "--auto-snapshot-every" in err
             assert "-1" in err and "-60" not in err
 
+    def test_fleet_campaign_refuses_servers_not_a_multiple_of_80(self, capsys):
+        # a fleet cell splits --servers over two rows of a multiple of 40
+        code = main(
+            ["campaign", "--servers", "40", "--hours", "0.1", "--ratios",
+             "0.17", "--seeds", "3", "--fleet-policy", "demand-following"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --servers 40 must be a multiple of 80")
+        assert err.count("\n") == 1
+        assert "20" not in err
+
     def test_campaign_survives_failing_cells(self, capsys):
         # 50 servers is invalid (must be a multiple of 40): every cell
         # fails in its worker, yet the sweep completes with failed rows.

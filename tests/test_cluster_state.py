@@ -143,7 +143,7 @@ class TestSharedCache:
         indices = row.state_indices[:2]
         row.state.set_frozen(indices, True)
         assert [s.frozen for s in row.servers] == [True, True, False, False]
-        assert row.freezing_ratio() == 0.5
+        assert row.flag_masks()["frozen"].tolist() == [True, True, False, False]
 
 
 class TestSharedStateDetection:

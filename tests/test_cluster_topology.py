@@ -45,13 +45,15 @@ class TestServerGroup:
             group.set_over_provision_ratio(-0.1)
 
     def test_freezing_ratio(self):
+        """The frozen fraction (the paper's u_t) reads off the group's
+        frozen mask."""
         servers = make_servers(4)
         group = ServerGroup("g", servers)
-        assert group.freezing_ratio() == 0.0
+        assert group.flag_masks()["frozen"].mean() == 0.0
         servers[0].freeze()
         servers[1].freeze()
-        assert group.freezing_ratio() == pytest.approx(0.5)
-        assert len(group.frozen_servers()) == 2
+        assert group.flag_masks()["frozen"].mean() == pytest.approx(0.5)
+        assert group.flag_masks()["frozen"].tolist() == [True, True, False, False]
 
     def test_normalized_power(self):
         group = ServerGroup("g", [make_server(0)], power_budget_watts=200.0)

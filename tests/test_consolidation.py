@@ -9,7 +9,7 @@ from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
 from repro.workload.job import Job
-from tests.conftest import assert_tracker_invariant, make_servers
+from tests.conftest import assert_tracker_invariant, make_servers, set_frozen_ids
 
 
 def rig(n=10, seed=0):
@@ -74,7 +74,7 @@ class TestController:
         # but freeze the rest so a submitted job has to queue.
         group.power_budget_watts = group.power_watts() / 0.95
         for server in servers[2:]:
-            scheduler.freeze(server.server_id)
+            set_frozen_ids(scheduler, [server.server_id], True)
         scheduler.submit(Job(1, 50.0))
         monitor.sample_once()
         controller.tick()

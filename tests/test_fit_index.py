@@ -22,7 +22,7 @@ from repro.scheduler.omega import OmegaScheduler
 from repro.scheduler.resources import BLOCK, SUPERBLOCK, ResourceTracker
 from repro.sim.engine import Engine
 from repro.workload.job import Job
-from tests.conftest import make_servers
+from tests.conftest import make_servers, set_frozen_ids
 
 #: nested demand classes (cores, memory_gb), then one that breaks nesting
 #: with (4, 8), then one that registers between two known classes
@@ -141,9 +141,9 @@ def test_index_matches_scan_under_random_operations(sizes, capacities, steps):
         elif op == "advance":
             engine.run(until=engine.now + 30.0 * (1 + extra))
         elif op == "freeze":
-            scheduler.freeze(sid)
+            set_frozen_ids(scheduler, [sid], True)
         elif op == "unfreeze":
-            scheduler.unfreeze(sid)
+            set_frozen_ids(scheduler, [sid], False)
         elif op == "fail":
             scheduler.fail_server(sid)
         elif op == "repair":

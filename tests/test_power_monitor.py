@@ -138,20 +138,20 @@ class TestSnapshot:
         monitor = PowerMonitor(engine, noise_sigma=0.0)
         group = make_group(n=3)
         monitor.register_group(group)
-        snapshot = monitor.snapshot_server_powers("g")
-        assert set(snapshot) == {0, 1, 2}
-        for server in group.servers:
-            assert snapshot[server.server_id] == pytest.approx(server.power_watts())
+        readings = monitor.read_server_powers("g")
+        assert len(readings) == 3  # one per member, in member order
+        for server, reading in zip(group.servers, readings):
+            assert reading == pytest.approx(server.power_watts())
 
     def test_snapshot_reflects_load_differences(self, engine):
         monitor = PowerMonitor(engine, noise_sigma=0.0)
         group = make_group(n=2)
         group.servers[0].add_task(Job(1, 100.0, cores=8, memory_gb=1))
         monitor.register_group(group)
-        snapshot = monitor.snapshot_server_powers("g")
-        assert snapshot[0] > snapshot[1]
+        readings = monitor.read_server_powers("g")
+        assert readings[0] > readings[1]
 
     def test_snapshot_unknown_group_raises(self, engine):
         monitor = PowerMonitor(engine)
         with pytest.raises(KeyError):
-            monitor.snapshot_server_powers("missing")
+            monitor.read_server_powers("missing")

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.metrics import count_violations, gain_in_tpw
@@ -10,6 +10,8 @@ from repro.core.rhc import pcp_optimal_sequence, spcp_optimal_ratio
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
 from repro.workload.interactive import lindley_waits
+from tests import oracles
+from tests.conftest import plan_ids
 from tests.oracles import simulate_power_trajectory, spcp_optimal_ratio_nonlinear
 
 # ---------------------------------------------------------------------------
@@ -73,30 +75,66 @@ power_maps = st.dictionaries(
 
 @given(powers=power_maps, n_freeze=st.integers(0, 35), r_stable=st.floats(0.1, 1.0))
 def test_plan_respects_target_size(powers, n_freeze, r_stable):
-    plan = plan_freeze_set(powers, n_freeze, set(), r_stable=r_stable)
-    assert len(plan.new_frozen) == min(n_freeze, len(powers))
+    plan = plan_ids(plan_freeze_set, powers, n_freeze, set(), r_stable)
+    assert len(plan) == min(n_freeze, len(powers))
 
 
 @given(powers=power_maps, n_freeze=st.integers(0, 35), seed=st.integers(0, 1000))
 def test_plan_actions_are_consistent(powers, n_freeze, seed):
+    """The thaw and freeze batches the controller derives from the mask
+    (``frozen & ~plan`` and ``plan & ~frozen``) are the dict oracle's
+    ``to_unfreeze`` and ``to_freeze``."""
     rng = np.random.default_rng(seed)
-    ids = list(powers)
-    current = {i for i in ids if rng.random() < 0.4}
-    plan = plan_freeze_set(powers, n_freeze, current)
-    # Action sets are disjoint and produce exactly new_frozen.
-    assert not (plan.to_freeze & plan.to_unfreeze)
-    assert plan.new_frozen == (current | plan.to_freeze) - plan.to_unfreeze
-    assert plan.to_freeze.isdisjoint(current)
-    assert plan.to_unfreeze <= current
+    current = {i for i in powers if rng.random() < 0.4}
+    planned = plan_ids(plan_freeze_set, powers, n_freeze, current)
+    reference = oracles.plan_freeze_set(powers, n_freeze, current)
+    assert current - planned == reference.to_unfreeze
+    assert planned - current == reference.to_freeze
 
 
 @given(powers=power_maps, n_freeze=st.integers(1, 35))
 def test_plan_idempotent(powers, n_freeze):
     """Applying the same plan twice changes nothing (stability)."""
-    first = plan_freeze_set(powers, n_freeze, set())
-    second = plan_freeze_set(powers, n_freeze, set(first.new_frozen))
-    assert second.new_frozen == first.new_frozen
-    assert second.is_noop
+    first = plan_ids(plan_freeze_set, powers, n_freeze, set())
+    assert plan_ids(plan_freeze_set, powers, n_freeze, first) == first
+
+
+@st.composite
+def planning_cases(draw):
+    """A row in arbitrary id order, readings from a small pool (ties),
+    a frozen set of any size (a surplus over the target), and targets
+    of 0, the row size and in between."""
+    ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=30, unique=True))
+    pool = draw(st.lists(st.floats(1.0, 500.0), min_size=1, max_size=6))
+    readings = draw(st.lists(st.sampled_from(pool), min_size=len(ids), max_size=len(ids)))
+    frozen = draw(st.sets(st.sampled_from(ids)))
+    n_freeze = draw(
+        st.one_of(st.just(0), st.just(len(ids)), st.integers(0, len(ids) + 3))
+    )
+    r_stable = draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    return dict(zip(ids, readings)), n_freeze, frozen, r_stable
+
+
+@given(case=planning_cases())
+@settings(max_examples=300)
+# ties broken by id, against member order
+@example(case=({5: 100.0, 2: 100.0, 9: 100.0, 1: 50.0}, 2, set(), 0.8))
+# a frozen server inside the r_stable band is kept
+@example(case=({0: 100.0, 1: 96.0, 2: 99.0, 3: 50.0}, 1, {1}, 0.8))
+# a surplus of survivors releases the coldest, the larger id on a tie
+@example(case=({7: 170.0, 8: 180.0, 9: 190.0, 4: 170.0}, 2, {4, 7, 8, 9}, 0.5))
+# a target of 0, and of the whole row
+@example(case=({3: 10.0, 1: 20.0}, 0, {1, 3}, 0.8))
+@example(case=({3: 10.0, 1: 20.0, 6: 20.0}, 3, {6}, 0.8))
+def test_array_planner_matches_the_dict_oracle(case):
+    """The array planner makes the dict planner's plan: the same next
+    frozen set, so the same thaw and freeze batches."""
+    powers, n_freeze, frozen, r_stable = case
+    planned = plan_ids(plan_freeze_set, powers, n_freeze, frozen, r_stable)
+    reference = oracles.plan_freeze_set(powers, n_freeze, frozen, r_stable)
+    assert planned == reference.new_frozen
+    assert frozen - planned == reference.to_unfreeze
+    assert planned - frozen == reference.to_freeze
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +295,12 @@ def test_gtpw_bounded_by_r_o(r_t, r_o):
 
 @given(powers=power_maps, n_freeze=st.integers(1, 30), r_stable=st.floats(0.1, 1.0))
 def test_plan_members_inside_band(powers, n_freeze, r_stable):
-    plan = plan_freeze_set(powers, n_freeze, set(), r_stable=r_stable)
-    if not plan.new_frozen:
+    plan = plan_ids(plan_freeze_set, powers, n_freeze, set(), r_stable)
+    if not plan:
         return
     k = min(n_freeze, len(powers))
     kth_power = sorted(powers.values(), reverse=True)[k - 1]
-    for sid in plan.new_frozen:
+    for sid in plan:
         assert powers[sid] >= r_stable * kth_power - 1e-9
 
 

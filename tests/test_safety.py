@@ -28,7 +28,7 @@ from repro.scheduler.omega import OmegaScheduler
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.testbed import WorkloadSpec
 from repro.workload.job import Job
-from tests.conftest import make_servers
+from tests.conftest import make_servers, set_frozen_ids
 
 
 class ClusterHarness:
@@ -405,7 +405,7 @@ class TestSafetySupervisor:
         config = SafetyConfig(release_ticks=1)
         harness = ClusterHarness()
         # Server 0 was frozen by "the controller" before the emergency.
-        harness.scheduler.freeze(0)
+        set_frozen_ids(harness.scheduler, [0], True)
         harness.set_ratio(1.02)
         supervisor = harness.supervisor(config=config)
         supervisor.tick()

@@ -92,8 +92,7 @@ class TestPlacementAndCompletion:
 class TestFreezeSemantics:
     def test_frozen_server_receives_no_new_jobs(self, setup):
         engine, servers, scheduler = setup
-        for server in servers[1:]:
-            scheduler.freeze(server.server_id)
+        scheduler.set_frozen([s._index for s in servers[1:]], True)
         for i in range(3):
             scheduler.submit(make_job(i))
         assert len(servers[0].tasks) == 3
@@ -104,41 +103,38 @@ class TestFreezeSemantics:
         job = make_job(1, work=100.0)
         scheduler.submit(job)
         host = job.server
-        scheduler.freeze(host.server_id)
+        scheduler.set_frozen([host._index], True)
         engine.run(until=150.0)
         assert job.is_finished
         assert job.slowdown == pytest.approx(1.0)
 
     def test_unfreeze_drains_queue(self, setup):
         engine, servers, scheduler = setup
-        for server in servers:
-            scheduler.freeze(server.server_id)
+        scheduler.set_frozen([s._index for s in servers], True)
         job = make_job(1)
         scheduler.submit(job)
         assert scheduler.queued_jobs == 1
-        scheduler.unfreeze(servers[2].server_id)
+        scheduler.set_frozen([servers[2]._index], False)
         assert scheduler.queued_jobs == 0
         assert job.server is servers[2]
 
     def test_frozen_server_ids(self, setup):
         engine, servers, scheduler = setup
-        scheduler.freeze(0)
-        scheduler.freeze(2)
+        scheduler.set_frozen([servers[0]._index, servers[2]._index], True)
         assert scheduler.frozen_server_ids() == frozenset({0, 2})
-        scheduler.unfreeze(0)
+        scheduler.set_frozen([servers[0]._index], False)
         assert scheduler.frozen_server_ids() == frozenset({2})
 
     def test_freeze_unknown_server_raises(self, setup):
         engine, servers, scheduler = setup
         with pytest.raises(KeyError):
-            scheduler.freeze(999)
+            scheduler.set_frozen([999], True)
         with pytest.raises(KeyError):
-            scheduler.unfreeze(999)
+            scheduler.set_frozen([999], False)
 
     def test_all_frozen_queues_everything(self, setup):
         engine, servers, scheduler = setup
-        for server in servers:
-            scheduler.freeze(server.server_id)
+        scheduler.set_frozen([s._index for s in servers], True)
         for i in range(5):
             scheduler.submit(make_job(i))
         assert scheduler.queued_jobs == 5
@@ -168,10 +164,22 @@ class TestGroupFreeze:
         engine, servers, scheduler = setup
         calls = []
         scheduler.control_listeners.append(lambda a, ids: calls.append((a, list(ids))))
-        scheduler.freeze(2)
-        scheduler.freeze(2)  # idempotent
-        scheduler.unfreeze(2)
+        slot = servers[2]._index
+        assert scheduler.set_frozen([slot], True) == [2]
+        assert scheduler.set_frozen([slot], True) == []  # idempotent
+        assert scheduler.set_frozen([slot], False) == [2]
         assert calls == [("freeze", [2]), ("unfreeze", [2])]
+
+    def test_a_thaw_clears_dark_servers_too(self, setup):
+        """A freeze skips dark servers, but a thaw clears the flag of a
+        server that failed while frozen: repaired, it is schedulable."""
+        engine, servers, scheduler = setup
+        slots = [s._index for s in servers]
+        scheduler.set_frozen(slots, True)
+        scheduler.fail_server(1)
+        assert scheduler.set_frozen(slots, False) == [0, 1, 2, 3]
+        scheduler.repair_server(1)
+        assert not servers[1].frozen
 
     def test_foreign_slots_are_refused(self, setup):
         engine, servers, scheduler = setup
@@ -219,8 +227,8 @@ class TestBackfill:
         scheduler.submit(big)
         scheduler.submit(small)
         # Trigger a drain via unfreeze (freeze/unfreeze cycle).
-        scheduler.freeze(0)
-        scheduler.unfreeze(0)
+        scheduler.set_frozen([servers[0]._index], True)
+        scheduler.set_frozen([servers[0]._index], False)
         assert small.is_running
         assert not big.is_running
 

@@ -129,14 +129,12 @@ class TestThroughputTracker:
         experiment, control = testbed.split_by_parity()
         testbed.throughput.track(experiment)
         testbed.throughput.track(control)
-        for server in testbed.row.servers:
-            testbed.scheduler.freeze(server.server_id)
+        testbed.scheduler.set_frozen(testbed.row.state_indices, True)
 
         from repro.sim.events import EventPriority
 
         def unfreeze_all():
-            for server in testbed.row.servers:
-                testbed.scheduler.unfreeze(server.server_id)
+            testbed.scheduler.set_frozen(testbed.row.state_indices, False)
 
         generator = testbed.add_batch_workload(
             WorkloadSpec(target_utilization=0.2), 1200.0

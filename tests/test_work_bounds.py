@@ -43,11 +43,14 @@ from repro.cluster.group import ServerGroup
 from repro.cluster.power import PowerModelParams
 from repro.cluster.server import Server
 from repro.cluster.state import ClusterState
+from repro.core.controller import AmpereController
 from repro.core.policy import plan_freeze_set
 from repro.core.safety import SafetyConfig, SafetySupervisor
+from repro.faults.rpc import FlakyScheduler
 from repro.fleet import FleetConfig
 from repro.fleet.coordinator import FleetCoordinator
 from repro.monitor.power_monitor import PowerMonitor
+from repro.scheduler.base import InstrumentedScheduler
 from repro.scheduler.omega import OmegaScheduler
 from repro.service import views
 from repro.service.driver import RealTimeDriver
@@ -55,6 +58,7 @@ from repro.service.supervisor import DriverSupervisor, SupervisorConfig
 from repro.service.wal import ActWal, apply_act
 from repro.sim.audit import AuditorConfig, StateAuditor
 from repro.sim.engine import Engine
+from repro.sim.eventlog import ControlEventLog
 from repro.sim.events import EventPriority
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.fleet_experiment import (
@@ -68,6 +72,7 @@ from repro.telemetry import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    Telemetry,
     Tracer,
     render_prometheus,
 )
@@ -282,24 +287,21 @@ def _freeze_tick_work(n_servers: int, n_freeze: int, fair: bool) -> List[Work]:
     policy = FairShareFreezePolicy(tenant_of, config.weights(), config.names)
     accountant = TenancyAccountant(Engine(), config, tenant_of)
     rng = np.random.default_rng(7)
+    ids = np.arange(n_servers)
 
-    def readings() -> dict:
-        return {
-            sid: float(p)
-            for sid, p in enumerate(rng.uniform(100.0, 300.0, n_servers))
-        }
+    def readings() -> np.ndarray:
+        return rng.uniform(100.0, 300.0, n_servers)
 
     def tick(powers, frozen):
         if not fair:
-            return set(plan_freeze_set(powers, n_freeze, frozen).new_frozen)
-        plan = policy.plan(powers, n_freeze, frozen)
-        for sid in plan.to_freeze:
-            accountant.on_control_event("freeze", [sid])
-        for sid in plan.to_unfreeze:
-            accountant.on_control_event("unfreeze", [sid])
-        return set(plan.new_frozen)
+            return plan_freeze_set(powers, ids, n_freeze, frozen)
+        plan = policy.plan(powers, ids, n_freeze, frozen)
+        # the scheduler's listener call for each batch the plan sends
+        accountant.on_control_event("unfreeze", ids[frozen & ~plan].tolist())
+        accountant.on_control_event("freeze", ids[plan & ~frozen].tolist())
+        return plan
 
-    frozen = tick(readings(), set())  # warm-up: the cold first tick
+    frozen = tick(readings(), np.zeros(n_servers, dtype=bool))  # warm-up: the cold first tick
     works = []
     for _ in range(3):
         powers = readings()
@@ -310,12 +312,17 @@ def _freeze_tick_work(n_servers: int, n_freeze: int, fair: bool) -> List[Work]:
     return works
 
 
-def test_fair_freeze_tick_does_no_more_work_than_blind_at_10k():
-    """Fair plan plus per-tenant accounting at 10k servers and 2,000
-    freezes runs no more Python lines than the tenancy-blind plan."""
-    blind = _freeze_tick_work(10_000, 2_000, fair=False)
-    fair = _freeze_tick_work(10_000, 2_000, fair=True)
-    assert sum(w.lines for w in fair) <= sum(w.lines for w in blind)
+def test_freeze_tick_calls_are_flat_in_the_quota():
+    """At 10k servers the fair plan plus per-tenant accounting makes the
+    same Python calls at 200 and 2,000 freezes: the tenant split is one
+    sort of candidate grants, not a loop per grant. The tenancy-blind
+    plan does the same Python work (calls and lines) at both quotas."""
+    for fair in (True, False):
+        small = _freeze_tick_work(10_000, 200, fair=fair)
+        large = _freeze_tick_work(10_000, 2_000, fair=fair)
+        assert [w.calls for w in large] == [w.calls for w in small]
+        if not fair:
+            assert [w.lines for w in large] == [w.lines for w in small]
 
 
 def test_fair_freeze_tick_work_does_not_grow_with_fleet_size():
@@ -804,33 +811,97 @@ def test_arrival_engine_events_equal_accepted_jobs(tenancy):
 # ----------------------------------------------------------------------
 # Safety ladder release
 # ----------------------------------------------------------------------
-def _release_reads(n_servers: int) -> int:
-    """Hold ``n_servers`` in a supervisor's freeze, release them, and
-    return the frozen-set reads the release made."""
+def _ladder_freeze_release_work(n_servers: int) -> Work:
+    """A supervisor's freeze-all plus release over a row with an event
+    log attached, after a warm-up pair; one server is failed (skipped by
+    the freeze) and one frozen by another actor (not released)."""
     engine = Engine()
     servers = make_servers(n_servers)
     scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(0))
+    ControlEventLog(engine).attach_scheduler(scheduler)
     group = ServerGroup("row", servers)
     group.power_budget_watts = 1000.0 * n_servers
     supervisor = SafetySupervisor(
         engine, group, scheduler, CappingEngine(group, engine)
     )
-    supervisor._freeze_all()
-    assert len(scheduler.frozen_server_ids()) == n_servers
-    reads = [0]
-    frozen_server_ids = scheduler.frozen_server_ids
+    scheduler.fail_server(servers[1].server_id)
 
-    def counted():
-        reads[0] += 1
-        return frozen_server_ids()
+    def freeze_and_release() -> None:
+        supervisor._freeze_all()
+        assert len(scheduler.frozen_server_ids()) == n_servers - 1
+        supervisor._release_freezes()
+        assert scheduler.frozen_server_ids() == {servers[0].server_id}
 
-    scheduler.frozen_server_ids = counted
-    supervisor._release_freezes()
-    assert not frozen_server_ids()
-    return reads[0]
+    scheduler.set_frozen(group.state_indices[:1], True)
+    freeze_and_release()  # warm-up
+    work = Work()
+    with work.count():
+        freeze_and_release()
+    return work
 
 
-def test_safety_release_reads_the_frozen_set_once():
-    """Releasing the ladder's freezes copies the scheduler's frozen set
-    once, not once per held server (which made a release quadratic)."""
-    assert _release_reads(20) == _release_reads(400) == 1
+def test_safety_freeze_all_and_release_calls_are_flat_in_servers():
+    """The ladder's freeze-all and its release make the same Python calls
+    at 80 and 800 servers: one ``set_frozen`` call each, never a call (or
+    a frozen-set read, which made a release quadratic) per server."""
+    assert _ladder_freeze_release_work(80).calls == _ladder_freeze_release_work(800).calls
+
+
+# ----------------------------------------------------------------------
+# Controller tick
+# ----------------------------------------------------------------------
+def _controller_tick_work(n_servers: int) -> tuple:
+    """A controller freeze tick and the thaw tick after it, through the
+    instrumented fault-layer stack with telemetry and an event log, after
+    a warm-up pair; returns the work and the servers each tick changed."""
+    engine = Engine()
+    servers = make_servers(n_servers)
+    scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(3))
+    ControlEventLog(engine).attach_scheduler(scheduler)
+    group = ServerGroup("row", servers)
+    rated = group.power_budget_watts
+    monitor = PowerMonitor(engine, noise_sigma=0.01, rng=np.random.default_rng(5))
+    monitor.register_group(group)
+    telemetry = Telemetry.create()
+    flaky = FlakyScheduler(scheduler, rng=np.random.default_rng(9))
+    controller = AmpereController(
+        engine,
+        InstrumentedScheduler(flaky, telemetry),
+        monitor,
+        [group],
+        telemetry=telemetry,
+    )
+    state = controller.state_of("row")
+
+    def tick(budget: float) -> int:
+        engine.run(until=engine.now + 60.0)
+        group.power_budget_watts = budget
+        monitor.sample_once()
+        before = state.freeze_actions + state.unfreeze_actions
+        controller.tick()
+        return state.freeze_actions + state.unfreeze_actions - before
+
+    def freeze_then_thaw() -> list:
+        # 10% over budget (u_t at its ceiling), then at the rated budget
+        # (below the threshold: thaw every frozen server)
+        return [tick(group.power_watts() / 1.1), tick(rated)]
+
+    freeze_then_thaw()  # warm-up
+    work = Work()
+    with work.count():
+        changed = freeze_then_thaw()
+    return work, changed
+
+
+def test_controller_tick_calls_are_flat_in_servers():
+    """A controller tick that freezes k servers, and the tick that thaws
+    them, make the same Python calls at 80 and 800 servers (k = 8 and
+    80): the plan is array expressions over the row, and each batch is
+    one ``set_frozen`` call through the instrumented and fault layers
+    (one span, one failure draw, one listener call, one drain)."""
+    small, small_changed = _controller_tick_work(80)
+    large, large_changed = _controller_tick_work(800)
+    k_small, k_large = small_changed[0], large_changed[0]
+    assert k_small > 1 and k_large == 10 * k_small
+    assert (small_changed, large_changed) == ([k_small] * 2, [k_large] * 2)
+    assert small.calls == large.calls
