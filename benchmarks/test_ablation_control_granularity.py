@@ -34,7 +34,7 @@ HOT_RACKS = 3
 
 
 def run_granularity(level: str, seed: int = 2):
-    testbed = Testbed(n_servers=400, seed=seed)
+    testbed = Testbed(rows=(400,), seed=seed)
     end = WARMUP + HOURS * 3600.0
 
     # Pin services on every server of the first HOT_RACKS racks: those
@@ -67,7 +67,7 @@ def run_granularity(level: str, seed: int = 2):
     )
     testbed.monitor.start(end, first_at=WARMUP)
     controller.start(end, first_at=WARMUP)
-    testbed.run(until=end)
+    testbed.engine.run(until=end)
 
     violations = sum(testbed.monitor.violation_count(g.name) for g in groups)
     u_means = [controller.state_of(g.name).u_mean for g in groups]

@@ -17,7 +17,7 @@ from repro.sim.testbed import Testbed, WorkloadSpec
 
 
 def run_mode(mode: str, hours: float = 8.0, seed: int = 4):
-    testbed = Testbed(n_servers=400, seed=seed)
+    testbed = Testbed(rows=(400,), seed=seed)
     row = testbed.row
     testbed.monitor.register_group(row)
     unit = CoolingUnit()
@@ -30,7 +30,7 @@ def run_mode(mode: str, hours: float = 8.0, seed: int = 4):
     else:
         controller = StaticWorstCaseCooling(testbed.engine, row, unit)
     controller.start(horizon)
-    testbed.run(until=horizon)
+    testbed.engine.run(until=horizon)
     it_energy = float(
         np.trapezoid(
             testbed.monitor.power_series(row.name)[1],

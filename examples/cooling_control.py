@@ -18,7 +18,7 @@ from repro.sim.testbed import Testbed, WorkloadSpec
 
 
 def run(mode: str, hours: float = 8.0, seed: int = 4):
-    testbed = Testbed(n_servers=400, seed=seed)
+    testbed = Testbed(rows=(400,), seed=seed)
     row = testbed.row
     testbed.monitor.register_group(row)
     unit = CoolingUnit()
@@ -29,7 +29,7 @@ def run(mode: str, hours: float = 8.0, seed: int = 4):
         CoolingController(testbed.engine, testbed.monitor, row, unit).start(horizon)
     else:
         StaticWorstCaseCooling(testbed.engine, row, unit).start(horizon)
-    testbed.run(until=horizon)
+    testbed.engine.run(until=horizon)
     return unit
 
 

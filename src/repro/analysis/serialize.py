@@ -15,14 +15,11 @@ its cell and workload spec) reconstructs exactly.
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List
 
 import numpy as np
 
 from repro.analysis.metrics import GroupRunSummary
-from repro.durability.atomic import atomic_write_text
 from repro.sim.campaign import CampaignCell, CampaignRow
 from repro.sim.experiment import ExperimentResult, GroupOutcome
 from repro.sim.testbed import WorkloadSpec
@@ -137,22 +134,6 @@ def fleet_result_to_dict(result: "FleetResult") -> Dict[str, Any]:
     }
 
 
-def save_result_json(
-    result: ExperimentResult,
-    path: Union[str, Path],
-    include_series: bool = True,
-) -> None:
-    """Write a result to ``path`` as indented JSON (atomically)."""
-    atomic_write_text(path, json.dumps(result_to_dict(result, include_series), indent=2))
-
-
-def load_result_dict(path: Union[str, Path]) -> Dict[str, Any]:
-    """Load a saved result document (as a dict; the live objects are not
-    reconstructed -- archived runs are data, not simulations)."""
-    with open(path) as handle:
-        return json.load(handle)
-
-
 # ---------------------------------------------------------------------------
 # Campaign rows: the stable record format of the worker boundary
 # ---------------------------------------------------------------------------
@@ -235,8 +216,6 @@ __all__ = [
     "result_to_dict",
     "summary_to_dict",
     "outcome_to_dict",
-    "save_result_json",
-    "load_result_dict",
     "campaign_cell_to_dict",
     "campaign_cell_from_dict",
     "campaign_row_to_dict",

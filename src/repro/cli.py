@@ -1206,9 +1206,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         experiment = ControlledExperiment(config)
 
-    mode = "manual" if args.step_mode else (
-        "realtime" if args.speedup == 1.0 else "accelerated"
-    )
+    mode = "manual" if args.step_mode else "accelerated"
     service = build_service(
         experiment,
         mode=mode,

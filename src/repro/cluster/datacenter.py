@@ -65,12 +65,6 @@ class DataCenter(ServerGroup):
     def racks(self) -> List[Rack]:
         return [rack for row in self.rows for rack in row.racks]
 
-    def row_by_id(self, row_id: int) -> Row:
-        for row in self.rows:
-            if row.row_id == row_id:
-                return row
-        raise KeyError(f"no row with id {row_id}")
-
 
 def build_row(
     row_id: int,

@@ -87,8 +87,10 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: 9: each workload rng has one arrival stream, and a pending arrival
 #: event is an already-accepted job, thinned ahead; 10: a controller
 #: always holds a freeze policy, the base ``FreezePolicy`` when none
-#: was given).
-SNAPSHOT_VERSION = 10
+#: was given; 11: a ``Testbed`` holds per-row lists of rows, schedulers,
+#: workload rngs, arrival streams and modulation seeds, and a fleet run
+#: holds its ``Testbed`` and no ``DataCenter``).
+SNAPSHOT_VERSION = 11
 
 #: Pickle protocol pinned for stable output within a Python version
 #: (``HIGHEST_PROTOCOL`` may move under our feet on an interpreter bump).

@@ -2,23 +2,15 @@
 
 Stands in for the MySQL-backed store of the paper's power monitor. Points
 are appended in time order (the monitor is the only writer) and queries
-return numpy arrays, which the analysis layer consumes directly. Series
-can be dumped to and reloaded from CSV, which is how recorded runs are
-archived and replayed (e.g. to train the demand estimator on history, as
-production would).
+return numpy arrays, which the analysis layer consumes directly.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
-import io
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-from repro.durability.atomic import atomic_write_text
 
 
 class TimeSeries:
@@ -120,41 +112,6 @@ class TimeSeriesDatabase:
         if name not in self._series:
             raise KeyError(f"unknown metric {name!r}")
         return self._series[name].last()
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def dump_csv(self, path: Union[str, Path]) -> int:
-        """Write every series as ``metric,timestamp,value`` rows.
-
-        Returns the number of points written.
-        """
-        count = 0
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["metric", "timestamp", "value"])
-        for name in self.names():
-            series = self._series[name]
-            for t, v in zip(series.times(), series.values()):
-                writer.writerow([name, repr(float(t)), repr(float(v))])
-                count += 1
-        atomic_write_text(path, buffer.getvalue())
-        return count
-
-    @classmethod
-    def load_csv(cls, path: Union[str, Path]) -> "TimeSeriesDatabase":
-        """Rebuild a database from :meth:`dump_csv` output."""
-        db = cls()
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["metric", "timestamp", "value"]:
-                raise ValueError(f"unrecognized TSDB CSV header: {header}")
-            for row in reader:
-                if len(row) != 3:
-                    raise ValueError(f"malformed TSDB CSV row: {row}")
-                db.write(row[0], float(row[1]), float(row[2]))
-        return db
 
 
 __all__ = ["TimeSeries", "TimeSeriesDatabase"]

@@ -13,8 +13,9 @@ never branches on its shape.
 Layers, bottom up:
 
 - :mod:`repro.service.driver` -- the single-writer simulation thread
-  with its bounded command queue; real, accelerated and manual-step
-  pacing; heartbeat and auto-snapshot hooks.
+  with its bounded command queue; manual-step and accelerated
+  (``speedup`` sim-seconds per wall-second) pacing; heartbeat and
+  auto-snapshot hooks.
 - :mod:`repro.service.wal` -- the write-ahead log of operator acts and
   the one ``apply_act`` path shared by live requests and replay.
 - :mod:`repro.service.supervisor` -- verified checkpoints, the watchdog

@@ -14,14 +14,14 @@ enforces a **single-writer** discipline:
   event and receive the result (or the raised exception). There are no
   locks around simulation state because there is no second reader.
 
-Three pacing modes:
+Two pacing modes:
 
 ``manual``
     Simulated time moves only on explicit ``step`` commands. A
     manual-step service run issues exactly the same ``advance()``
     sequence a batch run would, so the trajectory is byte-identical to
     ``ControlledExperiment.run()`` (pinned in tests/test_service.py).
-``realtime`` / ``accelerated``
+``accelerated``
     The sim thread tracks wall clock: after each slice it sleeps (in the
     command poll) until simulated time falls behind
     ``anchor + (wall - wall_anchor) * speedup`` again. ``speedup=1`` is
@@ -70,7 +70,7 @@ DEFAULT_QUEUE_CAPACITY = 64
 #: default number of recent events kept for Last-Event-ID replay
 DEFAULT_RING_SIZE = 512
 
-MODES = ("manual", "realtime", "accelerated")
+MODES = ("manual", "accelerated")
 
 EVENTS_DROPPED = counter_series(
     "repro_service_events_dropped_total",
@@ -299,8 +299,6 @@ class RealTimeDriver:
                 f"queue_capacity must be >= 0 (0 = unbounded), "
                 f"got {queue_capacity}"
             )
-        if mode == "realtime":
-            speedup = 1.0
         self.run = run
         self.mode = mode
         self.speedup = float(speedup)

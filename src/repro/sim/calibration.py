@@ -57,11 +57,11 @@ def run_freeze_decay(
     """
     if n_freeze <= 0 or n_freeze > n_servers:
         raise ValueError(f"n_freeze must be in [1, {n_servers}], got {n_freeze}")
-    testbed = Testbed(n_servers=n_servers, seed=seed)
+    testbed = Testbed(rows=(n_servers,), seed=seed)
     end = warmup_hours * 3600.0 + (observe_minutes + 2) * MINUTE
     generator = testbed.add_batch_workload(workload, end)
     generator.start(end)
-    testbed.run(until=warmup_hours * 3600.0)
+    testbed.engine.run(until=warmup_hours * 3600.0)
 
     row = testbed.row
     hottest = np.argsort(-row.server_powers(), kind="stable")[:n_freeze]
@@ -83,7 +83,7 @@ def run_freeze_decay(
         observe,
         until=testbed.engine.now + (observe_minutes + 0.5) * MINUTE,
     )
-    testbed.run(until=end)
+    testbed.engine.run(until=end)
     return FreezeDecayResult(
         minutes=np.arange(len(samples), dtype=float),
         mean_power_normalized_to_rated=np.asarray(samples),
@@ -195,7 +195,7 @@ def run_freeze_effect_calibration(
     """
     if hours <= 0:
         raise ValueError(f"hours must be positive, got {hours}")
-    testbed = Testbed(n_servers=n_servers, seed=seed)
+    testbed = Testbed(rows=(n_servers,), seed=seed)
     experiment, control = testbed.split_by_parity()
     experiment.set_over_provision_ratio(over_provision_ratio)
     control.set_over_provision_ratio(over_provision_ratio)
@@ -219,7 +219,7 @@ def run_freeze_effect_calibration(
         first_at=warmup_hours * 3600.0,
         until=end,
     )
-    testbed.run(until=end)
+    testbed.engine.run(until=end)
 
     model = FreezeEffectModel()
     model.add_samples(probe.samples)

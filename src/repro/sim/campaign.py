@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -381,10 +380,6 @@ class CampaignResult:
         writer.writerows(row.as_record() for row in self.rows)
         atomic_write_text(path, buffer.getvalue())
 
-    def save_json(self, path: Union[str, Path]) -> None:
-        text = json.dumps([row.as_record() for row in self.rows], indent=2)
-        atomic_write_text(path, text)
-
 
 class Campaign:
     """Runs a grid of Section 4.4 experiments.
@@ -491,22 +486,19 @@ class Campaign:
         self,
         max_workers: Optional[int] = None,
         on_cell: Optional[CellCallback] = None,
-        chunksize: int = 1,
         checkpoint_dir: Optional[Union[str, Path]] = None,
         resume: bool = False,
         cell_timeout: Optional[float] = None,
         retries: int = 1,
-        retry_backoff: float = 0.0,
     ) -> CampaignResult:
         """Execute the grid on a process pool (see :mod:`repro.sim.parallel`).
 
         Returns rows identical to :meth:`run` for any ``max_workers``;
         ``on_cell`` fires in *completion* order (progress), while the
         returned rows are always in cell order. A cell that raises in a
-        worker is retried (``retries`` times, with optional exponential
-        ``retry_backoff`` seconds between attempts) and then recorded as
-        a failed row (``row.error``) instead of aborting the sweep;
-        ``cell_timeout`` additionally re-dispatches chunks whose worker
+        worker is retried (``retries`` times) and then recorded as a
+        failed row (``row.error``) instead of aborting the sweep;
+        ``cell_timeout`` additionally re-dispatches cells whose worker
         has gone silent for that many seconds (stragglers, lost
         workers). Checkpointing semantics match :meth:`run`: finished
         cells are durably recorded as they complete, and ``resume=True``
@@ -533,9 +525,7 @@ class Campaign:
             self.run_config,
             max_workers=max_workers,
             on_row=record,
-            chunksize=chunksize,
             retries=retries,
-            retry_backoff=retry_backoff,
             cell_timeout=cell_timeout,
         )
         rows: List[Optional[CampaignRow]] = [None] * len(self.cells)

@@ -239,12 +239,6 @@ class Engine:
         finally:
             self._running = False
 
-    def peek_next_time(self) -> Optional[float]:
-        """Return the timestamp of the next live event, or ``None``."""
-        while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
-
     def pending_count(self) -> int:
         """Number of heap entries, including lazily-cancelled ones."""
         return len(self._heap)

@@ -4,7 +4,7 @@ Production power controllers need an audit trail: who froze what, when,
 and what the hardware safety net did underneath. The log subscribes to
 the scheduler's control hooks (freeze/unfreeze/fail/repair/shed) and to
 per-server DVFS changes, timestamps everything against the simulation
-clock, and supports range queries and CSV export for post-mortems.
+clock, and supports range queries for post-mortems.
 
 It keeps one record per server even when one call changed many (a group
 freeze): :meth:`ControlEventLog.record_many` builds the records in bulk,
@@ -13,15 +13,11 @@ without a Python call per server.
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_left
 from itertools import repeat
-from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from repro.cluster.server import Server
-from repro.durability.atomic import atomic_write_text
 from repro.sim.engine import Engine
 from repro.telemetry import Telemetry, counter_series
 
@@ -179,18 +175,6 @@ class ControlEventLog:
     def counts_by_kind(self) -> Dict[str, int]:
         """Events per kind, in first-seen order."""
         return dict(self._counts)
-
-    # ------------------------------------------------------------------
-    def dump_csv(self, path: Union[str, Path]) -> int:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["time", "kind", "server_id", "detail"])
-        for event in self.events:
-            writer.writerow(
-                [repr(event.time), event.kind, event.server_id, event.detail]
-            )
-        atomic_write_text(path, buffer.getvalue())
-        return len(self.events)
 
 
 __all__ = [

@@ -143,7 +143,7 @@ class ControlledExperiment(StagedRun):
     ) -> None:
         super().__init__(config)
         self.testbed = Testbed(
-            n_servers=config.n_servers,
+            rows=(config.n_servers,),
             seed=config.seed,
             placement_policy=config.placement_policy,
             telemetry=self.telemetry,

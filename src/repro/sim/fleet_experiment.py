@@ -10,10 +10,10 @@ Layout: each row is an independent cluster -- its own scheduler,
 workload stream and Ampere controller -- because demand skew between
 rows is exactly the phenomenon budget reallocation exploits; a shared
 scheduling pool would arbitrage the skew away before the power plane
-ever saw it. The rows share three things: the simulation engine, the
-monitoring plane (one sweep covers every row plus the facility
-roll-up), and the facility budget divided by the
-:class:`~repro.fleet.ledger.BudgetLedger`.
+ever saw it. The rows share what :class:`~repro.sim.testbed.Testbed`
+shares -- the simulation engine, the columnar store and the monitoring
+plane (one sweep covers every row plus the facility roll-up) -- and the
+facility budget divided by the :class:`~repro.fleet.ledger.BudgetLedger`.
 
 Physical ratings: every row's feed is rated at ``rating_headroom``
 times its static budget (the static split deliberately leaves headroom
@@ -36,51 +36,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.metrics import (
     FacilitySummary,
     GroupRunSummary,
     summarize_facility_series,
 )
 from repro.cluster.breaker import BreakerStats
-from repro.cluster.datacenter import DataCenter, build_row
+# perfbench's tracer patches ``build_row`` by name on this module too;
+# every row is built through ``repro.sim.testbed``'s global
+from repro.cluster.datacenter import build_row  # noqa: F401
 from repro.cluster.row import Row
 from repro.faults.injector import FaultInjector, FaultStats
 from repro.fleet import BudgetLedger, FleetConfig, FleetCoordinator, RowBudget
 from repro.fleet.coordinator import CoordinatorStats
-from repro.monitor.power_monitor import PowerMonitor
-from repro.monitor.tsdb import TimeSeriesDatabase
-from repro.scheduler.omega import OmegaScheduler
 from repro.sim.audit import AuditStats
-from repro.sim.engine import Engine
 from repro.sim.eventlog import ControlEventLog
 from repro.sim.staged import RunWindow, StagedRun
-from repro.sim.testbed import (
-    SERVERS_PER_RACK,
-    ThroughputTracker,
-    WorkloadSpec,
-    build_rate_profile,
-)
+from repro.sim.testbed import Testbed, WorkloadSpec
 from repro.telemetry import MetricsRegistry
 from repro.tenancy import TenancyStats, assign_to_tenants
-from repro.workload.distributions import (
-    JobDurationDistribution,
-    ResourceDemandDistribution,
-)
-from repro.workload.generator import BatchWorkloadGenerator
 
 
 @dataclass(frozen=True)
 class FleetRowSpec:
-    """Size and workload of one row in a fleet experiment."""
+    """Size and workload of one row in a fleet experiment (the size is
+    checked where :class:`~repro.sim.testbed.Testbed` builds the row)."""
 
     n_servers: int = 200
     workload: WorkloadSpec = WorkloadSpec()
-
-    def __post_init__(self) -> None:
-        if self.n_servers <= 0:
-            raise ValueError(f"n_servers must be positive, got {self.n_servers}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +89,6 @@ class FleetExperimentConfig(RunWindow):
             raise ValueError("fleet experiment needs at least one row")
         object.__setattr__(self, "rows", tuple(self.rows))
         super().__post_init__()
-        for spec in self.rows:
-            if spec.n_servers % SERVERS_PER_RACK != 0:
-                raise ValueError(
-                    f"row sizes must be multiples of {SERVERS_PER_RACK}, "
-                    f"got {spec.n_servers}"
-                )
 
 
 @dataclass
@@ -182,8 +159,9 @@ class FleetExperiment(StagedRun):
 
     The lifecycle, the control-plane builders, the snapshot frame and
     the service surface are :class:`~repro.sim.staged.StagedRun`'s; this
-    class builds the rows, their workloads and the budget plane, and
-    collects them.
+    class takes its rows, schedulers and workload streams from a
+    multi-row :class:`~repro.sim.testbed.Testbed` (and so its seed
+    contract), builds the budget plane, and collects.
     """
 
     SNAPSHOT_KIND = "fleet"
@@ -193,68 +171,33 @@ class FleetExperiment(StagedRun):
 
     def __init__(self, config: FleetExperimentConfig = FleetExperimentConfig()):
         super().__init__(config)
-        self.engine = Engine(telemetry=self.telemetry)
-        root = np.random.SeedSequence(config.seed)
-        children = root.spawn(1 + 3 * len(config.rows))
-        monitor_seed = children[0]
-
-        # --- topology: one row per spec, ids globally unique ----------
-        # All rows share one columnar store, so facility-level rollups
-        # vectorize across the whole fleet in a single slice.
-        from repro.cluster.state import ClusterState
-
-        self.state = ClusterState(capacity=sum(spec.n_servers for spec in config.rows))
-        self.rows: List[Row] = []
-        first_id = 0
-        for index, spec in enumerate(config.rows):
-            row = build_row(
-                index,
-                racks=spec.n_servers // SERVERS_PER_RACK,
-                servers_per_rack=SERVERS_PER_RACK,
-                first_server_id=first_id,
-                state=self.state,
-            )
-            row.set_over_provision_ratio(config.over_provision_ratio)
-            self.rows.append(row)
-            self._groups[row.name] = row
-            first_id += spec.n_servers
-        self.datacenter = DataCenter(self.rows)
-
-        # --- shared monitoring plane ----------------------------------
-        self.db = TimeSeriesDatabase()
-        self.monitor = PowerMonitor(
-            self.engine,
-            db=self.db,
-            rng=np.random.default_rng(monitor_seed),
+        self.testbed = Testbed(
+            rows=[spec.n_servers for spec in config.rows],
+            seed=config.seed,
             telemetry=self.telemetry,
         )
+        self.engine = self.testbed.engine
+        self.state = self.testbed.state
+        self.monitor = self.testbed.monitor
+        self.throughput = self.testbed.throughput
+        self.rows: List[Row] = self.testbed.rows
+        for row in self.rows:
+            row.set_over_provision_ratio(config.over_provision_ratio)
+            self._groups[row.name] = row
+        facility_budget = sum(row.power_budget_watts for row in self.rows)
         self.monitor.register_groups(self.rows)
-        self.monitor.set_facility_budget(self.datacenter.power_budget_watts)
+        self.monitor.set_facility_budget(facility_budget)
 
         self.event_log = ControlEventLog(self.engine, telemetry=self.telemetry)
-        self.throughput = ThroughputTracker(self.engine)
 
         if config.faults is not None:
             self.injector = FaultInjector(self.engine, config.faults)
 
         # --- per-row control planes -----------------------------------
-        self._workload_rngs: List[np.random.Generator] = []
-        self._modulation_seeds: List[int] = []
         ledger_rows: List[RowBudget] = []
-        for index, row in enumerate(self.rows):
-            sched_seed = children[1 + 3 * index]
-            workload_seed = children[2 + 3 * index]
-            modulation_seed = children[3 + 3 * index]
-            scheduler = OmegaScheduler(
-                self.engine, row.servers, rng=np.random.default_rng(sched_seed)
-            )
+        for row, scheduler in zip(self.rows, self.testbed.schedulers):
             self._schedulers[row.name] = scheduler
-            self._workload_rngs.append(np.random.default_rng(workload_seed))
-            self._modulation_seeds.append(
-                int(modulation_seed.generate_state(1)[0])
-            )
             self.throughput.track(row)
-            scheduler.placement_listeners.append(self.throughput.on_placement)
             self.event_log.attach_scheduler(scheduler)
             self._build_controller(row, scheduler)
 
@@ -285,9 +228,7 @@ class FleetExperiment(StagedRun):
             )
 
         # --- the facility budget plane --------------------------------
-        self.ledger = BudgetLedger(
-            self.datacenter.power_budget_watts, ledger_rows
-        )
+        self.ledger = BudgetLedger(facility_budget, ledger_rows)
         self.coordinator: Optional[FleetCoordinator] = None
         if config.coordinator_enabled:
             self.coordinator = FleetCoordinator(
@@ -310,13 +251,7 @@ class FleetExperiment(StagedRun):
 
     def _start_workload(self, end: float) -> None:
         for index, (row, spec) in enumerate(zip(self.rows, self.config.rows)):
-            profile = build_rate_profile(
-                spec.n_servers,
-                row.servers[0].cores,
-                spec.workload,
-                end,
-                self._modulation_seeds[index],
-            )
+            profile = self.testbed.build_rate_profile(spec.workload, end, row=index)
             tenant = self.tenant_of_row.get(row.name)
             if self.injector is not None:
                 profile = self.injector.wrap_rate_profile(profile)
@@ -324,17 +259,9 @@ class FleetExperiment(StagedRun):
                     profile = self.injector.wrap_rate_profile_for_tenant(
                         profile, tenant
                     )
-            generator = BatchWorkloadGenerator(
-                self.engine,
-                self._schedulers[row.name],
-                profile,
-                rng=self._workload_rngs[index],
-                duration=JobDurationDistribution(),
-                demand=ResourceDemandDistribution(),
-                job_id_offset=index * 10_000_000,
-                tenant=tenant,
-            )
-            generator.start(end)
+            self.testbed.add_batch_workload(
+                spec.workload, end, profile=profile, tenant=tenant, row=index
+            ).start(end)
 
     def _start_extras(self, end: float, warmup: float) -> None:
         if self.coordinator is not None:

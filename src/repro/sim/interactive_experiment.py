@@ -88,7 +88,7 @@ def run_interactive_scenario(
     """
     if mode not in ("capping", "ampere"):
         raise ValueError(f"mode must be 'capping' or 'ampere', got {mode!r}")
-    testbed = Testbed(n_servers=config.n_servers, seed=config.seed)
+    testbed = Testbed(rows=(config.n_servers,), seed=config.seed)
     row = testbed.row
     row.set_over_provision_ratio(config.over_provision_ratio)
     testbed.monitor.register_group(row)
@@ -130,7 +130,7 @@ def run_interactive_scenario(
         )
         controller.start(end, first_at=warmup)
 
-    testbed.run(until=end)
+    testbed.engine.run(until=end)
 
     benchmark = RedisBenchmark(
         services,

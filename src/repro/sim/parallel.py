@@ -16,11 +16,11 @@ path pays for it one cell at a time. This module fans cells out across a
   and return lightweight :class:`~repro.sim.campaign.CampaignRow`
   records -- never live engines, monitors or numpy-heavy results.
 - **Fault isolation.** A cell that raises inside a worker is retried
-  (bounded, with optional exponential backoff -- transient failures:
-  OOM kills, flaky imports) and, when it keeps failing, *quarantined*
-  as a failed row carrying the exception message. One bad day must not
-  abort a 20-day sweep. ``cell_timeout`` adds straggler re-dispatch: a
-  chunk whose worker goes silent gets one speculative duplicate, and
+  (bounded -- transient failures: OOM kills, flaky imports) and, when it
+  keeps failing, *quarantined* as a failed row carrying the exception
+  message. One bad day must not abort a 20-day sweep. ``cell_timeout``
+  adds straggler re-dispatch: a cell whose worker goes silent gets one
+  speculative duplicate, and
   the first result per cell wins (duplicates are byte-identical because
   cells are pure functions of their seed). If the pool itself breaks
   (e.g. a worker process dies hard), the affected cells fall back to
@@ -55,8 +55,8 @@ CellRunner = Callable[[CampaignCell, CampaignRunConfig], CampaignRow]
 #: ``on_row(cell, row)`` progress hook, fired in completion order.
 RowCallback = Callable[[CampaignCell, CampaignRow], None]
 
-#: (cell index, row or None, error message or None)
-_ChunkItem = Tuple[int, Optional[CampaignRow], Optional[str]]
+#: (row or None, error message or None)
+_CellOutcome = Tuple[Optional[CampaignRow], Optional[str]]
 
 
 def default_worker_count(n_cells: int) -> int:
@@ -65,35 +65,18 @@ def default_worker_count(n_cells: int) -> int:
     return max(1, min(os.cpu_count() or 1, n_cells))
 
 
-def _execute_chunk(
-    runner: CellRunner,
-    config: CampaignRunConfig,
-    indexed_cells: Sequence[Tuple[int, CampaignCell]],
-) -> List[_ChunkItem]:
-    """Worker-side loop: run each cell, trapping per-cell exceptions.
+def _execute_cell(
+    runner: CellRunner, config: CampaignRunConfig, cell: CampaignCell
+) -> _CellOutcome:
+    """Worker-side call: run one cell, trapping its exception.
 
-    Trapping inside the worker keeps one bad cell from poisoning its
-    chunk-mates and gives the parent a per-cell error message instead of
-    an opaque broken future.
+    Trapping inside the worker gives the parent a per-cell error message
+    instead of an opaque broken future.
     """
-    out: List[_ChunkItem] = []
-    for index, cell in indexed_cells:
-        try:
-            out.append((index, runner(cell, config), None))
-        except Exception as exc:  # noqa: BLE001 - isolate arbitrary cell failures
-            out.append((index, None, f"{type(exc).__name__}: {exc}"))
-    return out
-
-
-def _chunked(
-    items: Sequence[Tuple[int, CampaignCell]], chunksize: int
-) -> List[List[Tuple[int, CampaignCell]]]:
-    return [list(items[i : i + chunksize]) for i in range(0, len(items), chunksize)]
-
-
-#: Cap on exponential retry backoff so a high retry count cannot stall
-#: the dispatch loop for minutes per cell.
-_MAX_BACKOFF_SECONDS = 60.0
+    try:
+        return runner(cell, config), None
+    except Exception as exc:  # noqa: BLE001 - isolate arbitrary cell failures
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def run_cells_parallel(
@@ -101,10 +84,8 @@ def run_cells_parallel(
     config: CampaignRunConfig,
     max_workers: Optional[int] = None,
     on_row: Optional[RowCallback] = None,
-    chunksize: int = 1,
     cell_runner: CellRunner = run_cell,
     retries: int = 1,
-    retry_backoff: float = 0.0,
     cell_timeout: Optional[float] = None,
 ) -> List[CampaignRow]:
     """Run every cell on a process pool; return rows in *cell order*.
@@ -116,32 +97,22 @@ def run_cells_parallel(
     on_row:
         Progress callback fired as results arrive (completion order --
         the only place worker scheduling is observable).
-    chunksize:
-        Cells submitted per task. 1 maximizes load balance; larger
-        values amortize submission overhead for very short cells.
     cell_runner:
         The work function; override only with another picklable
         module-level function (tests use this for fault injection).
     retries:
         How many times a failing cell is resubmitted before being
         quarantined as a failed row.
-    retry_backoff:
-        Base delay in seconds before a retry resubmission; doubles per
-        attempt (capped at 60s). 0 retries immediately.
     cell_timeout:
-        Seconds a dispatched chunk may run before a speculative
+        Seconds a dispatched cell may run before a speculative
         duplicate is submitted (straggler re-dispatch: lost workers,
         stuck cells). The first result per cell wins -- :func:`run_cell`
         is a pure function of the cell seed, so duplicates are
         byte-identical and the race is benign. At most one speculative
-        copy per chunk; ``None`` disables.
+        copy per cell; ``None`` disables.
     """
-    if chunksize < 1:
-        raise ValueError(f"chunksize must be >= 1, got {chunksize}")
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
-    if retry_backoff < 0:
-        raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
     if cell_timeout is not None and cell_timeout <= 0:
         raise ValueError(f"cell_timeout must be > 0, got {cell_timeout}")
     cells = list(cells)
@@ -155,7 +126,6 @@ def run_cells_parallel(
 
     rows: Dict[int, CampaignRow] = {}
     attempts: Dict[int, int] = {}
-    indexed = list(enumerate(cells))
 
     def record(index: int, row: CampaignRow) -> None:
         # First result wins: a straggler finishing after its speculative
@@ -168,18 +138,18 @@ def run_cells_parallel(
 
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        pending: Dict[Future, List[Tuple[int, CampaignCell]]] = {}
+        pending: Dict[Future, int] = {}
         dispatched_at: Dict[Future, float] = {}
 
-        def submit(chunk: List[Tuple[int, CampaignCell]]) -> None:
-            future = pool.submit(_execute_chunk, cell_runner, config, chunk)
-            pending[future] = chunk
+        def submit(index: int) -> None:
+            future = pool.submit(_execute_cell, cell_runner, config, cells[index])
+            pending[future] = index
             dispatched_at[future] = time.monotonic()
 
-        for chunk in _chunked(indexed, chunksize):
-            submit(chunk)
-        #: index-tuples of chunks that already have a speculative copy
-        speculated: Set[Tuple[int, ...]] = set()
+        for index in range(len(cells)):
+            submit(index)
+        #: indices of cells that already have a speculative copy
+        speculated: Set[int] = set()
         pool_broken = False
         while pending and len(rows) < len(cells):
             done, _ = wait(
@@ -187,71 +157,56 @@ def run_cells_parallel(
             )
             if cell_timeout is not None and not pool_broken:
                 now = time.monotonic()
-                for future, chunk in list(pending.items()):
+                for future, index in list(pending.items()):
                     if future in done or now - dispatched_at[future] < cell_timeout:
                         continue
-                    key = tuple(index for index, _ in chunk)
-                    if key in speculated:
+                    if index in speculated or index in rows:
                         continue
-                    remaining = [
-                        (index, cell) for index, cell in chunk if index not in rows
-                    ]
-                    if not remaining:
-                        continue
-                    speculated.add(key)
+                    speculated.add(index)
                     logger.warning(
-                        "chunk %s exceeded cell_timeout=%.1fs; dispatching "
-                        "speculative duplicate for %d unfinished cell(s)",
-                        key,
+                        "cell %s exceeded cell_timeout=%.1fs; dispatching "
+                        "a speculative duplicate",
+                        cells[index].label(),
                         cell_timeout,
-                        len(remaining),
                     )
-                    submit(remaining)
+                    submit(index)
             for future in done:
-                chunk = pending.pop(future)
+                index = pending.pop(future)
                 dispatched_at.pop(future, None)
                 try:
-                    items: List[_ChunkItem] = future.result()
+                    row, error = future.result()
                 except Exception:  # pool-level failure (crashed worker, ...)
-                    # The pool may be unusable now; run the chunk in-process
+                    # The pool may be unusable now; run the cell in-process
                     # so the campaign still completes deterministically.
                     pool_broken = True
                     logger.warning(
-                        "process pool broke; running %d cell(s) in-process",
-                        len(chunk),
+                        "process pool broke; running cell %s in-process",
+                        cells[index].label(),
                     )
-                    items = _execute_chunk(cell_runner, config, chunk)
-                for index, row, error in items:
-                    if index in rows:
-                        continue  # a duplicate already delivered this cell
-                    if error is None:
-                        record(index, row)
-                        continue
-                    attempts[index] = attempts.get(index, 0) + 1
-                    if attempts[index] <= retries and not pool_broken:
-                        delay = min(
-                            retry_backoff * (2 ** (attempts[index] - 1)),
-                            _MAX_BACKOFF_SECONDS,
-                        )
-                        logger.info(
-                            "cell %s failed (%s); retry %d/%d%s",
-                            cells[index].label(),
-                            error,
-                            attempts[index],
-                            retries,
-                            f" after {delay:.1f}s" if delay > 0 else "",
-                        )
-                        if delay > 0:
-                            time.sleep(delay)
-                        submit([(index, cells[index])])
-                    else:
-                        logger.warning(
-                            "cell %s quarantined after %d attempt(s): %s",
-                            cells[index].label(),
-                            attempts[index],
-                            error,
-                        )
-                        record(index, CampaignRow.failed(cells[index], error))
+                    row, error = _execute_cell(cell_runner, config, cells[index])
+                if index in rows:
+                    continue  # a duplicate already delivered this cell
+                if error is None:
+                    record(index, row)
+                    continue
+                attempts[index] = attempts.get(index, 0) + 1
+                if attempts[index] <= retries and not pool_broken:
+                    logger.info(
+                        "cell %s failed (%s); retry %d/%d",
+                        cells[index].label(),
+                        error,
+                        attempts[index],
+                        retries,
+                    )
+                    submit(index)
+                else:
+                    logger.warning(
+                        "cell %s quarantined after %d attempt(s): %s",
+                        cells[index].label(),
+                        attempts[index],
+                        error,
+                    )
+                    record(index, CampaignRow.failed(cells[index], error))
     finally:
         # A straggler whose speculative duplicate already delivered every
         # cell may still be running; don't block the campaign on it.

@@ -1,21 +1,24 @@
-"""Testbed: the standard single-row cluster every experiment builds on.
+"""Testbed: the one topology builder of every experiment shape.
 
-Reproduces the paper's evaluation environment (Section 4.1): one row of
+Reproduces the paper's evaluation environment (Section 4.1): a row of
 400+ homogeneous servers in a shared scheduling pool, a per-minute power
 monitor, a batch workload with the published duration/arrival statistics,
-and the virtual experiment/control split by server-id parity.
+and the virtual experiment/control split by server-id parity. A fleet is
+the same shape with several rows, each its own scheduling pool, under
+the one monitor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.datacenter import build_row
 from repro.cluster.group import ServerGroup
 from repro.cluster.row import Row
+from repro.cluster.state import ClusterState
 from repro.monitor.power_monitor import PowerMonitor
 from repro.monitor.tsdb import TimeSeriesDatabase
 from repro.scheduler.omega import OmegaScheduler
@@ -103,52 +106,6 @@ class WorkloadSpec:
         return replace(self, target_utilization=self.target_utilization * factor)
 
 
-def build_rate_profile(
-    n_servers: int,
-    cores: int,
-    spec: WorkloadSpec,
-    horizon_seconds: float,
-    modulation_seed: int,
-    demand: Optional[ResourceDemandDistribution] = None,
-) -> RateProfile:
-    """Deterministic arrival-rate profile for ``spec`` over the horizon.
-
-    Module-level so multi-row harnesses (the fleet experiment) can build
-    one independent profile per row without constructing a
-    :class:`Testbed` per row; the Testbed method delegates here.
-    """
-    base_rate = rate_for_target_utilization(
-        n_servers,
-        cores,
-        spec.target_utilization,
-        demand=demand if demand is not None else ResourceDemandDistribution(),
-    )
-    profile: RateProfile = DiurnalRateProfile(
-        base_rate,
-        amplitude=spec.diurnal_amplitude,
-        phase_seconds=spec.diurnal_phase_seconds,
-    )
-    if spec.bursts_per_day > 0:
-        profile = BurstyRateProfile(
-            profile,
-            horizon_seconds=horizon_seconds,
-            seed=modulation_seed + 1,
-            bursts_per_day=spec.bursts_per_day,
-            burst_factor=spec.burst_factor,
-            mean_burst_seconds=spec.mean_burst_minutes * 60.0,
-        )
-    if spec.modulation_sigma > 0:
-        profile = ModulatedRateProfile(
-            profile,
-            horizon_seconds=horizon_seconds,
-            seed=modulation_seed,
-            step_seconds=spec.modulation_step_seconds,
-            rho=spec.modulation_rho,
-            sigma=spec.modulation_sigma,
-        )
-    return profile
-
-
 @dataclass
 class ThroughputRecord:
     """Per-group placement counting with a per-minute series.
@@ -221,16 +178,30 @@ class ThroughputTracker:
 
 
 class Testbed:
-    """A ready-to-run single-row cluster with workload and monitoring.
+    """The topology every experiment shape builds on.
 
-    The servers are :func:`~repro.cluster.datacenter.build_row`'s
-    standard SKU (16 cores, 64 GB, the default power model) and the
-    monitor samples every 60 s with 1% noise, like the paper's.
+    One engine, one columnar :class:`~repro.cluster.state.ClusterState`,
+    one power monitor with its TSDB and one throughput tracker serve
+    every row. Each row is a scheduling pool of its own: its own
+    :class:`~repro.scheduler.omega.OmegaScheduler`, its own workload rng
+    with its one arrival stream, and its own rate-profile modulation
+    seed. Row ``i`` is ``row-i``; its server ids start where row
+    ``i - 1``'s end. The servers are
+    :func:`~repro.cluster.datacenter.build_row`'s standard SKU (16 cores,
+    64 GB, the default power model) and the monitor samples every 60 s
+    with 1% noise, like the paper's.
+
+    Seed contract: ``SeedSequence(seed).spawn(1 + 3 * len(rows))``. The
+    monitor takes child 1; the rows take the remaining children in
+    order, three each (scheduler, workload, modulation). A one-row
+    testbed therefore draws children 0-3 as (scheduler, monitor,
+    workload, modulation).
 
     Parameters
     ----------
-    n_servers:
-        Fleet size; must be divisible by :data:`SERVERS_PER_RACK`.
+    rows:
+        Server count of each row; each must be divisible by
+        :data:`SERVERS_PER_RACK`.
     seed:
         Master seed; all component generators derive from it.
     """
@@ -239,31 +210,39 @@ class Testbed:
 
     def __init__(
         self,
-        n_servers: int = 400,
+        rows: Sequence[int] = (400,),
         seed: int = 0,
         placement_policy: Optional[PlacementPolicy] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if n_servers % SERVERS_PER_RACK != 0:
-            raise ValueError(
-                f"n_servers must be a multiple of {SERVERS_PER_RACK}, got {n_servers}"
-            )
-        self.seed = seed
+        if not rows:
+            raise ValueError("a testbed needs at least one row")
+        for n_servers in rows:
+            if n_servers <= 0 or n_servers % SERVERS_PER_RACK != 0:
+                raise ValueError(
+                    f"row sizes must be positive multiples of {SERVERS_PER_RACK}, "
+                    f"got {n_servers}"
+                )
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.engine = Engine(telemetry=self.telemetry)
-        self.row: Row = build_row(
-            0, racks=n_servers // SERVERS_PER_RACK, servers_per_rack=SERVERS_PER_RACK
-        )
-        #: the columnar store behind the row (all servers share it)
-        self.state = self.row.state
-        root = np.random.SeedSequence(seed)
-        sched_seed, monitor_seed, workload_seed, modulation_seed = root.spawn(4)
-        self.scheduler = OmegaScheduler(
-            self.engine,
-            self.row.servers,
-            rng=np.random.default_rng(sched_seed),
-            default_policy=placement_policy,
-        )
+        #: the columnar store every row's servers share, so facility
+        #: roll-ups vectorize over one slice
+        self.state = ClusterState(capacity=sum(rows))
+        self.rows: List[Row] = []
+        first_id = 0
+        for index, n_servers in enumerate(rows):
+            self.rows.append(
+                build_row(
+                    index,
+                    racks=n_servers // SERVERS_PER_RACK,
+                    servers_per_rack=SERVERS_PER_RACK,
+                    first_server_id=first_id,
+                    state=self.state,
+                )
+            )
+            first_id += n_servers
+        children = np.random.SeedSequence(seed).spawn(1 + 3 * len(rows))
+        monitor_seed = children.pop(1)
         self.db = TimeSeriesDatabase()
         self.monitor = PowerMonitor(
             self.engine,
@@ -271,21 +250,48 @@ class Testbed:
             rng=np.random.default_rng(monitor_seed),
             telemetry=self.telemetry,
         )
-        self._workload_rng = np.random.default_rng(workload_seed)
-        #: the one arrival stream every generator on the workload rng joins
-        self._arrivals = ArrivalStream(self.engine, self._workload_rng)
-        self._modulation_seed = int(modulation_seed.generate_state(1)[0])
         self.throughput = ThroughputTracker(self.engine)
-        self.scheduler.placement_listeners.append(self.throughput.on_placement)
+        self.schedulers: List[OmegaScheduler] = []
+        self._workload_rngs: List[np.random.Generator] = []
+        #: per row, the one arrival stream every generator on its rng joins
+        self._arrivals: List[ArrivalStream] = []
+        self._modulation_seeds: List[int] = []
+        for index, row in enumerate(self.rows):
+            sched_seed, workload_seed, modulation_seed = children[3 * index : 3 * index + 3]
+            scheduler = OmegaScheduler(
+                self.engine,
+                row.servers,
+                rng=np.random.default_rng(sched_seed),
+                default_policy=placement_policy,
+            )
+            scheduler.placement_listeners.append(self.throughput.on_placement)
+            self.schedulers.append(scheduler)
+            rng = np.random.default_rng(workload_seed)
+            self._workload_rngs.append(rng)
+            self._arrivals.append(ArrivalStream(self.engine, rng))
+            self._modulation_seeds.append(int(modulation_seed.generate_state(1)[0]))
         self.generators: List[BatchWorkloadGenerator] = []
         self.duration_distribution = JobDurationDistribution()
         self.demand_distribution = ResourceDemandDistribution()
+
+    @property
+    def row(self) -> Row:
+        """The row of a single-row testbed."""
+        (row,) = self.rows
+        return row
+
+    @property
+    def scheduler(self) -> OmegaScheduler:
+        """The scheduler of a single-row testbed."""
+        (scheduler,) = self.schedulers
+        return scheduler
 
     # ------------------------------------------------------------------
     # Groups
     # ------------------------------------------------------------------
     def split_by_parity(self) -> Tuple[ServerGroup, ServerGroup]:
-        """The paper's A/B split: even ids -> experiment, odd -> control."""
+        """The paper's A/B split of a single row: even ids -> experiment,
+        odd -> control."""
         experiment = ServerGroup(
             "experiment", [s for s in self.row.servers if s.server_id % 2 == 0]
         )
@@ -297,16 +303,43 @@ class Testbed:
     # ------------------------------------------------------------------
     # Workload
     # ------------------------------------------------------------------
-    def build_rate_profile(self, spec: WorkloadSpec, horizon_seconds: float) -> RateProfile:
-        """Deterministic rate profile for ``spec`` over the horizon."""
-        return build_rate_profile(
-            len(self.row.servers),
-            self.row.servers[0].cores,
-            spec,
-            horizon_seconds,
-            self._modulation_seed,
+    def build_rate_profile(
+        self, spec: WorkloadSpec, horizon_seconds: float, row: int = 0
+    ) -> RateProfile:
+        """Deterministic arrival-rate profile for ``spec`` over the
+        horizon, sized to row ``row`` and seeded by its modulation seed."""
+        servers = self.rows[row].servers
+        base_rate = rate_for_target_utilization(
+            len(servers),
+            servers[0].cores,
+            spec.target_utilization,
             demand=self.demand_distribution,
         )
+        modulation_seed = self._modulation_seeds[row]
+        profile: RateProfile = DiurnalRateProfile(
+            base_rate,
+            amplitude=spec.diurnal_amplitude,
+            phase_seconds=spec.diurnal_phase_seconds,
+        )
+        if spec.bursts_per_day > 0:
+            profile = BurstyRateProfile(
+                profile,
+                horizon_seconds=horizon_seconds,
+                seed=modulation_seed + 1,
+                bursts_per_day=spec.bursts_per_day,
+                burst_factor=spec.burst_factor,
+                mean_burst_seconds=spec.mean_burst_minutes * 60.0,
+            )
+        if spec.modulation_sigma > 0:
+            profile = ModulatedRateProfile(
+                profile,
+                horizon_seconds=horizon_seconds,
+                seed=modulation_seed,
+                step_seconds=spec.modulation_step_seconds,
+                rho=spec.modulation_rho,
+                sigma=spec.modulation_sigma,
+            )
+        return profile
 
     def add_batch_workload(
         self,
@@ -315,14 +348,16 @@ class Testbed:
         product: str = "batch",
         profile: Optional[RateProfile] = None,
         tenant: Optional[str] = None,
+        row: int = 0,
     ) -> BatchWorkloadGenerator:
-        """Attach (but do not start) a batch workload generator.
+        """Attach (but do not start) a batch workload generator on row
+        ``row``'s scheduler.
 
         ``profile`` overrides the spec-derived rate profile -- the seam
         the fault injector uses to layer demand surges over the standard
         workload without disturbing its RNG stream. ``tenant`` stamps
         every generated job with an owning tenant name (multi-tenant
-        runs attach one generator per tenant, all sharing the testbed's
+        runs attach one generator per tenant, all sharing the row's
         single workload RNG and its one arrival stream, so the merged
         stream stays a deterministic function of the seed). Every
         generator must join before the stream thins past the instant it
@@ -330,12 +365,12 @@ class Testbed:
         """
         generator = BatchWorkloadGenerator(
             self.engine,
-            self.scheduler,
+            self.schedulers[row],
             profile
             if profile is not None
-            else self.build_rate_profile(spec, horizon_seconds),
-            rng=self._workload_rng,
-            stream=self._arrivals,
+            else self.build_rate_profile(spec, horizon_seconds, row=row),
+            rng=self._workload_rngs[row],
+            stream=self._arrivals[row],
             duration=self.duration_distribution,
             demand=self.demand_distribution,
             product=product,
@@ -345,32 +380,6 @@ class Testbed:
         self.generators.append(generator)
         return generator
 
-    # ------------------------------------------------------------------
-    # Run
-    # ------------------------------------------------------------------
-    def start_services(self, until: float) -> None:
-        """Start monitor and workload generators up to ``until``."""
-        self.monitor.start(until)
-        for generator in self.generators:
-            generator.start(until)
-
-    def run(self, until: float) -> None:
-        self.engine.run(until=until)
-
-    def warm_up(
-        self, spec: WorkloadSpec, seconds: float = 3600.0, horizon_seconds: float = 0.0
-    ) -> None:
-        """Pre-fill the cluster so measurements start in steady state.
-
-        Runs the workload without monitoring for ``seconds``; the paper's
-        production cluster is never empty, so experiments should not start
-        from an idle fleet.
-        """
-        horizon = max(horizon_seconds, seconds)
-        generator = self.add_batch_workload(spec, horizon)
-        generator.start(until=self.engine.now + seconds)
-        self.engine.run(until=self.engine.now + seconds)
-
 
 __all__ = [
     "SERVERS_PER_RACK",
@@ -378,5 +387,4 @@ __all__ = [
     "WorkloadSpec",
     "ThroughputTracker",
     "ThroughputRecord",
-    "build_rate_profile",
 ]

@@ -126,12 +126,6 @@ class TestDataCenter:
         ids = [s.server_id for s in dc.servers]
         assert len(set(ids)) == len(ids)
 
-    def test_row_by_id(self):
-        dc = build_datacenter(rows=2, racks_per_row=1, servers_per_rack=4)
-        assert dc.row_by_id(1).row_id == 1
-        with pytest.raises(KeyError):
-            dc.row_by_id(99)
-
     def test_empty_datacenter_raises(self):
         with pytest.raises(ValueError):
             DataCenter([])

@@ -141,14 +141,16 @@ def test_frame_rejects_version_2_snapshot():
     as frozen dataclasses and a tenant resolver; version 7 power monitors
     held IPMI fleets and a stale-reading count; version 8 generators
     scheduled one engine event per thinning candidate; version 9
-    controllers held no freeze policy when none was given. This build
-    refuses all eight with the version error."""
+    controllers held no freeze policy when none was given; version 10
+    testbeds held one row, scheduler and workload rng, and fleets built
+    their topology without one. This build refuses all nine with the
+    version error."""
     experiment = ControlledExperiment(tiny_config())
     experiment.start()
     header, _, payload = experiment.snapshot().partition(b"\n")
     doc = json.loads(header)
-    assert doc["version"] == SNAPSHOT_VERSION == 10
-    for version in (2, 3, 4, 5, 6, 7, 8, 9):
+    assert doc["version"] == SNAPSHOT_VERSION == 11
+    for version in (2, 3, 4, 5, 6, 7, 8, 9, 10):
         old = dict(doc, version=version, meta=dict(doc["meta"]))
         if version == 2:
             old["meta"]["backend"] = "object"
@@ -357,7 +359,7 @@ def test_tenanted_resume_with_a_pending_accepted_arrival_is_byte_identical():
     experiment = ControlledExperiment(config)
     experiment.start()
     experiment.advance(1800.0)
-    stream = experiment.testbed._arrivals
+    (stream,) = experiment.testbed._arrivals
     assert len(experiment.testbed.generators) == 3
     assert stream._candidates and stream._cursor > 1800.0  # an accepted job pending
     resumed = ControlledExperiment.restore(experiment.snapshot())

@@ -88,10 +88,3 @@ class TestQueries:
         set_frozen_ids(scheduler, [0, 1], True)
         set_frozen_ids(scheduler, [0], False)
         assert log.counts_by_kind() == {"freeze": 2, "unfreeze": 1}
-
-    def test_dump_csv(self, setup, tmp_path):
-        engine, servers, scheduler, log = setup
-        set_frozen_ids(scheduler, [0], True)
-        path = tmp_path / "log.csv"
-        assert log.dump_csv(path) == 1
-        assert "freeze" in path.read_text()

@@ -25,7 +25,7 @@ def small_config(**kwargs):
 
 class TestHarnessSetup:
     def test_parity_split_is_even(self):
-        testbed = Testbed(n_servers=80, seed=0)
+        testbed = Testbed(rows=(80,), seed=0)
         experiment, control = testbed.split_by_parity()
         assert len(experiment) == len(control) == 40
         assert all(s.server_id % 2 == 0 for s in experiment.servers)

@@ -10,6 +10,7 @@ one fixed seed.
 
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -859,11 +860,18 @@ class TestChaosScenario:
         authoritative = (
             experiment.testbed.scheduler.frozen_server_ids() & state.server_ids
         )
-        # Intent may differ from the authoritative set only by RPCs that
-        # failed on the very last tick (there is no later tick to mend
-        # them); any such drift is bounded by the recorded give-ups.
+        # Intent may differ from the authoritative set only by batches
+        # that failed on the last control tick (there is no later tick to
+        # mend them). A batch lands or fails whole, so the drift is at
+        # most the summed sizes of that tick's give-ups.
         drift = state.intended_frozen.symmetric_difference(authoritative)
-        assert len(drift) <= result.controller_health.rpc_giveups
+        last_tick = state.u_times[-1]
+        given_up = [
+            int(re.search(r" of (\d+) servers ", event.detail).group(1))
+            for event in result.controller_health.events
+            if event.kind == "rpc_giveup" and event.time == last_tick
+        ]
+        assert len(drift) <= sum(given_up)
 
     def test_violations_bounded_by_fault_free_baseline(
         self, chaos_experiment, baseline_result

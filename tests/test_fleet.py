@@ -475,10 +475,11 @@ class TestFleetExperiment:
         assert dynamic.total_throughput >= static.total_throughput
         assert dynamic.coordinator_stats.reallocations > 0
         assert dynamic.coordinator_stats.watts_moved > 0.0
-        # seeded regression pins (bit-for-bit determinism contract)
-        assert static.total_frozen_server_minutes == pytest.approx(1690.0)
-        assert dynamic.total_frozen_server_minutes == pytest.approx(239.0)
-        assert static.total_violations == 69
+        # seeded regression pins (bit-for-bit determinism contract, under
+        # Testbed's seed contract)
+        assert static.total_frozen_server_minutes == pytest.approx(1703.0)
+        assert dynamic.total_frozen_server_minutes == pytest.approx(293.0)
+        assert static.total_violations == 68
         assert dynamic.total_violations == 1
 
     def test_allocations_never_exceed_ratings(self):

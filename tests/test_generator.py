@@ -363,7 +363,7 @@ class TestThinAheadMatchesPerCandidate:
                 for generator in run.testbed.generators:
                     generator.listeners.append(jobs.append)
                 run.finish()
-                return _job_stream(jobs), run.testbed._workload_rng.bit_generator.state
+                return _job_stream(jobs), run.testbed._workload_rngs[0].bit_generator.state
 
         fast = jobs_of(per_candidate=False)
         assert len({job[-1] for job in fast[0]}) == 3
@@ -374,15 +374,17 @@ class TestThinAheadMatchesPerCandidate:
             with monkeypatch.context() as patch:
                 if per_candidate:
                     oracles.use_per_candidate_arrivals(patch)
-                testbed = Testbed(n_servers=40, seed=4)
+                testbed = Testbed(rows=(40,), seed=4)
                 jobs = []
-                testbed.warm_up(WorkloadSpec.typical(), seconds=1800.0)
-                testbed.generators[0].listeners.append(jobs.append)
+                warm = testbed.add_batch_workload(WorkloadSpec.typical(), 1800.0)
+                warm.start(1800.0)
+                testbed.engine.run(until=1800.0)
+                warm.listeners.append(jobs.append)
                 generator = testbed.add_batch_workload(WorkloadSpec.heavy(), 5400.0)
                 generator.listeners.append(jobs.append)
                 generator.start(5400.0)
-                testbed.run(until=5400.0)
-                return _job_stream(jobs), testbed._workload_rng.bit_generator.state
+                testbed.engine.run(until=5400.0)
+                return _job_stream(jobs), testbed._workload_rngs[0].bit_generator.state
 
         fast = jobs_of(per_candidate=False)
         assert fast[0] and fast[0][0][1] >= 1800.0

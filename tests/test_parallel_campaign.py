@@ -2,7 +2,7 @@
 
 The contract under test: ``Campaign.run_parallel`` returns rows
 *byte-identical* to the serial reference ``Campaign.run`` for any worker
-count, chunk size, or completion order, and a cell that raises inside a
+count or completion order, and a cell that raises inside a
 worker surfaces as a failed row instead of aborting the sweep.
 """
 
@@ -127,10 +127,6 @@ class TestDeterminism:
         parallel = tiny_campaign().run_parallel(max_workers=workers)
         assert rows_as_bytes(parallel) == rows_as_bytes(serial_result)
 
-    def test_chunked_submission_matches_serial(self, serial_result):
-        parallel = tiny_campaign().run_parallel(max_workers=2, chunksize=3)
-        assert rows_as_bytes(parallel) == rows_as_bytes(serial_result)
-
     def test_rows_keep_cell_order_under_shuffled_completion(self):
         campaign = tiny_campaign(seeds=(1, 2, 3, 4))
         completion = []
@@ -232,7 +228,7 @@ class TestFaultIsolation:
 
 class TestHardening:
     def test_straggler_redispatch_is_byte_identical(self, tmp_path, monkeypatch):
-        """A stalled worker's chunk is speculatively re-dispatched and the
+        """A stalled worker's cell is speculatively re-dispatched and the
         campaign finishes without waiting out the stall; the duplicate's
         rows are byte-identical to the serial reference."""
         monkeypatch.setenv(FAIL_DIR_ENV, str(tmp_path))
@@ -276,28 +272,11 @@ class TestHardening:
         reference = [run_cell(cell, campaign.run_config) for cell in campaign.cells]
         assert [r.as_record() for r in rows] == [r.as_record() for r in reference]
 
-    def test_retry_backoff_delays_resubmission(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FAIL_DIR_ENV, str(tmp_path))
-        campaign = tiny_campaign(seeds=(3,))
-        started = time.monotonic()
-        rows = run_cells_parallel(
-            campaign.cells,
-            campaign.run_config,
-            max_workers=1,
-            cell_runner=_fail_once_runner,
-            retries=1,
-            retry_backoff=0.2,
-        )
-        assert all(r.ok for r in rows)
-        assert time.monotonic() - started >= 0.2
-
     def test_invalid_hardening_arguments_rejected(self):
         config = CampaignRunConfig()
         cells = tiny_campaign().cells
         with pytest.raises(ValueError):
             run_cells_parallel(cells, config, cell_timeout=0.0)
-        with pytest.raises(ValueError):
-            run_cells_parallel(cells, config, retry_backoff=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +293,6 @@ class TestEdges:
         cells = tiny_campaign().cells
         with pytest.raises(ValueError):
             run_cells_parallel(cells, config, max_workers=0)
-        with pytest.raises(ValueError):
-            run_cells_parallel(cells, config, chunksize=0)
         with pytest.raises(ValueError):
             run_cells_parallel(cells, config, retries=-1)
 

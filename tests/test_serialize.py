@@ -1,65 +1,12 @@
-"""Tests for TSDB CSV persistence and experiment-result JSON export."""
+"""Tests for experiment-result JSON export."""
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.analysis.serialize import (
-    load_result_dict,
-    result_to_dict,
-    save_result_json,
-)
-from repro.monitor.tsdb import TimeSeriesDatabase
+from repro.analysis.serialize import result_to_dict
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.testbed import WorkloadSpec
-
-
-class TestTsdbCsv:
-    def test_round_trip(self, tmp_path):
-        db = TimeSeriesDatabase()
-        for t in range(5):
-            db.write("power/row-0", float(t * 60), 100.0 + t)
-            db.write("freeze/row-0", float(t * 60), 0.1 * t)
-        path = tmp_path / "dump.csv"
-        written = db.dump_csv(path)
-        assert written == 10
-
-        loaded = TimeSeriesDatabase.load_csv(path)
-        assert loaded.names() == db.names()
-        for name in db.names():
-            orig_t, orig_v = db.query(name)
-            new_t, new_v = loaded.query(name)
-            np.testing.assert_array_equal(orig_t, new_t)
-            np.testing.assert_array_equal(orig_v, new_v)
-
-    def test_round_trip_preserves_float_precision(self, tmp_path):
-        db = TimeSeriesDatabase()
-        value = 0.1234567890123456789
-        db.write("m", 1.0 / 3.0, value)
-        path = tmp_path / "dump.csv"
-        db.dump_csv(path)
-        loaded = TimeSeriesDatabase.load_csv(path)
-        t, v = loaded.query("m")
-        assert t[0] == 1.0 / 3.0
-        assert v[0] == value
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            TimeSeriesDatabase.load_csv(path)
-
-    def test_malformed_row_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("metric,timestamp,value\nm,1.0\n")
-        with pytest.raises(ValueError, match="malformed"):
-            TimeSeriesDatabase.load_csv(path)
-
-    def test_empty_db(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        assert TimeSeriesDatabase().dump_csv(path) == 0
-        assert TimeSeriesDatabase.load_csv(path).names() == []
 
 
 @pytest.fixture(scope="module")
@@ -90,13 +37,9 @@ class TestResultJson:
         assert "normalized_power" not in doc["experiment"]
         assert "summary" in doc["experiment"]
 
-    def test_json_round_trip(self, small_result, tmp_path):
-        path = tmp_path / "result.json"
-        save_result_json(small_result, path)
-        loaded = load_result_dict(path)
-        assert loaded == result_to_dict(small_result)
-        # And it really is valid JSON on disk.
-        json.loads(path.read_text())
+    def test_json_round_trip(self, small_result):
+        doc = result_to_dict(small_result)
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_non_serializable_config_fields_fall_back_to_repr(self, tmp_path):
         from repro.scheduler.policies import LeastLoadedPolicy

@@ -84,12 +84,6 @@ class TestCancellation:
         engine.run()
         assert seen == []
 
-    def test_peek_next_time_skips_cancelled(self, engine):
-        handle = engine.schedule(1.0, EventPriority.GENERIC, lambda: None)
-        engine.schedule(4.0, EventPriority.GENERIC, lambda: None)
-        handle.cancel()
-        assert engine.peek_next_time() == 4.0
-
 
 class TestRunUntil:
     def test_run_until_stops_before_boundary_events(self, engine):

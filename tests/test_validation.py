@@ -30,10 +30,10 @@ class TestValidation:
 
 class TestStartServices:
     def test_starts_monitor_and_generators(self):
-        testbed = Testbed(n_servers=80, seed=0)
+        testbed = Testbed(rows=(80,), seed=0)
         testbed.monitor.register_group(testbed.row)
-        testbed.add_batch_workload(WorkloadSpec(target_utilization=0.2), 1800.0)
-        testbed.start_services(until=1800.0)
-        testbed.run(until=1800.0)
+        testbed.add_batch_workload(WorkloadSpec(target_utilization=0.2), 1800.0).start(1800.0)
+        testbed.monitor.start(1800.0)
+        testbed.engine.run(until=1800.0)
         assert testbed.monitor.samples_taken > 20
         assert testbed.scheduler.stats.placed > 50
