@@ -89,8 +89,10 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: always holds a freeze policy, the base ``FreezePolicy`` when none
 #: was given; 11: a ``Testbed`` holds per-row lists of rows, schedulers,
 #: workload rngs, arrival streams and modulation seeds, and a fleet run
-#: holds its ``Testbed`` and no ``DataCenter``).
-SNAPSHOT_VERSION = 11
+#: holds its ``Testbed`` and no ``DataCenter``; 12: an arrival stream
+#: holds its members, its drawn frontier and the drawn window's jobs, and
+#: a pending arrival event carries its job's cores, memory and work).
+SNAPSHOT_VERSION = 12
 
 #: Pickle protocol pinned for stable output within a Python version
 #: (``HIGHEST_PROTOCOL`` may move under our feet on an interpreter bump).

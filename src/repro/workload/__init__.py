@@ -16,7 +16,6 @@ from repro.workload.distributions import (
 )
 from repro.workload.generator import (
     BatchWorkloadGenerator,
-    ConstantRateProfile,
     DiurnalRateProfile,
     ModulatedRateProfile,
     RateProfile,
@@ -34,7 +33,6 @@ __all__ = [
     "rate_for_target_utilization",
     "BatchWorkloadGenerator",
     "RateProfile",
-    "ConstantRateProfile",
     "DiurnalRateProfile",
     "ModulatedRateProfile",
     "InteractiveService",

@@ -7,30 +7,36 @@ clipped lognormal with ``sigma = 1.6`` and median ~3.5 minutes matches
 those anchors (clipped mean 9.0 min, P(<=2 min) = 0.36); the calibration
 is locked in by tests.
 
-Draw-order contract (v1): every trajectory is pinned by the order in
-which a batch generator consumes its rng. Per candidate arrival it draws
-one exponential (the thinning gap), then one uniform (acceptance); per
-accepted job, one uniform (cores, ``ResourceDemandDistribution.sample``)
-then one lognormal (duration, ``JobDurationDistribution.sample_one``).
-Generators sharing an rng take these draws candidate by candidate in
-(time, schedule order), as if each candidate were its own engine event.
-Both scalar samplers use the bit stream exactly as
-``rng.choice(choices, p=weights)`` and
-``np.clip(rng.lognormal(mu, sigma, size=1) * 60, lo, hi)`` did.
+Draw-order contract (v2): every trajectory is pinned by the order in
+which batch generators consume their rng. The generators on one rng share
+one :class:`~repro.workload.generator.ArrivalStream`, which draws their
+arrivals one window of the absolute 60 s grid
+(``ARRIVAL_WINDOW_SECONDS``) at a time, clipped to each generator's
+``[join, until)``. Per window, for each generator in join order whose
+clipped window ``[t0, t1)`` is not empty:
 
-Candidates are thinned inline: after an accepted job's attribute draws,
-the generator's :class:`~repro.workload.generator.ArrivalStream` draws
-gap, uniform, gap, uniform, ... up to the next accepted candidate and
-schedules one engine event there, whose job draws its cores and duration
-when it fires. That is the v1 order unchanged, only taken earlier, which
-is exact because rate profiles are pure functions of time and nothing
-else draws from a workload rng.
+1. one ``rng.poisson(max_rate * (t1 - t0))`` candidate count ``n``;
+2. the candidate times, ``np.sort(rng.uniform(t0, t1, n))``;
+3. one thinning vector ``u = rng.random(n)``, keeping the candidates
+   where ``u * max_rate < rates(times)``;
+4. the ``k`` accepted jobs' demands, :meth:`ResourceDemandDistribution.sample`
+   ``(rng, k)``: one ``rng.random(k)`` looked up with
+   ``searchsorted(cdf, u, side="right")``;
+5. their durations, :meth:`JobDurationDistribution.sample` ``(rng, k)``:
+   one ``rng.lognormal(mu, sigma, k)``, in minutes, times 60, clipped.
+
+Every call is made whatever ``n`` and ``k`` are (a size-0 draw consumes
+no bits), so the number of rng calls per window does not depend on the
+arrival rate. The generators' accepted jobs then merge stably by time,
+ties going to join order. Each block equals the same values drawn one
+scalar call at a time in this order (``tests/oracles.py`` draws them so),
+and the demand block is exactly ``rng.choice(core_choices, size=k,
+p=core_weights)``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -70,7 +76,11 @@ class JobDurationDistribution:
         return np.clip(seconds, self.min_seconds, self.max_seconds)
 
     def sample_one(self, rng: np.random.Generator) -> float:
-        """Draw one duration: the same value and rng use as ``sample(rng, 1)``."""
+        """Draw one duration: the same value and rng use as ``sample(rng, 1)``.
+
+        The arrival stream draws durations in blocks through :meth:`sample`;
+        this scalar form is the block's one-call-at-a-time reference.
+        """
         seconds = rng.lognormal(self.log_mu_minutes, self.log_sigma) * 60.0
         return min(max(seconds, self.min_seconds), self.max_seconds)
 
@@ -113,17 +123,19 @@ class ResourceDemandDistribution:
         # The CDF exactly as ``Generator.choice`` builds it on every call.
         cdf = np.asarray(self.core_weights, dtype=float).cumsum()
         cdf /= cdf[-1]
-        object.__setattr__(self, "_cdf", cdf.tolist())
-        object.__setattr__(self, "_choices", tuple(float(c) for c in self.core_choices))
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_choices", np.asarray(self.core_choices, dtype=float))
 
     @property
     def mean_cores(self) -> float:
         return sum(c * w for c, w in zip(self.core_choices, self.core_weights))
 
-    def sample(self, rng: np.random.Generator) -> Tuple[float, float]:
-        """Draw one ``(cores, memory_gb)`` demand, exactly as
-        ``rng.choice(core_choices, p=core_weights)`` would."""
-        cores = self._choices[bisect_right(self._cdf, rng.random())]
+    def sample(
+        self, rng: np.random.Generator, size: int = 1
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Draw ``size`` ``(cores, memory_gb)`` demands as two arrays, the
+        cores exactly as ``rng.choice(core_choices, size, p=core_weights)``."""
+        cores = self._choices[np.searchsorted(self._cdf, rng.random(size), side="right")]
         return cores, cores * self.memory_per_core_gb
 
 

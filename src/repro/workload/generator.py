@@ -1,17 +1,19 @@
 """Batch workload generation: arrival-rate profiles and the generator process.
 
 Arrivals follow a non-homogeneous Poisson process realized by thinning,
-done inline by an :class:`ArrivalStream`: one engine event per accepted
-job, none per rejected candidate.
-Rate profiles compose a deterministic shape (constant or diurnal) with an
-optional mean-reverting AR(1) modulation that reproduces the minute-scale
-spikes and valleys of Figure 8 / Figure 9: smooth on the hour scale, with
-occasional several-percent power jumps within a single minute.
+drawn one minute of the absolute time grid at a time by an
+:class:`ArrivalStream`: one engine event per accepted job, none per
+rejected candidate.
+Rate profiles compose a deterministic shape (diurnal) with an optional
+mean-reverting AR(1) modulation that reproduces the minute-scale spikes
+and valleys of Figure 8 / Figure 9: smooth on the hour scale, with
+occasional several-percent power jumps within a single minute. Each
+profile evaluates a whole array of instants in one call
+(:meth:`RateProfile.rates`).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
@@ -31,12 +33,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
 
+#: Arrivals are drawn one window of this absolute grid at a time.
+ARRIVAL_WINDOW_SECONDS = 60.0
+
 
 class RateProfile:
-    """Interface: instantaneous arrival rate in jobs/second at time ``t``."""
+    """Interface: arrival rate in jobs/second as a pure function of time."""
+
+    def rates(self, times: np.ndarray) -> np.ndarray:
+        """The rate at each instant of ``times`` (seconds), elementwise."""
+        raise NotImplementedError
 
     def rate(self, t: float) -> float:
-        raise NotImplementedError
+        """The rate at one instant: a scalar view of :meth:`rates`."""
+        return float(self.rates(np.array([t], dtype=float))[0])
 
     @property
     def max_rate(self) -> float:
@@ -44,26 +54,11 @@ class RateProfile:
         raise NotImplementedError
 
 
-class ConstantRateProfile(RateProfile):
-    """Fixed arrival rate."""
-
-    def __init__(self, jobs_per_second: float) -> None:
-        if jobs_per_second < 0:
-            raise ValueError(f"rate must be non-negative, got {jobs_per_second}")
-        self._rate = jobs_per_second
-
-    def rate(self, t: float) -> float:
-        return self._rate
-
-    @property
-    def max_rate(self) -> float:
-        return self._rate
-
-
 class DiurnalRateProfile(RateProfile):
     """Sinusoidal day/night swing around a base rate (Figure 8's hour scale).
 
-    ``rate(t) = base * (1 + amplitude * sin(2*pi*(t - phase)/period))``.
+    ``rate(t) = base * (1 + amplitude * sin(2*pi*(t - phase)/period))``;
+    ``amplitude=0.0`` is a constant rate.
     """
 
     def __init__(
@@ -84,8 +79,8 @@ class DiurnalRateProfile(RateProfile):
         self.period = period_seconds
         self.phase = phase_seconds
 
-    def rate(self, t: float) -> float:
-        swing = self.amplitude * math.sin(2.0 * math.pi * (t - self.phase) / self.period)
+    def rates(self, times: np.ndarray) -> np.ndarray:
+        swing = self.amplitude * np.sin(2.0 * math.pi * (times - self.phase) / self.period)
         return self.base * (1.0 + swing)
 
     @property
@@ -101,7 +96,8 @@ class ModulatedRateProfile(RateProfile):
     ``[floor, ceil]``. The grid is pre-generated from an explicit seed so a
     profile is a pure, reproducible function of time -- two groups reading
     the same profile see identical demand, which the controlled-experiment
-    harness relies on.
+    harness relies on. Instants before the grid read its first step and
+    instants past it its last.
     """
 
     def __init__(
@@ -134,17 +130,13 @@ class ModulatedRateProfile(RateProfile):
         for _ in range(n_steps):
             x = 1.0 + rho * (x - 1.0) + sigma * rng.standard_normal()
             multipliers.append(float(min(ceil, max(floor, x))))
-        self._multipliers = multipliers
+        self._multipliers = np.array(multipliers)
 
-    def rate(self, t: float) -> float:
-        # Runs once per thinning candidate: clamp without min/max calls.
-        multipliers = self._multipliers
-        index = int(t / self.step)
-        if index < 0:
-            index = 0
-        elif index >= len(multipliers):
-            index = len(multipliers) - 1
-        return self.base.rate(t) * multipliers[index]
+    def rates(self, times: np.ndarray) -> np.ndarray:
+        # Truncating toward zero, then clamping: int(t / step) per element.
+        index = (times / self.step).astype(np.intp)
+        np.clip(index, 0, len(self._multipliers) - 1, out=index)
+        return self.base.rates(times) * self._multipliers[index]
 
     @property
     def max_rate(self) -> float:
@@ -158,8 +150,9 @@ class BurstyRateProfile(RateProfile):
     diurnal swing (Figure 8, Figure 10a): a product launches a backfill,
     a pipeline re-runs. Bursts arrive as a Poisson process with
     exponential durations; inside a burst the rate is multiplied by
-    ``burst_factor``. Burst windows are pre-generated from the seed, so
-    the profile is a pure function of time.
+    ``burst_factor`` (once, however many bursts overlap). Burst windows
+    are pre-generated from the seed, so the profile is a pure function of
+    time.
     """
 
     def __init__(
@@ -192,14 +185,18 @@ class BurstyRateProfile(RateProfile):
                     break
                 windows.append((t, t + rng.exponential(mean_burst_seconds)))
         self._windows = [(float(start), float(end)) for start, end in windows]
+        # Starts ascend, so t is inside a burst exactly when the furthest
+        # end among the windows started by t lies beyond it.
+        self._starts = np.array([start for start, _ in self._windows])
+        self._reach = np.maximum.accumulate([end for _, end in self._windows] or [0.0])
 
-    def rate(self, t: float) -> float:
-        base_rate = self.base.rate(t)
-        # A handful of windows per day: a plain scan beats array compares.
-        for start, end in self._windows:
-            if start <= t < end:
-                return base_rate * self.burst_factor
-        return base_rate
+    def rates(self, times: np.ndarray) -> np.ndarray:
+        base_rates = self.base.rates(times)
+        if not self._windows:
+            return base_rates
+        latest = np.searchsorted(self._starts, times, side="right") - 1
+        inside = (latest >= 0) & (self._reach[latest] > times)
+        return np.where(inside, base_rates * self.burst_factor, base_rates)
 
     @property
     def max_rate(self) -> float:
@@ -225,8 +222,8 @@ class ScaledRateProfile(RateProfile):
         self.base = base
         self.factor = float(factor)
 
-    def rate(self, t: float) -> float:
-        return self.base.rate(t) * self.factor
+    def rates(self, times: np.ndarray) -> np.ndarray:
+        return self.base.rates(times) * self.factor
 
     @property
     def max_rate(self) -> float:
@@ -240,8 +237,8 @@ class SurgeRateProfile(RateProfile):
     the windows here are *scheduled*: the fault plane injects a demand
     surge at a known instant (a launch, a retry storm) so chaos runs can
     assert on exactly when the hazard was active. Windows are pure
-    functions of time; overlapping windows are rejected upstream
-    (scenario validation), so ``max_rate`` is exact.
+    functions of time and must not overlap, so at most one factor applies
+    at any instant and ``max_rate`` is exact.
     """
 
     def __init__(
@@ -259,13 +256,20 @@ class SurgeRateProfile(RateProfile):
                     "surge windows need start >= 0, duration > 0, factor > 0, "
                     f"got ({start}, {duration}, {factor})"
                 )
+        ordered = sorted(self.windows)
+        for (s0, d0, _), (s1, _, _) in zip(ordered, ordered[1:]):
+            if s1 < s0 + d0:
+                raise ValueError(
+                    f"surge windows overlap: ({s0}, {d0}) and ({s1}, ...); "
+                    "their product would exceed max_rate"
+                )
 
-    def rate(self, t: float) -> float:
-        rate = self.base.rate(t)
+    def rates(self, times: np.ndarray) -> np.ndarray:
+        rates = self.base.rates(times)
         for start, duration, factor in self.windows:
-            if start <= t < start + duration:
-                rate *= factor
-        return rate
+            inside = (start <= times) & (times < start + duration)
+            rates = np.where(inside, rates * factor, rates)
+        return rates
 
     @property
     def max_rate(self) -> float:
@@ -274,103 +278,120 @@ class SurgeRateProfile(RateProfile):
 
 
 class ArrivalStream:
-    """The thinned arrival stream of every generator drawing from one rng.
+    """The arrival stream of every generator drawing from one rng.
 
-    Each member generator offers candidates at its profile's bound rate
-    ``max_rate`` and keeps each with probability ``rate(t) / max_rate``.
-    Rejected candidates cost two draws and nothing else, so the stream
-    thins ahead inline: after each accepted job it draws gap, uniform,
-    gap, uniform, ... until it reaches the next accepted candidate, and
-    schedules one ``JOB_ARRIVAL`` event there. That job's demand and
-    duration are drawn when the event fires. This consumes the rng in
-    exactly the order one engine event per candidate would (the v1
-    contract in :mod:`repro.workload.distributions`), because rate
+    Draw-order contract (v2). The stream draws arrivals one window of the
+    absolute :data:`ARRIVAL_WINDOW_SECONDS` grid at a time, each window
+    clipped to ``[join, until)`` of each member generator. Per window,
+    for each member in join order whose clipped window ``[t0, t1)`` is
+    not empty:
+
+    1. ``n = rng.poisson(max_rate * (t1 - t0))`` candidates;
+    2. their times, ``np.sort(rng.uniform(t0, t1, n))``;
+    3. one thinning vector ``u = rng.random(n)``, keeping the candidates
+       where ``u * max_rate < rates(times)``;
+    4. the ``k`` accepted jobs' demands,
+       ``ResourceDemandDistribution.sample(rng, k)``;
+    5. their durations, ``JobDurationDistribution.sample(rng, k)``.
+
+    ``max_rate`` is the member profile's bound, read once in ``start()``.
+    The members' accepted jobs merge stably by time, ties going to join
+    order. The stream keeps exactly one pending ``JOB_ARRIVAL`` event: a
+    start event at the instant its first generator joins (which draws the
+    first window), then the next job of the drawn window. When a window's
+    last job fires, the stream draws the following windows inline until
+    one holds a job, or every member has reached its ``until``. Rate
     profiles are pure functions of time and nothing else draws from a
-    workload rng.
+    workload rng, so the jobs are a function of the seed alone.
 
-    Members sharing the rng merge their candidates in (time, schedule
-    order), as the engine would order one event per candidate. A stream
-    has at most one pending engine event: a start event at the join
-    instant, or its next accepted arrival. A generator may join only
-    while no candidate at or after ``now`` has been thinned; a later
-    join would reorder draws, so it raises.
+    A generator may join only while the stream has drawn nothing past
+    ``now``: after the start event has drawn a window, a later join
+    would reorder the draws, so it raises. A stream whose members have
+    all finished accepts new members again.
     """
 
     def __init__(self, engine: Engine, rng: np.random.Generator) -> None:
         self.engine = engine
         self.rng = rng
-        #: ``(time, schedule order, member)`` of each member's drawn,
-        #: unthinned candidate; while an arrival is pending, ``[0]`` is it
-        self._candidates: List[tuple] = []
-        self._order = 0
-        #: time of the latest candidate whose acceptance uniform is drawn
-        self._cursor = -math.inf
+        #: generators with windows left to draw, in join order
+        self._members: List["BatchWorkloadGenerator"] = []
+        #: every window before this instant has been drawn
+        self._drawn_to = -math.inf
+        #: the drawn window's accepted jobs in emission order, as
+        #: ``(time, member, cores, memory_gb, work_seconds)``
+        self._jobs: List[tuple] = []
+        #: index in ``_jobs`` of the next job to schedule
+        self._next = 0
 
     def join(self, generator: "BatchWorkloadGenerator") -> None:
-        """Draw ``generator``'s first candidate gap at ``now``."""
+        """Add ``generator``; its windows start at ``now``."""
         now = self.engine.now
-        if self._cursor >= now:
+        if self._drawn_to > now:
             raise RuntimeError(
-                f"arrival stream has thinned ahead to t={self._cursor:.3f}; "
+                f"arrival stream has drawn ahead to t={self._drawn_to:.3f}; "
                 f"a generator joining at t={now:.3f} would reorder its draws"
             )
-        t = now + self.rng.exponential(1.0 / generator._max_rate)
-        if t >= generator._until:
-            return
-        if not self._candidates:
-            self.engine.schedule(now, EventPriority.JOB_ARRIVAL, self._thin)
-        heapq.heappush(self._candidates, (t, self._order, generator))
-        self._order += 1
+        if not self._members:
+            self._drawn_to = now
+            self.engine.schedule(now, EventPriority.JOB_ARRIVAL, self._draw)
+        self._members.append(generator)
 
-    def resume(self, generator: "BatchWorkloadGenerator") -> None:
-        """After ``generator``'s accepted job: draw its next gap, thin on."""
-        t = self.engine.now + self.rng.exponential(1.0 / generator._max_rate)
-        if t < generator._until:
-            heapq.heapreplace(self._candidates, (t, self._order, generator))
-            self._order += 1
+    def advance(self) -> None:
+        """Schedule the window's next job, or draw on when it is spent."""
+        if self._next < len(self._jobs):
+            time, member, cores, memory_gb, work_seconds = self._jobs[self._next]
+            self._next += 1
+            self.engine.schedule(
+                time,
+                EventPriority.JOB_ARRIVAL,
+                member._candidate_arrival,
+                cores,
+                memory_gb,
+                work_seconds,
+            )
         else:
-            heapq.heappop(self._candidates)
-        self._thin()
+            self._draw()
 
-    def _thin(self) -> None:
-        """Thin candidates until one is accepted or every member is done."""
-        candidates = self._candidates
-        random = self.rng.random
-        exponential = self.rng.exponential
-        while len(candidates) > 1:
-            t, _, member = candidates[0]
-            self._cursor = t
-            if random() < member.rate_profile.rate(t) / member._max_rate:
-                self.engine.schedule(
-                    t, EventPriority.JOB_ARRIVAL, member._candidate_arrival
-                )
+    def _draw(self) -> None:
+        """Draw windows until one holds a job, then schedule that job."""
+        rng = self.rng
+        members = self._members
+        while members:
+            t0 = self._drawn_to
+            t1 = (math.floor(t0 / ARRIVAL_WINDOW_SECONDS) + 1.0) * ARRIVAL_WINDOW_SECONDS
+            blocks = []
+            for member in members:
+                end = min(t1, member._until)
+                max_rate = member._max_rate
+                n = rng.poisson(max_rate * (end - t0))
+                times = np.sort(rng.uniform(t0, end, n))
+                times = times[rng.random(n) * max_rate < member.rate_profile.rates(times)]
+                k = len(times)
+                cores, memory_gb = member.demand.sample(rng, k)
+                work_seconds = member.duration.sample(rng, k)
+                if k:
+                    blocks.append((member, times, cores, memory_gb, work_seconds))
+            self._drawn_to = min(t1, max(member._until for member in members))
+            self._members = members = [m for m in members if m._until > t1]
+            if blocks:
+                self._emit_window(blocks)
                 return
-            t += exponential(1.0 / member._max_rate)
-            if t < member._until:
-                heapq.heapreplace(candidates, (t, self._order, member))
-                self._order += 1
-            else:
-                heapq.heappop(candidates)
-        if not candidates:
-            return
-        # One member left: no merge, just its own thinning loop.
-        t, order, member = candidates[0]
-        rate = member.rate_profile.rate
-        max_rate = member._max_rate
-        scale = 1.0 / max_rate
-        until = member._until
-        while t < until:
-            if random() < rate(t) / max_rate:
-                self._cursor = t
-                candidates[0] = (t, order, member)
-                self.engine.schedule(
-                    t, EventPriority.JOB_ARRIVAL, member._candidate_arrival
-                )
-                return
-            thinned = t
-            t += exponential(scale)
-        self._cursor = thinned
-        candidates.clear()
+
+    def _emit_window(self, blocks: list) -> None:
+        """Merge the members' accepted jobs by time, ties in join order
+        (``blocks`` is in join order), and schedule the first."""
+        members = [block[0] for block in blocks]
+        owner = np.repeat(np.arange(len(blocks)), [len(block[1]) for block in blocks])
+        times = np.concatenate([block[1] for block in blocks])
+        merged = np.argsort(times, kind="stable")
+        columns = [
+            np.concatenate([block[column] for block in blocks])[merged].tolist()
+            for column in (2, 3, 4)  # cores, memory_gb, work_seconds
+        ]
+        owners = [members[index] for index in owner[merged].tolist()]
+        self._jobs = list(zip(times[merged].tolist(), owners, *columns))
+        self._next = 0
+        self.advance()
 
 
 class BatchWorkloadGenerator:
@@ -439,25 +460,22 @@ class BatchWorkloadGenerator:
         """Begin generating arrivals until simulated time ``until``."""
         # Profiles are pure functions of time: read the bound once.
         self._max_rate = self.rate_profile.max_rate
-        if self._max_rate <= 0:
+        if self._max_rate <= 0 or until <= self.engine.now:
             return
         self._until = until
         self.stream.join(self)
 
     # ------------------------------------------------------------------
-    def _candidate_arrival(self) -> None:
-        """The accepted candidate's event: emit its job, thin to the next."""
-        self._emit_job(self.engine.now)
-        self.stream.resume(self)
-
-    def _emit_job(self, now: float) -> None:
-        cores, memory_gb = self.demand.sample(self.rng)
+    def _candidate_arrival(
+        self, cores: float, memory_gb: float, work_seconds: float
+    ) -> None:
+        """An accepted job's event: submit it, schedule the stream's next."""
         job = Job(
             job_id=self._next_job_id,
-            work_seconds=self.duration.sample_one(self.rng),
+            work_seconds=work_seconds,
             cores=cores,
             memory_gb=memory_gb,
-            arrival_time=now,
+            arrival_time=self.engine.now,
             product=self.product,
             allowed_rows=self.allowed_rows,
             tenant=self.tenant,
@@ -467,11 +485,11 @@ class BatchWorkloadGenerator:
         for listener in self.listeners:
             listener(job)
         self.scheduler.submit(job)
+        self.stream.advance()
 
 
 __all__ = [
     "RateProfile",
-    "ConstantRateProfile",
     "DiurnalRateProfile",
     "ModulatedRateProfile",
     "BurstyRateProfile",
@@ -479,6 +497,7 @@ __all__ = [
     "SurgeRateProfile",
     "ArrivalStream",
     "BatchWorkloadGenerator",
+    "ARRIVAL_WINDOW_SECONDS",
     "SECONDS_PER_HOUR",
     "SECONDS_PER_DAY",
 ]

@@ -14,8 +14,9 @@ contracts the array path relies on:
 3. RNG batching: every oracle draws its randomness one scalar call at a
    time, in the documented order, where production draws whole batches.
 
-:class:`PerCandidateGenerator` is the arrival path that production's
-thin-ahead stream replaced: one engine event per thinning candidate.
+:class:`ScalarArrivalStream` draws each arrival window one scalar rng
+call at a time where production draws whole blocks, and
+:func:`scalar_rate` evaluates each rate profile one instant at a time.
 :func:`plan_freeze_set` is the freeze planner over ``{server_id: watts}``
 dicts and id sets that the array planner in :mod:`repro.core.policy`
 replaced; ``tests/test_properties.py`` checks the two make the same plan.
@@ -28,6 +29,8 @@ the controller's closed-form SPCP and iterated PCP against.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Sequence, Set
 
@@ -39,8 +42,15 @@ from repro.cluster.power import DVFS_FREQUENCIES
 from repro.monitor.power_monitor import PowerMonitor
 from repro.service.views import jsonsafe
 from repro.sim import testbed
-from repro.sim.events import EventPriority
-from repro.workload.generator import BatchWorkloadGenerator
+from repro.workload.generator import (
+    ARRIVAL_WINDOW_SECONDS,
+    ArrivalStream,
+    BurstyRateProfile,
+    DiurnalRateProfile,
+    ModulatedRateProfile,
+    ScaledRateProfile,
+    SurgeRateProfile,
+)
 
 
 def _live(server) -> bool:
@@ -351,39 +361,87 @@ def set_group_frozen(run, name: str, frozen: bool) -> dict:
 # ---------------------------------------------------------------------------
 # Batch arrivals
 # ---------------------------------------------------------------------------
-class PerCandidateGenerator(BatchWorkloadGenerator):
-    """Poisson thinning with one engine event per candidate.
+class ScalarArrivalStream(ArrivalStream):
+    """The v2 draw order taken one scalar rng call at a time.
 
-    Each generator schedules its own candidates, so generators sharing
-    an rng interleave their draws in engine (time, schedule) order; the
-    arrival stream a production generator joins is ignored.
+    Each window's values come in the documented order (the contract in
+    :class:`~repro.workload.generator.ArrivalStream`): per member in join
+    order, one Poisson count, that many scalar uniforms (sorted), one
+    scalar thinning uniform per candidate, one scalar uniform per
+    accepted job's cores (looked up in the CDF ``rng.choice`` builds),
+    then one scalar duration per accepted job. The members' jobs merge by
+    ``(time, join order)`` with ``sorted``. Emission is the production
+    stream's.
     """
 
-    def start(self, until: float) -> None:
-        self._max_rate = self.rate_profile.max_rate
-        if self._max_rate <= 0:
-            return
-        self._until = until
-        self._schedule_next_candidate()
+    def _draw(self) -> None:
+        rng = self.rng
+        while self._members:
+            t0 = self._drawn_to
+            t1 = (math.floor(t0 / ARRIVAL_WINDOW_SECONDS) + 1) * ARRIVAL_WINDOW_SECONDS
+            jobs = []
+            for order, member in enumerate(self._members):
+                end = min(t1, member._until)
+                max_rate = member._max_rate
+                n = rng.poisson(max_rate * (end - t0))
+                candidates = sorted(rng.uniform(t0, end) for _ in range(n))
+                accepted = [
+                    t
+                    for t in candidates
+                    if rng.random() * max_rate < member.rate_profile.rate(t)
+                ]
+                demand = member.demand
+                cdf = np.cumsum(np.asarray(demand.core_weights, dtype=float))
+                cdf = (cdf / cdf[-1]).tolist()
+                cores = [
+                    float(demand.core_choices[bisect.bisect_right(cdf, rng.random())])
+                    for _ in accepted
+                ]
+                work = [member.duration.sample_one(rng) for _ in accepted]
+                for t, c, w in zip(accepted, cores, work):
+                    jobs.append((t, order, member, c, c * demand.memory_per_core_gb, w))
+            self._drawn_to = min(t1, max(m._until for m in self._members))
+            self._members = [m for m in self._members if m._until > t1]
+            if jobs:
+                jobs.sort(key=lambda job: job[:2])
+                self._jobs = [(t, m, c, mem, w) for t, _, m, c, mem, w in jobs]
+                self._next = 0
+                self.advance()
+                return
 
-    def _schedule_next_candidate(self) -> None:
-        gap = self.rng.exponential(1.0 / self._max_rate)
-        t = self.engine.now + gap
-        if t >= self._until:
-            return
-        self.engine.schedule(t, EventPriority.JOB_ARRIVAL, self._candidate_arrival)
 
-    def _candidate_arrival(self) -> None:
-        now = self.engine.now
-        accept_probability = self.rate_profile.rate(now) / self._max_rate
-        if self.rng.random() < accept_probability:
-            self._emit_job(now)
-        self._schedule_next_candidate()
+def use_scalar_arrivals(monkeypatch) -> None:
+    """Build every testbed arrival stream as a :class:`ScalarArrivalStream`."""
+    monkeypatch.setattr(testbed, "ArrivalStream", ScalarArrivalStream)
 
 
-def use_per_candidate_arrivals(monkeypatch) -> None:
-    """Build every testbed generator as a :class:`PerCandidateGenerator`."""
-    monkeypatch.setattr(testbed, "BatchWorkloadGenerator", PerCandidateGenerator)
+def scalar_rate(profile, t: float) -> float:
+    """A profile's rate at ``t`` by the scalar formulas each profile
+    evaluated one instant at a time before ``rates`` took arrays."""
+    if isinstance(profile, DiurnalRateProfile):
+        swing = profile.amplitude * math.sin(
+            2.0 * math.pi * (t - profile.phase) / profile.period
+        )
+        return profile.base * (1.0 + swing)
+    if isinstance(profile, ModulatedRateProfile):
+        multipliers = profile._multipliers
+        index = min(max(int(t / profile.step), 0), len(multipliers) - 1)
+        return scalar_rate(profile.base, t) * float(multipliers[index])
+    if isinstance(profile, BurstyRateProfile):
+        base_rate = scalar_rate(profile.base, t)
+        for start, end in profile.burst_windows():
+            if start <= t < end:
+                return base_rate * profile.burst_factor
+        return base_rate
+    if isinstance(profile, ScaledRateProfile):
+        return scalar_rate(profile.base, t) * profile.factor
+    if isinstance(profile, SurgeRateProfile):
+        rate = scalar_rate(profile.base, t)
+        for start, duration, factor in profile.windows:
+            if start <= t < start + duration:
+                rate *= factor
+        return rate
+    raise TypeError(f"no scalar formula for {type(profile).__name__}")
 
 
 def use_oracle_loops(monkeypatch) -> None:

@@ -42,9 +42,13 @@ class TestCampaign:
         assert len(campaign_result) == 4
         for row in campaign_result.rows:
             assert 0.0 <= row.u_mean <= 0.5
-            # Tiny half-hour cells carry several percent of throughput
-            # sampling noise on r_T; the bound is correspondingly loose.
-            assert row.g_tpw <= row.cell.over_provision_ratio + 0.12
+        # A tiny half-hour cell carries about 0.13 (one standard
+        # deviation) of throughput sampling noise on G_TPW, so the bound
+        # holds for the mean over seeds 1-10, not for one seed's cell.
+        seeds = tiny_campaign(seeds=tuple(range(1, 11))).run()
+        for r_o in (0.17, 0.25):
+            for workload in ("low", "high"):
+                assert seeds.mean_gtpw(r_o, workload) <= r_o + 0.12
 
     def test_progress_callback(self):
         seen = []

@@ -13,7 +13,7 @@ from repro.cooling.thermal import AIR_RHO_CP, CoolingUnit, ThermalParams
 from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
-from repro.workload.generator import BatchWorkloadGenerator, ConstantRateProfile
+from repro.workload.generator import BatchWorkloadGenerator, DiurnalRateProfile
 from tests.conftest import make_servers
 
 
@@ -143,7 +143,7 @@ class Rig:
         self.monitor.register_group(self.group)
         rate = utilization * n * 16 / (1.8 * 540.0)
         self.generator = BatchWorkloadGenerator(
-            self.engine, self.scheduler, ConstantRateProfile(rate),
+            self.engine, self.scheduler, DiurnalRateProfile(rate, amplitude=0.0),
             rng=np.random.default_rng(seed + 1),
         )
 

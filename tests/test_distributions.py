@@ -58,10 +58,9 @@ class TestResourceDemand:
 
     def test_sample_in_choices(self, rng):
         demand = ResourceDemandDistribution()
-        for _ in range(100):
-            cores, memory = demand.sample(rng)
-            assert cores in demand.core_choices
-            assert memory == cores * demand.memory_per_core_gb
+        cores, memory = demand.sample(rng, 100)
+        assert set(cores.tolist()) <= set(demand.core_choices)
+        assert (memory == cores * demand.memory_per_core_gb).all()
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -78,25 +77,30 @@ class TestResourceDemand:
 
     def test_empirical_mean_matches(self, rng):
         demand = ResourceDemandDistribution()
-        samples = [demand.sample(rng)[0] for _ in range(20_000)]
-        assert np.mean(samples) == pytest.approx(demand.mean_cores, rel=0.05)
+        cores, _ = demand.sample(rng, 20_000)
+        assert np.mean(cores) == pytest.approx(demand.mean_cores, rel=0.05)
 
 
-DRAWS = 100_000
+#: block sizes drawn back to back, empty blocks included
+BLOCKS = (0, 1, 2, 0, 7, 60, 1, 0, 250) * 40
 
 
 def assert_same_stream(reference, fast, seed=2024):
-    """``fast`` yields the values ``reference`` does, leaving the rng where it does."""
+    """``fast(rng, k)`` yields the block ``reference(rng, k)`` does for
+    each size in :data:`BLOCKS`, leaving the rng where it does."""
     expected_rng = np.random.default_rng(seed)
     actual_rng = np.random.default_rng(seed)
-    expected = [reference(expected_rng) for _ in range(DRAWS)]
-    actual = [fast(actual_rng) for _ in range(DRAWS)]
-    assert actual == expected
+    for k in BLOCKS:
+        expected = np.asarray(reference(expected_rng, k), dtype=float)
+        actual = np.asarray(fast(actual_rng, k), dtype=float)
+        assert actual.tolist() == expected.tolist()
     assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 class TestDrawExact:
-    """The scalar samplers consume the bit stream exactly as numpy's calls did."""
+    """A block sampler consumes the bit stream exactly as numpy's block
+    call does, and as the same values drawn one scalar call at a time
+    (the arrival stream's v2 contract)."""
 
     @pytest.mark.parametrize(
         "choices, weights",
@@ -108,12 +112,23 @@ class TestDrawExact:
     )
     def test_demand_matches_rng_choice(self, choices, weights):
         demand = ResourceDemandDistribution(core_choices=choices, core_weights=weights)
+        per_core = demand.memory_per_core_gb
 
-        def reference(rng):
-            cores = float(rng.choice(choices, p=weights))
-            return cores, cores * demand.memory_per_core_gb
+        def reference(rng, k):
+            cores = rng.choice(choices, size=k, p=weights).astype(float)
+            return [cores, cores * per_core]
+
+        cdf = np.cumsum(weights) / np.sum(weights)
+
+        def scalar(rng, k):
+            cores = [
+                choices[int(np.searchsorted(cdf, rng.random(), side="right"))]
+                for _ in range(k)
+            ]
+            return [cores, [c * per_core for c in cores]]
 
         assert_same_stream(reference, demand.sample)
+        assert_same_stream(scalar, demand.sample)
 
     @pytest.mark.parametrize(
         "dist",
@@ -126,11 +141,15 @@ class TestDrawExact:
         ],
     )
     def test_duration_matches_clipped_lognormal(self, dist):
-        def reference(rng):
-            seconds = rng.lognormal(dist.log_mu_minutes, dist.log_sigma, size=1) * 60
-            return float(np.clip(seconds, dist.min_seconds, dist.max_seconds)[0])
+        def reference(rng, k):
+            seconds = rng.lognormal(dist.log_mu_minutes, dist.log_sigma, size=k) * 60
+            return np.clip(seconds, dist.min_seconds, dist.max_seconds)
 
-        assert_same_stream(reference, dist.sample_one)
+        def scalar(rng, k):
+            return [dist.sample_one(rng) for _ in range(k)]
+
+        assert_same_stream(reference, dist.sample)
+        assert_same_stream(scalar, dist.sample)
 
 
 class TestRateCalibration:

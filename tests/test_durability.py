@@ -143,14 +143,15 @@ def test_frame_rejects_version_2_snapshot():
     scheduled one engine event per thinning candidate; version 9
     controllers held no freeze policy when none was given; version 10
     testbeds held one row, scheduler and workload rng, and fleets built
-    their topology without one. This build refuses all nine with the
-    version error."""
+    their topology without one; version 11 arrival streams held a heap
+    of per-generator candidates thinned one at a time instead of a drawn
+    window of jobs. This build refuses all ten with the version error."""
     experiment = ControlledExperiment(tiny_config())
     experiment.start()
     header, _, payload = experiment.snapshot().partition(b"\n")
     doc = json.loads(header)
-    assert doc["version"] == SNAPSHOT_VERSION == 11
-    for version in (2, 3, 4, 5, 6, 7, 8, 9, 10):
+    assert doc["version"] == SNAPSHOT_VERSION == 12
+    for version in (2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
         old = dict(doc, version=version, meta=dict(doc["meta"]))
         if version == 2:
             old["meta"]["backend"] = "object"
@@ -338,9 +339,9 @@ def test_chaos_snapshot_resume_is_byte_identical(backend):
 
 def test_tenanted_resume_with_a_pending_accepted_arrival_is_byte_identical():
     """Three tenant generators share the testbed's workload rng, so one
-    arrival stream has thinned ahead to an accepted job when the frame is
-    taken. The resumed run's frame and result match the uninterrupted
-    twin's byte for byte."""
+    arrival stream holds a drawn window of their merged jobs when the
+    frame is taken. The resumed run's frame and result match the
+    uninterrupted twin's byte for byte."""
     config = tiny_config(
         tenancy=TenancyConfig(
             tenants=(
@@ -361,13 +362,39 @@ def test_tenanted_resume_with_a_pending_accepted_arrival_is_byte_identical():
     experiment.advance(1800.0)
     (stream,) = experiment.testbed._arrivals
     assert len(experiment.testbed.generators) == 3
-    assert stream._candidates and stream._cursor > 1800.0  # an accepted job pending
+    assert stream._drawn_to > 1800.0  # an accepted job pending
     resumed = ControlledExperiment.restore(experiment.snapshot())
     resumed.advance(2400.0)
     assert resumed.snapshot() == twin_frame
     assert result_json_without_config(resumed.finish()) == result_json_without_config(
         twin_result
     )
+
+
+def test_resume_mid_window_with_jobs_pending_is_byte_identical():
+    """A frame taken inside an arrival window, with some of the window's
+    drawn jobs emitted and more still pending, restores and finishes to
+    the uninterrupted twin's result document and final frame bytes."""
+    config = tiny_config()
+    twin = ControlledExperiment(config)
+    twin_result = twin.run()
+    twin_frame = twin.snapshot()
+
+    experiment = ControlledExperiment(config)
+    experiment.start()
+    experiment.advance(1890.0)  # half-way through the window [1860, 1920)
+    (stream,) = experiment.testbed._arrivals
+    assert stream._drawn_to == 1920.0
+    emitted = [job[0] for job in stream._jobs[: stream._next - 1]]
+    pending = [job[0] for job in stream._jobs[stream._next - 1 :]]
+    assert emitted and pending, "the window must straddle the frame"
+    assert emitted[-1] < 1890.0 <= pending[0]
+    resumed = ControlledExperiment.restore(experiment.snapshot())
+    resumed_result = resumed.finish()
+    assert result_json_without_config(resumed_result) == result_json_without_config(
+        twin_result
+    )
+    assert resumed.snapshot() == twin_frame
 
 
 def test_fleet_snapshot_resume_is_byte_identical(backend, tmp_path):

@@ -11,7 +11,7 @@ from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
 from repro.sim.failures import ServerFailureInjector
-from repro.workload.generator import BatchWorkloadGenerator, ConstantRateProfile
+from repro.workload.generator import BatchWorkloadGenerator, DiurnalRateProfile
 from repro.workload.job import Job
 from tests.conftest import assert_tracker_invariant, make_servers, set_frozen_ids
 
@@ -147,7 +147,7 @@ class TestInjector:
             freeze_model=FreezeEffectModel(0.02),
         )
         generator = BatchWorkloadGenerator(
-            engine, scheduler, ConstantRateProfile(0.5),
+            engine, scheduler, DiurnalRateProfile(0.5, amplitude=0.0),
             rng=np.random.default_rng(3),
         )
         injector = ServerFailureInjector(

@@ -33,7 +33,7 @@ from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.testbed import WorkloadSpec
-from repro.workload.generator import ConstantRateProfile, SurgeRateProfile
+from repro.workload.generator import DiurnalRateProfile, SurgeRateProfile
 from tests.conftest import make_servers, set_frozen_ids
 
 
@@ -645,7 +645,7 @@ class TestFaultInjector:
 class TestSurgeRateProfile:
     def test_multiplies_inside_window_only(self):
         profile = SurgeRateProfile(
-            ConstantRateProfile(2.0), ((100.0, 50.0, 3.0),)
+            DiurnalRateProfile(2.0, amplitude=0.0), ((100.0, 50.0, 3.0),)
         )
         assert profile.rate(99.0) == 2.0
         assert profile.rate(100.0) == 6.0
@@ -653,25 +653,35 @@ class TestSurgeRateProfile:
         assert profile.rate(150.0) == 2.0  # window end is exclusive
         assert profile.max_rate == 6.0
 
-    def test_overlapping_windows_compound(self):
-        # The scenario validator forbids overlap, but the profile itself
-        # composes multiplicatively if handed one directly.
+    def test_overlapping_windows_rejected(self):
+        # Overlapping factors would multiply (2 x 3 = 6 against a
+        # max_rate of 3), so thinning would silently under-generate.
+        for windows in (
+            ((0.0, 10.0, 2.0), (5.0, 10.0, 3.0)),
+            ((5.0, 10.0, 3.0), (0.0, 10.0, 2.0)),  # found in any order
+            ((0.0, 100.0, 2.0), (50.0, 10.0, 3.0)),  # one inside the other
+        ):
+            with pytest.raises(ValueError, match="overlap"):
+                SurgeRateProfile(DiurnalRateProfile(1.0, amplitude=0.0), windows)
+
+    def test_adjacent_windows_allowed(self):
         profile = SurgeRateProfile(
-            ConstantRateProfile(1.0), ((0.0, 100.0, 2.0), (50.0, 100.0, 3.0))
+            DiurnalRateProfile(1.0, amplitude=0.0), ((0.0, 10.0, 2.0), (10.0, 10.0, 3.0))
         )
-        assert profile.rate(75.0) == 6.0
+        assert [profile.rate(t) for t in (9.0, 10.0, 20.0)] == [2.0, 3.0, 1.0]
+        assert profile.max_rate == 3.0
 
     def test_max_rate_never_shrinks(self):
         # A sub-unity "surge" (a demand dip) must not lower the thinning
         # envelope, or acceptance probabilities would exceed 1 elsewhere.
         profile = SurgeRateProfile(
-            ConstantRateProfile(2.0), ((0.0, 10.0, 0.5),)
+            DiurnalRateProfile(2.0, amplitude=0.0), ((0.0, 10.0, 0.5),)
         )
         assert profile.max_rate == 2.0
 
     def test_injector_wraps_only_when_surges_configured(self):
         engine = Engine()
-        base = ConstantRateProfile(1.0)
+        base = DiurnalRateProfile(1.0, amplitude=0.0)
         quiet = FaultInjector(engine, FaultScenario())
         assert quiet.wrap_rate_profile(base) is base
         surging = FaultInjector(

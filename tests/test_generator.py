@@ -10,29 +10,33 @@ from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.testbed import Testbed, WorkloadSpec
 from repro.tenancy import TenancyConfig, TenantSpec
 from repro.workload.generator import (
+    ARRIVAL_WINDOW_SECONDS,
     ArrivalStream,
     BatchWorkloadGenerator,
     BurstyRateProfile,
-    ConstantRateProfile,
     DiurnalRateProfile,
     ModulatedRateProfile,
     ScaledRateProfile,
     SECONDS_PER_DAY,
+    SurgeRateProfile,
 )
 from tests import oracles
 from tests.conftest import make_servers
 
 
 class TestConstantProfile:
+    """A constant rate is a zero-amplitude diurnal profile."""
+
     def test_rate_and_max(self):
-        profile = ConstantRateProfile(2.5)
+        profile = DiurnalRateProfile(2.5, amplitude=0.0)
         assert profile.rate(0.0) == 2.5
         assert profile.rate(1e6) == 2.5
+        assert profile.rates(np.linspace(0.0, 1e6, 7)).tolist() == [2.5] * 7
         assert profile.max_rate == 2.5
 
     def test_negative_rate_raises(self):
         with pytest.raises(ValueError):
-            ConstantRateProfile(-1.0)
+            DiurnalRateProfile(-1.0, amplitude=0.0)
 
 
 class TestDiurnalProfile:
@@ -63,7 +67,7 @@ class TestDiurnalProfile:
 
 class TestModulatedProfile:
     def base(self):
-        return ConstantRateProfile(10.0)
+        return DiurnalRateProfile(10.0, amplitude=0.0)
 
     def test_deterministic_for_seed(self):
         a = ModulatedRateProfile(self.base(), 3600.0, seed=42)
@@ -108,7 +112,7 @@ class TestModulatedProfile:
 class TestBurstyProfile:
     def test_rate_elevated_inside_burst(self):
         profile = BurstyRateProfile(
-            ConstantRateProfile(10.0), 86400.0, seed=5,
+            DiurnalRateProfile(10.0, amplitude=0.0), 86400.0, seed=5,
             bursts_per_day=8.0, burst_factor=2.0,
         )
         windows = profile.burst_windows()
@@ -119,7 +123,7 @@ class TestBurstyProfile:
 
     def test_rate_normal_outside_bursts(self):
         profile = BurstyRateProfile(
-            ConstantRateProfile(10.0), 86400.0, seed=5,
+            DiurnalRateProfile(10.0, amplitude=0.0), 86400.0, seed=5,
             bursts_per_day=1.0, burst_factor=3.0,
         )
         windows = profile.burst_windows()
@@ -130,7 +134,7 @@ class TestBurstyProfile:
 
     def test_zero_bursts(self):
         profile = BurstyRateProfile(
-            ConstantRateProfile(10.0), 86400.0, seed=5, bursts_per_day=0.0
+            DiurnalRateProfile(10.0, amplitude=0.0), 86400.0, seed=5, bursts_per_day=0.0
         )
         assert profile.burst_windows() == []
         assert profile.max_rate == 10.0
@@ -140,7 +144,7 @@ class TestBurstyProfile:
     )
     def test_invalid_args(self, kwargs):
         with pytest.raises(ValueError):
-            BurstyRateProfile(ConstantRateProfile(1.0), 1000.0, seed=0, **kwargs)
+            BurstyRateProfile(DiurnalRateProfile(1.0, amplitude=0.0), 1000.0, seed=0, **kwargs)
 
 
 class TestGenerator:
@@ -151,7 +155,7 @@ class TestGenerator:
         generator = BatchWorkloadGenerator(
             engine,
             scheduler,
-            ConstantRateProfile(rate),
+            DiurnalRateProfile(rate, amplitude=0.0),
             rng=np.random.default_rng(1),
         )
         generator.start(until)
@@ -180,7 +184,7 @@ class TestGenerator:
         scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(0))
         seen = []
         generator = BatchWorkloadGenerator(
-            engine, scheduler, ConstantRateProfile(1.0),
+            engine, scheduler, DiurnalRateProfile(1.0, amplitude=0.0),
             rng=np.random.default_rng(1), job_id_offset=500,
         )
         generator.listeners.append(lambda job: seen.append(job.job_id))
@@ -197,7 +201,7 @@ class TestGenerator:
         scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(0))
         jobs = []
         generator = BatchWorkloadGenerator(
-            engine, scheduler, ConstantRateProfile(1.0),
+            engine, scheduler, DiurnalRateProfile(1.0, amplitude=0.0),
             rng=np.random.default_rng(1), allowed_rows=[3], product="p3",
         )
         generator.listeners.append(jobs.append)
@@ -227,7 +231,7 @@ class TestGenerator:
 
 
 # ---------------------------------------------------------------------------
-# Thin-ahead arrival stream against the per-candidate oracle
+# The block cursor against the scalar v2 oracle
 # ---------------------------------------------------------------------------
 class _Sink:
     """A scheduler stand-in that keeps every submitted job."""
@@ -246,15 +250,17 @@ def _job_stream(jobs) -> list:
     ]
 
 
-def _thinned(generator_class, profiles, until, seed=3):
-    """Run one generator per profile, all on one rng and one stream;
-    return the job stream and the rng's final state."""
+def _arrivals(stream_class, profiles, until, seed=3, join=0.0):
+    """Run one generator per profile from ``join`` to ``until``, all on one
+    rng and one ``stream_class`` stream; return the job stream and the
+    rng's final state."""
     engine = Engine()
+    engine.run(until=join)
     sink = _Sink()
     rng = np.random.default_rng(seed)
-    stream = ArrivalStream(engine, rng)
+    stream = stream_class(engine, rng)
     for index, profile in enumerate(profiles):
-        generator_class(
+        BatchWorkloadGenerator(
             engine, sink, profile, rng=rng, stream=stream,
             job_id_offset=index * 1_000_000,
             tenant=f"tenant-{index}" if len(profiles) > 1 else None,
@@ -272,9 +278,14 @@ def _bursty(horizon=20_000.0):
     )
 
 
-class TestThinAheadMatchesPerCandidate:
-    """The thin-ahead stream consumes the rng exactly as one engine event
-    per candidate did: same jobs, same attributes, same final rng state."""
+def _windows_of(jobs) -> set:
+    return {int(job[1] // ARRIVAL_WINDOW_SECONDS) for job in jobs}
+
+
+class TestBlockCursor:
+    """The block cursor takes each window's draws exactly as the scalar
+    oracle does one call at a time: same jobs, same attributes, same
+    final rng state."""
 
     @pytest.mark.parametrize(
         "profiles",
@@ -291,51 +302,42 @@ class TestThinAheadMatchesPerCandidate:
         ],
     )
     def test_job_stream_and_rng_state_match(self, profiles):
-        fast = _thinned(BatchWorkloadGenerator, profiles(), 20_000.0)
-        oracle = _thinned(oracles.PerCandidateGenerator, profiles(), 20_000.0)
-        assert len(fast[0]) > 1000
-        assert fast == oracle
+        cursor = _arrivals(ArrivalStream, profiles(), 20_000.0)
+        oracle = _arrivals(oracles.ScalarArrivalStream, profiles(), 20_000.0)
+        assert len(cursor[0]) > 1000
+        assert cursor == oracle
 
-    @pytest.mark.parametrize("previous_accepted", [True, False])
-    def test_candidate_exactly_at_until_is_dropped_by_both(self, previous_accepted):
-        """``until`` set to a candidate's exact time, the candidate before
-        it accepted (its gap is drawn after its job) or rejected (drawn
-        inside the thinning loop)."""
-        engine = Engine()
-        sink = _Sink()
-        probe = oracles.PerCandidateGenerator(
-            engine, sink, _bursty(), rng=np.random.default_rng(3)
-        )
-        times = []
-        original = probe._candidate_arrival
+    def test_empty_windows_are_drawn_and_skipped(self):
+        """At 0.01 jobs/s most windows hold no job; the stream draws
+        through them inline and still matches the oracle."""
+        profiles = lambda: [  # noqa: E731
+            DiurnalRateProfile(0.004, amplitude=0.0),
+            DiurnalRateProfile(0.006, amplitude=0.0),
+        ]
+        cursor = _arrivals(ArrivalStream, profiles(), 20_000.0)
+        assert 50 < len(cursor[0]) and len(_windows_of(cursor[0])) < 200
+        assert cursor == _arrivals(oracles.ScalarArrivalStream, profiles(), 20_000.0)
 
-        def record():
-            times.append(engine.now)
-            original()
-
-        probe._candidate_arrival = record
-        probe.start(20_000.0)
-        engine.run(until=20_000.0)
-        accepted = {job.arrival_time for job in sink.jobs}
-        index = next(
-            i
-            for i in range(len(times) // 2, len(times))
-            if (times[i - 1] in accepted) == previous_accepted
-        )
-        until = times[index]
-        fast = _thinned(BatchWorkloadGenerator, [_bursty()], until)
-        oracle = _thinned(oracles.PerCandidateGenerator, [_bursty()], until)
-        assert fast == oracle
-        assert fast[0][-1][1] < until
+    def test_window_clipped_at_join_and_until(self):
+        """Joining and stopping off the 60 s grid clips the first and last
+        windows; every job lies in ``[join, until)``."""
+        join, until = 130.25, 19_990.5
+        cursor = _arrivals(ArrivalStream, [_bursty()], until, join=join)
+        oracle = _arrivals(oracles.ScalarArrivalStream, [_bursty()], until, join=join)
+        assert cursor == oracle
+        times = [job[1] for job in cursor[0]]
+        assert join <= times[0] < 180.0 and 19_980.0 <= times[-1] < until
+        # The grid is absolute: the same run joined on the grid differs.
+        assert cursor != _arrivals(ArrivalStream, [_bursty()], until, join=120.0)
 
     def test_surge_scenario_experiment_matches(self, monkeypatch):
         """Tenant and row surges from a fault scenario, three tenants on
         the testbed's shared workload rng, through a whole run."""
 
-        def jobs_of(per_candidate: bool):
+        def jobs_of(scalar: bool):
             with monkeypatch.context() as patch:
-                if per_candidate:
-                    oracles.use_per_candidate_arrivals(patch)
+                if scalar:
+                    oracles.use_scalar_arrivals(patch)
                 run = ControlledExperiment(
                     ExperimentConfig(
                         n_servers=40,
@@ -359,21 +361,25 @@ class TestThinAheadMatchesPerCandidate:
                 )
                 run.start()
                 assert (run.injector.surges_applied, run.injector.tenant_surges_applied) == (1, 1)
+                (stream,) = run.testbed._arrivals
+                assert isinstance(stream, oracles.ScalarArrivalStream) == scalar
                 jobs = []
                 for generator in run.testbed.generators:
                     generator.listeners.append(jobs.append)
                 run.finish()
                 return _job_stream(jobs), run.testbed._workload_rngs[0].bit_generator.state
 
-        fast = jobs_of(per_candidate=False)
-        assert len({job[-1] for job in fast[0]}) == 3
-        assert fast == jobs_of(per_candidate=True)
+        cursor = jobs_of(scalar=False)
+        assert len({job[-1] for job in cursor[0]}) == 3
+        assert cursor == jobs_of(scalar=True)
 
     def test_warm_up_then_fresh_start_on_the_same_rng(self, monkeypatch):
-        def jobs_of(per_candidate: bool):
+        """A finished stream takes a new generator on the same rng."""
+
+        def jobs_of(scalar: bool):
             with monkeypatch.context() as patch:
-                if per_candidate:
-                    oracles.use_per_candidate_arrivals(patch)
+                if scalar:
+                    oracles.use_scalar_arrivals(patch)
                 testbed = Testbed(rows=(40,), seed=4)
                 jobs = []
                 warm = testbed.add_batch_workload(WorkloadSpec.typical(), 1800.0)
@@ -386,9 +392,44 @@ class TestThinAheadMatchesPerCandidate:
                 testbed.engine.run(until=5400.0)
                 return _job_stream(jobs), testbed._workload_rngs[0].bit_generator.state
 
-        fast = jobs_of(per_candidate=False)
-        assert fast[0] and fast[0][0][1] >= 1800.0
-        assert fast == jobs_of(per_candidate=True)
+        cursor = jobs_of(scalar=False)
+        assert cursor[0] and cursor[0][0][1] >= 1800.0
+        assert cursor == jobs_of(scalar=True)
+
+
+def _profiles_under_test() -> dict:
+    diurnal = DiurnalRateProfile(0.8, amplitude=0.4, period_seconds=5000.0, phase_seconds=700.0)
+    bursty = BurstyRateProfile(diurnal, 20_000.0, seed=2, bursts_per_day=60.0)
+    assert any(  # overlapping bursts exercise the furthest-end lookup
+        s1 < e0 for (_, e0), (s1, _) in zip(bursty.burst_windows(), bursty.burst_windows()[1:])
+    )
+    modulated = ModulatedRateProfile(bursty, 20_000.0, seed=3, step_seconds=90.0)
+    return {
+        "diurnal": diurnal,
+        "constant": DiurnalRateProfile(1.7, amplitude=0.0),
+        "bursty": bursty,
+        "bursty-none": BurstyRateProfile(diurnal, 20_000.0, seed=2, bursts_per_day=0.0),
+        "modulated": modulated,
+        "scaled": ScaledRateProfile(modulated, 0.35),
+        "surge": SurgeRateProfile(
+            ScaledRateProfile(modulated, 0.35),
+            ((1000.0, 500.0, 3.0), (1500.0, 60.0, 0.5), (9000.0, 2000.0, 2.0)),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_profiles_under_test()))
+def test_rates_match_scalar_formulas(name):
+    """``rates`` evaluates each profile's scalar formula elementwise,
+    window edges and instants outside the horizon included."""
+    profile = _profiles_under_test()[name]
+    edges = [1000.0, 1500.0, 1560.0, 9000.0, 11_000.0]
+    times = np.concatenate(
+        [np.linspace(-500.0, 25_000.0, 4001), edges, np.nextafter(edges, 0.0)]
+    )
+    expected = np.array([oracles.scalar_rate(profile, t) for t in times.tolist()])
+    np.testing.assert_allclose(profile.rates(times), expected, rtol=1e-12, atol=0.0)
+    assert [profile.rate(t) for t in edges] == profile.rates(np.array(edges)).tolist()
 
 
 class TestArrivalStream:
@@ -416,7 +457,7 @@ class TestArrivalStream:
         engine.run(until=100.0)  # the next accepted arrival lies ahead
         late = BatchWorkloadGenerator(engine, sink, _bursty(), rng=rng, stream=stream)
         state = rng.bit_generator.state
-        with pytest.raises(RuntimeError, match="thinned ahead"):
+        with pytest.raises(RuntimeError, match="drawn ahead"):
             late.start(20_000.0)
         assert rng.bit_generator.state == state
 
@@ -425,6 +466,6 @@ class TestArrivalStream:
         stream = ArrivalStream(engine, np.random.default_rng(0))
         with pytest.raises(ValueError, match="same engine and rng"):
             BatchWorkloadGenerator(
-                engine, _Sink(), ConstantRateProfile(1.0),
+                engine, _Sink(), DiurnalRateProfile(1.0, amplitude=0.0),
                 rng=np.random.default_rng(0), stream=stream,
             )

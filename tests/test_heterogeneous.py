@@ -83,10 +83,10 @@ class TestControllerOnMixedFleet:
         row = build_heterogeneous_row(0, [(20, OLD_SKU), (20, NEW_SKU)], servers_per_rack=40)
         scheduler = OmegaScheduler(engine, row.servers, rng=np.random.default_rng(1))
         rng = np.random.default_rng(2)
-        from repro.workload.generator import BatchWorkloadGenerator, ConstantRateProfile
+        from repro.workload.generator import BatchWorkloadGenerator, DiurnalRateProfile
 
         generator = BatchWorkloadGenerator(
-            engine, scheduler, ConstantRateProfile(0.5), rng=rng
+            engine, scheduler, DiurnalRateProfile(0.5, amplitude=0.0), rng=rng
         )
         generator.start(1800.0)
         engine.run(until=1800.0)

@@ -808,6 +808,69 @@ def test_arrival_engine_events_equal_accepted_jobs(tenancy):
     assert jobs <= arrivals <= jobs + 1
 
 
+class _CountingRng:
+    """A workload rng that counts every ``Generator`` method call."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def _workload_rng_calls(rate_factor: float, windows: int = 120) -> tuple:
+    """Three tenant generators on one counted rng over ``windows`` arrival
+    windows; return the rng calls and the jobs generated."""
+    from repro.workload.generator import (
+        ARRIVAL_WINDOW_SECONDS,
+        ArrivalStream,
+        BatchWorkloadGenerator,
+        BurstyRateProfile,
+        DiurnalRateProfile,
+        ScaledRateProfile,
+    )
+
+    class Sink:
+        def submit(self, job) -> None:
+            pass
+
+    engine = Engine()
+    rng = _CountingRng(np.random.default_rng(5))
+    until = windows * ARRIVAL_WINDOW_SECONDS
+    profile = BurstyRateProfile(
+        DiurnalRateProfile(0.5 * rate_factor, amplitude=0.5, period_seconds=3600.0),
+        until, seed=1, bursts_per_day=100.0,
+    )
+    stream = ArrivalStream(engine, rng)
+    generators = [
+        BatchWorkloadGenerator(
+            engine, Sink(), ScaledRateProfile(profile, share), rng=rng, stream=stream
+        )
+        for share in (0.2, 0.5, 0.3)
+    ]
+    for generator in generators:
+        generator.start(until)
+    engine.run(until=until)
+    return rng.calls, sum(g.jobs_generated for g in generators)
+
+
+def test_workload_rng_calls_per_window_do_not_grow_with_the_arrival_rate():
+    """Each member draws its window in five block calls (count, times,
+    thinning vector, demands, durations), so 4x the arrivals cost the
+    same rng calls: a per-candidate or per-job draw would scale them."""
+    calls, jobs = _workload_rng_calls(1.0)
+    calls_4x, jobs_4x = _workload_rng_calls(4.0)
+    assert jobs > 4_000 and jobs_4x > 3.5 * jobs
+    assert calls == calls_4x == 120 * 3 * 5
+
+
 # ----------------------------------------------------------------------
 # Safety ladder release
 # ----------------------------------------------------------------------
