@@ -122,8 +122,8 @@ class ConsolidationController:
         ][: self.config.step_servers]
         for server in candidates:
             self._waking.add(server.server_id)
-            self.engine.schedule_in(
-                self.config.wake_delay_seconds,
+            self.engine.schedule(
+                self.engine.now + self.config.wake_delay_seconds,
                 EventPriority.GENERIC,
                 self._finish_wake,
                 server.server_id,

@@ -91,8 +91,11 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: workload rngs, arrival streams and modulation seeds, and a fleet run
 #: holds its ``Testbed`` and no ``DataCenter``; 12: an arrival stream
 #: holds its members, its drawn frontier and the drawn window's jobs, and
-#: a pending arrival event carries its job's cores, memory and work).
-SNAPSHOT_VERSION = 12
+#: a pending arrival event carries its job's cores, memory and work; 13:
+#: the engine holds an arrival queue of ``(time, priority, sequence,
+#: stream)`` entries, and a stream's next job waits there, not on the
+#: event heap; the throughput tracker holds no engine).
+SNAPSHOT_VERSION = 13
 
 #: Pickle protocol pinned for stable output within a Python version
 #: (``HIGHEST_PROTOCOL`` may move under our feet on an interpreter bump).

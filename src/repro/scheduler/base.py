@@ -36,12 +36,6 @@ class SchedulerStats:
     #: placements broken down by product tag
     placed_by_product: Dict[str, int] = field(default_factory=dict)
 
-    def record_placement(self, job: Job) -> None:
-        self.placed += 1
-        self.placed_by_product[job.product] = (
-            self.placed_by_product.get(job.product, 0) + 1
-        )
-
 
 class SchedulerRpcError(RuntimeError):
     """A ``set_frozen`` RPC failed in transit (timeout, connection reset).

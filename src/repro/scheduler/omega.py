@@ -136,9 +136,12 @@ class OmegaScheduler(SchedulerInterface):
         may evict lower-priority running work instead of queueing.
         """
         self.stats.submitted += 1
-        framework = self.framework_for(job)
-        if not framework.queue and self._try_place(job, framework):
-            return
+        framework = self.frameworks.get(job.product, self._default_framework)
+        if not framework.queue:
+            index = framework.policy.place(self.tracker, job, self.rng)
+            if index is not None:
+                self._place(job, index)
+                return
         if (
             self.enable_preemption
             and job.priority > 0
@@ -325,7 +328,7 @@ class OmegaScheduler(SchedulerInterface):
                 best_victims = victims
         if best_index is None:
             return False
-        server = self.tracker.server_at(best_index)
+        server = self.tracker.servers[best_index]
         now = self.engine.now
         for victim in best_victims:
             self._evict(victim, server, now)
@@ -402,17 +405,28 @@ class OmegaScheduler(SchedulerInterface):
         return True
 
     def _place(self, job: Job, index: int) -> None:
-        server = self.tracker.server_at(index)
-        now = self.engine.now
+        """Start ``job`` on tracker server ``index`` (a per-job hot path:
+        ``Job.begin``, ``Job.eta`` and the placement count are inlined, and
+        the frequency is read from the store slot)."""
+        server = self.tracker.servers[index]
+        engine = self.engine
+        now = engine._now
         server.add_task(job)
-        job.begin(server, now)
-        job.completion_handle = self.engine.schedule(
-            job.eta(now, server.frequency),
+        if job.server is not None and job.finish_time is None and not job.killed:
+            raise RuntimeError(f"job {job.job_id} is already running")
+        job.server = server
+        job.start_time = now
+        job.progress_synced_at = now
+        job.completion_handle = engine.schedule(
+            now + job.remaining_work / server._state.frequency.item(server._index),
             EventPriority.JOB_COMPLETION,
             self._complete_job,
             job,
         )
-        self.stats.record_placement(job)
+        stats = self.stats
+        stats.placed += 1
+        by_product = stats.placed_by_product
+        by_product[job.product] = by_product.get(job.product, 0) + 1
         for listener in self.placement_listeners:
             listener(job, server)
 
@@ -429,26 +443,42 @@ class OmegaScheduler(SchedulerInterface):
         job.begin(server, self.engine.now)
 
     def _complete_job(self, job: Job) -> None:
-        now = self.engine.now
+        """A job's completion event (a per-job hot path: ``Job.advance``
+        and ``Job.complete`` are inlined, the frequency is read from the
+        store slot, and the queues drain only when one holds a job)."""
+        now = self.engine._now
         server = job.server
         assert server is not None
-        job.advance(now, server.frequency)
+        speed = server._state.frequency.item(server._index)
+        elapsed = now - job.progress_synced_at
+        if elapsed < 0:
+            raise ValueError(
+                f"cannot advance job {job.job_id} backwards "
+                f"({job.progress_synced_at} -> {now})"
+            )
+        job.remaining_work = max(0.0, job.remaining_work - elapsed * speed)
+        job.progress_synced_at = now
         if job.remaining_work > _COMPLETION_EPSILON:
             # The server slowed down after this event was scheduled and the
             # reschedule raced; push completion to the corrected ETA.
             job.completion_handle = self.engine.schedule(
-                job.eta(now, server.frequency),
+                job.eta(now, speed),
                 EventPriority.JOB_COMPLETION,
                 self._complete_job,
                 job,
             )
             return
-        job.complete(now)
+        job.finish_time = now
+        job.remaining_work = 0.0
         server.remove_task(job)
         self.stats.completed += 1
         for listener in self.completion_listeners:
             listener(job, server)
-        self._drain_queues()
+        frameworks = self.frameworks
+        if self._default_framework.queue or (
+            frameworks and any(f.queue for f in frameworks.values())
+        ):
+            self._drain_queues()
 
     def _drain_queues(self) -> None:
         """Place queued jobs while capacity lasts (FIFO + bounded backfill)."""

@@ -9,8 +9,10 @@ and physics action of an instant has settled) and re-derives what the
 live state claims from first principles:
 
 ``event_queue``
-    The engine heap still satisfies the binary-heap ordering property
-    and holds no event dated before *now* (time monotonicity).
+    The engine's event heap and its arrival queue still satisfy the
+    binary-heap ordering property and hold no event dated before *now*
+    (time monotonicity); the arrival queue holds at most one entry per
+    arrival stream.
 ``numeric``
     No NaN/negative power, core/memory usage within physical bounds,
     DVFS frequency in ``(0, 1]``.
@@ -340,6 +342,47 @@ class StateAuditor:
                     )
                 )
                 return
+        self._check_arrival_queue(out)
+
+    def _check_arrival_queue(self, out: List[InvariantViolation]) -> None:
+        """The engine's arrival queue: a heap over ``(time, sequence)``, no
+        entry before now, at most one entry per stream (it holds one entry
+        per stream at most, so every pass reads all of it)."""
+        arrivals = self.engine._arrivals
+        now = self.engine.now
+        streams = set()
+        for k, (time, _priority, sequence, stream) in enumerate(arrivals):
+            for child in (2 * k + 1, 2 * k + 2):
+                if child < len(arrivals):
+                    child_key = (arrivals[child][0], arrivals[child][2])
+                    if child_key < (time, sequence):
+                        out.append(
+                            self._violation(
+                                "event_queue",
+                                f"arrival queue heap property broken at entry {k}",
+                                {"parent": (time, sequence), "child": child_key},
+                            )
+                        )
+                        return
+            if time < now:
+                out.append(
+                    self._violation(
+                        "event_queue",
+                        f"arrival dated t={time:.3f}s is before now",
+                        {"event_time": time, "now": now},
+                    )
+                )
+                return
+            if id(stream) in streams:
+                out.append(
+                    self._violation(
+                        "event_queue",
+                        f"arrival stream queued twice (entry {k})",
+                        {"entry": k, "sequence": sequence},
+                    )
+                )
+                return
+            streams.add(id(stream))
 
     def _check_numeric(
         self, indices: np.ndarray, out: List[InvariantViolation]

@@ -1,10 +1,12 @@
 """Heap-based discrete-event simulation engine.
 
-The engine owns simulated time and a priority queue of pending events. An
-event is an arbitrary callback scheduled at an absolute simulated time with
-an :class:`~repro.sim.events.EventPriority` tie-breaker; among events with
-identical ``(time, priority)`` the insertion order decides, which makes runs
-deterministic for a fixed seed.
+The engine owns simulated time and two priority queues of pending events.
+An event is an arbitrary callback scheduled at an absolute simulated time
+with an :class:`~repro.sim.events.EventPriority` tie-breaker; among events
+with identical ``(time, priority)`` the insertion order decides, which
+makes runs deterministic for a fixed seed. The second queue holds only the
+next job of each workload arrival stream (see :meth:`Engine.queue_arrival`);
+it follows the same order.
 
 Time is measured in **seconds** as a float. One simulated minute (the
 paper's monitoring and control interval) is 60.0.
@@ -14,14 +16,21 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim.events import EventPriority
 from repro.telemetry import Telemetry, counter_series, gauge_series
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workload.generator import ArrivalStream
+
 Callback = Callable[..., None]
 
+_ARRIVAL = int(EventPriority.JOB_ARRIVAL)
+
 EVENTS = counter_series("repro_engine_events_total", "Event callbacks executed by the engine")
+# Counts both queues; the help text predates the arrival queue and is
+# kept so the exported series stay byte-stable.
 QUEUE_DEPTH = gauge_series(
     "repro_engine_queue_depth", "Pending heap entries (including lazily-cancelled ones)"
 )
@@ -103,6 +112,21 @@ class EventHandle:
 class Engine:
     """Discrete-event simulation loop.
 
+    Pending events live in two heaps. The event heap holds
+    ``(time, priority, sequence, handle, callback, args)`` entries from
+    :meth:`schedule`. The arrival queue holds at most one
+    ``(time, JOB_ARRIVAL, sequence, stream)`` entry per workload arrival
+    stream, from :meth:`queue_arrival`: the stream's next accepted job,
+    which costs no handle, no args tuple and no push on the event heap.
+
+    Ordering rule: every entry takes its ``sequence`` from one counter
+    when it is queued, and the loop always runs the least
+    ``(time, priority, sequence)`` of the two heap tops. An arrival entry
+    therefore runs exactly where the same arrival scheduled on the event
+    heap at the same moment would: ties at equal time and priority (one
+    stream's arrival against another's, or against a stream's start event)
+    go to the entry queued first.
+
     Example
     -------
     >>> engine = Engine()
@@ -121,6 +145,9 @@ class Engine:
     ) -> None:
         self._now = float(start_time)
         self._heap: list = []
+        #: ``(time, JOB_ARRIVAL, sequence, stream)``, one entry per stream
+        #: with a job queued; sequences come from the same counter
+        self._arrivals: list = []
         self._sequence = itertools.count()
         self._events_processed = 0
         #: heap entries the run loop skipped because they were cancelled
@@ -135,7 +162,7 @@ class Engine:
 
     def _metrics(self):
         yield EVENTS(self._events_processed)
-        yield QUEUE_DEPTH(len(self._heap))
+        yield QUEUE_DEPTH(self.pending_count())
         yield CANCELLED(self._cancelled_skipped)
 
     @property
@@ -173,17 +200,20 @@ class Engine:
         )
         return handle
 
-    def schedule_in(
-        self,
-        delay: float,
-        priority: EventPriority,
-        callback: Callback,
-        *args: Any,
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` after ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.schedule(self._now + delay, priority, callback, *args)
+    def queue_arrival(self, time: float, stream: "ArrivalStream") -> None:
+        """Queue ``stream.fire()`` at ``time`` on the arrival queue.
+
+        The entry is ordered as a ``JOB_ARRIVAL`` event scheduled now would
+        be (see the class docstring). A stream queues one job at a time:
+        the next only once ``fire`` runs. A past ``time`` raises, as in
+        :meth:`schedule`.
+        """
+        if time < self._now:
+            raise ValueError(
+                f"cannot queue arrival at t={time:.3f} before current "
+                f"time t={self._now:.3f}"
+            )
+        heapq.heappush(self._arrivals, (time, _ARRIVAL, next(self._sequence), stream))
 
     def schedule_periodic(
         self,
@@ -208,7 +238,7 @@ class Engine:
             self.schedule(start, priority, task)
 
     def run(self, until: Optional[float] = None) -> None:
-        """Process events in order until the heap empties or ``until``.
+        """Process events in order until both queues empty or ``until``.
 
         When ``until`` is given, all events strictly before it are processed
         and the clock is left exactly at ``until`` (events at ``until``
@@ -219,17 +249,30 @@ class Engine:
         self._running = True
         started = self._events_processed
         try:
+            heap = self._heap
+            arrivals = self._arrivals
+            pop = heapq.heappop
             with self.telemetry.span("engine.run") as span:
-                while self._heap:
-                    time, _priority, _seq, handle, callback, args = self._heap[0]
-                    if until is not None and time >= until:
-                        break
-                    heapq.heappop(self._heap)
-                    if handle.cancelled:
-                        self._cancelled_skipped += 1
-                        continue
-                    self._now = time
-                    callback(*args)
+                while heap or arrivals:
+                    # Entries compare as (time, priority, sequence): the
+                    # sequence is unique, so the rest is never compared.
+                    if arrivals and (not heap or arrivals[0] < heap[0]):
+                        time, _priority, _seq, stream = arrivals[0]
+                        if until is not None and time >= until:
+                            break
+                        pop(arrivals)
+                        self._now = time
+                        stream.fire()
+                    else:
+                        time, _priority, _seq, handle, callback, args = heap[0]
+                        if until is not None and time >= until:
+                            break
+                        pop(heap)
+                        if handle.cancelled:
+                            self._cancelled_skipped += 1
+                            continue
+                        self._now = time
+                        callback(*args)
                     self._events_processed += 1
                 if until is not None and until > self._now:
                     self._now = until
@@ -240,8 +283,8 @@ class Engine:
             self._running = False
 
     def pending_count(self) -> int:
-        """Number of heap entries, including lazily-cancelled ones."""
-        return len(self._heap)
+        """Entries in both queues, including lazily-cancelled ones."""
+        return len(self._heap) + len(self._arrivals)
 
 
 __all__ = ["Engine", "EventHandle", "Callback"]

@@ -149,8 +149,7 @@ class ThroughputTracker:
     the group's servers.
     """
 
-    def __init__(self, engine: Engine) -> None:
-        self.engine = engine
+    def __init__(self) -> None:
         self._group_of_server: Dict[int, str] = {}
         self.records: Dict[str, ThroughputRecord] = {}
 
@@ -160,12 +159,17 @@ class ThroughputTracker:
             self._group_of_server[server.server_id] = group.name
 
     def on_placement(self, job: Job, server) -> None:
+        """A placement listener: ``ThroughputRecord.record`` inlined, at
+        the job's start time (the engine's now)."""
         group_name = self._group_of_server.get(server.server_id)
         if group_name is not None:
-            self.records[group_name].record(
-                int(self.engine.now // 60.0),
-                wait_seconds=self.engine.now - job.arrival_time,
-            )
+            record = self.records[group_name]
+            now = job.start_time
+            minute = int(now // 60.0)
+            record.total += 1
+            bins = record.minute_bins
+            bins[minute] = bins.get(minute, 0) + 1
+            record.wait_times.append(now - job.arrival_time)
 
     def total(self, group_name: str) -> int:
         return self.records[group_name].total
@@ -250,7 +254,7 @@ class Testbed:
             rng=np.random.default_rng(monitor_seed),
             telemetry=self.telemetry,
         )
-        self.throughput = ThroughputTracker(self.engine)
+        self.throughput = ThroughputTracker()
         self.schedulers: List[OmegaScheduler] = []
         self._workload_rngs: List[np.random.Generator] = []
         #: per row, the one arrival stream every generator on its rng joins

@@ -2,8 +2,8 @@
 
 Arrivals follow a non-homogeneous Poisson process realized by thinning,
 drawn one minute of the absolute time grid at a time by an
-:class:`ArrivalStream`: one engine event per accepted job, none per
-rejected candidate.
+:class:`ArrivalStream`: one engine arrival-queue entry per accepted job,
+none per rejected candidate.
 Rate profiles compose a deterministic shape (diurnal) with an optional
 mean-reverting AR(1) modulation that reproduces the minute-scale spikes
 and valleys of Figure 8 / Figure 9: smooth on the hour scale, with
@@ -297,10 +297,13 @@ class ArrivalStream:
     ``max_rate`` is the member profile's bound, read once in ``start()``.
     The members' accepted jobs merge stably by time, ties going to join
     order. The stream keeps exactly one pending ``JOB_ARRIVAL`` event: a
-    start event at the instant its first generator joins (which draws the
-    first window), then the next job of the drawn window. When a window's
-    last job fires, the stream draws the following windows inline until
-    one holds a job, or every member has reached its ``until``. Rate
+    start event on the engine's event heap at the instant its first
+    generator joins (which draws the first window), then the next job of
+    the drawn window, queued on the engine's arrival queue
+    (:meth:`Engine.queue_arrival`), whose :meth:`fire` submits it. When a
+    window's last job fires, the stream draws the following windows
+    inline until one holds a job, or every member has reached its
+    ``until``. Rate
     profiles are pure functions of time and nothing else draws from a
     workload rng, so the jobs are a function of the seed alone.
 
@@ -337,20 +340,18 @@ class ArrivalStream:
         self._members.append(generator)
 
     def advance(self) -> None:
-        """Schedule the window's next job, or draw on when it is spent."""
+        """Queue the window's next job, or draw on when it is spent."""
         if self._next < len(self._jobs):
-            time, member, cores, memory_gb, work_seconds = self._jobs[self._next]
             self._next += 1
-            self.engine.schedule(
-                time,
-                EventPriority.JOB_ARRIVAL,
-                member._candidate_arrival,
-                cores,
-                memory_gb,
-                work_seconds,
-            )
+            self.engine.queue_arrival(self._jobs[self._next - 1][0], self)
         else:
             self._draw()
+
+    def fire(self) -> None:
+        """The queued job's arrival (the one :meth:`advance` queued last):
+        its member submits it and calls :meth:`advance` again."""
+        time, member, cores, memory_gb, work_seconds = self._jobs[self._next - 1]
+        member._candidate_arrival(time, cores, memory_gb, work_seconds)
 
     def _draw(self) -> None:
         """Draw windows until one holds a job, then schedule that job."""
@@ -467,18 +468,14 @@ class BatchWorkloadGenerator:
 
     # ------------------------------------------------------------------
     def _candidate_arrival(
-        self, cores: float, memory_gb: float, work_seconds: float
+        self, time: float, cores: float, memory_gb: float, work_seconds: float
     ) -> None:
-        """An accepted job's event: submit it, schedule the stream's next."""
+        """An accepted job's arrival at ``time`` (the engine's now):
+        submit it, queue the stream's next."""
+        # Positional: binding eight keywords cost more than the Job itself.
         job = Job(
-            job_id=self._next_job_id,
-            work_seconds=work_seconds,
-            cores=cores,
-            memory_gb=memory_gb,
-            arrival_time=self.engine.now,
-            product=self.product,
-            allowed_rows=self.allowed_rows,
-            tenant=self.tenant,
+            self._next_job_id, work_seconds, cores, memory_gb, time,
+            self.product, self.allowed_rows, 0, self.tenant,
         )
         self._next_job_id += 1
         self.jobs_generated += 1

@@ -17,6 +17,9 @@ contracts the array path relies on:
 :class:`ScalarArrivalStream` draws each arrival window one scalar rng
 call at a time where production draws whole blocks, and
 :func:`scalar_rate` evaluates each rate profile one instant at a time.
+:class:`HeapOnlyEngine` runs every arrival as an event-heap entry, as the
+engine did before its arrival queue; ``tests/test_arrival_queue.py``
+replays runs on both engines.
 :func:`plan_freeze_set` is the freeze planner over ``{server_id: watts}``
 dicts and id sets that the array planner in :mod:`repro.core.policy`
 replaced; ``tests/test_properties.py`` checks the two make the same plan.
@@ -30,6 +33,7 @@ the controller's closed-form SPCP and iterated PCP against.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Sequence, Set
@@ -42,6 +46,8 @@ from repro.cluster.power import DVFS_FREQUENCIES
 from repro.monitor.power_monitor import PowerMonitor
 from repro.service.views import jsonsafe
 from repro.sim import testbed
+from repro.sim.engine import Engine
+from repro.sim.events import EventPriority
 from repro.workload.generator import (
     ARRIVAL_WINDOW_SECONDS,
     ArrivalStream,
@@ -413,6 +419,50 @@ class ScalarArrivalStream(ArrivalStream):
 def use_scalar_arrivals(monkeypatch) -> None:
     """Build every testbed arrival stream as a :class:`ScalarArrivalStream`."""
     monkeypatch.setattr(testbed, "ArrivalStream", ScalarArrivalStream)
+
+
+class HeapOnlyEngine(Engine):
+    """The engine before the arrival queue: one event heap for everything.
+
+    Each arrival a stream queues becomes a ``JOB_ARRIVAL`` event-heap
+    entry at the moment it is queued, so it takes the sequence number the
+    production arrival entry takes, and the loop below is the single-heap
+    loop that ran before the arrival queue.
+    """
+
+    def queue_arrival(self, time: float, stream) -> None:
+        self.schedule(time, EventPriority.JOB_ARRIVAL, stream.fire)
+
+    def run(self, until=None) -> None:
+        if self._running:
+            raise RuntimeError("engine is already running (re-entrant run())")
+        self._running = True
+        started = self._events_processed
+        try:
+            with self.telemetry.span("engine.run") as span:
+                while self._heap:
+                    time, _priority, _seq, handle, callback, args = self._heap[0]
+                    if until is not None and time >= until:
+                        break
+                    heapq.heappop(self._heap)
+                    if handle.cancelled:
+                        self._cancelled_skipped += 1
+                        continue
+                    self._now = time
+                    callback(*args)
+                    self._events_processed += 1
+                if until is not None and until > self._now:
+                    self._now = until
+                span.set_attribute(
+                    "events_processed", self._events_processed - started
+                )
+        finally:
+            self._running = False
+
+
+def use_heap_only_engine(monkeypatch) -> None:
+    """Build every testbed engine as a :class:`HeapOnlyEngine`."""
+    monkeypatch.setattr(testbed, "Engine", HeapOnlyEngine)
 
 
 def scalar_rate(profile, t: float) -> float:

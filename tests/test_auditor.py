@@ -177,6 +177,27 @@ def test_event_queue_corruption_detected():
     assert violations and violations[0].check == "event_queue"
 
 
+@pytest.mark.parametrize("corruption", ["past", "twice", "heap"])
+def test_arrival_queue_corruption_detected(corruption):
+    experiment = advanced_experiment()
+    engine = experiment.testbed.engine
+    arrivals = engine._arrivals
+    assert len(arrivals) == 1, "the row's stream should have a job queued"
+    time, priority, sequence, stream = arrivals[0]
+    if corruption == "past":
+        arrivals[0] = (engine.now - 100.0, priority, sequence, stream)
+        message = "before now"
+    elif corruption == "twice":
+        arrivals.append((time + 1.0, priority, sequence + 10**6, stream))
+        message = "queued twice"
+    else:  # a child earlier than its parent, from another stream
+        arrivals.append((engine.now, priority, sequence + 10**6, object()))
+        message = "heap property"
+    violations = recording_auditor(experiment).audit(sample=False)
+    assert [v.check for v in violations] == ["event_queue"]
+    assert message in violations[0].message
+
+
 def test_ledger_overallocation_detected():
     experiment = FleetExperiment(tiny_fleet_config())
     experiment.start()

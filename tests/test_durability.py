@@ -145,13 +145,15 @@ def test_frame_rejects_version_2_snapshot():
     testbeds held one row, scheduler and workload rng, and fleets built
     their topology without one; version 11 arrival streams held a heap
     of per-generator candidates thinned one at a time instead of a drawn
-    window of jobs. This build refuses all ten with the version error."""
+    window of jobs; version 12 engines held each stream's next job on the
+    event heap, with no arrival queue. This build refuses all eleven with
+    the version error."""
     experiment = ControlledExperiment(tiny_config())
     experiment.start()
     header, _, payload = experiment.snapshot().partition(b"\n")
     doc = json.loads(header)
-    assert doc["version"] == SNAPSHOT_VERSION == 12
-    for version in (2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
+    assert doc["version"] == SNAPSHOT_VERSION == 13
+    for version in (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
         old = dict(doc, version=version, meta=dict(doc["meta"]))
         if version == 2:
             old["meta"]["backend"] = "object"

@@ -434,6 +434,8 @@ def test_rates_match_scalar_formulas(name):
 
 class TestArrivalStream:
     def test_one_pending_event_per_stream(self):
+        """One pending entry per stream: the start event on the event
+        heap, then each next job on the arrival queue."""
         engine = Engine()
         rng = np.random.default_rng(0)
         stream = ArrivalStream(engine, rng)
@@ -442,9 +444,10 @@ class TestArrivalStream:
                 engine, _Sink(), ScaledRateProfile(_bursty(), share),
                 rng=rng, stream=stream,
             ).start(20_000.0)
-        assert engine.pending_count() == 1
+        assert engine.pending_count() == len(engine._heap) == 1
         engine.run(until=5000.0)
         assert engine.pending_count() == 1
+        assert [entry[3] for entry in engine._arrivals] == [stream]
 
     def test_joining_a_stream_that_thinned_ahead_raises(self):
         engine = Engine()

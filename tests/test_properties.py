@@ -230,6 +230,50 @@ def test_engine_tie_break_is_insertion_order(events):
     assert seen == sorted(seen)
 
 
+class _Arrival:
+    """An arrival-stream stand-in whose ``fire`` records its key."""
+
+    def __init__(self, seen, key):
+        self.seen = seen
+        self.key = key
+
+    def fire(self):
+        self.seen.append(self.key)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 1.0, 2.5, 7.0]), st.integers(0, 3), st.booleans()
+        ),
+        min_size=1,
+        max_size=50,
+    )
+)
+def test_arrival_queue_keeps_the_heap_order(events):
+    """Entries on the arrival queue interleave with event-heap entries in
+    the one (time, priority, insertion) order, ties included (times come
+    from four values, so most events tie)."""
+    engine = Engine()
+    seen = []
+    priorities = [
+        EventPriority.JOB_COMPLETION,
+        EventPriority.JOB_ARRIVAL,
+        EventPriority.MONITOR_SAMPLE,
+        EventPriority.GENERIC,
+    ]
+    for order, (t, p, arrival) in enumerate(events):
+        if arrival:
+            engine.queue_arrival(
+                t, _Arrival(seen, (t, int(EventPriority.JOB_ARRIVAL), order))
+            )
+        else:
+            engine.schedule(t, priorities[p], seen.append, (t, int(priorities[p]), order))
+    engine.run()
+    assert len(seen) == len(events) == engine.events_processed
+    assert seen == sorted(seen)
+
+
 @given(
     st.lists(st.floats(0.0, 100.0, allow_nan=False), min_size=1, max_size=50),
     st.sets(st.integers(0, 49)),

@@ -43,30 +43,67 @@ class TestScheduling:
         with pytest.raises(ValueError, match="before current"):
             engine.schedule(5.0, EventPriority.GENERIC, lambda: None)
 
-    def test_schedule_in_negative_delay_raises(self, engine):
-        with pytest.raises(ValueError, match="non-negative"):
-            engine.schedule_in(-1.0, EventPriority.GENERIC, lambda: None)
-
-    def test_schedule_in_offsets_from_now(self, engine):
-        seen = []
-        engine.schedule(10.0, EventPriority.GENERIC,
-                        lambda: engine.schedule_in(5.0, EventPriority.GENERIC,
-                                                   lambda: seen.append(engine.now)))
-        engine.run()
-        assert seen == [15.0]
-
     def test_events_scheduled_during_run_execute(self, engine):
         seen = []
 
         def chain(n):
             seen.append(n)
             if n < 3:
-                engine.schedule_in(1.0, EventPriority.GENERIC, chain, n + 1)
+                engine.schedule(engine.now + 1.0, EventPriority.GENERIC, chain, n + 1)
 
         engine.schedule(0.0, EventPriority.GENERIC, chain, 0)
         engine.run()
         assert seen == [0, 1, 2, 3]
         assert engine.now == 3.0
+
+
+class _Stream:
+    """An arrival-stream stand-in: ``fire`` records the engine's now."""
+
+    def __init__(self, engine, seen, name):
+        self.engine = engine
+        self.seen = seen
+        self.name = name
+
+    def fire(self):
+        self.seen.append((self.name, self.engine.now))
+
+
+class TestArrivalQueue:
+    def test_arrivals_run_where_heap_arrival_events_would(self, engine):
+        """Arrival entries and event-heap entries run in one
+        (time, priority, sequence) order: at equal time and priority the
+        entry queued first runs first, whichever queue holds it."""
+        seen = []
+        a, b = _Stream(engine, seen, "a"), _Stream(engine, seen, "b")
+        engine.schedule(1.0, EventPriority.JOB_ARRIVAL, seen.append, ("start", 1.0))
+        engine.queue_arrival(1.0, a)
+        engine.queue_arrival(1.0, b)
+        engine.schedule(1.0, EventPriority.JOB_ARRIVAL, seen.append, ("late", 1.0))
+        engine.schedule(1.0, EventPriority.JOB_COMPLETION, seen.append, ("done", 1.0))
+        engine.schedule(1.0, EventPriority.MONITOR_SAMPLE, seen.append, ("sample", 1.0))
+        engine.queue_arrival(0.5, _Stream(engine, seen, "early"))
+        engine.run()
+        assert seen == [
+            ("early", 0.5), ("done", 1.0), ("start", 1.0), ("a", 1.0),
+            ("b", 1.0), ("late", 1.0), ("sample", 1.0),
+        ]
+        assert engine.events_processed == 7
+
+    def test_queue_arrival_in_past_raises(self, engine):
+        engine.run(until=10.0)
+        with pytest.raises(ValueError, match="before current"):
+            engine.queue_arrival(5.0, _Stream(engine, [], "a"))
+
+    def test_run_until_leaves_boundary_arrivals_pending(self, engine):
+        seen = []
+        engine.queue_arrival(5.0, _Stream(engine, seen, "a"))
+        engine.run(until=5.0)
+        assert seen == [] and engine.now == 5.0
+        assert engine.pending_count() == 1
+        engine.run()
+        assert seen == [("a", 5.0)]
+        assert engine.pending_count() == 0
 
 
 class TestCancellation:
@@ -161,6 +198,11 @@ class TestBookkeeping:
     def test_pending_count(self, engine):
         engine.schedule(1.0, EventPriority.GENERIC, lambda: None)
         engine.schedule(2.0, EventPriority.GENERIC, lambda: None)
+        assert engine.pending_count() == 2
+
+    def test_pending_count_counts_both_queues(self, engine):
+        engine.schedule(1.0, EventPriority.GENERIC, lambda: None)
+        engine.queue_arrival(2.0, _Stream(engine, [], "a"))
         assert engine.pending_count() == 2
 
     def test_start_time(self):

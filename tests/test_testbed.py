@@ -209,7 +209,7 @@ class TestThroughputTracker:
 
     def test_untracked_server_ignored(self):
         testbed = Testbed(rows=(80,), seed=0)
-        tracker = ThroughputTracker(testbed.engine)
+        tracker = ThroughputTracker()
         # No groups tracked: placements on any server are ignored.
         from repro.workload.job import Job
 

@@ -66,7 +66,7 @@ from repro.sim.fleet_experiment import (
     FleetExperimentConfig,
     FleetRowSpec,
 )
-from repro.sim.testbed import WorkloadSpec
+from repro.sim.testbed import Testbed, WorkloadSpec
 from repro.telemetry import (
     Counter,
     Gauge,
@@ -83,6 +83,7 @@ from repro.tenancy import (
     TenantSpec,
     assign_to_tenants,
 )
+from repro.workload.generator import ArrivalStream
 from tests.conftest import make_servers
 
 
@@ -91,14 +92,16 @@ class Work:
 
     ``calls`` counts function-call events (a generator resuming counts
     as one); ``lines`` counts line events when ``lines=True``. With
-    ``within`` set to a function, ``calls_within`` counts the calls made
-    while that function is on the stack, itself included,
-    ``codes_within`` holds the code objects they entered, and
-    ``calls_direct`` counts the calls made by that function's own frame.
+    ``within`` set to a function (or a tuple of functions that never
+    call one another), ``calls_within`` counts the calls made while one
+    of them is on the stack, itself included, ``codes_within`` holds the
+    code objects they entered, and ``calls_direct`` counts the calls
+    made by its own frame. Calls made while ``skip`` runs inside it,
+    ``skip`` included, count only in ``calls``.
     ``codes`` holds every code object entered.
     """
 
-    def __init__(self, lines: bool = False, within=None) -> None:
+    def __init__(self, lines: bool = False, within=None, skip=None) -> None:
         self.calls = 0
         self.lines = 0
         self.calls_within = 0
@@ -106,8 +109,14 @@ class Work:
         self.codes: set = set()
         self.codes_within: set = set()
         self._lines = lines
-        self._within = within.__code__ if within is not None else None
+        if within is None:
+            within = ()
+        elif not isinstance(within, tuple):
+            within = (within,)
+        self._within = {function.__code__ for function in within}
+        self._skip = skip.__code__ if skip is not None else None
         self._inside = False
+        self._skipping = False
 
     @contextmanager
     def count(self):
@@ -128,16 +137,28 @@ class Work:
     def _on_call(self, frame, event, arg):
         self.calls += 1
         self.codes.add(frame.f_code)
-        if self._inside:
+        if self._skipping:
+            pass
+        elif self._inside:
+            if frame.f_code is self._skip:
+                self._skipping = True
+                return self._on_skip_event
             self.calls_within += 1
             self.codes_within.add(frame.f_code)
-            if frame.f_back.f_code is self._within:
+            if frame.f_back.f_code in self._within:
                 self.calls_direct += 1
-        elif frame.f_code is self._within:
+        elif frame.f_code in self._within:
             self._inside = True
             self.calls_within += 1
             return self._on_within_event
         return self._on_line if self._lines else None
+
+    def _on_skip_event(self, frame, event, arg):
+        if event == "line" and self._lines:
+            self.lines += 1
+        elif event == "return":
+            self._skipping = False
+        return self._on_skip_event
 
     def _on_line(self, frame, event, arg):
         if event == "line":
@@ -756,7 +777,8 @@ def test_group_act_calls_are_flat_in_servers():
 # ----------------------------------------------------------------------
 def _arrival_events(tenancy=None) -> tuple:
     """Run a 40-server bursty row for 2 h; return the ``JOB_ARRIVAL``
-    events its engine scheduled and the jobs its generators made."""
+    events its engine queued (start events on the event heap, jobs on
+    the arrival queue) and the jobs its generators made."""
     run = ControlledExperiment(
         ExperimentConfig(
             n_servers=40,
@@ -771,6 +793,7 @@ def _arrival_events(tenancy=None) -> tuple:
     )
     engine = run.engine
     schedule = engine.schedule
+    queue_arrival = engine.queue_arrival
     arrivals = [0]
 
     def counted(time, priority, callback, *args):
@@ -778,7 +801,12 @@ def _arrival_events(tenancy=None) -> tuple:
             arrivals[0] += 1
         return schedule(time, priority, callback, *args)
 
+    def counted_arrival(time, stream):
+        arrivals[0] += 1
+        queue_arrival(time, stream)
+
     engine.schedule = counted
+    engine.queue_arrival = counted_arrival
     run.run()
     return arrivals[0], sum(g.jobs_generated for g in run.testbed.generators)
 
@@ -801,11 +829,48 @@ def _arrival_events(tenancy=None) -> tuple:
 )
 def test_arrival_engine_events_equal_accepted_jobs(tenancy):
     """Rejected thinning candidates cost rng draws, never engine events:
-    a row's one arrival stream schedules one event per accepted job plus
-    at most one start event, however many generators share its rng."""
+    a row's one arrival stream queues one arrival entry per accepted job
+    plus at most one start event, however many generators share its
+    rng."""
     arrivals, jobs = _arrival_events(tenancy)
     assert jobs > 500
     assert jobs <= arrivals <= jobs + 1
+
+
+def _per_job_calls(target_utilization: float) -> float:
+    """Python calls per placed job on an 80-server row over 2 h, after a
+    10-minute warm-up: the calls made inside arrivals
+    (``ArrivalStream.fire``) and completions
+    (``OmegaScheduler._complete_job``), minus the window draws
+    (``ArrivalStream._draw``), whose cost is per window, not per job."""
+    testbed = Testbed(rows=(80,), seed=3)
+    testbed.throughput.track(ServerGroup("row", testbed.row.servers))
+    horizon = 7200.0
+    spec = WorkloadSpec(target_utilization=target_utilization, modulation_sigma=0.0)
+    testbed.add_batch_workload(spec, horizon).start(horizon)
+    testbed.engine.run(until=600.0)
+    placed = testbed.scheduler.stats.placed
+    work = Work(
+        within=(ArrivalStream.fire, OmegaScheduler._complete_job),
+        skip=ArrivalStream._draw,
+    )
+    with work.count():
+        testbed.engine.run(until=horizon)
+    return work.calls_within / (testbed.scheduler.stats.placed - placed)
+
+
+def test_per_job_calls_are_flat_in_the_arrival_rate():
+    """A job costs the same Python calls at 4x the arrival rate, and at
+    most 19.5 (about 19 today: arrival, Job, submit, policy, fit index,
+    placement, completion event, throughput count, next arrival,
+    completion, task removal and two refits). The count was about 35
+    before the arrival queue and the inlined placement and completion
+    frames; a frame put back on either path adds about one."""
+    _per_job_calls(0.1)  # warm-up
+    low = _per_job_calls(0.1)
+    high = _per_job_calls(0.4)
+    assert abs(high - low) <= 0.5
+    assert max(low, high) <= 19.5
 
 
 class _CountingRng:
