@@ -300,7 +300,8 @@ class StagedRun:
         raise NotImplementedError
 
     def _window_outcome(self, group_name: str, warmup: float, end: float) -> GroupOutcome:
-        """One group's power, freeze and throughput over ``[warmup, end)``."""
+        """One group's power, freeze, throughput and queue waits over
+        ``[warmup, end)``."""
         times, norm = self.monitor.normalized_power_series(group_name, start=warmup, end=end)
         throughput = self.throughput.window_total(group_name, warmup, end)
         u_times, u_values = np.empty(0), np.empty(0)
@@ -310,6 +311,8 @@ class StagedRun:
             u_times = np.asarray(state.u_times)
             u_values = np.asarray(state.u_history)
         record = self.throughput.records[group_name]
+        # The minutes window_total counts: placements in [warmup, end).
+        window = (int(warmup // 60), int(end // 60))
         return GroupOutcome(
             summary=summarize_power_series(
                 group_name, norm, u_history=u_values, throughput=throughput, budget=1.0
@@ -319,8 +322,8 @@ class StagedRun:
             throughput=throughput,
             u_times=u_times,
             u_values=u_values,
-            mean_wait_seconds=record.mean_wait(),
-            p99_wait_seconds=record.wait_percentile(99.0),
+            mean_wait_seconds=record.mean_wait(window),
+            p99_wait_seconds=record.wait_percentile(99.0, window),
         )
 
     def _shared_result_fields(self) -> dict:

@@ -125,13 +125,28 @@ class ThroughputRecord:
         self.minute_bins[minute] = self.minute_bins.get(minute, 0) + 1
         self.wait_times.append(wait_seconds)
 
-    def mean_wait(self) -> float:
-        return float(np.mean(self.wait_times)) if self.wait_times else 0.0
+    def waits(self, window: Optional[Tuple[int, int]] = None) -> List[float]:
+        """The recorded waits, or those of the placements in the minutes
+        ``[start, end)`` of ``window``. Waits are appended in time order,
+        so a window's waits are one slice: it starts after the placements
+        of the minutes before ``start``."""
+        if window is None:
+            return self.wait_times
+        start, end = window
+        first = sum(count for minute, count in self.minute_bins.items() if minute < start)
+        return self.wait_times[first : first + int(self.series(start, end).sum())]
 
-    def wait_percentile(self, percentile: float) -> float:
-        if not self.wait_times:
+    def mean_wait(self, window: Optional[Tuple[int, int]] = None) -> float:
+        waits = self.waits(window)
+        return float(np.mean(waits)) if waits else 0.0
+
+    def wait_percentile(
+        self, percentile: float, window: Optional[Tuple[int, int]] = None
+    ) -> float:
+        waits = self.waits(window)
+        if not waits:
             return 0.0
-        return float(np.percentile(np.asarray(self.wait_times), percentile))
+        return float(np.percentile(np.asarray(waits), percentile))
 
     def series(self, start_minute: int, end_minute: int) -> np.ndarray:
         """Jobs placed in each minute of ``[start, end)``."""

@@ -94,6 +94,32 @@ class TestRunBehaviour:
         expected_samples = int(config.duration_hours * 60)
         assert abs(len(times) - expected_samples) <= 1
 
+    def test_queue_waits_cover_measurement_window_only(self):
+        """A warm-up backlog (the whole row frozen for its first half)
+        leaves long waits on the record, none of them in the result: the
+        result reads the waits of the placements in [warmup, end)."""
+        from repro.sim.events import EventPriority
+
+        experiment = ControlledExperiment(small_config(ampere_enabled=False))
+        experiment.start()
+        testbed = experiment.testbed
+        slots = testbed.row.state_indices
+        testbed.scheduler.set_frozen(slots, True)
+        testbed.engine.schedule(
+            450.0, EventPriority.GENERIC, testbed.scheduler.set_frozen, slots, False
+        )
+        result = experiment.finish()
+        config = experiment.config
+        window = (int(config.warmup_seconds // 60), int(config.end_seconds // 60))
+        for name, outcome in (("experiment", result.experiment), ("control", result.control)):
+            record = testbed.throughput.records[name]
+            waits = record.waits(window)
+            assert len(waits) == outcome.throughput
+            assert record.mean_wait() > 10.0  # the warm-up backlog
+            assert max(record.wait_times) > 300.0
+            assert outcome.mean_wait_seconds == record.mean_wait(window) < 1.0
+            assert outcome.p99_wait_seconds == record.wait_percentile(99.0, window)
+
     def test_cannot_run_twice(self):
         experiment = ControlledExperiment(small_config())
         experiment.run()

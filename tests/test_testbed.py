@@ -200,6 +200,19 @@ class TestThroughputTracker:
         )
         assert max(waits) > 60.0  # jobs queued while everything was frozen
 
+    def test_window_waits_are_one_slice(self):
+        from repro.sim.testbed import ThroughputRecord
+
+        record = ThroughputRecord()
+        for minute, wait in ((4, 10.0), (5, 1.0), (5, 2.0), (7, 3.0), (9, 50.0)):
+            record.record(minute, wait_seconds=wait)
+        assert record.waits((5, 9)) == [1.0, 2.0, 3.0]
+        assert record.waits((0, 5)) == [10.0]
+        assert record.waits((10, 20)) == []
+        assert record.mean_wait((5, 9)) == 2.0
+        assert record.wait_percentile(100.0, (5, 9)) == 3.0
+        assert record.mean_wait() == 13.2
+
     def test_empty_record_wait_stats(self):
         from repro.sim.testbed import ThroughputRecord
 
