@@ -116,9 +116,6 @@ class OmegaScheduler(SchedulerInterface):
             raise ValueError(f"framework {framework.name!r} already registered")
         self.frameworks[framework.name] = framework
 
-    def framework_for(self, job: Job) -> Framework:
-        return self.frameworks.get(job.product, self._default_framework)
-
     def all_frameworks(self) -> List[Framework]:
         return [self._default_framework, *self.frameworks.values()]
 

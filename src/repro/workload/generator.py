@@ -303,9 +303,9 @@ class ArrivalStream:
     (:meth:`Engine.queue_arrival`), whose :meth:`fire` submits it. When a
     window's last job fires, the stream draws the following windows
     inline until one holds a job, or every member has reached its
-    ``until``. Rate
-    profiles are pure functions of time and nothing else draws from a
-    workload rng, so the jobs are a function of the seed alone.
+    ``until``. Rate profiles are pure functions of time and nothing else
+    draws from a workload rng, so the jobs are a function of the seed
+    alone.
 
     A generator may join only while the stream has drawn nothing past
     ``now``: after the start event has drawn a window, a later join
@@ -342,8 +342,9 @@ class ArrivalStream:
     def advance(self) -> None:
         """Queue the window's next job, or draw on when it is spent."""
         if self._next < len(self._jobs):
+            time = self._jobs[self._next][0]
             self._next += 1
-            self.engine.queue_arrival(self._jobs[self._next - 1][0], self)
+            self.engine.queue_arrival(time, self)
         else:
             self._draw()
 

@@ -8,7 +8,7 @@ from repro.scheduler.policies import BestFitPolicy
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
 from repro.workload.job import Job
-from tests.conftest import make_servers
+from tests.conftest import make_servers, set_frozen_ids
 
 
 @pytest.fixture
@@ -266,9 +266,15 @@ class TestFrameworks:
         engine, servers, scheduler = setup
         framework = Framework("analytics", policy=BestFitPolicy())
         scheduler.register_framework(framework)
+        # Every server frozen: each job waits in its framework's queue.
+        set_frozen_ids(scheduler, [s.server_id for s in servers], True)
         job = make_job(1, product="analytics")
-        assert scheduler.framework_for(job) is framework
-        assert scheduler.framework_for(make_job(2, product="other")).name == "default"
+        other = make_job(2, product="other")
+        scheduler.submit(job)
+        scheduler.submit(other)
+        assert list(framework.queue) == [job]
+        assert scheduler.all_frameworks()[0].name == "default"
+        assert list(scheduler.all_frameworks()[0].queue) == [other]
 
     def test_duplicate_framework_raises(self, setup):
         engine, servers, scheduler = setup

@@ -863,7 +863,7 @@ def test_per_job_calls_are_flat_in_the_arrival_rate():
     """A job costs the same Python calls at 4x the arrival rate, and at
     most 19.5 (about 19 today: arrival, Job, submit, policy, fit index,
     placement, completion event, throughput count, next arrival,
-    completion, task removal and two refits). The count was about 35
+    completion, task removal and two refits). The count was about 38
     before the arrival queue and the inlined placement and completion
     frames; a frame put back on either path adds about one."""
     _per_job_calls(0.1)  # warm-up
