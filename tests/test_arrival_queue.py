@@ -142,7 +142,9 @@ def surging_fleet():
     )
 
 
-@pytest.mark.parametrize("build", [tenanted_row, surging_fleet], ids=["tenanted-row", "fleet-surge"])
+@pytest.mark.parametrize(
+    "build", [tenanted_row, surging_fleet], ids=["tenanted-row", "fleet-surge"]
+)
 def test_staged_run_matches_the_heap_only_engine(build, monkeypatch):
     queued = staged_replay(build())
     with monkeypatch.context() as patch:
@@ -197,10 +199,10 @@ def tie_replay(engine: Engine) -> dict:
         rng = WholeSecondRng(seed)
         stream = ArrivalStream(engine, rng)
         streams.append(stream)
+        profile = DiurnalRateProfile(3.0, amplitude=0.3, period_seconds=900.0)
         generators = [
             BatchWorkloadGenerator(
-                engine, sink,
-                ScaledRateProfile(DiurnalRateProfile(3.0, amplitude=0.3, period_seconds=900.0), share),
+                engine, sink, ScaledRateProfile(profile, share),
                 rng=rng, stream=stream, tenant=f"s{index}-{k}",
                 job_id_offset=1_000_000 * (2 * index + k),
             )
